@@ -180,11 +180,6 @@ def _gcd(a: int, b: int) -> int:
 # translation graphs
 
 
-def _pair_key(labels: Sequence[str], c1: str, c2: str) -> tuple[str, str]:
-    i, j = labels.index(c1), labels.index(c2)
-    return (c1, c2) if i <= j else (c2, c1)
-
-
 @dataclass(frozen=True)
 class TranslationGraph:
     """Vertices C x Z with Z translating positions.
@@ -204,11 +199,13 @@ class TranslationGraph:
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
             raise GraphError("orbit labels must be distinct")
+        # Not a field: equality and hashing still see only labels and families.
+        object.__setattr__(self, "_label_index", {c: i for i, c in enumerate(self.labels)})
         normalized: dict[tuple[str, str], tuple[DifferenceFamily, ...]] = {}
         for (c1, c2), fams in self.families.items():
             if c1 not in self.labels or c2 not in self.labels:
                 raise GraphError(f"family references unknown label in ({c1!r}, {c2!r})")
-            key = _pair_key(self.labels, c1, c2)
+            key = self._pair_key(c1, c2)
             if key in normalized:
                 raise GraphError(f"duplicate family entry for pair {key!r}")
             normalized[key] = tuple(fams)
@@ -220,9 +217,13 @@ class TranslationGraph:
 
     def label_index(self, c: str) -> int:
         try:
-            return self.labels.index(c)
-        except ValueError:
+            return self._label_index[c]
+        except KeyError:
             raise GraphError(f"unknown orbit label {c!r}") from None
+
+    def _pair_key(self, c1: str, c2: str) -> tuple[str, str]:
+        """The unordered label pair, lower label index first."""
+        return (c1, c2) if self.label_index(c1) <= self.label_index(c2) else (c2, c1)
 
     def has_vertex(self, v: Vertex) -> bool:
         return (
@@ -237,7 +238,7 @@ class TranslationGraph:
             raise GraphError(f"{v!r} is not a vertex of this graph")
 
     def families_for(self, c1: str, c2: str) -> tuple[DifferenceFamily, ...]:
-        return self.families.get(_pair_key(self.labels, c1, c2), ())
+        return self.families.get(self._pair_key(c1, c2), ())
 
     def adjacent(self, v: Vertex, w: Vertex) -> bool:
         self.check_vertex(v)
@@ -247,9 +248,17 @@ class TranslationGraph:
         (c1, x), (c2, y) = v, w
         return contains_offset(self.families_for(c1, c2), y - x)
 
+    def action(self, gamma: int):
+        """The vertex map of ``gamma``, checking each vertex it moves."""
+
+        def move(v: Vertex) -> Vertex:
+            self.check_vertex(v)
+            return (v[0], v[1] + gamma)
+
+        return move
+
     def act(self, gamma: int, v: Vertex) -> Vertex:
-        self.check_vertex(v)
-        return (v[0], v[1] + gamma)
+        return self.action(gamma)(v)
 
     def vertex_key(self, v: Vertex):
         return (self.label_index(v[0]), v[1])
@@ -301,7 +310,7 @@ class FiniteModeGraph:
         if len(set(verts)) != len(verts):
             raise GraphError("vertex ids must be distinct")
         object.__setattr__(self, "vertices", verts)
-        vset = set(verts)
+        vset = frozenset(verts)
         edges = set()
         for e in self.edges:
             u, w = e
@@ -323,6 +332,10 @@ class FiniteModeGraph:
         for a, b in itertools.combinations(maps, 2):
             if _perm_compose(a, b) != _perm_compose(b, a):
                 raise GraphError("generators must pairwise commute")
+        # Derived once; not fields, so equality and hashing are unchanged.
+        object.__setattr__(self, "_vertex_set", vset)
+        object.__setattr__(self, "_gen_maps", tuple(maps))
+        object.__setattr__(self, "_gen_orders", tuple(_perm_order(g) for g in maps))
 
     @property
     def gamma_kind(self) -> str:
@@ -332,14 +345,8 @@ class FiniteModeGraph:
     def rank(self) -> int:
         return len(self.generators)
 
-    def _gen_maps(self) -> list[dict]:
-        return [
-            {self.vertices[i]: g[i] for i in range(len(self.vertices))}
-            for g in self.generators
-        ]
-
     def has_vertex(self, v: Vertex) -> bool:
-        return isinstance(v, int) and v in set(self.vertices)
+        return isinstance(v, int) and v in self._vertex_set
 
     def check_vertex(self, v: Vertex) -> None:
         if not self.has_vertex(v):
@@ -357,15 +364,23 @@ class FiniteModeGraph:
         if len(gamma) != self.rank:
             raise GraphError(f"gamma must have {self.rank} coordinates, got {gamma!r}")
         out = {v: v for v in self.vertices}
-        for g, power in zip(self._gen_maps(), gamma):
-            step = g if power >= 0 else {img: v for v, img in g.items()}
-            for _ in range(abs(power) % _perm_order(g)):
-                out = _perm_compose(step, out)
+        for g, order, power in zip(self._gen_maps, self._gen_orders, gamma):
+            for _ in range(power % order):
+                out = _perm_compose(g, out)
         return out
 
+    def action(self, gamma: tuple[int, ...]):
+        """The vertex map of ``gamma``: one permutation, checked lookups."""
+        perm = self.perm_of(gamma)
+
+        def move(v: int) -> int:
+            self.check_vertex(v)
+            return perm[v]
+
+        return move
+
     def act(self, gamma: tuple[int, ...], v: int) -> int:
-        self.check_vertex(v)
-        return self.perm_of(gamma)[v]
+        return self.action(gamma)(v)
 
     def vertex_key(self, v: int) -> int:
         return v
@@ -375,7 +390,7 @@ class FiniteModeGraph:
 
     def image_group(self) -> list[dict]:
         """The finite abelian group generated by the generator maps."""
-        return close_permutations(self._gen_maps(), self.vertices)
+        return close_permutations(self._gen_maps, self.vertices)
 
 
 def _perm_order(g: dict) -> int:
@@ -486,6 +501,8 @@ class QuotientGraph:
         self.lift = dict(lift)
         self.modulus = modulus
         self.labels = tuple(labels) if labels is not None else None
+        self._label_index = {c: i for i, c in enumerate(self.labels or ())}
+        self._vertex_set = frozenset(self.vertices)
         self.orbit_map = dict(orbit_map) if orbit_map is not None else None
         self.subgroup_perms = subgroup_perms
 
@@ -500,7 +517,7 @@ class QuotientGraph:
         return self.orbit_map[v]
 
     def has_vertex(self, v) -> bool:
-        return v in set(self.vertices)
+        return v in self._vertex_set
 
     def check_vertex(self, v) -> None:
         if not self.has_vertex(v):
@@ -516,14 +533,21 @@ class QuotientGraph:
 
     def vertex_key(self, u):
         if self.kind == "translation":
-            return (self.labels.index(u[0]), u[1])
+            try:
+                return (self._label_index[u[0]], u[1])
+            except KeyError:
+                raise GraphError(f"unknown orbit label {u[0]!r}") from None
         return u
 
-    def act(self, gamma_residue: int, u):
+    def action(self, gamma_residue: int):
         """Residue translation on a translation quotient."""
         if self.kind != "translation":
             raise GraphError("acting on a finite-mode quotient requires a coset")
-        return (u[0], (u[1] + gamma_residue) % self.modulus)
+        m = self.modulus
+        return lambda u: (u[0], (u[1] + gamma_residue) % m)
+
+    def act(self, gamma_residue: int, u):
+        return self.action(gamma_residue)(u)
 
     def content(self) -> tuple:
         return (self.kind, self.vertices, self.edges, self.loops,
@@ -562,7 +586,8 @@ def _translation_quotient(graph: TranslationGraph, m: int) -> QuotientGraph:
             for r2 in range(m):
                 u, w = (c1, r1), (c2, r2)
                 if (r2 - r1) % m in res and u != w:
-                    edges.add(_ordered_pair(graph.labels, u, w))
+                    # pair keys put the lower label index first
+                    edges.add((u, w) if c1 != c2 or r1 <= r2 else (w, u))
         # 0 in the residue set means two distinct lifts of one orbit are
         # adjacent, which is exactly the loop condition.
         if c1 == c2 and 0 in res:
@@ -571,12 +596,6 @@ def _translation_quotient(graph: TranslationGraph, m: int) -> QuotientGraph:
     return QuotientGraph(
         "translation", vertices, edges, loops, lift, modulus=m, labels=graph.labels
     )
-
-
-def _ordered_pair(labels, u, w):
-    ku = (labels.index(u[0]), u[1])
-    kw = (labels.index(w[0]), w[1])
-    return (u, w) if ku <= kw else (w, u)
 
 
 def normalize_subgroup(graph: FiniteModeGraph, subgroup) -> list[dict]:

@@ -3,16 +3,28 @@
 An element of the product group attached to a graph is a sequence of
 syllables (vertex, value).  Copies at adjacent vertices commute; no
 other relations hold beyond the group laws inside each copy.  Words are
-brought to a canonical form in three moves: drop identity syllables,
-merge same-vertex syllables whose separators all commute past them, and
-finally order the result as the lexicographically least shuffle of its
-commutation class.  Equal group elements always produce equal canonical
-words, so equality and triviality testing reduce to comparison against
-this form.
+brought to a canonical form in two passes, after the Hermiller-Meier
+normal form for graph products and the piling solution of the word
+problem of Crisp, Godelle and Wiest:
+
+* a single left-to-right piling pass drops identity syllables and
+  pushes each syllable back past the trailing syllables it commutes
+  with, merging or cancelling it against the first same-vertex
+  syllable it meets; the result is a reduced word;
+* a heap then emits the lexicographically least shuffle of that
+  reduced word's commutation class, ordered by ``vertex_key``.
+
+Each syllable costs one adjacency lookup per commuting syllable it is
+pushed past, and adjacency is memoised within a call, so a word of n
+syllables needs O(n log n) work when commuting runs are short instead
+of the O(n^2) lookups of a pairwise scan.  Equal group elements always
+produce equal canonical words, so equality and triviality testing
+reduce to comparison against this form.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -71,48 +83,97 @@ def _validate(graph, delta: GroupSpec, w: Word | Iterable[Syllable]) -> list[Syl
 def canonical_form(graph, delta: GroupSpec, w: Word | Iterable[Syllable]) -> Word:
     """The unique canonical word equal to ``w``.
 
-    Merging is applied to the nearest pair of same-vertex syllables
-    whose in-between vertices are all adjacent to theirs; such a pair
-    can always be brought together by swaps, and no other pair ever
-    can, so iterating to a fixed point yields a fully reduced word.
-    The reduced word is then rewritten as the least shuffle of its
-    class: repeatedly emit the syllable with the smallest vertex among
-    those whose remaining predecessors all commute past it.
+    One left-to-right pass keeps a reduced word: each incoming syllable
+    is pushed back past the trailing syllables whose vertices are
+    adjacent to its own, then merged with (or cancelled against) the
+    first same-vertex syllable it meets, or appended when a
+    non-commuting syllable stops it first.  A cancellation removes a
+    syllable that everything after it commuted with, so it can never
+    unblock an earlier pair and no rescan is needed.  The reduced word
+    is then emitted as the least shuffle of its class with a heap keyed
+    by ``vertex_key``: a syllable waits on its nearest remaining
+    non-commuting predecessor and is looked at again only when that
+    predecessor is emitted.
+
+    Both passes cost one adjacency lookup per syllable stepped over, so
+    the work is linear in the length times the length of the commuting
+    runs, plus a heap log factor.  Adjacency is memoised for the
+    duration of the call only, so ``graph.adjacent`` is asked about
+    each pair of vertices at most once.
     """
     sylls = [s for s in _validate(graph, delta, w) if not delta.is_identity(s.value)]
+    adjacent = _adjacency(graph)
 
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(sylls)):
-            v = sylls[i].vertex
-            for j in range(i + 1, len(sylls)):
-                if sylls[j].vertex != v:
-                    continue
-                if all(graph.adjacent(sylls[k].vertex, v) for k in range(i + 1, j)):
-                    merged = delta.compose(sylls[i].value, sylls[j].value)
-                    del sylls[j]
-                    if delta.is_identity(merged):
-                        del sylls[i]
-                    else:
-                        sylls[i] = Syllable(v, merged)
-                    changed = True
-                break  # a same-vertex syllable blocks any later merge with i
-            if changed:
-                break
+    reduced: list[Syllable] = []
+    for s in sylls:
+        v = s.vertex
+        k = len(reduced) - 1
+        while k >= 0 and reduced[k].vertex != v and adjacent(reduced[k].vertex, v):
+            k -= 1
+        if k < 0 or reduced[k].vertex != v:
+            reduced.append(s)
+            continue
+        merged = delta.compose(reduced[k].value, s.value)
+        if delta.is_identity(merged):
+            del reduced[k]
+        else:
+            reduced[k] = Syllable(v, merged)
+    return Word(tuple(_least_shuffle(graph, reduced, adjacent)))
 
-    out: list[Syllable] = []
-    remaining = sylls
-    while remaining:
-        best = None
-        for i, s in enumerate(remaining):
-            if all(graph.adjacent(remaining[k].vertex, s.vertex) for k in range(i)):
-                if best is None or graph.vertex_key(s.vertex) < graph.vertex_key(
-                    remaining[best].vertex
-                ):
-                    best = i
-        out.append(remaining.pop(best))
-    return Word(tuple(out))
+
+def _adjacency(graph) -> Callable[[Vertex, Vertex], bool]:
+    """``graph.adjacent`` memoised over unordered pairs, for one call."""
+    memo: dict[tuple[Vertex, Vertex], bool] = {}
+
+    def adjacent(u: Vertex, w: Vertex) -> bool:
+        try:
+            return memo[u, w]
+        except KeyError:
+            memo[u, w] = memo[w, u] = found = graph.adjacent(u, w)
+            return found
+
+    return adjacent
+
+
+def _least_shuffle(graph, sylls: list[Syllable], adjacent) -> list[Syllable]:
+    """The lexicographically least reordering of a reduced word that
+    only swaps neighbouring syllables at adjacent vertices.
+
+    Remaining syllables form a linked list (``prev``/``nxt``).  A
+    syllable enters the heap once no remaining predecessor blocks it;
+    ties in ``vertex_key`` go to the earlier position.
+    """
+    n = len(sylls)
+    verts = [s.vertex for s in sylls]
+    keys = {v: graph.vertex_key(v) for v in verts}
+    prev = list(range(-1, n - 1))
+    nxt = list(range(1, n + 1))
+    waiting: list[list[int]] = [[] for _ in range(n)]
+    heap: list[tuple] = []
+
+    def place(j: int, i: int) -> None:
+        v = verts[j]
+        while i >= 0 and adjacent(verts[i], v):
+            i = prev[i]
+        if i < 0:
+            heapq.heappush(heap, (keys[v], j))
+        else:
+            waiting[i].append(j)
+
+    for j in range(n):
+        place(j, j - 1)
+    out = []
+    while heap:
+        _, i = heapq.heappop(heap)
+        out.append(sylls[i])
+        p, q = prev[i], nxt[i]
+        if p >= 0:
+            nxt[p] = q
+        if q < n:
+            prev[q] = p
+        for j in waiting[i]:
+            place(j, p)
+    return out
 
 
 def gp_compose(graph, delta: GroupSpec, w1: Word, w2: Word) -> Word:

@@ -114,8 +114,12 @@ class Instance:
 
 
 def act_word(graph, delta: GroupSpec, gamma: Gamma, w: Word) -> Word:
-    """Move every syllable along the action and recanonicalize."""
-    moved = [Syllable(graph.act(gamma, s.vertex), s.value) for s in w]
+    """Move every syllable along the action and recanonicalize.
+
+    The action of ``gamma`` is resolved into one vertex map per call.
+    """
+    move = graph.action(gamma)
+    moved = [Syllable(move(s.vertex), s.value) for s in w]
     return canonical_form(graph, delta, moved)
 
 

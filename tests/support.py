@@ -25,6 +25,7 @@ from gwreath import (
     Syllable,
     TranslationGraph,
     Word,
+    WordError,
     WreathElement,
 )
 
@@ -72,6 +73,22 @@ def k5_cyclic() -> FiniteModeGraph:
 def path3_graph() -> FiniteModeGraph:
     """The path on three vertices with a trivial action."""
     return FiniteModeGraph((0, 1, 2), frozenset({(0, 1), (1, 2)}), ())
+
+
+def torus_graph(n: int) -> FiniteModeGraph:
+    """The n x n grid torus with Z^2 acting by the two rotations."""
+
+    def at(i, j):
+        return (i % n) * n + (j % n)
+
+    edges = set()
+    for i in range(n):
+        for j in range(n):
+            for u, w in ((at(i, j), at(i + 1, j)), (at(i, j), at(i, j + 1))):
+                edges.add((min(u, w), max(u, w)))
+    rows = tuple(at(i + 1, j) for i in range(n) for j in range(n))
+    cols = tuple(at(i, j + 1) for i in range(n) for j in range(n))
+    return FiniteModeGraph(tuple(range(n * n)), frozenset(edges), (rows, cols))
 
 
 def klein_table() -> FiniteTable:
@@ -180,6 +197,57 @@ def bfs_trivial(graph, delta, syllables) -> bool:
                 seen.add(candidate)
                 queue.append(candidate)
     return False
+
+
+def reference_canonical_form(graph, delta, w) -> Word:
+    """The canonical form by the direct quadratic algorithm.
+
+    Merge the nearest same-vertex pair whose in-between vertices are all
+    adjacent to theirs, rescanning from the start after every merge
+    until none is left; then repeatedly emit the syllable with the
+    smallest vertex among those whose remaining predecessors all
+    commute past it.  Slow, but each step is read straight off the
+    definition, so it is a differential oracle for ``canonical_form``.
+    """
+    sylls = list(w)
+    for s in sylls:
+        if not graph.has_vertex(s.vertex):
+            raise WordError(f"syllable vertex {s.vertex!r} does not belong to the graph")
+        delta.check(s.value)
+    sylls = [s for s in sylls if not delta.is_identity(s.value)]
+
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(sylls)):
+            v = sylls[i].vertex
+            for j in range(i + 1, len(sylls)):
+                if sylls[j].vertex != v:
+                    continue
+                if all(graph.adjacent(sylls[k].vertex, v) for k in range(i + 1, j)):
+                    merged = delta.compose(sylls[i].value, sylls[j].value)
+                    del sylls[j]
+                    if delta.is_identity(merged):
+                        del sylls[i]
+                    else:
+                        sylls[i] = Syllable(v, merged)
+                    changed = True
+                break  # a same-vertex syllable blocks any later merge with i
+            if changed:
+                break
+
+    out: list[Syllable] = []
+    remaining = sylls
+    while remaining:
+        best = None
+        for i, s in enumerate(remaining):
+            if all(graph.adjacent(remaining[k].vertex, s.vertex) for k in range(i)):
+                if best is None or graph.vertex_key(s.vertex) < graph.vertex_key(
+                    remaining[best].vertex
+                ):
+                    best = i
+        out.append(remaining.pop(best))
+    return Word(tuple(out))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from gwreath import (
     LoopObstruction,
     Symmetric,
     Syllable,
+    TranslationGraph,
     Word,
     WordError,
     canonical_form,
@@ -29,11 +31,14 @@ from tests.support import (
     path3_graph,
     random_nontrivial,
     random_word,
+    reference_canonical_form,
+    torus_graph,
     two_orbit_graph,
 )
 
 C2 = Cyclic(2)
 C3 = Cyclic(3)
+C5 = Cyclic(5)
 S3 = Symmetric(3)
 P3 = path3_graph()
 
@@ -138,6 +143,76 @@ def test_canonical_invariant_under_relations():
                 + sylls[j + 1 :]
             )
             assert canonical_form(graph, delta, split) == base
+
+
+def _windows(graph):
+    """A narrow and a wide vertex pool: many merges, then few."""
+    if isinstance(graph, TranslationGraph):
+        wide = [(c, p) for c in graph.labels for p in range(-32, 32)]
+        narrow = [(c, p) for c in graph.labels for p in range(3)]
+    else:
+        wide = sorted(graph.vertices, key=graph.vertex_key)
+        narrow = wide[:2] + wide[5:7]
+    return {"narrow": narrow, "wide": wide}
+
+
+REFERENCE_GRAPHS = {
+    "line": line_graph,
+    "two-orbit": two_orbit_graph,
+    "factorial": lambda: factorial_graph(0),
+    "torus8": lambda: torus_graph(8),
+    "quotient-two-orbit-12": lambda: quotient_graph(two_orbit_graph(), 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS))
+def test_canonical_matches_reference_on_long_words(name):
+    graph = REFERENCE_GRAPHS[name]()
+    rng = random.Random(f"reference:{name}")
+    for delta in (C2, S3, C5):
+        for window, pool in _windows(graph).items():
+            lengths = [rng.randint(0, 512)]
+            if (delta, window) == (C2, "wide"):
+                lengths += [0, 512]
+            for n in lengths:
+                w = Word(
+                    tuple(
+                        Syllable(rng.choice(pool), random_nontrivial(delta, rng))
+                        for _ in range(n)
+                    )
+                )
+                assert canonical_form(graph, delta, w) == reference_canonical_form(
+                    graph, delta, w
+                ), (delta, window, n)
+
+
+def _count_calls(monkeypatch, cls, name) -> Counter:
+    """Count calls to ``cls.name`` made while the test runs."""
+    calls = Counter()
+    original = getattr(cls, name)
+
+    def counted(self, *args):
+        calls[name] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("span", [6, 64, 512])
+def test_canonical_adjacency_lookups_are_linear(monkeypatch, span):
+    # a pairwise scan needs ~n^2/2 lookups here; memoised piling needs O(n)
+    rng = random.Random(47)
+    graph, n = line_graph(), 512
+    w = Word(
+        tuple(
+            Syllable(("c", rng.randrange(span)), random_nontrivial(S3, rng))
+            for _ in range(n)
+        )
+    )
+    calls = _count_calls(monkeypatch, TranslationGraph, "adjacent")
+    canonical_form(graph, S3, w)
+    assert 0 < calls["adjacent"] <= 8 * n
 
 
 def test_triviality_agrees_with_bfs_short_words():

@@ -1,16 +1,20 @@
 import random
+from collections import Counter
 
 import pytest
 
 from gwreath import (
     Cyclic,
     EMPTY_WORD,
+    FiniteModeGraph,
+    GraphError,
     IdentityElement,
     Instance,
     SearchExhausted,
     Symmetric,
     Syllable,
     WitnessError,
+    Word,
     WreathElement,
     act_word,
     canonical_form,
@@ -26,6 +30,7 @@ from gwreath import (
     witness,
     word,
 )
+from gwreath import graphs
 from gwreath.wreath import obstruction_spot_check
 
 from tests.support import (
@@ -34,7 +39,9 @@ from tests.support import (
     k5_cyclic,
     line_graph,
     random_word,
+    random_nontrivial,
     random_wreath,
+    torus_graph,
     two_orbit_graph,
 )
 
@@ -91,6 +98,48 @@ def test_act_word_by_automorphisms():
             inst.graph, S3, act_word(inst.graph, S3, g, w1), act_word(inst.graph, S3, g, w2)
         )
         assert lhs == rhs
+
+
+def test_act_word_resolves_one_permutation_per_call(monkeypatch):
+    graph = torus_graph(8)
+    rng = random.Random(61)
+    w = Word(
+        tuple(
+            Syllable(rng.choice(graph.vertices), random_nontrivial(S3, rng))
+            for _ in range(64)
+        )
+    )
+    gamma = (3, -2)
+    expected = canonical_form(
+        graph, S3, [Syllable(graph.act(gamma, s.vertex), s.value) for s in w]
+    )
+
+    calls = Counter()
+    perm_of, perm_order = FiniteModeGraph.perm_of, graphs._perm_order
+
+    def counted_perm_of(self, g):
+        calls["perm_of"] += 1
+        return perm_of(self, g)
+
+    def counted_perm_order(g):
+        calls["_perm_order"] += 1
+        return perm_order(g)
+
+    monkeypatch.setattr(FiniteModeGraph, "perm_of", counted_perm_of)
+    monkeypatch.setattr(graphs, "_perm_order", counted_perm_order)
+    assert act_word(graph, S3, gamma, w) == expected
+    assert calls == Counter({"perm_of": 1})
+
+
+def test_act_word_validates_gamma_and_vertices():
+    graph = torus_graph(3)
+    w = Word((Syllable(0, (1, 0, 2)),))
+    with pytest.raises(GraphError):
+        act_word(graph, S3, (1,), w)
+    with pytest.raises(GraphError):
+        act_word(graph, S3, (1, 0), Word((Syllable(99, (1, 0, 2)),)))
+    with pytest.raises(GraphError):
+        act_word(line_graph(), C2, 1, Word((Syllable(("x", 0), 1),)))
 
 
 # ---------------------------------------------------------------------------
