@@ -27,6 +27,7 @@ from .graphs import (
     enumerate_subgroups,
     is_complete,
     orbit_counts,
+    orbit_map,
     residues_of,
 )
 from .wreath import (
@@ -124,21 +125,21 @@ def _orbit_evidence_translation(graph: TranslationGraph, c: str, bound: int) -> 
     return OrbitEvidence(orbit=c, status="unknown")
 
 
-def _orbit_evidence_finite(graph: FiniteModeGraph):
+def _subgroup_orbits(graph: FiniteModeGraph):
+    """(index, orbit map) for every subgroup of the acting image, by
+    ascending index; the first is the whole image."""
     subgroups = enumerate_subgroups(graph)
-    image_order = max(len(s) for s in subgroups) if subgroups else 1
-    perms = graph.image_group()
-    seen: set[int] = set()
-    for v in graph.vertices:
-        if v in seen:
-            continue
-        orbit = sorted({p[v] for p in perms})
-        seen.update(orbit)
-        for sub in subgroups:
-            if not any(graph.adjacent(p[v], v) for p in sub):
-                yield OrbitEvidence(
-                    orbit=v, status="holds", subgroup_index=image_order // len(sub)
-                )
+    image_order = len(subgroups[0])
+    return [(image_order // len(sub), orbit_map(graph, sub)) for sub in subgroups]
+
+
+def _orbit_evidence_finite(graph: FiniteModeGraph):
+    subgroups = _subgroup_orbits(graph)
+    for v in sorted(set(subgroups[0][1].values())):
+        neighbours = graph.neighbours(v)
+        for index, orbits in subgroups:
+            if not any(orbits[u] == orbits[v] for u in neighbours):
+                yield OrbitEvidence(orbit=v, status="holds", subgroup_index=index)
                 break
         else:  # pragma: no cover - the trivial subgroup always succeeds
             yield OrbitEvidence(orbit=v, status="unknown")
@@ -240,6 +241,7 @@ def _pair_evidence_translation(
     failures = []
     examined = []
     unresolved = []
+    residues: dict[int, frozenset[int]] = {}
     for t in range(-t_max, t_max + 1):
         if same and t == 0:
             continue
@@ -249,7 +251,7 @@ def _pair_evidence_translation(
         if obstruction is not None:
             failures.append((t, obstruction))
             continue
-        m = _separating_modulus(families, t, same, bound)
+        m = _separating_modulus(families, t, same, bound, residues)
         if m is None:
             unresolved.append(t)
         else:
@@ -276,31 +278,35 @@ def _pair_evidence_translation(
     )
 
 
-def _separating_modulus(families, t: int, include_zero: bool, bound: int) -> int | None:
+def _separating_modulus(families, t: int, include_zero: bool, bound: int,
+                        residues: dict[int, frozenset[int]]) -> int | None:
+    """The least modulus whose residue set misses ``t``; ``residues``
+    keeps the sets by modulus across the offsets of one pair."""
     for m in range(1, bound + 1):
-        residues = residues_of(families, m)
-        if include_zero:
-            residues = residues | {0}
-        if t % m not in residues:
+        if m not in residues:
+            residues[m] = residues_of(families, m) | ({0} if include_zero else frozenset())
+        if t % m not in residues[m]:
             return m
     return None
 
 
 def _pair_evidence_finite(graph: FiniteModeGraph):
-    subgroups = enumerate_subgroups(graph)
-    image_order = max(len(s) for s in subgroups) if subgroups else 1
+    # Per subgroup, the orbit ids of each vertex's neighbours: the orbit
+    # of w avoids v and N(v) exactly when its id is neither v's nor one
+    # of those.  The orbit of v then avoids w and N(w) too, since
+    # hw ~ v if and only if w ~ h^-1 v.
+    neighbours = {v: graph.neighbours(v) for v in graph.vertices}
+    subgroups = [
+        (index, orbits, {v: {orbits[u] for u in ns} for v, ns in neighbours.items()})
+        for index, orbits in _subgroup_orbits(graph)
+    ]
     for v, w in itertools.combinations(graph.vertices, 2):
-        if graph.adjacent(v, w):
+        if w in neighbours[v]:
             continue
-        for sub in subgroups:
-            orbit_w = {p[w] for p in sub}
-            orbit_v = {p[v] for p in sub}
-            forward = not any(u == v or graph.adjacent(u, v) for u in orbit_w)
-            backward = not any(u == w or graph.adjacent(u, w) for u in orbit_v)
-            if forward and backward:
-                yield PairEvidence(
-                    pair=(v, w), status="holds", subgroup_index=image_order // len(sub)
-                )
+        for index, orbits, near in subgroups:
+            ov, ow = orbits[v], orbits[w]
+            if ov != ow and ow not in near[v]:
+                yield PairEvidence(pair=(v, w), status="holds", subgroup_index=index)
                 break
         else:  # pragma: no cover - the trivial subgroup always succeeds
             yield PairEvidence(pair=(v, w), status="unknown")

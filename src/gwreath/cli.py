@@ -124,6 +124,13 @@ def _load(args):
     return formats.load_instance(args.instance)
 
 
+def _integer(token: str, option: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"{option} takes integers, got {token!r}") from None
+
+
 def _named_element(elements, name):
     if name not in elements:
         raise ParseError(f"no element named {name!r} in the instance file")
@@ -237,7 +244,7 @@ def _cmd_quotient(args) -> int:
         for chunk in args.subgroup.split(";"):
             chunk = chunk.strip()
             if chunk:
-                gens.append(tuple(int(x) for x in chunk.split(",")))
+                gens.append(tuple(_integer(x, "--subgroup") for x in chunk.split(",")))
         q = quotient_graph(instance.graph, gens)
     if args.format == "structured":
         _emit(["gwreath v1 quotient-graph"] + formats.quotient_lines(q), args)
@@ -252,7 +259,7 @@ def _cmd_lef(args) -> int:
     instance, _ = _load(args)
     if not isinstance(instance.graph, TranslationGraph):
         raise ParseError("finite partial models are built for translation instances")
-    gammas = [int(x) for x in args.gamma_set.replace(",", " ").split()]
+    gammas = [_integer(x, "--gamma-set") for x in args.gamma_set.replace(",", " ").split()]
     vertices = [
         formats.parse_vertex(instance.graph, token) for token in args.vertex_set.split()
     ]
@@ -285,6 +292,8 @@ def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "bound", 1) < 1:
+            raise ParseError(f"--bound must be at least 1, got {args.bound}")
         return _COMMANDS[args.command](args)
     except (ParseError, GroupError, GraphError, WordError, IdentityElement) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -79,11 +79,14 @@ class FactorialOffsets:
 
     def residues(self, m: int) -> frozenset[int]:
         # n! is divisible by m once n >= m, so the tail contributes
-        # exactly the residues of +-shift; small n are computed directly.
+        # exactly the residues of +-shift; small n are computed directly,
+        # with n! kept modulo m and stopped once it is 0 there.
         out = {self.shift % m, (-self.shift) % m}
         f = 1
         for n in range(1, max(m, 2)):
-            f *= n
+            f = f * n % m
+            if f == 0:
+                break
             out.add((self.shift + f) % m)
             out.add((-(self.shift + f)) % m)
         return frozenset(out)
@@ -307,22 +310,25 @@ class FiniteModeGraph:
 
     def __post_init__(self):
         verts = tuple(sorted(self.vertices))
-        if len(set(verts)) != len(verts):
+        position = {v: i for i, v in enumerate(verts)}
+        if len(position) != len(verts):
             raise GraphError("vertex ids must be distinct")
         object.__setattr__(self, "vertices", verts)
-        vset = frozenset(verts)
         edges = set()
+        neighbours: dict[int, set[int]] = {v: set() for v in verts}
         for e in self.edges:
             u, w = e
             if u == w:
                 raise GraphError(f"loop at vertex {u} is not allowed")
-            if u not in vset or w not in vset:
+            if u not in position or w not in position:
                 raise GraphError(f"edge {e!r} references an unknown vertex")
             edges.add((min(u, w), max(u, w)))
+            neighbours[u].add(w)
+            neighbours[w].add(u)
         object.__setattr__(self, "edges", frozenset(edges))
         maps = []
         for g in self.generators:
-            if len(g) != len(verts) or set(g) != vset:
+            if len(g) != len(verts) or set(g) != position.keys():
                 raise GraphError(f"generator {g!r} is not a permutation of the vertices")
             maps.append({verts[i]: g[i] for i in range(len(verts))})
         for gm in maps:
@@ -333,7 +339,10 @@ class FiniteModeGraph:
             if _perm_compose(a, b) != _perm_compose(b, a):
                 raise GraphError("generators must pairwise commute")
         # Derived once; not fields, so equality and hashing are unchanged.
-        object.__setattr__(self, "_vertex_set", vset)
+        object.__setattr__(self, "_position", position)
+        object.__setattr__(
+            self, "_neighbours", {v: frozenset(ns) for v, ns in neighbours.items()}
+        )
         object.__setattr__(self, "_gen_maps", tuple(maps))
         object.__setattr__(self, "_gen_orders", tuple(_perm_order(g) for g in maps))
 
@@ -346,7 +355,7 @@ class FiniteModeGraph:
         return len(self.generators)
 
     def has_vertex(self, v: Vertex) -> bool:
-        return isinstance(v, int) and v in self._vertex_set
+        return isinstance(v, int) and v in self._position
 
     def check_vertex(self, v: Vertex) -> None:
         if not self.has_vertex(v):
@@ -358,6 +367,10 @@ class FiniteModeGraph:
         if v == w:
             return False
         return (min(v, w), max(v, w)) in self.edges
+
+    def neighbours(self, v: int) -> frozenset[int]:
+        self.check_vertex(v)
+        return self._neighbours[v]
 
     def perm_of(self, gamma: tuple[int, ...]) -> dict:
         """The automorphism through which a Z^n element acts."""
@@ -388,9 +401,11 @@ class FiniteModeGraph:
     def has_loop(self, v: int) -> bool:
         return False
 
-    def image_group(self) -> list[dict]:
-        """The finite abelian group generated by the generator maps."""
-        return close_permutations(self._gen_maps, self.vertices)
+    def image_group(self) -> tuple[tuple[int, ...], ...]:
+        """The finite abelian group generated by the generator maps, as
+        sorted permutation tuples (the images of ``vertices``, in order)."""
+        table = _ImageTable(self)
+        return table.subgroup_perms(range(len(table.perms)))
 
 
 def _perm_order(g: dict) -> int:
@@ -403,26 +418,57 @@ def _perm_order(g: dict) -> int:
     return out
 
 
-def close_permutations(maps: Sequence[dict], vertices: Sequence[int]) -> list[dict]:
-    """Closure of a set of permutations under composition, sorted."""
-    ident = {v: v for v in vertices}
-    seen = {_perm_tuple(ident, vertices): ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in maps:
-                q = _perm_compose(g, p)
-                key = _perm_tuple(q, vertices)
-                if key not in seen:
-                    seen[key] = q
-                    nxt.append(q)
-        frontier = nxt
-    return [seen[k] for k in sorted(seen)]
+class _ImageTable:
+    """The acting image of a finite-mode graph as a table of element ids.
 
+    Element ``i`` is the permutation ``perms[i]`` (the images of
+    ``graph.vertices``, in order) and ``mul[a][b]`` is the id of the
+    composite of ``a`` and ``b``, in either order since the image is
+    abelian.  Ids number the elements breadth first from the identity
+    (id 0) over the generators, which is also how the table is filled:
+    each later element is a generator times an earlier one.
+    """
 
-def _perm_tuple(p: dict, vertices: Sequence[int]) -> tuple[int, ...]:
-    return tuple(p[v] for v in sorted(vertices))
+    def __init__(self, graph: FiniteModeGraph):
+        verts, pos = graph.vertices, graph._position
+        gens = [tuple(pos[gmap[v]] for v in verts) for gmap in graph._gen_maps]
+        found = [tuple(range(len(verts)))]  # permutations of positions
+        ids = {found[0]: 0}
+        step = []  # step[i][j]: the id of generator j times element i
+        parent = [None]  # (j, i): element first reached as generator j times i
+        for i, p in enumerate(found):  # ``found`` grows while it is read
+            row = []
+            for j, g in enumerate(gens):
+                q = tuple(g[k] for k in p)
+                if q not in ids:
+                    ids[q] = len(found)
+                    found.append(q)
+                    parent.append((j, i))
+                row.append(ids[q])
+            step.append(row)
+        self.perms = tuple(tuple(verts[k] for k in p) for p in found)
+        self.index = {p: i for i, p in enumerate(self.perms)}
+        self.mul = []
+        for a in range(len(found)):
+            row = [a]
+            for j, i in parent[1:]:
+                row.append(step[row[i]][j])
+            self.mul.append(row)
+
+    def join(self, sub: frozenset[int], a: int) -> frozenset[int]:
+        """The subgroup generated by ``sub`` and ``a``: the union of the
+        cosets a^k sub, which repeat once a^k lies in ``sub``."""
+        out = set(sub)
+        coset = list(sub)
+        row = self.mul[a]
+        while True:
+            coset = [row[h] for h in coset]
+            if coset[0] in out:
+                return frozenset(out)
+            out.update(coset)
+
+    def subgroup_perms(self, sub) -> tuple[tuple[int, ...], ...]:
+        return tuple(sorted(self.perms[i] for i in sub))
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +596,9 @@ class QuotientGraph:
         return self.action(gamma_residue)(u)
 
     def content(self) -> tuple:
+        orbits = None if self.orbit_map is None else tuple(sorted(self.orbit_map.items()))
         return (self.kind, self.vertices, self.edges, self.loops,
-                tuple(sorted(self.lift.items())))
+                tuple(sorted(self.lift.items())), self.modulus, self.labels, orbits)
 
     def __eq__(self, other):
         if not isinstance(other, QuotientGraph):
@@ -598,83 +645,87 @@ def _translation_quotient(graph: TranslationGraph, m: int) -> QuotientGraph:
     )
 
 
-def normalize_subgroup(graph: FiniteModeGraph, subgroup) -> list[dict]:
-    """Closure of the given generators inside the finite image group."""
-    image = graph.image_group()
-    image_keys = {_perm_tuple(p, graph.vertices) for p in image}
-    maps = []
+def normalize_subgroup(graph: FiniteModeGraph, subgroup) -> tuple[tuple[int, ...], ...]:
+    """The subgroup of the acting image generated by ``subgroup``.
+
+    Generators are gamma vectors or permutation dicts; the result lists
+    the permutation tuples of the subgroup, sorted.
+    """
+    table = _ImageTable(graph)
+    closed = frozenset({0})
     for g in subgroup:
-        if isinstance(g, dict):
-            p = dict(g)
-        else:
-            p = graph.perm_of(tuple(g))
-        if _perm_tuple(p, graph.vertices) not in image_keys:
+        p = g if isinstance(g, dict) else graph.perm_of(tuple(g))
+        a = table.index.get(tuple(p.get(v) for v in graph.vertices))
+        if a is None or len(p) != len(graph.vertices):
             raise GraphError("subgroup generator lies outside the acting image")
-        maps.append(p)
-    return close_permutations(maps, graph.vertices)
+        closed = table.join(closed, a)
+    return table.subgroup_perms(closed)
+
+
+def orbit_map(graph: FiniteModeGraph, perms, vertices=None) -> dict[int, int]:
+    """Each vertex mapped to the least vertex of its orbit.
+
+    ``perms`` is a subgroup of the acting image as permutation tuples,
+    as ``enumerate_subgroups`` lists them; ``vertices``, a union of its
+    orbits, defaults to every vertex.
+    """
+    out: dict[int, int] = {}
+    for v in graph.vertices if vertices is None else vertices:
+        if v not in out:
+            k = graph._position[v]
+            orbit = {p[k] for p in perms}
+            out.update(dict.fromkeys(orbit, min(orbit)))
+    return out
 
 
 def _finite_quotient(graph: FiniteModeGraph, subgroup) -> QuotientGraph:
     perms = normalize_subgroup(graph, subgroup)
-    orbit_map: dict[int, int] = {}
-    for v in graph.vertices:
-        if v not in orbit_map:
-            orbit = sorted({p[v] for p in perms})
-            rep = orbit[0]
-            for u in orbit:
-                orbit_map[u] = rep
-    vertices = sorted(set(orbit_map.values()))
+    omap = orbit_map(graph, perms)
+    vertices = sorted(set(omap.values()))
     edges = set()
     loops = set()
     for u, w in graph.edges:
-        ou, ow = orbit_map[u], orbit_map[w]
+        ou, ow = omap[u], omap[w]
         if ou == ow:
             loops.add(ou)
         else:
             edges.add((min(ou, ow), max(ou, ow)))
     lift = {rep: rep for rep in vertices}
     return QuotientGraph(
-        "finite",
-        vertices,
-        edges,
-        loops,
-        lift,
-        orbit_map=orbit_map,
-        subgroup_perms=tuple(sorted(_perm_tuple(p, graph.vertices) for p in perms)),
+        "finite", vertices, edges, loops, lift, orbit_map=omap, subgroup_perms=perms
     )
 
 
-def enumerate_subgroups(graph: FiniteModeGraph) -> list[list[dict]]:
+def enumerate_subgroups(graph: FiniteModeGraph) -> list[tuple[tuple[int, ...], ...]]:
     """All subgroups of the acting image, by ascending index.
 
-    Built as joins of cyclic subgroups and deduplicated; within one
-    index the order is fixed by the sorted permutation tuples, so the
-    subgroup searches downstream are deterministic.
+    Each subgroup is listed as its sorted permutation tuples (the images
+    of ``graph.vertices``); within one index the subgroups are ordered
+    by these lists, so the searches downstream are deterministic.  The
+    subgroups are the joins of cyclic ones, closed as sets of element
+    ids in one table of the image.
     """
-    image = graph.image_group()
-    verts = graph.vertices
-
-    def key_of(perms):
-        return tuple(sorted(_perm_tuple(p, verts) for p in perms))
-
-    cyclics = {}
-    for p in image:
-        sub = close_permutations([p], verts)
-        cyclics[key_of(sub)] = sub
-    subgroups = {key_of(close_permutations([], verts)): close_permutations([], verts)}
-    frontier = dict(subgroups)
+    table = _ImageTable(graph)
+    trivial = frozenset({0})
+    cyclic = {}  # cyclic subgroup -> an element generating it
+    for a in range(len(table.perms)):
+        cyclic.setdefault(table.join(trivial, a), a)
+    found = {trivial}
+    frontier = [trivial]
     while frontier:
-        nxt = {}
-        for sub in frontier.values():
-            for cyc in cyclics.values():
-                joined = close_permutations(list(sub) + list(cyc), verts)
-                k = key_of(joined)
-                if k not in subgroups:
-                    subgroups[k] = joined
-                    nxt[k] = joined
+        nxt = []
+        for sub in frontier:
+            for a in cyclic.values():
+                if a in sub:
+                    continue
+                joined = table.join(sub, a)
+                if joined not in found:
+                    found.add(joined)
+                    nxt.append(joined)
         frontier = nxt
-    total = len(image)
-    return sorted(subgroups.values(), key=lambda s: (total // len(s), key_of(s)))
+    total = len(table.perms)
+    subgroups = [table.subgroup_perms(sub) for sub in found]
+    return sorted(subgroups, key=lambda s: (total // len(s), s))
 
 
 # ---------------------------------------------------------------------------
@@ -699,19 +750,15 @@ def orbit_counts(graph) -> tuple[int, int | None]:
         return vertex_orbits, edge_orbits
     if isinstance(graph, FiniteModeGraph):
         perms = graph.image_group()
-        seen_v = set()
-        vertex_orbits = 0
-        for v in graph.vertices:
-            if v not in seen_v:
-                vertex_orbits += 1
-                seen_v.update(p[v] for p in perms)
+        vertex_orbits = len(set(orbit_map(graph, perms).values()))
         seen_e = set()
         edge_orbits = 0
         for u, w in sorted(graph.edges):
             if (u, w) not in seen_e:
                 edge_orbits += 1
+                iu, iw = graph._position[u], graph._position[w]
                 for p in perms:
-                    seen_e.add((min(p[u], p[w]), max(p[u], p[w])))
+                    seen_e.add((min(p[iu], p[iw]), max(p[iu], p[iw])))
         return vertex_orbits, edge_orbits
     raise GraphError(f"cannot count orbits of {type(graph).__name__}")
 

@@ -26,8 +26,9 @@ from .graphs import (
     QuotientGraph,
     TranslationGraph,
     Vertex,
-    _perm_compose,
     enumerate_subgroups,
+    normalize_subgroup,
+    orbit_map,
     quotient_graph,
     residues_of,
 )
@@ -389,11 +390,10 @@ def restrict_orbits(instance: Instance, x: WreathElement) -> tuple[Instance, Wre
         sub_instance = Instance(delta, sub)
         return sub_instance, sub_instance.normalize(x)
     if isinstance(graph, FiniteModeGraph):
-        perms = graph.image_group()
-        keep: set[int] = set()
-        for v in used:
-            keep.update(p[v] for p in perms)
-        if keep == set(graph.vertices):
+        orbits = orbit_map(graph, graph.image_group())
+        reps = {orbits[v] for v in used}
+        keep = {v for v in graph.vertices if orbits[v] in reps}
+        if len(keep) == len(graph.vertices):
             return instance, x
         verts = tuple(sorted(keep))
         edges = frozenset(e for e in graph.edges if e[0] in keep and e[1] in keep)
@@ -459,7 +459,9 @@ def separate(instance: Instance, x: WreathElement, bound: int = 64) -> RFCertifi
     the acting image.  A candidate is accepted when the quotient is
     injective on {identity, gamma}, restricts to an isomorphism on the
     induced subgraph spanned by the support, and (for non-abelian
-    coefficients) leaves no loops on the surviving orbits.
+    coefficients) leaves no loops on the surviving orbits.  These checks
+    read only the support's images, so the quotient graph is built once,
+    for the accepted candidate.
     """
     x = instance.normalize(x)
     if instance.is_identity_element(x):
@@ -476,8 +478,9 @@ def separate(instance: Instance, x: WreathElement, bound: int = 64) -> RFCertifi
 
     if isinstance(instance.graph, FiniteModeGraph):
         candidates = enumerate_subgroups(instance.graph)
+        gamma_key = _perm_key(instance.graph, x.gamma)
         for perms in candidates:
-            cert = _try_finite(instance, sub_instance, x, support_vertices, perms)
+            cert = _try_finite(instance, sub_instance, x, support_vertices, perms, gamma_key)
             if cert is not None:
                 return cert
         raise SearchExhausted(len(candidates))
@@ -485,24 +488,25 @@ def separate(instance: Instance, x: WreathElement, bound: int = 64) -> RFCertifi
     raise GraphError(f"cannot separate over {type(instance.graph).__name__}")
 
 
-def _induced_isomorphism(graph, quotient, support_vertices) -> bool:
-    """No merged support vertices, no created or destroyed adjacencies."""
-    images = [quotient.project(v) for v in support_vertices]
+def _induced_isomorphism(graph, support_vertices, project, image_adjacent) -> bool:
+    """No merged support vertices, no created or destroyed adjacencies.
+
+    ``image_adjacent(v, w)`` says whether the images of two support
+    vertices with distinct images are adjacent in the quotient.
+    """
+    images = [project(v) for v in support_vertices]
     if len(set(images)) != len(images):
         return False
-    for (v, iv), (w, iw) in itertools.combinations(zip(support_vertices, images), 2):
-        if graph.adjacent(v, w) != quotient.adjacent(iv, iw):
-            return False
-    return True
+    return all(
+        graph.adjacent(v, w) == image_adjacent(v, w)
+        for v, w in itertools.combinations(support_vertices, 2)
+    )
 
 
-def _certificate(instance, sub_instance, x, support_vertices, quotient,
-                 gamma_ok, gamma_image, *, kind, modulus, subgroup_perms):
+def _certificate(instance, sub_instance, x, quotient, gamma_image, *, kind, modulus,
+                 subgroup_perms):
+    """The certificate of a candidate that passed every check."""
     delta = instance.delta
-    iso_ok = _induced_isomorphism(sub_instance.graph, quotient, support_vertices)
-    loops_ok = None if delta.is_abelian() else not quotient.loops
-    if not (gamma_ok and iso_ok and loops_ok in (True, None)):
-        return None
     word_image = push_forward(
         sub_instance.graph, delta, x.word, quotient.project, identity_hom(delta), quotient
     )
@@ -516,9 +520,9 @@ def _certificate(instance, sub_instance, x, support_vertices, quotient,
         else sub_instance.graph.vertices
     )
     checks = CheckRecord(
-        gamma_injective=gamma_ok,
-        induced_isomorphism=iso_ok,
-        loops_clear=loops_ok,
+        gamma_injective=True,
+        induced_isomorphism=True,
+        loops_clear=None if delta.is_abelian() else True,
         image_nontrivial=nontrivial,
     )
     return RFCertificate(
@@ -541,66 +545,108 @@ def _image_gamma_trivial(kind, quotient, gamma_image) -> bool:
 
 
 def _try_translation(instance, sub_instance, x, support_vertices, m):
-    gamma_ok = x.gamma == 0 or x.gamma % m != 0
-    if not gamma_ok:
+    """The certificate for modulus ``m``, or None when a check fails.
+
+    Every check reads residues of the support and of its label pairs
+    only; the quotient graph is built once all of them pass.
+    """
+    if x.gamma != 0 and x.gamma % m == 0:
         return None
-    quotient = quotient_graph(sub_instance.graph, m)
+    graph = sub_instance.graph
+    residues = {}
+
+    def residues_for(c1, c2):
+        if (c1, c2) not in residues:
+            residues[c1, c2] = residues_of(graph.families_for(c1, c2), m)
+        return residues[c1, c2]
+
+    # 0 among an orbit's own residues means two lifts of one quotient
+    # vertex are adjacent: a loop.
+    if not instance.delta.is_abelian() and any(0 in residues_for(c, c) for c in graph.labels):
+        return None
+    if not _induced_isomorphism(
+        graph, support_vertices,
+        lambda v: (v[0], v[1] % m),
+        lambda v, w: (w[1] - v[1]) % m in residues_for(v[0], w[0]),
+    ):
+        return None
+    quotient = quotient_graph(graph, m)
     return _certificate(
-        instance, sub_instance, x, support_vertices, quotient,
-        gamma_ok, x.gamma % m, kind="modulus", modulus=m, subgroup_perms=None,
+        instance, sub_instance, x, quotient, x.gamma % m,
+        kind="modulus", modulus=m, subgroup_perms=None,
     )
 
 
-def _try_finite(instance, sub_instance, x, support_vertices, perms):
-    graph: FiniteModeGraph = instance.graph
-    gamma_perm = graph.perm_of(x.gamma)
-    perm_keys = {tuple(p[v] for v in graph.vertices) for p in perms}
-    gamma_in_subgroup = tuple(gamma_perm[v] for v in graph.vertices) in perm_keys
-    gamma_ok = all(g == 0 for g in x.gamma) or not gamma_in_subgroup
-    if not gamma_ok:
+def _perm_key(graph: FiniteModeGraph, gamma) -> tuple[int, ...]:
+    """The permutation tuple through which ``gamma`` acts."""
+    perm = graph.perm_of(gamma)
+    return tuple(perm[v] for v in graph.vertices)
+
+
+def _try_finite(instance, sub_instance, x, support_vertices, perms, gamma_key):
+    """The certificate for the image subgroup ``perms``, or None when a
+    check fails.
+
+    Every check reads the orbit map of the subgroup on the restricted
+    vertices; the quotient graph is built once all of them pass.
+    """
+    graph, sub = instance.graph, sub_instance.graph
+    gamma_in_subgroup = gamma_key in perms
+    if gamma_in_subgroup and any(x.gamma):
         return None
-    restricted_perms = [
-        {v: p[v] for v in sub_instance.graph.vertices} for p in perms
-    ]
-    quotient = quotient_graph(sub_instance.graph, restricted_perms)
-    gamma_image = None if gamma_in_subgroup else _coset_representative(graph, perms, gamma_perm)
-    subgroup_perms = tuple(sorted(tuple(p[v] for v in graph.vertices) for p in perms))
-    return _certificate(
-        instance, sub_instance, x, support_vertices, quotient,
-        gamma_ok, gamma_image, kind="image-subgroup", modulus=None,
-        subgroup_perms=subgroup_perms,
+    orbits = orbit_map(graph, perms, sub.vertices)
+    if not instance.delta.is_abelian() and any(orbits[u] == orbits[w] for u, w in sub.edges):
+        return None
+    if not _induced_isomorphism(
+        sub, support_vertices,
+        orbits.__getitem__,
+        lambda v, w: any(orbits[u] == orbits[w] for u in sub.neighbours(v)),
+    ):
+        return None
+    elements = [dict(zip(graph.vertices, p)) for p in perms]
+    quotient = quotient_graph(sub, [{v: p[v] for v in sub.vertices} for p in elements])
+    gamma_image = (
+        None if gamma_in_subgroup else min(tuple(p[v] for v in gamma_key) for p in elements)
     )
-
-
-def _coset_representative(graph, perms, gamma_perm):
-    coset = {
-        tuple(_perm_compose(p, gamma_perm)[v] for v in graph.vertices) for p in perms
-    }
-    return min(coset)
+    return _certificate(
+        instance, sub_instance, x, quotient, gamma_image,
+        kind="image-subgroup", modulus=None, subgroup_perms=perms,
+    )
 
 
 def verify_certificate(instance: Instance, cert: RFCertificate) -> bool:
-    """Re-run every check from scratch against the recorded subgroup."""
+    """Re-run every check from scratch against the recorded subgroup and
+    compare every field with the certificate so rebuilt."""
+    graph = instance.graph
     try:
         x = instance.normalize(cert.element)
         if instance.is_identity_element(x):
             return False
         sub_instance, x = restrict_orbits(instance, x)
         support_vertices = sorted(x.word.vertices(), key=sub_instance.graph.vertex_key)
-        if cert.kind == "modulus":
+        if cert.kind == "modulus" and isinstance(graph, TranslationGraph):
+            if not isinstance(cert.modulus, int) or cert.modulus < 1:
+                return False
             rebuilt = _try_translation(instance, sub_instance, x, support_vertices, cert.modulus)
+        elif cert.kind == "image-subgroup" and isinstance(graph, FiniteModeGraph):
+            perms = normalize_subgroup(
+                graph, [dict(zip(graph.vertices, p)) for p in cert.subgroup_perms]
+            )
+            rebuilt = _try_finite(
+                instance, sub_instance, x, support_vertices, perms, _perm_key(graph, x.gamma)
+            )
         else:
-            perm_dicts = [
-                {v: p[i] for i, v in enumerate(instance.graph.vertices)}
-                for p in cert.subgroup_perms
-            ]
-            rebuilt = _try_finite(instance, sub_instance, x, support_vertices, perm_dicts)
+            return False
     except (ValueError, TypeError, KeyError, AttributeError):
         return False
     if rebuilt is None:
         return False
     return (
-        rebuilt.quotient == cert.quotient
+        rebuilt.element == cert.element
+        and rebuilt.modulus == cert.modulus
+        and rebuilt.subgroup_perms == cert.subgroup_perms
+        and rebuilt.restricted == cert.restricted
+        and rebuilt.quotient == cert.quotient
         and rebuilt.gamma_image == cert.gamma_image
         and rebuilt.word_image == cert.word_image
         and rebuilt.checks == cert.checks

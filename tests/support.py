@@ -27,6 +27,8 @@ from gwreath import (
     Word,
     WordError,
     WreathElement,
+    quotient_graph,
+    restrict_orbits,
 )
 
 # ---------------------------------------------------------------------------
@@ -68,6 +70,14 @@ def two_orbit_graph() -> TranslationGraph:
 def k5_cyclic() -> FiniteModeGraph:
     edges = frozenset((i, j) for i in range(5) for j in range(i + 1, 5))
     return FiniteModeGraph(tuple(range(5)), edges, ((1, 2, 3, 4, 0),))
+
+
+def cycle_graph(n: int) -> FiniteModeGraph:
+    """The n-cycle with Z rotating it (no edge for n = 1, one for n = 2)."""
+    edges = frozenset(
+        (min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n) if n > 1
+    )
+    return FiniteModeGraph(tuple(range(n)), edges, (tuple((i + 1) % n for i in range(n)),))
 
 
 def path3_graph() -> FiniteModeGraph:
@@ -296,3 +306,106 @@ def all_short_words(vertices, values, max_len: int):
     for length in range(max_len + 1):
         for combo in itertools.product(alphabet, repeat=length):
             yield combo
+
+
+# ---------------------------------------------------------------------------
+# the subgroup search oracles
+
+
+def _perm_compose(p: dict, q: dict) -> dict:
+    return {v: p[q[v]] for v in q}
+
+
+def _perm_tuple(p: dict, vertices) -> tuple[int, ...]:
+    return tuple(p[v] for v in sorted(vertices))
+
+
+def close_permutations(maps, vertices) -> list[dict]:
+    """Closure of a set of permutations under composition, sorted."""
+    ident = {v: v for v in vertices}
+    seen = {_perm_tuple(ident, vertices): ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in maps:
+                q = _perm_compose(g, p)
+                key = _perm_tuple(q, vertices)
+                if key not in seen:
+                    seen[key] = q
+                    nxt.append(q)
+        frontier = nxt
+    return [seen[k] for k in sorted(seen)]
+
+
+def reference_enumerate_subgroups(graph: FiniteModeGraph) -> list[list[dict]]:
+    """All subgroups of the acting image, by ascending index, as lists of
+    permutation dicts: joins of cyclic subgroups closed as dicts, then
+    deduplicated and ordered by the sorted permutation tuples.  The
+    direct algorithm, kept as a differential oracle for
+    ``enumerate_subgroups``."""
+    verts = graph.vertices
+    gen_maps = [{verts[i]: g[i] for i in range(len(verts))} for g in graph.generators]
+    image = close_permutations(gen_maps, verts)
+
+    def key_of(perms):
+        return tuple(sorted(_perm_tuple(p, verts) for p in perms))
+
+    cyclics = {}
+    for p in image:
+        sub = close_permutations([p], verts)
+        cyclics[key_of(sub)] = sub
+    subgroups = {key_of(close_permutations([], verts)): close_permutations([], verts)}
+    frontier = dict(subgroups)
+    while frontier:
+        nxt = {}
+        for sub in frontier.values():
+            for cyc in cyclics.values():
+                joined = close_permutations(list(sub) + list(cyc), verts)
+                k = key_of(joined)
+                if k not in subgroups:
+                    subgroups[k] = joined
+                    nxt[k] = joined
+        frontier = nxt
+    total = len(image)
+    return sorted(subgroups.values(), key=lambda s: (total // len(s), key_of(s)))
+
+
+def reference_first_candidate(instance: Instance, x: WreathElement, candidates):
+    """Index of the first candidate whose whole quotient graph passes the
+    separation checks, or None.
+
+    Candidates are moduli (translation) or subgroups as permutation
+    tuples (finite mode).  Each check is read off the quotient built
+    for the candidate: gamma survives, the support keeps distinct
+    images and exactly its adjacency, and, for non-abelian
+    coefficients, no quotient vertex carries a loop.
+    """
+    graph = instance.graph
+    x = instance.normalize(x)
+    sub, x = restrict_orbits(instance, x)
+    support = sorted(x.word.vertices(), key=sub.graph.vertex_key)
+    for index, candidate in enumerate(candidates):
+        if isinstance(graph, TranslationGraph):
+            if x.gamma != 0 and x.gamma % candidate == 0:
+                continue
+            quotient = quotient_graph(sub.graph, candidate)
+        else:
+            if any(x.gamma) and tuple(graph.act(x.gamma, v) for v in graph.vertices) in candidate:
+                continue
+            elements = [dict(zip(graph.vertices, p)) for p in candidate]
+            quotient = quotient_graph(
+                sub.graph, [{v: p[v] for v in sub.graph.vertices} for p in elements]
+            )
+        images = [quotient.project(v) for v in support]
+        if len(set(images)) != len(images):
+            continue
+        if any(
+            sub.graph.adjacent(v, w) != quotient.adjacent(quotient.project(v), quotient.project(w))
+            for v, w in itertools.combinations(support, 2)
+        ):
+            continue
+        if not instance.delta.is_abelian() and quotient.loops:
+            continue
+        return index
+    return None

@@ -19,15 +19,18 @@ from gwreath import (
     verify_certificate,
 )
 from gwreath.checker import NOT_RESIDUALLY_FINITE, RESIDUALLY_FINITE, UNKNOWN
-from gwreath.graphs import residues_of
+from gwreath.graphs import enumerate_subgroups, residues_of
 
 from tests.support import (
     complete_z_graph,
+    cycle_graph,
     edgeless_graph,
     factorial_graph,
     k5_cyclic,
     line_graph,
+    path3_graph,
     random_wreath,
+    torus_graph,
     two_orbit_graph,
 )
 
@@ -130,6 +133,43 @@ def test_cond3_examined_offsets_record_moduli():
 def test_cond3_finite_mode_always_holds():
     result = check_cond3(Instance(S3, k5_cyclic()))
     assert result.holds is True
+
+
+def test_finite_mode_evidence_matches_direct_orbit_checks():
+    # the first subgroup, by ascending index, whose orbit of v misses
+    # N(v) (condition 2) or whose orbits keep v, w and their neighbours
+    # apart (condition 3), found by scanning orbits with ``adjacent``
+    for graph in (torus_graph(4), cycle_graph(8), k5_cyclic(), path3_graph()):
+        subgroups = enumerate_subgroups(graph)
+
+        def orbit(sub, v):
+            return {p[graph.vertices.index(v)] for p in sub}
+
+        def first_index(clears):
+            sub = next(sub for sub in subgroups if clears(sub))
+            return len(subgroups[0]) // len(sub)
+
+        inst = Instance(S3, graph)
+        cond2 = check_cond2(inst)
+        reps = sorted({min(orbit(subgroups[0], v)) for v in graph.vertices})
+        assert [e.orbit for e in cond2.per_orbit] == reps
+        for e in cond2.per_orbit:
+            v = e.orbit
+            assert e.subgroup_index == first_index(
+                lambda sub: not any(graph.adjacent(u, v) for u in orbit(sub, v))
+            )
+        cond3 = check_cond3(inst)
+        pairs = [
+            (v, w) for i, v in enumerate(graph.vertices) for w in graph.vertices[i + 1:]
+            if not graph.adjacent(v, w)
+        ]
+        assert [e.pair for e in cond3.per_pair] == pairs
+        for e in cond3.per_pair:
+            v, w = e.pair
+            assert e.subgroup_index == first_index(
+                lambda sub: not any(u == v or graph.adjacent(u, v) for u in orbit(sub, w))
+                and not any(u == w or graph.adjacent(u, w) for u in orbit(sub, v))
+            )
 
 
 # ---------------------------------------------------------------------------

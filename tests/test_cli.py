@@ -264,3 +264,29 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().splitlines()[0] == "gwreath v1 verdict"
+
+
+def test_bound_below_one_is_input_error(capsys):
+    for argv in (
+        ("separate", INSTANCES / "ex11.instance", "--element", "w1"),
+        ("check", INSTANCES / "ex11.instance"),
+        ("lef", INSTANCES / "ex12.instance", "--gamma-set", "0,1", "--vertex-set", "c:0"),
+    ):
+        for bound in ("0", "-3"):
+            code, out, err = invoke(capsys, *argv, "--bound", bound)
+            assert code == 1
+            assert out == ""
+            assert err.splitlines() == [f"error: --bound must be at least 1, got {bound}"]
+
+
+def test_non_integer_options_are_input_errors(capsys):
+    code, out, err = invoke(
+        capsys, "quotient", INSTANCES / "finite5-s3.instance", "--subgroup", "a,b"
+    )
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: --subgroup takes integers, got 'a'"]
+    code, out, err = invoke(
+        capsys, "lef", INSTANCES / "ex12.instance", "--gamma-set", "x", "--vertex-set", "c:0"
+    )
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: --gamma-set takes integers, got 'x'"]

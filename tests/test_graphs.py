@@ -16,17 +16,20 @@ from gwreath import (
     residues_mod,
     residues_of,
 )
-from gwreath.graphs import covers_all_nonzero, enumerate_subgroups
+from gwreath.graphs import covers_all_nonzero, enumerate_subgroups, normalize_subgroup
 
 from tests.support import (
     brute_factorial_residues,
     brute_quotient,
     complete_z_graph,
+    cycle_graph,
     factorial_graph,
     k5_cyclic,
     line_graph,
     offsets_graph,
     random_vertex,
+    reference_enumerate_subgroups,
+    torus_graph,
     two_orbit_graph,
 )
 
@@ -274,6 +277,34 @@ def test_enumerate_subgroups_of_c6():
     )
     subs = enumerate_subgroups(cycle6)
     assert [len(s) for s in subs] == [6, 3, 2, 1]  # ascending index 1,2,3,6
+
+
+def _as_perm_tuples(graph, subgroups):
+    verts = graph.vertices
+    return [tuple(sorted(tuple(p[v] for v in verts) for p in sub)) for sub in subgroups]
+
+
+def test_enumerate_subgroups_matches_reference():
+    # the same subgroups in the same order as the join-of-cyclics closure
+    # over permutation dicts, on cyclic, rank-2 and non-faithful actions
+    rotation = tuple((i + 1) % 6 for i in range(6))
+    kernel = FiniteModeGraph(tuple(range(6)), cycle_graph(6).edges, (rotation, rotation))
+    graphs = [cycle_graph(n) for n in range(1, 31)]
+    graphs += [torus_graph(n) for n in range(2, 7)]
+    graphs += [k5_cyclic(), kernel]
+    for graph in graphs:
+        expected = _as_perm_tuples(graph, reference_enumerate_subgroups(graph))
+        assert enumerate_subgroups(graph) == expected, graph
+
+
+def test_subgroup_lists_are_closed_and_normalized():
+    graph = torus_graph(4)
+    for perms in enumerate_subgroups(graph):
+        generators = [dict(zip(graph.vertices, p)) for p in perms]
+        assert normalize_subgroup(graph, generators) == perms
+        q = quotient_graph(graph, generators)
+        assert q.subgroup_perms == perms
+        assert len(q.vertices) * len(perms) == len(graph.vertices)  # free action
 
 
 # ---------------------------------------------------------------------------

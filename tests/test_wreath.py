@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pathlib
 import random
 from collections import Counter
 
@@ -30,20 +33,25 @@ from gwreath import (
     witness,
     word,
 )
-from gwreath import graphs
+from gwreath import formats, graphs, wreath
+from gwreath.graphs import enumerate_subgroups
 from gwreath.wreath import obstruction_spot_check
 
 from tests.support import (
     complete_z_graph,
+    cycle_graph,
     factorial_graph,
     k5_cyclic,
     line_graph,
     random_word,
     random_nontrivial,
     random_wreath,
+    reference_first_candidate,
     torus_graph,
     two_orbit_graph,
 )
+
+INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
 
 C2 = Cyclic(2)
 C3 = Cyclic(3)
@@ -412,9 +420,18 @@ def test_separate_random_elements_reverify():
         assert verify_certificate(inst, cert)
 
 
-def test_verify_certificate_rejects_tampering():
-    import dataclasses
+def _certificate_document(name, element):
+    inst, elements = formats.load_instance(str(INSTANCES / name))
+    cert = separate(inst, elements[element])
+    return inst, cert, "\n".join(formats.certificate_lines(inst, cert)) + "\n"
 
+
+def _verifies(inst, text):
+    _, record = formats.parse_structured(text)
+    return verify_certificate(inst, formats.certificate_from_record(inst, record))
+
+
+def test_verify_certificate_rejects_tampering():
     inst = line_instance()
     x = WreathElement(word(C2, [(("c", 0), 1), (("c", 2), 1)]), 0)
     cert = separate(inst, x)
@@ -424,6 +441,96 @@ def test_verify_certificate_rejects_tampering():
     assert not verify_certificate(inst, swapped)
     mismatched = dataclasses.replace(cert, kind="image-subgroup", subgroup_perms=((0, 1),))
     assert not verify_certificate(inst, mismatched)
+
+    # every field is compared with the certificate rebuilt from scratch
+    inst, cert, text = _certificate_document("ex11.instance", "w1")
+    assert _verifies(inst, text)
+    assert not verify_certificate(inst, dataclasses.replace(cert, restricted=(0, 1)))
+    assert not verify_certificate(inst, dataclasses.replace(cert, restricted=("zz",)))
+    assert not verify_certificate(inst, dataclasses.replace(cert, modulus=0))
+    assert not _verifies(inst, text.replace("quotient.modulus 4", "quotient.modulus 5"))
+    relabelled = copy.copy(cert.quotient)
+    relabelled.labels = ("c", "zz")
+    assert not verify_certificate(inst, dataclasses.replace(cert, quotient=relabelled))
+
+    inst, cert, text = _certificate_document("finite5-s3.instance", "w1")
+    assert _verifies(inst, text)
+    assert not _verifies(inst, text.replace("quotient.orbit 1 1\n", "quotient.orbit 1 1 7 9\n"))
+    # a generator alone is not the subgroup it generates
+    assert not _verifies(inst, text.replace("subgroup.perm 0,1,2,3,4", "subgroup.perm 1,2,3,4,0"))
+
+
+def test_verify_certificate_short_perm_is_false():
+    inst, _, text = _certificate_document("finite5-s3.instance", "w1")
+    assert not _verifies(inst, text.replace("subgroup.perm 0,1,2,3,4", "subgroup.perm 0,1"))
+
+
+def test_verify_certificate_perm_outside_image_is_false():
+    inst, _, text = _certificate_document("finite5-s3.instance", "w1")
+    swap = "subgroup.perm 0,1,2,3,4\nsubgroup.perm 1,0,2,3,4"
+    assert not _verifies(inst, text.replace("subgroup.perm 0,1,2,3,4", swap))
+    assert not _verifies(inst, text.replace("subgroup.perm 0,1,2,3,4", "subgroup.perm 1,0,2,3,4"))
+
+
+def _count_quotients(monkeypatch):
+    calls = Counter()
+    build = wreath.quotient_graph
+
+    def counted(graph, subgroup):
+        calls["quotient_graph"] += 1
+        return build(graph, subgroup)
+
+    monkeypatch.setattr(wreath, "quotient_graph", counted)
+    return calls
+
+
+def test_separate_builds_one_quotient(monkeypatch):
+    calls = _count_quotients(monkeypatch)
+    # 1..6 all divide 60 and merge the support, so six moduli are rejected first
+    cert = separate(line_instance(), WreathElement(word(C2, [(("c", 0), 1), (("c", 60), 1)]), 0))
+    assert cert.modulus == 7
+    assert calls["quotient_graph"] == 1
+    calls.clear()
+    cert = separate(Instance(S3, torus_graph(4)), WreathElement(word(S3, [(0, (1, 0, 2))]), (1, 0)))
+    assert cert.kind == "image-subgroup"
+    assert calls["quotient_graph"] == 1
+
+
+def test_exhausted_separate_builds_no_quotient(monkeypatch):
+    calls = _count_quotients(monkeypatch)
+    x = WreathElement(word(S3, [(("c", 0), (1, 0, 2)), (("c", 3), (0, 2, 1))]), 0)
+    with pytest.raises(SearchExhausted):
+        separate(fact_instance(0), x, bound=256)
+    assert calls["quotient_graph"] == 0
+
+
+def test_separate_picks_the_first_candidate_whose_quotient_passes():
+    # the support-only checks accept exactly the candidates whose whole
+    # quotient graph passes, so the search picks the same one
+    rng = random.Random(83)
+    bound = 24
+    cases = [
+        line_graph(), two_orbit_graph(), factorial_graph(1), factorial_graph(0),
+        torus_graph(3), k5_cyclic(), cycle_graph(6),
+    ]
+    for graph in cases:
+        for delta in (C2, S3):
+            inst = Instance(delta, graph)
+            translation = isinstance(graph, graphs.TranslationGraph)
+            candidates = range(1, bound + 1) if translation else enumerate_subgroups(graph)
+            for _ in range(8):
+                x = random_wreath(inst, rng, max_len=4, window=4)
+                if inst.is_identity_element(x):
+                    continue
+                expected = reference_first_candidate(inst, x, candidates)
+                try:
+                    cert = separate(inst, x, bound=bound)
+                except SearchExhausted:
+                    assert expected is None
+                    continue
+                chosen = cert.modulus if translation else cert.subgroup_perms
+                assert expected is not None and candidates[expected] == chosen
+                assert verify_certificate(inst, cert)
 
 
 def test_certificate_map_is_homomorphism():
