@@ -19,6 +19,7 @@ from .groups import (
     FiniteTable,
     FreeAbelian,
     GroupSpec,
+    Integers,
     Homomorphism,
     Symmetric,
     commutator,
@@ -30,17 +31,13 @@ from .groups import (
 from .graphs import (
     ArithmeticOffsets,
     FactorialOffsets,
-    FiniteGraph,
     FiniteModeGraph,
     FiniteOffsets,
     QuotientGraph,
     TranslationGraph,
-    family_contains,
-    induced,
     is_complete,
     orbit_counts,
     quotient_graph,
-    residues_mod,
     residues_of,
 )
 from .words import (

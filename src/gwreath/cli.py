@@ -137,14 +137,18 @@ def _named_element(elements, name):
     return elements[name]
 
 
-def _cmd_normalize(args) -> int:
-    instance, elements = _load(args)
-    x = instance.normalize(_named_element(elements, args.element))
+def _emit_element(instance, x, args) -> int:
     if args.format == "structured":
         _emit(formats.wreath_element_lines(instance, x), args)
     else:
-        _emit([f"word: {formats.word_text(x.word)}", f"gamma: {formats.gamma_text(x.gamma)}"], args)
+        _emit([f"word: {formats.word_text(x.word)}", f"gamma: {formats.value_text(x.gamma)}"], args)
     return EXIT_OK
+
+
+def _cmd_normalize(args) -> int:
+    instance, elements = _load(args)
+    x = instance.normalize(_named_element(elements, args.element))
+    return _emit_element(instance, x, args)
 
 
 def _cmd_mul(args) -> int:
@@ -152,22 +156,14 @@ def _cmd_mul(args) -> int:
     x = _named_element(elements, args.left)
     y = _named_element(elements, args.right)
     z = wreath.gw_compose(instance, x, y)
-    if args.format == "structured":
-        _emit(formats.wreath_element_lines(instance, z), args)
-    else:
-        _emit([f"word: {formats.word_text(z.word)}", f"gamma: {formats.gamma_text(z.gamma)}"], args)
-    return EXIT_OK
+    return _emit_element(instance, z, args)
 
 
 def _cmd_invert(args) -> int:
     instance, elements = _load(args)
     x = _named_element(elements, args.element)
     z = wreath.gw_invert(instance, x)
-    if args.format == "structured":
-        _emit(formats.wreath_element_lines(instance, z), args)
-    else:
-        _emit([f"word: {formats.word_text(z.word)}", f"gamma: {formats.gamma_text(z.gamma)}"], args)
-    return EXIT_OK
+    return _emit_element(instance, z, args)
 
 
 def _cmd_check(args) -> int:

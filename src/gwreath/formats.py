@@ -10,7 +10,7 @@ identical inputs always produce byte-identical output.
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import GraphError, ParseError
 from .graphs import (
     ArithmeticOffsets,
     DifferenceFamily,
@@ -55,8 +55,10 @@ def value_text(value) -> str:
 
 
 def parse_value(spec: GroupSpec, text: str, line: int | None = None):
+    """An element of ``spec``: an int, or ``-`` or comma-separated ints
+    for the specs whose elements are tuples."""
     try:
-        if isinstance(spec, (Cyclic, FiniteTable)):
+        if isinstance(spec.identity(), int):
             value = int(text)
         elif text == "-":
             value = ()
@@ -65,7 +67,7 @@ def parse_value(spec: GroupSpec, text: str, line: int | None = None):
     except ValueError:
         raise ParseError(f"cannot parse group element {text!r}", line=line) from None
     if not spec.contains(value):
-        raise ParseError(f"{text!r} is not an element of the coefficient group", line=line)
+        raise ParseError(f"{text!r} is not an element of {spec!r}", line=line)
     return value
 
 
@@ -75,44 +77,25 @@ def vertex_text(v) -> str:
     return str(v)
 
 
+def _vertex_token(text: str, line: int | None = None):
+    """A vertex or orbit id read without a graph: ``label:position`` or
+    a plain integer."""
+    label, colon, pos = text.rpartition(":")
+    try:
+        return (label, int(pos)) if colon else int(pos)
+    except ValueError:
+        raise ParseError(f"bad vertex {text!r}", line=line) from None
+
+
 def parse_vertex(graph, text: str, line: int | None = None):
-    if ":" in text:
-        label, _, pos = text.rpartition(":")
-        try:
-            v = (label, int(pos))
-        except ValueError:
-            raise ParseError(f"bad vertex {text!r}", line=line) from None
-    else:
-        try:
-            v = int(text)
-        except ValueError:
-            raise ParseError(f"bad vertex {text!r}", line=line) from None
+    v = _vertex_token(text, line)
     if not graph.has_vertex(v):
         raise ParseError(f"vertex {text!r} does not belong to the graph", line=line)
     return v
 
 
-def gamma_text(gamma) -> str:
-    if isinstance(gamma, int):
-        return str(gamma)
-    if gamma == ():
-        return "-"
-    return ",".join(str(x) for x in gamma)
-
-
 def parse_gamma(instance: Instance, text: str, line: int | None = None):
-    kind = instance.graph.gamma_kind
-    try:
-        if kind in ("z", "z-mod"):
-            gamma = int(text)
-        elif text == "-":
-            gamma = ()
-        else:
-            gamma = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise ParseError(f"cannot parse acting element {text!r}", line=line) from None
-    instance.check_gamma(gamma)
-    return gamma
+    return parse_value(instance.graph.acting, text, line)
 
 
 def word_text(w: Word) -> str:
@@ -311,17 +294,9 @@ def parse_instance_text(text: str) -> tuple[Instance, dict[str, WreathElement]]:
     delta = _parse_delta(sections["delta"])
     graph = _parse_graph(sections["graph"])
     gamma_kind, line = _single(sections["gamma"], "kind", section="gamma")
-    if isinstance(graph, TranslationGraph):
-        if gamma_kind != "z":
-            raise ParseError("translation graphs require gamma kind 'z'", line=line)
-    else:
-        expected = f"z^{graph.rank}"
-        if gamma_kind != expected:
-            raise ParseError(
-                f"finite-mode graph with {graph.rank} generator(s) requires "
-                f"gamma kind {expected!r}",
-                line=line,
-            )
+    expected = "z" if isinstance(graph, TranslationGraph) else f"z^{graph.rank}"
+    if gamma_kind != expected:
+        raise ParseError(f"this graph requires gamma kind {expected!r}", line=line)
     instance = Instance(delta, graph)
     elements: dict[str, WreathElement] = {}
     for name, value, lineno in sections.get("elements", []):
@@ -378,6 +353,20 @@ def _one(record, key, *, required=True) -> str | None:
     return values[0]
 
 
+def _int(text: str, key: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{key} takes an integer, got {text!r}", field=key) from None
+
+
+def _split(text: str, key: str, count: int) -> list[str]:
+    tokens = text.split()
+    if len(tokens) != count:
+        raise ParseError(f"{key} takes {count} fields, got {text!r}", field=key)
+    return tokens
+
+
 def _check_text(flag: bool | None) -> str:
     if flag is None:
         return "skipped-abelian"
@@ -414,33 +403,22 @@ def quotient_lines(q: QuotientGraph, prefix: str = "quotient") -> list[str]:
     return out
 
 
-def _parse_quotient_vertex(text: str, line: int | None = None):
-    if ":" in text:
-        label, _, pos = text.rpartition(":")
-        try:
-            return (label, int(pos))
-        except ValueError:
-            raise ParseError(f"bad orbit id {text!r}", line=line) from None
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"bad orbit id {text!r}", line=line) from None
-
-
 def parse_quotient(record, prefix: str = "quotient") -> QuotientGraph:
     kind = _one(record, f"{prefix}.kind")
-    vertices = [_parse_quotient_vertex(t) for t in record.get(f"{prefix}.vertex", [])]
+    vertices = [_vertex_token(t) for t in record.get(f"{prefix}.vertex", [])]
     edges = set()
     for entry in record.get(f"{prefix}.edge", []):
         left, _, right = entry.partition("|")
-        edges.add((_parse_quotient_vertex(left), _parse_quotient_vertex(right)))
-    loops = {_parse_quotient_vertex(t) for t in record.get(f"{prefix}.loop", [])}
+        edges.add((_vertex_token(left), _vertex_token(right)))
+    loops = {_vertex_token(t) for t in record.get(f"{prefix}.loop", [])}
     lift = {}
     for entry in record.get(f"{prefix}.lift", []):
         key_text, _, value_text_ = entry.partition(" ")
-        lift[_parse_quotient_vertex(key_text)] = _parse_quotient_vertex(value_text_)
+        lift[_vertex_token(key_text)] = _vertex_token(value_text_)
     if kind == "translation":
-        modulus = int(_one(record, f"{prefix}.modulus"))
+        modulus = _int(_one(record, f"{prefix}.modulus"), f"{prefix}.modulus")
+        if modulus < 1:
+            raise ParseError(f"{prefix}.modulus must be at least 1, got {modulus}")
         labels_text = _one(record, f"{prefix}.labels")
         labels = tuple(labels_text.split()) if labels_text != "-" else ()
         return QuotientGraph(
@@ -449,10 +427,11 @@ def parse_quotient(record, prefix: str = "quotient") -> QuotientGraph:
     if kind == "finite":
         orbit_map = {}
         for entry in record.get(f"{prefix}.orbit", []):
-            ids = [int(x) for x in entry.split()]
-            rep, members = ids[0], ids[1:]
-            for member in members:
-                orbit_map[member] = rep
+            ids = [_int(x, f"{prefix}.orbit") for x in entry.split()]
+            if not ids:
+                raise ParseError(f"empty {prefix}.orbit line")
+            for member in ids[1:]:
+                orbit_map[member] = ids[0]
         return QuotientGraph("finite", vertices, edges, loops, lift, orbit_map=orbit_map)
     raise ParseError(f"unknown quotient kind {kind!r}")
 
@@ -460,16 +439,14 @@ def parse_quotient(record, prefix: str = "quotient") -> QuotientGraph:
 def certificate_lines(instance: Instance, cert: RFCertificate) -> list[str]:
     out = [_header("separation-certificate")]
     out.append(f"element.word {word_text(cert.element.word)}")
-    out.append(f"element.gamma {gamma_text(cert.element.gamma)}")
+    out.append(f"element.gamma {value_text(cert.element.gamma)}")
     out.append(f"subgroup.kind {cert.kind}")
     if cert.kind == "modulus":
         out.append(f"subgroup.modulus {cert.modulus}")
     else:
         for perm in cert.subgroup_perms:
             out.append("subgroup.perm " + ",".join(str(x) for x in perm))
-    restricted = " ".join(
-        vertex_text(v) if isinstance(v, tuple) else str(v) for v in cert.restricted
-    )
+    restricted = " ".join(vertex_text(v) for v in cert.restricted)
     out.append("restricted " + (restricted if restricted else "-"))
     out.extend(quotient_lines(cert.quotient))
     if cert.kind == "modulus":
@@ -497,19 +474,21 @@ def certificate_from_record(instance: Instance, record) -> RFCertificate:
     kind = _one(record, "subgroup.kind")
     quotient = parse_quotient(record)
     if kind == "modulus":
-        modulus = int(_one(record, "subgroup.modulus"))
+        modulus = _int(_one(record, "subgroup.modulus"), "subgroup.modulus")
         subgroup_perms = None
-        gamma_image = int(_one(record, "image.gamma"))
+        gamma_image = _int(_one(record, "image.gamma"), "image.gamma")
     elif kind == "image-subgroup":
         modulus = None
         subgroup_perms = tuple(
             sorted(
-                tuple(int(x) for x in entry.split(","))
+                tuple(_int(x, "subgroup.perm") for x in entry.split(","))
                 for entry in record.get("subgroup.perm", [])
             )
         )
         coset = _one(record, "image.gamma-coset")
-        gamma_image = None if coset == "trivial" else tuple(int(x) for x in coset.split(","))
+        gamma_image = None if coset == "trivial" else tuple(
+            _int(x, "image.gamma-coset") for x in coset.split(",")
+        )
     else:
         raise ParseError(f"unknown subgroup kind {kind!r}")
     restricted_text = _one(record, "restricted")
@@ -518,7 +497,7 @@ def certificate_from_record(instance: Instance, record) -> RFCertificate:
     elif isinstance(graph, TranslationGraph):
         restricted = tuple(restricted_text.split())
     else:
-        restricted = tuple(int(x) for x in restricted_text.split())
+        restricted = tuple(_int(x, "restricted") for x in restricted_text.split())
     word_image = parse_word(quotient, delta, _one(record, "image.word"))
     checks = CheckRecord(
         gamma_injective=_parse_check(_one(record, "check.gamma-injective")),
@@ -547,7 +526,7 @@ def witness_lines(instance: Instance, wit: NonRFWitness) -> list[str]:
     for el in wit.delta_elements:
         out.append(f"delta-element {value_text(el)}")
     out.append(f"element.word {word_text(wit.element.word)}")
-    out.append(f"element.gamma {gamma_text(wit.element.gamma)}")
+    out.append(f"element.gamma {value_text(wit.element.gamma)}")
     obs = wit.obstruction
     out.append(f"obstruction.lemma {obs.lemma}")
     out.append(f"obstruction.pair {obs.pair[0]} {obs.pair[1]}")
@@ -566,14 +545,14 @@ def witness_from_record(instance: Instance, record) -> NonRFWitness:
     elements = tuple(parse_value(delta, t) for t in record.get("delta-element", []))
     w = parse_word(graph, delta, _one(record, "element.word"))
     gamma = parse_gamma(instance, _one(record, "element.gamma"))
-    pair_text = _one(record, "obstruction.pair").split()
+    c1, c2 = _split(_one(record, "obstruction.pair"), "obstruction.pair", 2)
     family = parse_family(_one(record, "obstruction.family").split())
     offset_text = _one(record, "obstruction.offset")
     obstruction = Obstruction(
         lemma=_one(record, "obstruction.lemma"),
-        pair=(pair_text[0], pair_text[1]),
+        pair=(c1, c2),
         family=family,
-        offset=None if offset_text == "-" else int(offset_text),
+        offset=None if offset_text == "-" else _int(offset_text, "obstruction.offset"),
         statement=_one(record, "obstruction.statement"),
     )
     return NonRFWitness(
@@ -607,31 +586,41 @@ def lef_lines(graph: TranslationGraph, cert: LEFCertificate) -> list[str]:
 
 
 def lef_from_record(graph: TranslationGraph, record) -> LEFCertificate:
-    q_tokens = _one(record, "q").split()
-    if q_tokens[0] != "cyclic":
-        raise ParseError(f"unsupported finite model group {q_tokens[0]!r}")
-    q_spec = Cyclic(int(q_tokens[1]))
+    group, order = _split(_one(record, "q"), "q", 2)
+    if group != "cyclic":
+        raise ParseError(f"unsupported finite model group {group!r}")
+    n = _int(order, "q")
+    if n < 1:
+        raise ParseError(f"q needs a positive order, got {n}")
+    q_spec = Cyclic(n)
     y = parse_quotient(record, prefix="y")
     phi = {}
     for entry in record.get("phi", []):
-        a, image = entry.split()
-        phi[int(a)] = int(image)
+        a, image = _split(entry, "phi", 2)
+        phi[_int(a, "phi")] = _int(image, "phi")
     psi = {}
     for entry in record.get("psi", []):
-        source, image = entry.split()
-        psi[parse_vertex(graph, source)] = _parse_quotient_vertex(image)
+        source, image = _split(entry, "psi", 2)
+        psi[parse_vertex(graph, source)] = _vertex_token(image)
     truncation = None
     modulus_text = _one(record, "modulus", required=False)
     if modulus_text is not None:
         kept = {}
         for entry in record.get("truncation.offsets", []):
             tokens = entry.split()
-            kept[(tokens[0], tokens[1])] = frozenset(int(x) for x in tokens[2:])
-        families = {
-            pair: (FiniteOffsets(offs),) for pair, offs in kept.items() if offs
-        }
-        truncated = TranslationGraph(graph.labels, families)
-        truncation = Truncation(kept_offsets=kept, graph=truncated, modulus=int(modulus_text))
+            if len(tokens) < 2:
+                raise ParseError(f"truncation.offsets needs a label pair, got {entry!r}")
+            kept[tokens[0], tokens[1]] = frozenset(
+                _int(x, "truncation.offsets") for x in tokens[2:]
+            )
+        try:
+            families = {
+                pair: (FiniteOffsets(offs),) for pair, offs in kept.items() if offs
+            }
+            truncated = TranslationGraph(graph.labels, families)
+        except GraphError as exc:
+            raise ParseError(f"bad truncation: {exc}") from None
+        truncation = Truncation(kept_offsets=kept, graph=truncated, modulus=_int(modulus_text, "modulus"))
     return LEFCertificate(q_spec=q_spec, y=y, phi=phi, psi=psi, truncation=truncation)
 
 
@@ -639,7 +628,7 @@ def wreath_element_lines(instance: Instance, x: WreathElement) -> list[str]:
     return [
         _header("wreath-element"),
         f"word {word_text(x.word)}",
-        f"gamma {gamma_text(x.gamma)}",
+        f"gamma {value_text(x.gamma)}",
     ]
 
 
@@ -768,7 +757,7 @@ def render_certificate(instance: Instance, cert: RFCertificate) -> list[str]:
         index = "trivial" if not cert.subgroup_perms else len(cert.subgroup_perms)
         head = f"SEPARATED with an image subgroup of order {index}"
     out = [head]
-    out.append(f"  element: {word_text(cert.element.word)} @ {gamma_text(cert.element.gamma)}")
+    out.append(f"  element: {word_text(cert.element.word)} @ {value_text(cert.element.gamma)}")
     out.append(f"  image word: {word_text(cert.word_image)}")
     if cert.kind == "modulus":
         out.append(f"  image gamma: {cert.gamma_image}")
@@ -802,7 +791,7 @@ def render_witness(instance: Instance, wit: NonRFWitness) -> list[str]:
     return [
         f"WITNESS {wit.theorem}",
         f"  vertices: {verts}",
-        f"  element: {word_text(wit.element.word)} @ {gamma_text(wit.element.gamma)}",
+        f"  element: {word_text(wit.element.word)} @ {value_text(wit.element.gamma)}",
         f"  obstruction [{wit.obstruction.lemma}]: {wit.obstruction.statement}",
     ]
 

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import GraphError
+from .groups import Cyclic, FreeAbelian, Integers
 
 # A vertex is (label, position) in translation mode and a plain int id
 # in finite mode.
@@ -130,21 +132,13 @@ class ArithmeticOffsets:
 DifferenceFamily = FiniteOffsets | FactorialOffsets | ArithmeticOffsets
 
 
-def residues_mod(family: DifferenceFamily, m: int) -> frozenset[int]:
-    """Exact residue set { d mod m : d in family }."""
+def residues_of(families: Iterable[DifferenceFamily], m: int) -> frozenset[int]:
+    """Exact residue set { d mod m : d in some family }."""
     if m < 1:
         raise GraphError(f"modulus must be >= 1, got {m}")
-    return family.residues(m)
-
-
-def family_contains(family: DifferenceFamily, d: int) -> bool:
-    return family.contains(d)
-
-
-def residues_of(families: Iterable[DifferenceFamily], m: int) -> frozenset[int]:
     out: frozenset[int] = frozenset()
     for family in families:
-        out |= residues_mod(family, m)
+        out |= family.residues(m)
     return out
 
 
@@ -194,6 +188,8 @@ class TranslationGraph:
     orientation-independent.
     """
 
+    acting = Integers()  # not a field: translation by the integers
+
     labels: tuple[str, ...]
     families: dict[tuple[str, str], tuple[DifferenceFamily, ...]] = field(
         default_factory=dict
@@ -213,10 +209,6 @@ class TranslationGraph:
                 raise GraphError(f"duplicate family entry for pair {key!r}")
             normalized[key] = tuple(fams)
         object.__setattr__(self, "families", normalized)
-
-    @property
-    def gamma_kind(self) -> str:
-        return "z"
 
     def label_index(self, c: str) -> int:
         try:
@@ -285,10 +277,6 @@ class TranslationGraph:
 # finite-mode graphs
 
 
-def _norm_edge(key, u, w) -> tuple:
-    return (u, w) if key(u) <= key(w) else (w, u)
-
-
 def _perm_compose(p: dict, q: dict) -> dict:
     return {v: p[q[v]] for v in q}
 
@@ -302,6 +290,8 @@ class FiniteModeGraph:
     of ``vertices[k]`` under the i-th generator.  Generators must
     pairwise commute (so the image of Z^n stays abelian) and map edges
     to edges; both properties are checked exhaustively at construction.
+    ``acting`` is Z^n; the table of its image, and with it the list of
+    the image's subgroups, is built on first use and kept.
     """
 
     vertices: tuple[int, ...]
@@ -345,10 +335,12 @@ class FiniteModeGraph:
         )
         object.__setattr__(self, "_gen_maps", tuple(maps))
         object.__setattr__(self, "_gen_orders", tuple(_perm_order(g) for g in maps))
+        object.__setattr__(self, "acting", FreeAbelian(len(maps)))
 
-    @property
-    def gamma_kind(self) -> str:
-        return "zn"
+    @cached_property
+    def _image(self) -> _ImageTable:
+        """The acting image as a table, built on first use and kept."""
+        return _ImageTable(self)
 
     @property
     def rank(self) -> int:
@@ -404,7 +396,7 @@ class FiniteModeGraph:
     def image_group(self) -> tuple[tuple[int, ...], ...]:
         """The finite abelian group generated by the generator maps, as
         sorted permutation tuples (the images of ``vertices``, in order)."""
-        table = _ImageTable(self)
+        table = self._image
         return table.subgroup_perms(range(len(table.perms)))
 
 
@@ -470,58 +462,30 @@ class _ImageTable:
     def subgroup_perms(self, sub) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(self.perms[i] for i in sub))
 
-
-# ---------------------------------------------------------------------------
-# plain finite graphs (induced subgraphs, oracle helpers)
-
-
-class FiniteGraph:
-    """A bare finite simplicial graph with an explicit vertex order."""
-
-    def __init__(self, vertices, edges, key=None):
-        self.key = key if key is not None else lambda v: v
-        self.vertices = tuple(sorted(vertices, key=self.key))
-        self.edges = frozenset(_norm_edge(self.key, u, w) for u, w in edges)
-        for u, w in self.edges:
-            if u == w:
-                raise GraphError(f"loop at vertex {u!r} is not allowed")
-
-    def has_vertex(self, v) -> bool:
-        return v in self.vertices
-
-    def check_vertex(self, v) -> None:
-        if not self.has_vertex(v):
-            raise GraphError(f"{v!r} is not a vertex of this graph")
-
-    def adjacent(self, v, w) -> bool:
-        if v == w:
-            return False
-        return _norm_edge(self.key, v, w) in self.edges
-
-    def vertex_key(self, v):
-        return self.key(v)
-
-    def has_loop(self, v) -> bool:
-        return False
-
-    def __eq__(self, other):
-        if not isinstance(other, FiniteGraph):
-            return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
-
-    def __repr__(self):
-        return f"FiniteGraph(vertices={self.vertices!r}, edges={sorted(self.edges)!r})"
-
-
-def induced(graph, subset: Iterable[Vertex]) -> FiniteGraph:
-    """The subgraph on ``subset`` with exactly the ambient edges."""
-    verts = list(dict.fromkeys(subset))
-    for v in verts:
-        graph.check_vertex(v)
-    edges = [
-        (u, w) for u, w in itertools.combinations(verts, 2) if graph.adjacent(u, w)
-    ]
-    return FiniteGraph(verts, edges, key=graph.vertex_key)
+    @cached_property
+    def subgroups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Every subgroup, as ``enumerate_subgroups`` lists them: the
+        joins of cyclic subgroups, closed as sets of element ids."""
+        trivial = frozenset({0})
+        cyclic = {}  # cyclic subgroup -> an element generating it
+        for a in range(len(self.perms)):
+            cyclic.setdefault(self.join(trivial, a), a)
+        found = {trivial}
+        frontier = [trivial]
+        while frontier:
+            nxt = []
+            for sub in frontier:
+                for a in cyclic.values():
+                    if a in sub:
+                        continue
+                    joined = self.join(sub, a)
+                    if joined not in found:
+                        found.add(joined)
+                        nxt.append(joined)
+            frontier = nxt
+        total = len(self.perms)
+        subgroups = [self.subgroup_perms(sub) for sub in found]
+        return tuple(sorted(subgroups, key=lambda s: (total // len(s), s)))
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +515,9 @@ class QuotientGraph:
         self._vertex_set = frozenset(self.vertices)
         self.orbit_map = dict(orbit_map) if orbit_map is not None else None
         self.subgroup_perms = subgroup_perms
-
-    @property
-    def gamma_kind(self) -> str:
-        return "z-mod" if self.kind == "translation" else "finite-quotient"
+        # Residues act on a translation quotient; a finite-mode one
+        # carries no acting group, since only cosets act on its orbits.
+        self.acting = Cyclic(modulus) if kind == "translation" else None
 
     def project(self, v: Vertex):
         """Orbit id of an ambient vertex."""
@@ -651,7 +614,7 @@ def normalize_subgroup(graph: FiniteModeGraph, subgroup) -> tuple[tuple[int, ...
     Generators are gamma vectors or permutation dicts; the result lists
     the permutation tuples of the subgroup, sorted.
     """
-    table = _ImageTable(graph)
+    table = graph._image
     closed = frozenset({0})
     for g in subgroup:
         p = g if isinstance(g, dict) else graph.perm_of(tuple(g))
@@ -702,30 +665,9 @@ def enumerate_subgroups(graph: FiniteModeGraph) -> list[tuple[tuple[int, ...], .
     Each subgroup is listed as its sorted permutation tuples (the images
     of ``graph.vertices``); within one index the subgroups are ordered
     by these lists, so the searches downstream are deterministic.  The
-    subgroups are the joins of cyclic ones, closed as sets of element
-    ids in one table of the image.
+    list is computed once per graph, with its image table.
     """
-    table = _ImageTable(graph)
-    trivial = frozenset({0})
-    cyclic = {}  # cyclic subgroup -> an element generating it
-    for a in range(len(table.perms)):
-        cyclic.setdefault(table.join(trivial, a), a)
-    found = {trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for a in cyclic.values():
-                if a in sub:
-                    continue
-                joined = table.join(sub, a)
-                if joined not in found:
-                    found.add(joined)
-                    nxt.append(joined)
-        frontier = nxt
-    total = len(table.perms)
-    subgroups = [table.subgroup_perms(sub) for sub in found]
-    return sorted(subgroups, key=lambda s: (total // len(s), s))
+    return list(graph._image.subgroups)
 
 
 # ---------------------------------------------------------------------------

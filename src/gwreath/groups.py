@@ -1,10 +1,10 @@
 """Exact arithmetic in the supported coefficient and acting groups.
 
 Group elements are plain immutable values: residues for cyclic groups,
-image tuples for permutations, indices for table groups, integer tuples
-for free-abelian groups and for finite cyclic powers.  Every operation
-is a pure function of (spec, value), so shared specs are safe to reuse
-across threads and tests.
+image tuples for permutations, indices for table groups, ints for the
+integers, integer tuples for free-abelian groups and for finite cyclic
+powers.  Every operation is a pure function of (spec, value), so shared
+specs are safe to reuse across threads and tests.
 """
 
 from __future__ import annotations
@@ -213,6 +213,35 @@ class FiniteTable(GroupSpec):
 
     def elements(self):
         return iter(range(self.size))
+
+
+@dataclass(frozen=True)
+class Integers(GroupSpec):
+    """The integers under addition; elements are plain ints."""
+
+    def identity(self) -> int:
+        return 0
+
+    def compose(self, a, b):
+        self.check(a)
+        self.check(b)
+        return a + b
+
+    def invert(self, a):
+        self.check(a)
+        return -a
+
+    def contains(self, a) -> bool:
+        return isinstance(a, int)
+
+    def is_abelian(self) -> bool:
+        return True
+
+    def is_finite(self) -> bool:
+        return False
+
+    def order(self) -> None:
+        return None
 
 
 @dataclass(frozen=True)

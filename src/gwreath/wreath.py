@@ -51,51 +51,26 @@ class WreathElement:
 
 @dataclass(frozen=True)
 class Instance:
-    """A coefficient group together with the graph its acting group moves."""
+    """A coefficient group together with the graph its acting group moves.
+
+    The acting group is the ``GroupSpec`` the graph supplies as
+    ``graph.acting``: the integers, Z^n, or the residues of a
+    translation quotient.
+    """
 
     delta: GroupSpec
     graph: TranslationGraph | FiniteModeGraph | QuotientGraph
 
-    # -- acting-group arithmetic, dispatched on the graph flavour
+    def __post_init__(self):
+        if self.graph.acting is None:
+            raise GraphError("a finite-mode quotient has no acting group; only cosets act on it")
 
     def gamma_identity(self) -> Gamma:
-        kind = self.graph.gamma_kind
-        if kind in ("z", "z-mod"):
-            return 0
-        return (0,) * self.graph.rank
+        return self.graph.acting.identity()
 
     def check_gamma(self, g: Gamma) -> None:
-        kind = self.graph.gamma_kind
-        if kind == "z":
-            if not isinstance(g, int):
-                raise GraphError(f"expected an integer acting element, got {g!r}")
-        elif kind == "z-mod":
-            if not isinstance(g, int) or not 0 <= g < self.graph.modulus:
-                raise GraphError(f"expected a residue mod {self.graph.modulus}, got {g!r}")
-        else:
-            if not isinstance(g, tuple) or len(g) != self.graph.rank:
-                raise GraphError(
-                    f"expected a vector of {self.graph.rank} integers, got {g!r}"
-                )
-
-    def gamma_compose(self, a: Gamma, b: Gamma) -> Gamma:
-        self.check_gamma(a)
-        self.check_gamma(b)
-        kind = self.graph.gamma_kind
-        if kind == "z":
-            return a + b
-        if kind == "z-mod":
-            return (a + b) % self.graph.modulus
-        return tuple(x + y for x, y in zip(a, b))
-
-    def gamma_invert(self, a: Gamma) -> Gamma:
-        self.check_gamma(a)
-        kind = self.graph.gamma_kind
-        if kind == "z":
-            return -a
-        if kind == "z-mod":
-            return (-a) % self.graph.modulus
-        return tuple(-x for x in a)
+        if not self.graph.acting.contains(g):
+            raise GraphError(f"{g!r} is not an element of the acting group {self.graph.acting!r}")
 
     def gamma_is_identity(self, a: Gamma) -> bool:
         return a == self.gamma_identity()
@@ -126,16 +101,14 @@ def act_word(graph, delta: GroupSpec, gamma: Gamma, w: Word) -> Word:
 
 def gw_compose(instance: Instance, x: WreathElement, y: WreathElement) -> WreathElement:
     graph, delta = instance.graph, instance.delta
+    gamma = graph.acting.compose(x.gamma, y.gamma)  # checks both before acting
     twisted = act_word(graph, delta, x.gamma, y.word)
-    return WreathElement(
-        gp_compose(graph, delta, x.word, twisted),
-        instance.gamma_compose(x.gamma, y.gamma),
-    )
+    return WreathElement(gp_compose(graph, delta, x.word, twisted), gamma)
 
 
 def gw_invert(instance: Instance, x: WreathElement) -> WreathElement:
     graph, delta = instance.graph, instance.delta
-    ginv = instance.gamma_invert(x.gamma)
+    ginv = graph.acting.invert(x.gamma)
     return WreathElement(
         act_word(graph, delta, ginv, gp_invert(graph, delta, x.word)), ginv
     )
@@ -397,13 +370,8 @@ def restrict_orbits(instance: Instance, x: WreathElement) -> tuple[Instance, Wre
             return instance, x
         verts = tuple(sorted(keep))
         edges = frozenset(e for e in graph.edges if e[0] in keep and e[1] in keep)
-        gens = tuple(
-            tuple(gmap[v] for v in verts)
-            for gmap in (
-                {graph.vertices[i]: g[i] for i in range(len(graph.vertices))}
-                for g in graph.generators
-            )
-        )
+        maps = [dict(zip(graph.vertices, g)) for g in graph.generators]
+        gens = tuple(tuple(m[v] for v in verts) for m in maps)
         sub = FiniteModeGraph(verts, edges, gens)
         sub_instance = Instance(delta, sub)
         return sub_instance, sub_instance.normalize(x)

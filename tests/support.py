@@ -155,9 +155,10 @@ def random_word(graph, delta, rng, max_len: int = 5, window: int = 6) -> Word:
 
 
 def random_gamma(instance: Instance, rng, window: int = 6):
-    if instance.graph.gamma_kind == "z":
+    identity = instance.graph.acting.identity()
+    if isinstance(identity, int):
         return rng.randint(-window, window)
-    return tuple(rng.randint(-window, window) for _ in range(instance.graph.rank))
+    return tuple(rng.randint(-window, window) for _ in identity)
 
 
 def random_wreath(instance: Instance, rng, max_len: int = 5, window: int = 6) -> WreathElement:

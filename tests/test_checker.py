@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,6 +19,7 @@ from gwreath import (
     separation_bound,
     verify_certificate,
 )
+from gwreath import graphs
 from gwreath.checker import NOT_RESIDUALLY_FINITE, RESIDUALLY_FINITE, UNKNOWN
 from gwreath.graphs import enumerate_subgroups, residues_of
 
@@ -133,6 +135,28 @@ def test_cond3_examined_offsets_record_moduli():
 def test_cond3_finite_mode_always_holds():
     result = check_cond3(Instance(S3, k5_cyclic()))
     assert result.holds is True
+
+
+def test_classify_computes_the_subgroup_list_once(monkeypatch):
+    # conditions 2 and 3 read one image table and one subgroup list
+    calls = Counter()
+    build, join = graphs._ImageTable.__init__, graphs._ImageTable.join
+
+    def counted_build(self, graph):
+        calls["_ImageTable"] += 1
+        build(self, graph)
+
+    def counted_join(self, sub, a):
+        calls["join"] += 1
+        return join(self, sub, a)
+
+    monkeypatch.setattr(graphs._ImageTable, "__init__", counted_build)
+    monkeypatch.setattr(graphs._ImageTable, "join", counted_join)
+    enumerate_subgroups(torus_graph(6))
+    one_list = calls["join"]
+    calls.clear()
+    assert classify(Instance(S3, torus_graph(6))).status == RESIDUALLY_FINITE
+    assert calls == Counter({"_ImageTable": 1, "join": one_list})
 
 
 def test_finite_mode_evidence_matches_direct_orbit_checks():

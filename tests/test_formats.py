@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 from gwreath import (
@@ -18,6 +20,8 @@ from gwreath import (
 from gwreath import formats
 
 from tests.support import factorial_graph, k5_cyclic, line_graph
+
+INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
 
 EX11 = """
 [delta]
@@ -126,7 +130,7 @@ def test_value_and_gamma_round_trip():
     s3 = Symmetric(3)
     assert formats.parse_value(s3, formats.value_text((2, 0, 1))) == (2, 0, 1)
     inst = Instance(Cyclic(2), line_graph())
-    assert formats.parse_gamma(inst, formats.gamma_text(-4)) == -4
+    assert formats.parse_gamma(inst, formats.value_text(-4)) == -4
 
 
 def test_structured_header_parses():
@@ -203,6 +207,37 @@ def test_lef_round_trip():
     assert rebuilt.psi == cert.psi
     assert rebuilt.y == cert.y
     assert verify_lef(rebuilt, graph, gammas, vertices)
+
+
+def _emitted_documents():
+    """One separation certificate per graph mode, one witness and one
+    LEF document, each with the parser that reads it back."""
+    docs = []
+    for name in ("ex11", "finite5-s3"):
+        inst, elements = formats.load_instance(INSTANCES / f"{name}.instance")
+        cert = separate(inst, next(iter(elements.values())))
+        docs.append((formats.certificate_lines(inst, cert), inst, formats.certificate_from_record))
+    inst = Instance(Symmetric(3), factorial_graph(0))
+    wit = witness(inst, "T3.1", [("c", 0)])
+    docs.append((formats.witness_lines(inst, wit), inst, formats.witness_from_record))
+    graph = factorial_graph(0)
+    cert = lef_certificate(graph, [0, 1], [("c", 0), ("c", 1), ("c", 2)])
+    docs.append((formats.lef_lines(graph, cert), graph, formats.lef_from_record))
+    return docs
+
+
+def test_single_line_edits_parse_or_raise_parse_error():
+    # every value replaced by x, every last token dropped and every line
+    # deleted either parses or raises ParseError, never another error
+    for lines, context, from_record in _emitted_documents():
+        for i, line in enumerate(lines):
+            key = line.split(" ", 1)[0]
+            for edit in ([f"{key} x"], [line.rsplit(" ", 1)[0]], []):
+                text = "\n".join(lines[:i] + edit + lines[i + 1:])
+                try:
+                    from_record(context, formats.parse_structured(text)[1])
+                except ParseError:
+                    pass
 
 
 def test_verdict_lines_deterministic():

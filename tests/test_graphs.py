@@ -8,12 +8,9 @@ from gwreath import (
     FiniteModeGraph,
     FiniteOffsets,
     GraphError,
-    family_contains,
-    induced,
     is_complete,
     orbit_counts,
     quotient_graph,
-    residues_mod,
     residues_of,
 )
 from gwreath.graphs import covers_all_nonzero, enumerate_subgroups, normalize_subgroup
@@ -73,22 +70,22 @@ def test_families_symmetric_by_construction():
 
 
 def test_residues_examples():
-    assert residues_mod(FactorialOffsets(0), 4) == frozenset({0, 1, 2, 3})
-    assert residues_mod(FactorialOffsets(1), 4) == frozenset({1, 2, 3})
-    assert residues_mod(ArithmeticOffsets(1, 1), 3) == frozenset({0, 1, 2})
-    assert residues_mod(FiniteOffsets(frozenset({1})), 3) == frozenset({1, 2})
+    assert FactorialOffsets(0).residues(4) == frozenset({0, 1, 2, 3})
+    assert FactorialOffsets(1).residues(4) == frozenset({1, 2, 3})
+    assert ArithmeticOffsets(1, 1).residues(3) == frozenset({0, 1, 2})
+    assert FiniteOffsets(frozenset({1})).residues(3) == frozenset({1, 2})
 
 
 def test_residues_rejects_bad_modulus():
     with pytest.raises(GraphError):
-        residues_mod(FiniteOffsets(frozenset({1})), 0)
+        residues_of([FiniteOffsets(frozenset({1}))], 0)
 
 
 @pytest.mark.parametrize("shift", [0, 1, 2, 5])
 def test_factorial_residues_stabilize(shift):
     # the incremental formula must agree with a longer brute-force scan
     for m in range(1, 51):
-        assert residues_mod(FactorialOffsets(shift), m) == brute_factorial_residues(
+        assert FactorialOffsets(shift).residues(m) == brute_factorial_residues(
             shift, m
         )
 
@@ -101,7 +98,7 @@ def test_arithmetic_residues_brute(start, step):
         for k in range(4 * m):
             brute.add((start + step * k) % m)
             brute.add((-(start + step * k)) % m)
-        assert residues_mod(family, m) == frozenset(brute)
+        assert family.residues(m) == frozenset(brute)
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +166,6 @@ def test_finite_mode_validation():
         FiniteModeGraph((0, 1, 2), frozenset({(0, 1)}), ((0, 2, 1),))
     with pytest.raises(GraphError):  # generators do not commute
         FiniteModeGraph((0, 1, 2), frozenset(), ((1, 0, 2), (0, 2, 1)))
-
-
-# ---------------------------------------------------------------------------
-# induced subgraphs
-
-
-def test_induced_examples():
-    line = line_graph()
-    path = induced(line, [("c", 0), ("c", 1), ("c", 2)])
-    assert path.edges == frozenset({(("c", 0), ("c", 1)), (("c", 1), ("c", 2))})
-    sparse = induced(line, [("c", 0), ("c", 2)])
-    assert sparse.edges == frozenset()
-    triangle = induced(factorial_graph(0), [("c", 0), ("c", 1), ("c", 2)])
-    assert len(triangle.edges) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -347,4 +330,4 @@ def test_is_complete():
 def test_residues_of_union():
     fams = [FiniteOffsets(frozenset({1})), FiniteOffsets(frozenset({5}))]
     assert residues_of(fams, 4) == frozenset({1, 3})
-    assert family_contains(fams[1], -5)
+    assert fams[1].contains(-5)

@@ -11,6 +11,7 @@ from gwreath import (
     EMPTY_WORD,
     FiniteModeGraph,
     GraphError,
+    GroupError,
     IdentityElement,
     Instance,
     SearchExhausted,
@@ -25,6 +26,7 @@ from gwreath import (
     gp_compose,
     gw_compose,
     gw_invert,
+    quotient_graph,
     quotient_instance,
     restrict_orbits,
     separate,
@@ -137,6 +139,22 @@ def test_act_word_resolves_one_permutation_per_call(monkeypatch):
     monkeypatch.setattr(graphs, "_perm_order", counted_perm_order)
     assert act_word(graph, S3, gamma, w) == expected
     assert calls == Counter({"perm_of": 1})
+
+
+def test_finite_mode_gamma_is_checked_at_the_boundary():
+    inst = Instance(S3, torus_graph(3))
+    with pytest.raises(GraphError):
+        inst.check_gamma((1.5, 0))
+    x = WreathElement(word(S3, [(0, (1, 0, 2))]), (1.5, 0))
+    with pytest.raises(GroupError):
+        gw_compose(inst, x, x)
+    with pytest.raises(GroupError):
+        gw_invert(inst, x)
+
+
+def test_finite_mode_quotient_carries_no_acting_group():
+    with pytest.raises(GraphError):
+        Instance(S3, quotient_graph(torus_graph(3), [(1, 0)]))
 
 
 def test_act_word_validates_gamma_and_vertices():
@@ -494,6 +512,23 @@ def test_separate_builds_one_quotient(monkeypatch):
     cert = separate(Instance(S3, torus_graph(4)), WreathElement(word(S3, [(0, (1, 0, 2))]), (1, 0)))
     assert cert.kind == "image-subgroup"
     assert calls["quotient_graph"] == 1
+
+
+def test_separate_and_verify_build_one_image_table(monkeypatch):
+    calls = Counter()
+    build = graphs._ImageTable.__init__
+
+    def counted(self, graph):
+        calls["_ImageTable"] += 1
+        build(self, graph)
+
+    monkeypatch.setattr(graphs._ImageTable, "__init__", counted)
+    inst = Instance(S3, torus_graph(6))
+    x = WreathElement(word(S3, [(0, (1, 0, 2)), (7, (0, 2, 1))]), (1, 2))
+    cert = separate(inst, x)
+    assert cert.kind == "image-subgroup"
+    assert verify_certificate(inst, cert)
+    assert calls["_ImageTable"] <= 1
 
 
 def test_exhausted_separate_builds_no_quotient(monkeypatch):
