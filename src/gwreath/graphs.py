@@ -13,12 +13,11 @@ this package ultimately reduces to.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import GraphError
-from .groups import Cyclic, FreeAbelian, Integers
+from .groups import Cyclic, FreeAbelian, Integers, Record, _set
 
 # A vertex is (label, position) in translation mode and a plain int id
 # in finite mode.
@@ -30,18 +29,15 @@ Gamma = int | tuple[int, ...]
 # difference families
 
 
-@dataclass(frozen=True)
-class FiniteOffsets:
+class FiniteOffsets(Record):
     """A finite, negation-closed set of nonzero offsets."""
 
-    offsets: frozenset[int]
+    _fields = ("offsets",)
 
-    def __post_init__(self):
-        if 0 in self.offsets:
+    def __init__(self, offsets: frozenset[int]):
+        if 0 in offsets:
             raise GraphError("offset 0 would create a loop")
-        object.__setattr__(
-            self, "offsets", frozenset(self.offsets) | frozenset(-d for d in self.offsets)
-        )
+        _set(self, "offsets", frozenset(offsets) | frozenset(-d for d in offsets))
 
     def contains(self, d: int) -> bool:
         return d in self.offsets
@@ -59,15 +55,15 @@ class FiniteOffsets:
         return self.max_offset()
 
 
-@dataclass(frozen=True)
-class FactorialOffsets:
+class FactorialOffsets(Record):
     """Offsets {±(shift + n!) : n >= 1}."""
 
-    shift: int
+    _fields = ("shift",)
 
-    def __post_init__(self):
-        if self.shift < 0:
-            raise GraphError(f"shift must be >= 0, got {self.shift}")
+    def __init__(self, shift: int):
+        if shift < 0:
+            raise GraphError(f"shift must be >= 0, got {shift}")
+        _set(self, "shift", shift)
 
     def contains(self, d: int) -> bool:
         target = abs(d) - self.shift
@@ -100,16 +96,16 @@ class FactorialOffsets:
         return max(self.shift, 1)
 
 
-@dataclass(frozen=True)
-class ArithmeticOffsets:
+class ArithmeticOffsets(Record):
     """Offsets {±(start + step * k) : k >= 0}."""
 
-    start: int
-    step: int
+    _fields = ("start", "step")
 
-    def __post_init__(self):
-        if self.start < 1 or self.step < 1:
+    def __init__(self, start: int, step: int):
+        if start < 1 or step < 1:
             raise GraphError("start and step must both be >= 1")
+        _set(self, "start", start)
+        _set(self, "step", step)
 
     def contains(self, d: int) -> bool:
         return abs(d) >= self.start and (abs(d) - self.start) % self.step == 0
@@ -177,8 +173,7 @@ def _gcd(a: int, b: int) -> int:
 # translation graphs
 
 
-@dataclass(frozen=True)
-class TranslationGraph:
+class TranslationGraph(Record):
     """Vertices C x Z with Z translating positions.
 
     ``families`` maps an unordered label pair (stored with the lower
@@ -189,26 +184,27 @@ class TranslationGraph:
     """
 
     acting = Integers()  # not a field: translation by the integers
+    _fields = ("labels", "families")
 
-    labels: tuple[str, ...]
-    families: dict[tuple[str, str], tuple[DifferenceFamily, ...]] = field(
-        default_factory=dict
-    )
-
-    def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
+    def __init__(
+        self,
+        labels: tuple[str, ...],
+        families: dict[tuple[str, str], tuple[DifferenceFamily, ...]] | None = None,
+    ):
+        if len(set(labels)) != len(labels):
             raise GraphError("orbit labels must be distinct")
+        _set(self, "labels", labels)
         # Not a field: equality and hashing still see only labels and families.
-        object.__setattr__(self, "_label_index", {c: i for i, c in enumerate(self.labels)})
+        _set(self, "_label_index", {c: i for i, c in enumerate(labels)})
         normalized: dict[tuple[str, str], tuple[DifferenceFamily, ...]] = {}
-        for (c1, c2), fams in self.families.items():
-            if c1 not in self.labels or c2 not in self.labels:
+        for (c1, c2), fams in (families or {}).items():
+            if c1 not in labels or c2 not in labels:
                 raise GraphError(f"family references unknown label in ({c1!r}, {c2!r})")
             key = self._pair_key(c1, c2)
             if key in normalized:
                 raise GraphError(f"duplicate family entry for pair {key!r}")
             normalized[key] = tuple(fams)
-        object.__setattr__(self, "families", normalized)
+        _set(self, "families", normalized)
 
     def label_index(self, c: str) -> int:
         try:
@@ -281,8 +277,7 @@ def _perm_compose(p: dict, q: dict) -> dict:
     return {v: p[q[v]] for v in q}
 
 
-@dataclass(frozen=True)
-class FiniteModeGraph:
+class FiniteModeGraph(Record):
     """A finite simplicial graph with Z^n acting through commuting
     edge-preserving automorphisms.
 
@@ -290,57 +285,68 @@ class FiniteModeGraph:
     of ``vertices[k]`` under the i-th generator.  Generators must
     pairwise commute (so the image of Z^n stays abelian) and map edges
     to edges; both properties are checked exhaustively at construction.
-    ``acting`` is Z^n; the table of its image, and with it the list of
-    the image's subgroups, is built on first use and kept.
+    ``acting`` is Z^n; the table of its image, with the image's
+    subgroups and their orbit maps, is built on first use and kept.
     """
 
-    vertices: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
-    generators: tuple[tuple[int, ...], ...] = ()
+    _fields = ("vertices", "edges", "generators")
 
-    def __post_init__(self):
-        verts = tuple(sorted(self.vertices))
+    def __init__(
+        self,
+        vertices: tuple[int, ...],
+        edges: frozenset[tuple[int, int]],
+        generators: tuple[tuple[int, ...], ...] = (),
+    ):
+        verts = tuple(sorted(vertices))
         position = {v: i for i, v in enumerate(verts)}
         if len(position) != len(verts):
             raise GraphError("vertex ids must be distinct")
-        object.__setattr__(self, "vertices", verts)
-        edges = set()
+        _set(self, "vertices", verts)
+        pairs = set()
         neighbours: dict[int, set[int]] = {v: set() for v in verts}
-        for e in self.edges:
+        for e in edges:
             u, w = e
             if u == w:
                 raise GraphError(f"loop at vertex {u} is not allowed")
             if u not in position or w not in position:
                 raise GraphError(f"edge {e!r} references an unknown vertex")
-            edges.add((min(u, w), max(u, w)))
+            pairs.add((min(u, w), max(u, w)))
             neighbours[u].add(w)
             neighbours[w].add(u)
-        object.__setattr__(self, "edges", frozenset(edges))
+        _set(self, "edges", frozenset(pairs))
+        _set(self, "generators", generators)
         maps = []
-        for g in self.generators:
+        for g in generators:
             if len(g) != len(verts) or set(g) != position.keys():
                 raise GraphError(f"generator {g!r} is not a permutation of the vertices")
             maps.append({verts[i]: g[i] for i in range(len(verts))})
         for gm in maps:
-            for u, w in edges:
-                if (min(gm[u], gm[w]), max(gm[u], gm[w])) not in edges:
+            for u, w in pairs:
+                if (min(gm[u], gm[w]), max(gm[u], gm[w])) not in pairs:
                     raise GraphError("generator does not preserve the edge set")
         for a, b in itertools.combinations(maps, 2):
             if _perm_compose(a, b) != _perm_compose(b, a):
                 raise GraphError("generators must pairwise commute")
         # Derived once; not fields, so equality and hashing are unchanged.
-        object.__setattr__(self, "_position", position)
-        object.__setattr__(
-            self, "_neighbours", {v: frozenset(ns) for v, ns in neighbours.items()}
-        )
-        object.__setattr__(self, "_gen_maps", tuple(maps))
-        object.__setattr__(self, "_gen_orders", tuple(_perm_order(g) for g in maps))
-        object.__setattr__(self, "acting", FreeAbelian(len(maps)))
+        _set(self, "_position", position)
+        _set(self, "_neighbours", {v: frozenset(ns) for v, ns in neighbours.items()})
+        _set(self, "_gen_maps", tuple(maps))
+        _set(self, "_gen_orders", tuple(_perm_order(g) for g in maps))
+        _set(self, "acting", FreeAbelian(len(maps)))
 
     @cached_property
     def _image(self) -> _ImageTable:
         """The acting image as a table, built on first use and kept."""
         return _ImageTable(self)
+
+    @cached_property
+    def _subgroup_orbits(self) -> tuple[tuple[int, dict[int, int]], ...]:
+        """(index, orbit map) for every subgroup of the acting image, in
+        the order of ``enumerate_subgroups``; the first is the whole
+        image.  Built on first use and kept."""
+        subgroups = self._image.subgroups
+        order = len(subgroups[0])
+        return tuple((order // len(sub), orbit_map(self, sub)) for sub in subgroups)
 
     @property
     def rank(self) -> int:

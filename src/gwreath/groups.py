@@ -10,7 +10,6 @@ specs are safe to reuse across threads and tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import GroupError
@@ -18,7 +17,45 @@ from .errors import GroupError
 Element = int | tuple[int, ...]
 
 
-class GroupSpec:
+class Record:
+    """An immutable value with the fields its class names in ``_fields``.
+
+    A subclass sets each field once in ``__init__`` through ``_set``.
+    Records of the same class are equal when their field values are, a
+    record of another class is never equal, a record hashes as the tuple
+    of its values and prints as ``Name(field=value, ...)``.  Assigning or
+    deleting an attribute raises AttributeError.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# Sets an attribute of a record from its ``__init__``, past Record.__setattr__.
+_set = object.__setattr__
+
+
+class GroupSpec(Record):
     """Common interface of the concrete group classes."""
 
     def identity(self) -> Element:
@@ -55,15 +92,15 @@ class GroupSpec:
             raise GroupError(f"{a!r} is not an element of {self!r}")
 
 
-@dataclass(frozen=True)
 class Cyclic(GroupSpec):
     """Integers modulo ``n`` under addition; elements are residues."""
 
-    n: int
+    _fields = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise GroupError(f"cyclic order must be >= 1, got {self.n}")
+    def __init__(self, n: int):
+        if n < 1:
+            raise GroupError(f"cyclic order must be >= 1, got {n}")
+        _set(self, "n", n)
 
     def identity(self) -> int:
         return 0
@@ -90,7 +127,6 @@ class Cyclic(GroupSpec):
         return iter(range(self.n))
 
 
-@dataclass(frozen=True)
 class Symmetric(GroupSpec):
     """All permutations of {0, ..., degree-1} as image tuples.
 
@@ -99,11 +135,12 @@ class Symmetric(GroupSpec):
     tests depend on this convention.
     """
 
-    degree: int
+    _fields = ("degree",)
 
-    def __post_init__(self):
-        if self.degree < 1:
-            raise GroupError(f"symmetric degree must be >= 1, got {self.degree}")
+    def __init__(self, degree: int):
+        if degree < 1:
+            raise GroupError(f"symmetric degree must be >= 1, got {degree}")
+        _set(self, "degree", degree)
 
     def identity(self) -> tuple[int, ...]:
         return tuple(range(self.degree))
@@ -140,7 +177,6 @@ class Symmetric(GroupSpec):
         return itertools.permutations(range(self.degree))
 
 
-@dataclass(frozen=True)
 class FiniteTable(GroupSpec):
     """A finite group given by its full multiplication table.
 
@@ -150,12 +186,13 @@ class FiniteTable(GroupSpec):
     exhaustive scan, and invalid tables are rejected outright.
     """
 
-    size: int
-    table: tuple[tuple[int, ...], ...]
-    identity_index: int = 0
+    _fields = ("size", "table", "identity_index")
 
-    def __post_init__(self):
-        n = self.size
+    def __init__(self, size: int, table: tuple[tuple[int, ...], ...], identity_index: int = 0):
+        _set(self, "size", size)
+        _set(self, "table", table)
+        _set(self, "identity_index", identity_index)
+        n = size
         if n < 1:
             raise GroupError("table group must have at least one element")
         if len(self.table) != n or any(len(row) != n for row in self.table):
@@ -215,7 +252,6 @@ class FiniteTable(GroupSpec):
         return iter(range(self.size))
 
 
-@dataclass(frozen=True)
 class Integers(GroupSpec):
     """The integers under addition; elements are plain ints."""
 
@@ -244,15 +280,15 @@ class Integers(GroupSpec):
         return None
 
 
-@dataclass(frozen=True)
 class FreeAbelian(GroupSpec):
     """Integer vectors of a fixed rank under addition."""
 
-    rank: int
+    _fields = ("rank",)
 
-    def __post_init__(self):
-        if self.rank < 0:
-            raise GroupError(f"rank must be >= 0, got {self.rank}")
+    def __init__(self, rank: int):
+        if rank < 0:
+            raise GroupError(f"rank must be >= 0, got {rank}")
+        _set(self, "rank", rank)
 
     def identity(self) -> tuple[int, ...]:
         return (0,) * self.rank
@@ -288,7 +324,6 @@ class FreeAbelian(GroupSpec):
         raise GroupError("free abelian group of positive rank is infinite")
 
 
-@dataclass(frozen=True)
 class CyclicPower(GroupSpec):
     """(Z/n)^rank with residue-vector elements.
 
@@ -296,14 +331,15 @@ class CyclicPower(GroupSpec):
     separate free-abelian elements.
     """
 
-    n: int
-    rank: int
+    _fields = ("n", "rank")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise GroupError(f"modulus must be >= 1, got {self.n}")
-        if self.rank < 0:
-            raise GroupError(f"rank must be >= 0, got {self.rank}")
+    def __init__(self, n: int, rank: int):
+        if n < 1:
+            raise GroupError(f"modulus must be >= 1, got {n}")
+        if rank < 0:
+            raise GroupError(f"rank must be >= 0, got {rank}")
+        _set(self, "n", n)
+        _set(self, "rank", rank)
 
     def identity(self) -> tuple[int, ...]:
         return (0,) * self.rank
@@ -367,8 +403,7 @@ def first_nontrivial(spec: GroupSpec) -> Element | None:
     return None
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(Record):
     """A group homomorphism given by one of three rules.
 
     ``identity`` maps a spec to itself; ``reduce-mod`` reduces a
@@ -377,13 +412,21 @@ class Homomorphism:
     composition law on every pair at construction.
     """
 
-    source: GroupSpec
-    target: GroupSpec
-    rule: str
-    modulus: int | None = None
-    mapping: tuple[tuple[Element, Element], ...] | None = None
+    _fields = ("source", "target", "rule", "modulus", "mapping")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        source: GroupSpec,
+        target: GroupSpec,
+        rule: str,
+        modulus: int | None = None,
+        mapping: tuple[tuple[Element, Element], ...] | None = None,
+    ):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "rule", rule)
+        _set(self, "modulus", modulus)
+        _set(self, "mapping", mapping)
         if self.rule == "identity":
             if self.source != self.target:
                 raise GroupError("identity rule requires equal source and target")

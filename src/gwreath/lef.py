@@ -12,7 +12,6 @@ modulus then yields Q and Y as quotients.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import GraphError, SearchExhausted
 from .graphs import (
@@ -22,25 +21,41 @@ from .graphs import (
     Vertex,
     quotient_graph,
 )
-from .groups import Cyclic, GroupSpec
+from .groups import Cyclic, GroupSpec, Record, _set
 
 
-@dataclass(frozen=True)
-class Truncation:
+class Truncation(Record):
     """The finite subgraph retained for one certificate."""
 
-    kept_offsets: dict[tuple[str, str], frozenset[int]]
-    graph: TranslationGraph
-    modulus: int
+    _fields = ("kept_offsets", "graph", "modulus")
+
+    def __init__(
+        self,
+        kept_offsets: dict[tuple[str, str], frozenset[int]],
+        graph: TranslationGraph,
+        modulus: int,
+    ):
+        _set(self, "kept_offsets", kept_offsets)
+        _set(self, "graph", graph)
+        _set(self, "modulus", modulus)
 
 
-@dataclass(frozen=True)
-class LEFCertificate:
-    q_spec: GroupSpec
-    y: QuotientGraph
-    phi: dict[int, int]
-    psi: dict[Vertex, tuple]
-    truncation: Truncation | None = None
+class LEFCertificate(Record):
+    _fields = ("q_spec", "y", "phi", "psi", "truncation")
+
+    def __init__(
+        self,
+        q_spec: GroupSpec,
+        y: QuotientGraph,
+        phi: dict[int, int],
+        psi: dict[Vertex, tuple],
+        truncation: Truncation | None = None,
+    ):
+        _set(self, "q_spec", q_spec)
+        _set(self, "y", y)
+        _set(self, "phi", phi)
+        _set(self, "psi", psi)
+        _set(self, "truncation", truncation)
 
 
 def truncate_graph(

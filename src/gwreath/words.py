@@ -25,23 +25,26 @@ reduce to comparison against this form.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .errors import LoopObstruction, WordError
-from .groups import Element, GroupSpec, Homomorphism
+from .groups import Element, GroupSpec, Homomorphism, Record, _set
 from .graphs import Vertex
 
 
-@dataclass(frozen=True)
-class Syllable:
-    vertex: Vertex
-    value: Element
+class Syllable(Record):
+    _fields = ("vertex", "value")
+
+    def __init__(self, vertex: Vertex, value: Element):
+        _set(self, "vertex", vertex)
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Word:
-    syllables: tuple[Syllable, ...] = ()
+class Word(Record):
+    _fields = ("syllables",)
+
+    def __init__(self, syllables: tuple[Syllable, ...] = ()):
+        _set(self, "syllables", syllables)
 
     def __len__(self) -> int:
         return len(self.syllables)

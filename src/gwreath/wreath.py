@@ -13,10 +13,18 @@ quotient provably keeps a given element alive).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import GraphError, IdentityElement, SearchExhausted, WitnessError
-from .groups import Element, GroupSpec, commutator, first_nontrivial, identity_hom, noncommuting_pair
+from .groups import (
+    Element,
+    GroupSpec,
+    Record,
+    _set,
+    commutator,
+    first_nontrivial,
+    identity_hom,
+    noncommuting_pair,
+)
 from .graphs import (
     ArithmeticOffsets,
     DifferenceFamily,
@@ -43,14 +51,15 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class WreathElement:
-    word: Word
-    gamma: Gamma
+class WreathElement(Record):
+    _fields = ("word", "gamma")
+
+    def __init__(self, word: Word, gamma: Gamma):
+        _set(self, "word", word)
+        _set(self, "gamma", gamma)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """A coefficient group together with the graph its acting group moves.
 
     The acting group is the ``GroupSpec`` the graph supplies as
@@ -58,11 +67,12 @@ class Instance:
     translation quotient.
     """
 
-    delta: GroupSpec
-    graph: TranslationGraph | FiniteModeGraph | QuotientGraph
+    _fields = ("delta", "graph")
 
-    def __post_init__(self):
-        if self.graph.acting is None:
+    def __init__(self, delta: GroupSpec, graph: TranslationGraph | FiniteModeGraph | QuotientGraph):
+        _set(self, "delta", delta)
+        _set(self, "graph", graph)
+        if graph.acting is None:
             raise GraphError("a finite-mode quotient has no acting group; only cosets act on it")
 
     def gamma_identity(self) -> Gamma:
@@ -118,8 +128,7 @@ def gw_invert(instance: Instance, x: WreathElement) -> WreathElement:
 # residue lemmas and non-separability witnesses
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(Record):
     """A proof record that some offset is hit modulo every subgroup.
 
     Only the lemmas below are accepted as justification, so every
@@ -127,11 +136,21 @@ class Obstruction:
     than an exhausted search.
     """
 
-    lemma: str
-    pair: tuple[str, str]
-    family: DifferenceFamily
-    offset: int | None  # None means offset 0 (a loop obstruction)
-    statement: str
+    _fields = ("lemma", "pair", "family", "offset", "statement")
+
+    def __init__(
+        self,
+        lemma: str,
+        pair: tuple[str, str],
+        family: DifferenceFamily,
+        offset: int | None,  # None means offset 0 (a loop obstruction)
+        statement: str,
+    ):
+        _set(self, "lemma", lemma)
+        _set(self, "pair", pair)
+        _set(self, "family", family)
+        _set(self, "offset", offset)
+        _set(self, "statement", statement)
 
 
 def certify_zero_always(
@@ -203,15 +222,24 @@ def obstruction_spot_check(families, obstruction: Obstruction, up_to: int = 100)
     return all(target % m in residues_of(families, m) for m in range(1, up_to + 1))
 
 
-@dataclass(frozen=True)
-class NonRFWitness:
+class NonRFWitness(Record):
     """An explicit element killed by every admissible finite quotient."""
 
-    theorem: str  # witness kind tag: T3.1 | T3.2 | T3.3
-    vertices: tuple[Vertex, ...]
-    delta_elements: tuple[Element, ...]
-    element: WreathElement
-    obstruction: Obstruction
+    _fields = ("theorem", "vertices", "delta_elements", "element", "obstruction")
+
+    def __init__(
+        self,
+        theorem: str,  # witness kind tag: T3.1 | T3.2 | T3.3
+        vertices: tuple[Vertex, ...],
+        delta_elements: tuple[Element, ...],
+        element: WreathElement,
+        obstruction: Obstruction,
+    ):
+        _set(self, "theorem", theorem)
+        _set(self, "vertices", vertices)
+        _set(self, "delta_elements", delta_elements)
+        _set(self, "element", element)
+        _set(self, "obstruction", obstruction)
 
 
 WITNESS_KINDS = ("T3.1", "T3.2", "T3.3")
@@ -382,12 +410,20 @@ def restrict_orbits(instance: Instance, x: WreathElement) -> tuple[Instance, Wre
 # the separation engine
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    gamma_injective: bool
-    induced_isomorphism: bool
-    loops_clear: bool | None  # None: skipped because coefficients are abelian
-    image_nontrivial: bool
+class CheckRecord(Record):
+    _fields = ("gamma_injective", "induced_isomorphism", "loops_clear", "image_nontrivial")
+
+    def __init__(
+        self,
+        gamma_injective: bool,
+        induced_isomorphism: bool,
+        loops_clear: bool | None,  # None: skipped because coefficients are abelian
+        image_nontrivial: bool,
+    ):
+        _set(self, "gamma_injective", gamma_injective)
+        _set(self, "induced_isomorphism", induced_isomorphism)
+        _set(self, "loops_clear", loops_clear)
+        _set(self, "image_nontrivial", image_nontrivial)
 
     def all_pass(self) -> bool:
         return (
@@ -398,8 +434,7 @@ class CheckRecord:
         )
 
 
-@dataclass(frozen=True)
-class RFCertificate:
+class RFCertificate(Record):
     """Everything needed to re-verify one separation from scratch.
 
     The final composition with a map onto a finite group is not
@@ -408,15 +443,32 @@ class RFCertificate:
     equally rigorous and fully checkable stopping point.
     """
 
-    element: WreathElement
-    kind: str  # "modulus" | "image-subgroup"
-    modulus: int | None
-    subgroup_perms: tuple[tuple[int, ...], ...] | None
-    restricted: tuple  # orbit labels (translation) or vertex ids (finite)
-    quotient: QuotientGraph
-    gamma_image: Gamma
-    word_image: Word
-    checks: CheckRecord
+    _fields = (
+        "element", "kind", "modulus", "subgroup_perms", "restricted", "quotient",
+        "gamma_image", "word_image", "checks",
+    )
+
+    def __init__(
+        self,
+        element: WreathElement,
+        kind: str,  # "modulus" | "image-subgroup"
+        modulus: int | None,
+        subgroup_perms: tuple[tuple[int, ...], ...] | None,
+        restricted: tuple,  # orbit labels (translation) or vertex ids (finite)
+        quotient: QuotientGraph,
+        gamma_image: Gamma,
+        word_image: Word,
+        checks: CheckRecord,
+    ):
+        _set(self, "element", element)
+        _set(self, "kind", kind)
+        _set(self, "modulus", modulus)
+        _set(self, "subgroup_perms", subgroup_perms)
+        _set(self, "restricted", restricted)
+        _set(self, "quotient", quotient)
+        _set(self, "gamma_image", gamma_image)
+        _set(self, "word_image", word_image)
+        _set(self, "checks", checks)
 
 
 def separate(instance: Instance, x: WreathElement, bound: int = 64) -> RFCertificate:

@@ -31,6 +31,15 @@ from gwreath import (
     restrict_orbits,
 )
 
+
+def replace(record, **changes):
+    """A copy of ``record`` with the named fields changed, built through
+    its ``__init__`` so that its validation runs again."""
+    values = {name: getattr(record, name) for name in record._fields}
+    values.update(changes)
+    return type(record)(**values)
+
+
 # ---------------------------------------------------------------------------
 # instance builders
 

@@ -159,6 +159,23 @@ def test_classify_computes_the_subgroup_list_once(monkeypatch):
     assert calls == Counter({"_ImageTable": 1, "join": one_list})
 
 
+def test_classify_computes_each_orbit_map_once(monkeypatch):
+    # conditions 2 and 3 read one (index, orbit map) list: one orbit map
+    # for each of the 30 subgroups of the 6x6 torus's image
+    calls = Counter()
+    orbit_map = graphs.orbit_map
+
+    def counted(*args):
+        calls["orbit_map"] += 1
+        return orbit_map(*args)
+
+    monkeypatch.setattr(graphs, "orbit_map", counted)
+    graph = torus_graph(6)
+    assert len(enumerate_subgroups(graph)) == 30
+    assert classify(Instance(S3, graph)).status == RESIDUALLY_FINITE
+    assert calls["orbit_map"] == 30
+
+
 def test_finite_mode_evidence_matches_direct_orbit_checks():
     # the first subgroup, by ascending index, whose orbit of v misses
     # N(v) (condition 2) or whose orbits keep v, w and their neighbours

@@ -1,5 +1,9 @@
+import os
 import pathlib
+import subprocess
+import sys
 
+import gwreath
 from gwreath.cli import run
 
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
@@ -290,3 +294,19 @@ def test_non_integer_options_are_input_errors(capsys):
     )
     assert (code, out) == (1, "")
     assert err.splitlines() == ["error: --gamma-set takes integers, got 'x'"]
+
+
+def test_import_loads_no_code_generating_modules():
+    # every gwreath process imports the cli; beyond what a bare
+    # interpreter has loaded, it must not pull in dataclasses or inspect
+    probe = (
+        "import sys; bare = set(sys.modules); import gwreath.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))"
+    )
+    src = str(pathlib.Path(gwreath.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    child = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert child.stdout.strip() == "[]"

@@ -17,6 +17,7 @@ from tests.support import (
     k5_cyclic,
     line_graph,
     offsets_graph,
+    replace,
     two_orbit_graph,
 )
 
@@ -134,17 +135,13 @@ def _base_case():
 
 
 def test_verify_rejects_merged_vertices():
-    import dataclasses
-
     graph, gammas, vertices, cert = _base_case()
     merged = dict(cert.psi)
     merged[(C, 1)] = merged[(C, 0)]
-    assert not verify_lef(dataclasses.replace(cert, psi=merged), graph, gammas, vertices)
+    assert not verify_lef(replace(cert, psi=merged), graph, gammas, vertices)
 
 
 def test_verify_rejects_dropped_edges():
-    import dataclasses
-
     graph, gammas, vertices, cert = _base_case()
     y = cert.y
     pruned_edges = set(y.edges)
@@ -154,28 +151,24 @@ def test_verify_rejects_dropped_edges():
         y.kind, y.vertices, pruned_edges, y.loops, y.lift,
         modulus=y.modulus, labels=y.labels,
     )
-    assert not verify_lef(dataclasses.replace(cert, y=pruned), graph, gammas, vertices)
+    assert not verify_lef(replace(cert, y=pruned), graph, gammas, vertices)
 
 
 def test_verify_rejects_broken_equivariance():
-    import dataclasses
-
     graph, gammas, vertices, cert = _base_case()
     twisted = dict(cert.psi)
     twisted[(C, 0)], twisted[(C, 2)] = twisted[(C, 2)], twisted[(C, 0)]
-    assert not verify_lef(dataclasses.replace(cert, psi=twisted), graph, gammas, vertices)
+    assert not verify_lef(replace(cert, psi=twisted), graph, gammas, vertices)
 
 
 def test_verify_rejects_non_homomorphic_phi():
-    import dataclasses
-
     graph = line_graph()
     gammas = [0, 1, 2]
     vertices = cv(0)
     cert = lef_certificate(graph, gammas, vertices)
     broken = dict(cert.phi)
     broken[2] = (broken[2] + 1) % cert.q_spec.n
-    assert not verify_lef(dataclasses.replace(cert, phi=broken), graph, gammas, vertices)
+    assert not verify_lef(replace(cert, phi=broken), graph, gammas, vertices)
 
 
 # ---------------------------------------------------------------------------

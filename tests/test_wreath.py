@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pathlib
 import random
 from collections import Counter
@@ -49,6 +48,7 @@ from tests.support import (
     random_nontrivial,
     random_wreath,
     reference_first_candidate,
+    replace,
     torus_graph,
     two_orbit_graph,
 )
@@ -453,23 +453,23 @@ def test_verify_certificate_rejects_tampering():
     inst = line_instance()
     x = WreathElement(word(C2, [(("c", 0), 1), (("c", 2), 1)]), 0)
     cert = separate(inst, x)
-    inflated = dataclasses.replace(cert, modulus=5)
+    inflated = replace(cert, modulus=5)
     assert not verify_certificate(inst, inflated)
-    swapped = dataclasses.replace(cert, word_image=EMPTY_WORD)
+    swapped = replace(cert, word_image=EMPTY_WORD)
     assert not verify_certificate(inst, swapped)
-    mismatched = dataclasses.replace(cert, kind="image-subgroup", subgroup_perms=((0, 1),))
+    mismatched = replace(cert, kind="image-subgroup", subgroup_perms=((0, 1),))
     assert not verify_certificate(inst, mismatched)
 
     # every field is compared with the certificate rebuilt from scratch
     inst, cert, text = _certificate_document("ex11.instance", "w1")
     assert _verifies(inst, text)
-    assert not verify_certificate(inst, dataclasses.replace(cert, restricted=(0, 1)))
-    assert not verify_certificate(inst, dataclasses.replace(cert, restricted=("zz",)))
-    assert not verify_certificate(inst, dataclasses.replace(cert, modulus=0))
+    assert not verify_certificate(inst, replace(cert, restricted=(0, 1)))
+    assert not verify_certificate(inst, replace(cert, restricted=("zz",)))
+    assert not verify_certificate(inst, replace(cert, modulus=0))
     assert not _verifies(inst, text.replace("quotient.modulus 4", "quotient.modulus 5"))
     relabelled = copy.copy(cert.quotient)
     relabelled.labels = ("c", "zz")
-    assert not verify_certificate(inst, dataclasses.replace(cert, quotient=relabelled))
+    assert not verify_certificate(inst, replace(cert, quotient=relabelled))
 
     inst, cert, text = _certificate_document("finite5-s3.instance", "w1")
     assert _verifies(inst, text)
