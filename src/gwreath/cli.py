@@ -3,6 +3,10 @@
 Exit codes are a bit-exact contract: 0 for a certified verdict or a
 successful construction, 2 when a search was exhausted or the verdict
 is Unknown, 1 for input errors.
+
+Each command imports only the modules it runs: ``checker`` loads inside
+``check``/``check-fp`` and ``lef`` inside ``lef``, so a process that
+normalizes a word never compiles either.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import checker, formats, lef, wreath
+from . import formats, wreath
 from .errors import (
     GraphError,
     GroupError,
@@ -167,6 +171,8 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import checker
+
     instance, _ = _load(args)
     if args.wreath:
         verdict = checker.classify_wreath(instance)
@@ -180,6 +186,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_check_fp(args) -> int:
+    from . import checker
+
     instance, _ = _load(args)
     report = checker.check_finitely_presented(instance)
     if args.format == "structured":
@@ -252,6 +260,8 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_lef(args) -> int:
+    from . import lef
+
     instance, _ = _load(args)
     if not isinstance(instance.graph, TranslationGraph):
         raise ParseError("finite partial models are built for translation instances")
@@ -290,12 +300,18 @@ def run(argv) -> int:
     try:
         if getattr(args, "bound", 1) < 1:
             raise ParseError(f"--bound must be at least 1, got {args.bound}")
+        if getattr(args, "t_max", None) is not None and args.t_max < 0:
+            raise ParseError(f"--t-max must be at least 0, got {args.t_max}")
         return _COMMANDS[args.command](args)
     except (ParseError, GroupError, GraphError, WordError, IdentityElement) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.instance} is not UTF-8 text ({exc.reason} at byte {exc.start})",
+              file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -10,6 +10,8 @@ identical inputs always produce byte-identical output.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .errors import GraphError, ParseError
 from .graphs import (
     ArithmeticOffsets,
@@ -22,13 +24,11 @@ from .graphs import (
 )
 from .groups import (
     Cyclic,
-    CyclicPower,
     FiniteTable,
     FreeAbelian,
     GroupSpec,
     Symmetric,
 )
-from .lef import LEFCertificate, Truncation
 from .wreath import (
     CheckRecord,
     Instance,
@@ -38,6 +38,9 @@ from .wreath import (
     WreathElement,
 )
 from .words import EMPTY_WORD, Syllable, Word
+
+if TYPE_CHECKING:  # lef loads only where a LEF document is parsed
+    from .lef import LEFCertificate
 
 FORMAT_VERSION = "v1"
 
@@ -154,8 +157,6 @@ def delta_text(spec: GroupSpec) -> str:
         return f"symmetric {spec.degree}"
     if isinstance(spec, FreeAbelian):
         return f"free-abelian {spec.rank}"
-    if isinstance(spec, CyclicPower):
-        return f"cyclic-power {spec.n} {spec.rank}"
     if isinstance(spec, FiniteTable):
         rows = ";".join(",".join(str(x) for x in row) for row in spec.table)
         return f"table {spec.size} {spec.identity_index} {rows}"
@@ -586,6 +587,8 @@ def lef_lines(graph: TranslationGraph, cert: LEFCertificate) -> list[str]:
 
 
 def lef_from_record(graph: TranslationGraph, record) -> LEFCertificate:
+    from .lef import LEFCertificate, Truncation
+
     group, order = _split(_one(record, "q"), "q", 2)
     if group != "cyclic":
         raise ParseError(f"unsupported finite model group {group!r}")

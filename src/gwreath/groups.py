@@ -2,9 +2,9 @@
 
 Group elements are plain immutable values: residues for cyclic groups,
 image tuples for permutations, indices for table groups, ints for the
-integers, integer tuples for free-abelian groups and for finite cyclic
-powers.  Every operation is a pure function of (spec, value), so shared
-specs are safe to reuse across threads and tests.
+integers and integer tuples for free-abelian groups.  Every operation
+is a pure function of (spec, value), so shared specs are safe to reuse
+across threads and tests.
 """
 
 from __future__ import annotations
@@ -56,15 +56,31 @@ _set = object.__setattr__
 
 
 class GroupSpec(Record):
-    """Common interface of the concrete group classes."""
+    """Common interface of the concrete group classes.
+
+    ``compose`` and ``invert`` check their arguments once here and then
+    call the spec's unchecked ``_compose``/``_invert``, which callers
+    that have already validated their values may use directly.
+    """
 
     def identity(self) -> Element:
         raise NotImplementedError
 
     def compose(self, a: Element, b: Element) -> Element:
-        raise NotImplementedError
+        self.check(a)
+        self.check(b)
+        return self._compose(a, b)
 
     def invert(self, a: Element) -> Element:
+        self.check(a)
+        return self._invert(a)
+
+    def _compose(self, a: Element, b: Element) -> Element:
+        """``compose`` for arguments already known to be elements."""
+        raise NotImplementedError
+
+    def _invert(self, a: Element) -> Element:
+        """``invert`` for an argument already known to be an element."""
         raise NotImplementedError
 
     def contains(self, a: Element) -> bool:
@@ -105,13 +121,10 @@ class Cyclic(GroupSpec):
     def identity(self) -> int:
         return 0
 
-    def compose(self, a, b):
-        self.check(a)
-        self.check(b)
+    def _compose(self, a, b):
         return (a + b) % self.n
 
-    def invert(self, a):
-        self.check(a)
+    def _invert(self, a):
         return (-a) % self.n
 
     def contains(self, a) -> bool:
@@ -145,13 +158,10 @@ class Symmetric(GroupSpec):
     def identity(self) -> tuple[int, ...]:
         return tuple(range(self.degree))
 
-    def compose(self, a, b):
-        self.check(a)
-        self.check(b)
+    def _compose(self, a, b):
         return tuple(a[b[i]] for i in range(self.degree))
 
-    def invert(self, a):
-        self.check(a)
+    def _invert(self, a):
         out = [0] * self.degree
         for i, image in enumerate(a):
             out[image] = i
@@ -223,13 +233,10 @@ class FiniteTable(GroupSpec):
     def identity(self) -> int:
         return self.identity_index
 
-    def compose(self, a, b):
-        self.check(a)
-        self.check(b)
+    def _compose(self, a, b):
         return self.table[a][b]
 
-    def invert(self, a):
-        self.check(a)
+    def _invert(self, a):
         e = self.identity_index
         for b in range(self.size):
             if self.table[a][b] == e:
@@ -258,13 +265,10 @@ class Integers(GroupSpec):
     def identity(self) -> int:
         return 0
 
-    def compose(self, a, b):
-        self.check(a)
-        self.check(b)
+    def _compose(self, a, b):
         return a + b
 
-    def invert(self, a):
-        self.check(a)
+    def _invert(self, a):
         return -a
 
     def contains(self, a) -> bool:
@@ -293,13 +297,10 @@ class FreeAbelian(GroupSpec):
     def identity(self) -> tuple[int, ...]:
         return (0,) * self.rank
 
-    def compose(self, a, b):
-        self.check(a)
-        self.check(b)
+    def _compose(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
-    def invert(self, a):
-        self.check(a)
+    def _invert(self, a):
         return tuple(-x for x in a)
 
     def contains(self, a) -> bool:
@@ -322,52 +323,6 @@ class FreeAbelian(GroupSpec):
         if self.rank == 0:
             return iter([()])
         raise GroupError("free abelian group of positive rank is infinite")
-
-
-class CyclicPower(GroupSpec):
-    """(Z/n)^rank with residue-vector elements.
-
-    This is the target of the coordinatewise reduction maps used to
-    separate free-abelian elements.
-    """
-
-    _fields = ("n", "rank")
-
-    def __init__(self, n: int, rank: int):
-        if n < 1:
-            raise GroupError(f"modulus must be >= 1, got {n}")
-        if rank < 0:
-            raise GroupError(f"rank must be >= 0, got {rank}")
-        _set(self, "n", n)
-        _set(self, "rank", rank)
-
-    def identity(self) -> tuple[int, ...]:
-        return (0,) * self.rank
-
-    def compose(self, a, b):
-        self.check(a)
-        self.check(b)
-        return tuple((x + y) % self.n for x, y in zip(a, b))
-
-    def invert(self, a):
-        self.check(a)
-        return tuple((-x) % self.n for x in a)
-
-    def contains(self, a) -> bool:
-        return (
-            isinstance(a, tuple)
-            and len(a) == self.rank
-            and all(isinstance(x, int) and 0 <= x < self.n for x in a)
-        )
-
-    def is_abelian(self) -> bool:
-        return True
-
-    def order(self) -> int:
-        return self.n**self.rank
-
-    def elements(self):
-        return itertools.product(range(self.n), repeat=self.rank)
 
 
 def commutator(spec: GroupSpec, a: Element, b: Element) -> Element:
@@ -401,102 +356,3 @@ def first_nontrivial(spec: GroupSpec) -> Element | None:
         if a != e:
             return a
     return None
-
-
-class Homomorphism(Record):
-    """A group homomorphism given by one of three rules.
-
-    ``identity`` maps a spec to itself; ``reduce-mod`` reduces a
-    free-abelian vector coordinatewise into a cyclic power; ``table``
-    is a full element map from a finite source, validated against the
-    composition law on every pair at construction.
-    """
-
-    _fields = ("source", "target", "rule", "modulus", "mapping")
-
-    def __init__(
-        self,
-        source: GroupSpec,
-        target: GroupSpec,
-        rule: str,
-        modulus: int | None = None,
-        mapping: tuple[tuple[Element, Element], ...] | None = None,
-    ):
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "rule", rule)
-        _set(self, "modulus", modulus)
-        _set(self, "mapping", mapping)
-        if self.rule == "identity":
-            if self.source != self.target:
-                raise GroupError("identity rule requires equal source and target")
-        elif self.rule == "reduce-mod":
-            if not isinstance(self.source, FreeAbelian):
-                raise GroupError("reduce-mod requires a free-abelian source")
-            if self.modulus is None or self.modulus < 1:
-                raise GroupError("reduce-mod requires a positive modulus")
-            expected = CyclicPower(self.modulus, self.source.rank)
-            if self.target != expected:
-                raise GroupError(f"reduce-mod target must be {expected!r}")
-        elif self.rule == "table":
-            if not self.source.is_finite():
-                raise GroupError("table rule requires a finite source")
-            if self.mapping is None:
-                raise GroupError("table rule requires an element map")
-            lookup = dict(self.mapping)
-            domain = list(self.source.elements())
-            if set(lookup) != set(domain) or len(self.mapping) != len(domain):
-                raise GroupError("table map must cover the source exactly once")
-            for image in lookup.values():
-                self.target.check(image)
-            for a in domain:
-                for b in domain:
-                    left = lookup[self.source.compose(a, b)]
-                    right = self.target.compose(lookup[a], lookup[b])
-                    if left != right:
-                        raise GroupError(
-                            f"table map does not respect composition at ({a!r}, {b!r})"
-                        )
-        else:
-            raise GroupError(f"unknown homomorphism rule {self.rule!r}")
-
-    def apply(self, a: Element) -> Element:
-        self.source.check(a)
-        if self.rule == "identity":
-            return a
-        if self.rule == "reduce-mod":
-            return tuple(x % self.modulus for x in a)
-        return dict(self.mapping)[a]
-
-
-def identity_hom(spec: GroupSpec) -> Homomorphism:
-    return Homomorphism(source=spec, target=spec, rule="identity")
-
-
-def separating_quotient(spec: GroupSpec, a: Element) -> tuple[Homomorphism, Element]:
-    """A map to a finite group under which ``a`` keeps a nontrivial image.
-
-    Finite specs separate themselves via the identity rule.  For a
-    free-abelian spec the smallest modulus m >= 2 leaving some
-    coordinate of ``a`` nonzero is used, which makes the output
-    deterministic.
-    """
-    spec.check(a)
-    if spec.is_identity(a):
-        raise GroupError("cannot separate the identity from itself")
-    if spec.is_finite():
-        hom = identity_hom(spec)
-        image = hom.apply(a)
-        assert not spec.is_identity(image)
-        return hom, image
-    if not isinstance(spec, FreeAbelian):
-        raise GroupError(f"no separating quotient rule for {spec!r}")
-    m = 2
-    while all(x % m == 0 for x in a):
-        m += 1
-    hom = Homomorphism(
-        source=spec, target=CyclicPower(m, spec.rank), rule="reduce-mod", modulus=m
-    )
-    image = hom.apply(a)
-    assert not hom.target.is_identity(image)
-    return hom, image

@@ -28,7 +28,7 @@ import heapq
 from typing import Callable, Iterable, Mapping
 
 from .errors import LoopObstruction, WordError
-from .groups import Element, GroupSpec, Homomorphism, Record, _set
+from .groups import Element, GroupSpec, Record, _set
 from .graphs import Vertex
 
 
@@ -116,7 +116,7 @@ def canonical_form(graph, delta: GroupSpec, w: Word | Iterable[Syllable]) -> Wor
         if k < 0 or reduced[k].vertex != v:
             reduced.append(s)
             continue
-        merged = delta.compose(reduced[k].value, s.value)
+        merged = delta._compose(reduced[k].value, s.value)  # validated above
         if delta.is_identity(merged):
             del reduced[k]
         else:
@@ -213,18 +213,15 @@ def push_forward(
     delta: GroupSpec,
     w: Word,
     vertex_map: Mapping | Callable,
-    delta_hom: Homomorphism,
     dst_graph,
 ) -> Word:
-    """Map a word along a vertex map and a coefficient homomorphism.
+    """Map a word along a vertex map, keeping every coefficient.
 
     The result lives over ``dst_graph`` and is canonicalized there.
     When the destination carries a loop at an image vertex of the
-    support and the target coefficients are non-abelian, no such
-    homomorphism exists and LoopObstruction is raised.
+    support and the coefficients are non-abelian, no such homomorphism
+    exists and LoopObstruction is raised.
     """
-    if delta_hom.source != delta:
-        raise WordError("coefficient homomorphism source does not match the word")
     canonical = canonical_form(src_graph, delta, w)
 
     if callable(vertex_map) and not isinstance(vertex_map, Mapping):
@@ -244,9 +241,9 @@ def push_forward(
         if not dst_graph.has_vertex(u):
             raise WordError(f"image vertex {u!r} does not belong to the destination")
         images[v] = u
-    if not delta_hom.target.is_abelian():
+    if not delta.is_abelian():
         for u in sorted(images.values(), key=dst_graph.vertex_key):
             if dst_graph.has_loop(u):
                 raise LoopObstruction(u)
-    mapped = [Syllable(images[s.vertex], delta_hom.apply(s.value)) for s in canonical]
-    return canonical_form(dst_graph, delta_hom.target, mapped)
+    mapped = [Syllable(images[s.vertex], s.value) for s in canonical]
+    return canonical_form(dst_graph, delta, mapped)

@@ -22,7 +22,6 @@ from .groups import (
     _set,
     commutator,
     first_nontrivial,
-    identity_hom,
     noncommuting_pair,
 )
 from .graphs import (
@@ -527,9 +526,7 @@ def _certificate(instance, sub_instance, x, quotient, gamma_image, *, kind, modu
                  subgroup_perms):
     """The certificate of a candidate that passed every check."""
     delta = instance.delta
-    word_image = push_forward(
-        sub_instance.graph, delta, x.word, quotient.project, identity_hom(delta), quotient
-    )
+    word_image = push_forward(sub_instance.graph, delta, x.word, quotient.project, quotient)
     nontrivial = (not word_image.is_empty) or not _image_gamma_trivial(
         kind, quotient, gamma_image
     )
@@ -674,11 +671,6 @@ def verify_certificate(instance: Instance, cert: RFCertificate) -> bool:
     )
 
 
-def restricted_instance(instance: Instance, cert: RFCertificate) -> Instance:
-    sub_instance, _ = restrict_orbits(instance, cert.element)
-    return sub_instance
-
-
 def quotient_instance(instance: Instance, cert: RFCertificate) -> Instance:
     """The quotient-side instance a translation certificate maps into."""
     if cert.kind != "modulus":
@@ -695,15 +687,13 @@ def certificate_map(instance: Instance, cert: RFCertificate):
     """
     if cert.kind != "modulus":
         raise GraphError("certificate maps are only built for translation certificates")
-    sub = restricted_instance(instance, cert)
+    sub, _ = restrict_orbits(instance, cert.element)
     delta = instance.delta
     quotient = cert.quotient
 
     def apply(y: WreathElement) -> WreathElement:
         y = sub.normalize(y)
-        image = push_forward(
-            sub.graph, delta, y.word, quotient.project, identity_hom(delta), quotient
-        )
+        image = push_forward(sub.graph, delta, y.word, quotient.project, quotient)
         return WreathElement(image, y.gamma % cert.modulus)
 
     return apply

@@ -1,7 +1,11 @@
+import importlib
+import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import gwreath
 from gwreath.cli import run
@@ -296,6 +300,40 @@ def test_non_integer_options_are_input_errors(capsys):
     assert err.splitlines() == ["error: --gamma-set takes integers, got 'x'"]
 
 
+def test_unreadable_paths_are_input_errors(capsys, tmp_path):
+    binary = tmp_path / "binary.instance"
+    binary.write_bytes(b"[delta]\nkind = \xff\xfe\n")
+    for argv in (
+        ("check", tmp_path),  # a directory
+        ("normalize", INSTANCES / "ex11.instance", "--element", "w1", "--output", tmp_path),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1 and str(tmp_path) in err
+    code, out, err = invoke(capsys, "check", binary)
+    assert (code, out) == (1, "")
+    assert err == f"error: {binary} is not UTF-8 text (invalid start byte at byte 15)\n"
+
+
+def test_negative_t_max_is_input_error(capsys):
+    code, out, err = invoke(capsys, "check", INSTANCES / "ex11.instance", "--t-max", "-5")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: --t-max must be at least 0, got -5"]
+    code, out, _ = invoke(capsys, "check", INSTANCES / "ex11.instance", "--t-max", "0")
+    assert code == 0 and out.startswith("RESIDUALLY FINITE")
+
+
+def _child(probe):
+    """stdout of a fresh interpreter running ``probe`` with gwreath importable."""
+    src = str(pathlib.Path(gwreath.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    child = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    return child.stdout.strip()
+
+
 def test_import_loads_no_code_generating_modules():
     # every gwreath process imports the cli; beyond what a bare
     # interpreter has loaded, it must not pull in dataclasses or inspect
@@ -303,10 +341,59 @@ def test_import_loads_no_code_generating_modules():
         "import sys; bare = set(sys.modules); import gwreath.cli; "
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))"
     )
-    src = str(pathlib.Path(gwreath.__file__).resolve().parent.parent)
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    child = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True,
+    assert _child(probe) == "[]"
+
+
+def test_import_gwreath_loads_no_submodule():
+    probe = "import sys, gwreath; print(sorted(m for m in sys.modules if m.startswith('gwreath.')))"
+    assert _child(probe) == "[]"
+
+
+# (argv, the modules its process must not load); each command imports
+# only the modules it runs
+IMPORT_PLAN = [
+    (["normalize", "ex11.instance", "--element", "w1"], {"checker", "lef"}),
+    (["mul", "ex11.instance", "--left", "w1", "--right", "w2"], {"checker", "lef"}),
+    (["invert", "ex11.instance", "--element", "w2"], {"checker", "lef"}),
+    (["separate", "ex11.instance", "--element", "w1"], {"checker", "lef"}),
+    (["witness", "ex12.instance", "--kind", "T3.1", "--vertices", "c:0"], {"checker", "lef"}),
+    (["quotient", "ex11.instance", "--modulus", "3"], {"checker", "lef"}),
+    (["quotient", "finite5-s3.instance", "--subgroup", "1"], {"checker", "lef"}),
+    (["check", "ex11.instance"], {"lef"}),
+    (["check-fp", "ex12.instance"], {"lef"}),
+    (
+        ["lef", "ex12.instance", "--gamma-set", "0,1", "--vertex-set", "c:0 c:1 c:2"],
+        {"checker"},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, unused", IMPORT_PLAN, ids=[f"{a[0]}-{a[1].split('.')[0]}" for a, _ in IMPORT_PLAN]
+)
+def test_command_imports_only_what_it_runs(argv, unused):
+    argv = [argv[0], str(INSTANCES / argv[1]), *argv[2:]]
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from gwreath.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = run({argv!r})\n"
+        "print(code, json.dumps([m for m in sys.modules if m.startswith('gwreath.')]))\n"
     )
-    assert child.stdout.strip() == "[]"
+    code, loaded = _child(probe).split(" ", 1)
+    assert code == "0"
+    loaded = {name.split(".", 1)[1] for name in json.loads(loaded)}
+    assert {"cli", "formats", "wreath"} <= loaded
+    assert not loaded & unused
+
+
+def test_exports_are_the_defining_modules_objects():
+    for name in gwreath.__all__:
+        value = getattr(gwreath, name)
+        module = importlib.import_module(value.__module__)
+        assert module.__name__.startswith("gwreath.")
+        assert getattr(module, name) is value
+        assert name not in vars(gwreath)  # looked up, never stored
+    assert set(gwreath.__all__) <= set(dir(gwreath))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        gwreath.no_such_name

@@ -5,17 +5,14 @@ from hypothesis import given, strategies as st
 
 from gwreath import (
     Cyclic,
-    CyclicPower,
     FiniteTable,
     FreeAbelian,
     GroupError,
-    Homomorphism,
+    Integers,
     Symmetric,
     commutator,
     first_nontrivial,
-    identity_hom,
     noncommuting_pair,
-    separating_quotient,
 )
 
 from tests.support import klein_table, random_element
@@ -30,7 +27,6 @@ SPECS = [
     FreeAbelian(0),
     FreeAbelian(1),
     FreeAbelian(3),
-    CyclicPower(3, 2),
     klein_table(),
 ]
 
@@ -122,6 +118,20 @@ def test_element_validation():
         FreeAbelian(2).invert((1,))
 
 
+@pytest.mark.parametrize(
+    "spec", [Cyclic(3), Symmetric(3), klein_table(), Integers(), FreeAbelian(2)], ids=repr
+)
+def test_compose_and_invert_check_every_argument(spec):
+    e = spec.identity()
+    for bad in ("x", None, 1.5):
+        with pytest.raises(GroupError):
+            spec.compose(bad, e)
+        with pytest.raises(GroupError):
+            spec.compose(e, bad)
+        with pytest.raises(GroupError):
+            spec.invert(bad)
+
+
 def test_finite_table_rejects_bad_tables():
     with pytest.raises(GroupError):  # wrong identity
         FiniteTable(2, ((0, 1), (1, 0)), 1)
@@ -136,86 +146,6 @@ def test_finite_table_klein():
     assert k.compose(1, 2) == 3
     assert k.invert(3) == 3
     assert k.is_abelian()
-
-
-def test_separating_quotient_free_abelian_rank1():
-    hom, image = separating_quotient(FreeAbelian(1), (5,))
-    assert hom.rule == "reduce-mod"
-    assert hom.modulus == 2
-    assert image == (1,)
-
-
-def test_separating_quotient_free_abelian_rank2():
-    # modulus 2 kills (0, 4); 3 is the smallest that works
-    hom, image = separating_quotient(FreeAbelian(2), (0, 4))
-    assert hom.modulus == 3
-    assert image == (0, 1)
-    assert hom.target == CyclicPower(3, 2)
-
-
-def test_separating_quotient_finite_is_identity_rule():
-    s3 = Symmetric(3)
-    hom, image = separating_quotient(s3, (1, 0, 2))
-    assert hom.rule == "identity"
-    assert image == (1, 0, 2)
-
-
-def test_separating_quotient_rejects_identity():
-    with pytest.raises(GroupError):
-        separating_quotient(Cyclic(4), 0)
-    with pytest.raises(GroupError):
-        separating_quotient(FreeAbelian(2), (0, 0))
-
-
-@pytest.mark.parametrize("spec", [Cyclic(6), Symmetric(3), FreeAbelian(2), klein_table()], ids=repr)
-def test_separating_quotient_image_never_trivial(spec):
-    rng = random.Random(11)
-    for _ in range(200):
-        a = random_element(spec, rng)
-        if spec.is_identity(a):
-            continue
-        hom, image = separating_quotient(spec, a)
-        assert not hom.target.is_identity(image)
-
-
-def test_homomorphism_property_sampled():
-    rng = random.Random(3)
-    homs = [
-        identity_hom(Symmetric(3)),
-        Homomorphism(FreeAbelian(2), CyclicPower(3, 2), "reduce-mod", modulus=3),
-        Homomorphism(
-            Cyclic(4),
-            Cyclic(2),
-            "table",
-            mapping=tuple((i, i % 2) for i in range(4)),
-        ),
-    ]
-    for hom in homs:
-        for _ in range(500):
-            a = random_element(hom.source, rng)
-            b = random_element(hom.source, rng)
-            assert hom.apply(hom.source.compose(a, b)) == hom.target.compose(
-                hom.apply(a), hom.apply(b)
-            )
-
-
-def test_homomorphism_table_rule_validated():
-    with pytest.raises(GroupError):
-        Homomorphism(
-            Cyclic(4),
-            Cyclic(2),
-            "table",
-            mapping=tuple((i, (i + 1) % 2) for i in range(4)),
-        )
-    with pytest.raises(GroupError):  # incomplete map
-        Homomorphism(Cyclic(4), Cyclic(2), "table", mapping=((0, 0),))
-
-
-def test_homomorphism_reduce_mod_target_checked():
-    with pytest.raises(GroupError):
-        Homomorphism(FreeAbelian(2), CyclicPower(3, 1), "reduce-mod", modulus=3)
-    with pytest.raises(GroupError):
-        Homomorphism(Cyclic(4), CyclicPower(2, 1), "reduce-mod", modulus=2)
 
 
 def test_noncommuting_pair():

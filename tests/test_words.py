@@ -16,7 +16,6 @@ from gwreath import (
     canonical_form,
     gp_compose,
     gp_invert,
-    identity_hom,
     push_forward,
     quotient_graph,
     retract,
@@ -336,7 +335,7 @@ def test_retract_fixes_words_supported_inside():
 def test_push_forward_identity_maps():
     line = line_graph()
     w = word(C2, [(("c", 2), 1), (("c", 0), 1)])
-    out = push_forward(line, C2, w, lambda v: v, identity_hom(C2), line)
+    out = push_forward(line, C2, w, lambda v: v, line)
     assert out == canonical_form(line, C2, w)
 
 
@@ -344,7 +343,7 @@ def test_push_forward_line_mod4():
     line = line_graph()
     q = quotient_graph(line, 4)
     w = word(C2, [(("c", 0), 1), (("c", 2), 1)])
-    out = push_forward(line, C2, w, q.project, identity_hom(C2), q)
+    out = push_forward(line, C2, w, q.project, q)
     assert len(out) == 2
     assert [s.vertex for s in out] == [("c", 0), ("c", 2)]
 
@@ -354,14 +353,14 @@ def test_push_forward_loop_obstruction():
     q = quotient_graph(fact, 4)  # loops at every vertex
     w = word(S3, [(("c", 0), (1, 0, 2))])
     with pytest.raises(LoopObstruction):
-        push_forward(fact, S3, w, q.project, identity_hom(S3), q)
+        push_forward(fact, S3, w, q.project, q)
 
 
 def test_push_forward_loops_fine_for_abelian():
     fact = factorial_graph(0)
     q = quotient_graph(fact, 4)
     w = word(C2, [(("c", 0), 1)])
-    out = push_forward(fact, C2, w, q.project, identity_hom(C2), q)
+    out = push_forward(fact, C2, w, q.project, q)
     assert len(out) == 1
 
 
@@ -370,43 +369,23 @@ def test_push_forward_unmapped_vertex():
     q = quotient_graph(line, 3)
     w = word(C2, [(("c", 0), 1)])
     with pytest.raises(WordError):
-        push_forward(line, C2, w, {}, identity_hom(C2), q)
-
-
-def test_push_forward_through_coefficient_homomorphism():
-    # the sign map kills even permutations, so those syllables vanish
-    from gwreath import Homomorphism
-
-    def parity(p):
-        inversions = sum(
-            1 for i in range(3) for j in range(i + 1, 3) if p[i] > p[j]
-        )
-        return inversions % 2
-
-    sign = Homomorphism(
-        S3, C2, "table", mapping=tuple((p, parity(p)) for p in S3.elements())
-    )
-    line = line_graph()
-    w = word(S3, [(("c", 0), (1, 2, 0)), (("c", 5), (1, 0, 2))])  # even, odd
-    out = push_forward(line, S3, w, lambda v: v, sign, line)
-    assert out == word(C2, [(("c", 5), 1)])
+        push_forward(line, C2, w, {}, q)
 
 
 def test_push_forward_is_homomorphism():
     rng = random.Random(43)
     line = line_graph()
     q = quotient_graph(line, 5)
-    hom = identity_hom(C3)
     for _ in range(500):
         w1 = random_word(line, C3, rng, max_len=4, window=3)
         w2 = random_word(line, C3, rng, max_len=4, window=3)
         image_of_product = push_forward(
-            line, C3, gp_compose(line, C3, w1, w2), q.project, hom, q
+            line, C3, gp_compose(line, C3, w1, w2), q.project, q
         )
         product_of_images = gp_compose(
             q,
             C3,
-            push_forward(line, C3, w1, q.project, hom, q),
-            push_forward(line, C3, w2, q.project, hom, q),
+            push_forward(line, C3, w1, q.project, q),
+            push_forward(line, C3, w2, q.project, q),
         )
         assert image_of_product == product_of_images
