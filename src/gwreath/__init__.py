@@ -28,6 +28,7 @@ _EXPORTS = {
     "checker": "Verdict check_cond2 check_cond3 check_finitely_presented classify "
     "classify_wreath separation_bound",
     "lef": "LEFCertificate lef_certificate truncate_graph verify_lef",
+    "homomorphisms": "CyclicPower Homomorphism identity_hom",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_MODULE_OF)

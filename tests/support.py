@@ -14,6 +14,7 @@ from collections import deque
 from gwreath import (
     ArithmeticOffsets,
     Cyclic,
+    CyclicPower,
     FactorialOffsets,
     FiniteModeGraph,
     FiniteOffsets,
@@ -134,6 +135,8 @@ def random_element(spec, rng):
         return rng.randrange(spec.size)
     if isinstance(spec, FreeAbelian):
         return tuple(rng.randint(-5, 5) for _ in range(spec.rank))
+    if isinstance(spec, CyclicPower):
+        return tuple(rng.randrange(spec.n) for _ in range(spec.rank))
     raise TypeError(f"no sampler for {spec!r}")
 
 

@@ -9,11 +9,13 @@ from gwreath import (
     EMPTY_WORD,
     ArithmeticOffsets,
     Cyclic,
+    CyclicPower,
     FactorialOffsets,
     FiniteModeGraph,
     FiniteOffsets,
     FiniteTable,
     FreeAbelian,
+    Homomorphism,
     Instance,
     Integers,
     LEFCertificate,
@@ -85,6 +87,13 @@ CASES = {
     ),
     "Integers": (Integers, "Integers()", True),
     "FreeAbelian": (lambda: FreeAbelian(rank=2), "FreeAbelian(rank=2)", True),
+    "CyclicPower": (lambda: CyclicPower(n=3, rank=2), "CyclicPower(n=3, rank=2)", True),
+    "Homomorphism": (
+        lambda: Homomorphism(source=Cyclic(2), target=Cyclic(2), rule="identity"),
+        "Homomorphism(source=Cyclic(n=2), target=Cyclic(n=2), rule='identity', "
+        "modulus=None, mapping=None)",
+        True,
+    ),
     "FiniteOffsets": (
         lambda: FiniteOffsets(offsets=frozenset({1})),
         "FiniteOffsets(offsets=frozenset({1, -1}))",
@@ -260,6 +269,9 @@ def test_keyword_construction_and_defaults():
     assert graph == FiniteModeGraph((1, 0), frozenset(), ())
     assert TranslationGraph(labels=("c",)).families == {}
     assert FiniteTable(size=1, table=((0,),)).identity_index == 0
+    assert Homomorphism(Cyclic(2), Cyclic(2), "identity") == Homomorphism(
+        source=Cyclic(2), target=Cyclic(2), rule="identity", modulus=None, mapping=None
+    )
     verdict = Verdict("unknown")
     assert verdict.cond1_note == COND1_NOTE and verdict.witness is None
     assert PairEvidence((0, 1), "holds").failures == ()
