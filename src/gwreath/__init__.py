@@ -23,8 +23,8 @@ _EXPORTS = {
     "words": "EMPTY_WORD Syllable Word canonical_form gp_compose gp_invert push_forward "
     "retract support word",
     "wreath": "Instance NonRFWitness Obstruction RFCertificate WreathElement act_word "
-    "certificate_map gw_compose gw_invert quotient_instance restrict_orbits separate "
-    "verify_certificate verify_witness witness",
+    "certificate_map gw_compose gw_invert restrict_orbits separate verify_certificate "
+    "verify_witness witness",
     "checker": "Verdict check_cond2 check_cond3 check_finitely_presented classify "
     "classify_wreath separation_bound",
     "lef": "LEFCertificate lef_certificate truncate_graph verify_lef",

@@ -18,7 +18,7 @@ import itertools
 import math
 
 from .errors import GraphError
-from .groups import Record, _set
+from .groups import Record
 from .graphs import (
     FiniteModeGraph,
     TranslationGraph,
@@ -55,39 +55,19 @@ COND1_NOTE = (
 class OrbitEvidence(Record):
     """Per-orbit outcome of the search for K with Kv disjoint from N(v)."""
 
-    _fields = ("orbit", "status", "modulus", "subgroup_index", "obstruction")
-
-    def __init__(
-        self,
-        orbit: str | int,
-        status: str,  # "holds" | "fails" | "unknown"
-        modulus: int | None = None,
-        subgroup_index: int | None = None,
-        obstruction: Obstruction | None = None,
-    ):
-        _set(self, "orbit", orbit)
-        _set(self, "status", status)
-        _set(self, "modulus", modulus)
-        _set(self, "subgroup_index", subgroup_index)
-        _set(self, "obstruction", obstruction)
+    orbit: str | int
+    status: str  # "holds" | "fails" | "unknown"
+    modulus: int | None = None
+    subgroup_index: int | None = None
+    obstruction: Obstruction | None = None
 
 
 class Cond2Result(Record):
-    _fields = ("abelian", "abelian_rule", "per_orbit", "holds", "failing")
-
-    def __init__(
-        self,
-        abelian: bool,
-        abelian_rule: str | None,
-        per_orbit: tuple[OrbitEvidence, ...],
-        holds: bool | None,
-        failing: OrbitEvidence | None = None,
-    ):
-        _set(self, "abelian", abelian)
-        _set(self, "abelian_rule", abelian_rule)
-        _set(self, "per_orbit", per_orbit)
-        _set(self, "holds", holds)
-        _set(self, "failing", failing)
+    abelian: bool
+    abelian_rule: str | None
+    per_orbit: tuple[OrbitEvidence, ...]
+    holds: bool | None
+    failing: OrbitEvidence | None = None
 
 
 def check_cond2(instance: Instance, bound: int = 64) -> Cond2Result:
@@ -160,46 +140,21 @@ def _orbit_evidence_finite(graph: FiniteModeGraph):
 class PairEvidence(Record):
     """Outcome for one orbit pair (translation) or vertex pair (finite)."""
 
-    _fields = (
-        "pair", "status", "rule", "max_offset", "failures", "examined", "unresolved",
-        "subgroup_index",
-    )
-
-    def __init__(
-        self,
-        pair: tuple,
-        status: str,  # "holds-vacuous" | "holds-rule" | "holds" | "fails" | "unknown"
-        rule: str | None = None,
-        max_offset: int | None = None,
-        failures: tuple[tuple[int, Obstruction], ...] = (),
-        examined: tuple[tuple[int, int], ...] = (),  # (offset, separating modulus)
-        unresolved: tuple[int, ...] = (),
-        subgroup_index: int | None = None,
-    ):
-        _set(self, "pair", pair)
-        _set(self, "status", status)
-        _set(self, "rule", rule)
-        _set(self, "max_offset", max_offset)
-        _set(self, "failures", failures)
-        _set(self, "examined", examined)
-        _set(self, "unresolved", unresolved)
-        _set(self, "subgroup_index", subgroup_index)
+    pair: tuple
+    status: str  # "holds-vacuous" | "holds-rule" | "holds" | "fails" | "unknown"
+    rule: str | None = None
+    max_offset: int | None = None
+    failures: tuple[tuple[int, Obstruction], ...] = ()
+    examined: tuple[tuple[int, int], ...] = ()  # (offset, separating modulus)
+    unresolved: tuple[int, ...] = ()
+    subgroup_index: int | None = None
 
 
 class Cond3Result(Record):
-    _fields = ("per_pair", "holds", "t_max", "failing")
-
-    def __init__(
-        self,
-        per_pair: tuple[PairEvidence, ...],
-        holds: bool | None,
-        t_max: int | None,
-        failing: PairEvidence | None = None,
-    ):
-        _set(self, "per_pair", per_pair)
-        _set(self, "holds", holds)
-        _set(self, "t_max", t_max)
-        _set(self, "failing", failing)
+    per_pair: tuple[PairEvidence, ...]
+    holds: bool | None
+    t_max: int | None
+    failing: PairEvidence | None = None
 
 
 def default_t_max(graph: TranslationGraph) -> int:
@@ -348,30 +303,14 @@ def _pair_evidence_finite(graph: FiniteModeGraph):
 
 
 class Verdict(Record):
-    _fields = (
-        "status", "cond1_note", "cond2", "cond3", "witness", "bound", "failing_condition",
-        "note",
-    )
-
-    def __init__(
-        self,
-        status: str,
-        cond1_note: str = COND1_NOTE,
-        cond2: Cond2Result | None = None,
-        cond3: Cond3Result | None = None,
-        witness: NonRFWitness | None = None,
-        bound: int | None = None,
-        failing_condition: str | None = None,
-        note: str | None = None,
-    ):
-        _set(self, "status", status)
-        _set(self, "cond1_note", cond1_note)
-        _set(self, "cond2", cond2)
-        _set(self, "cond3", cond3)
-        _set(self, "witness", witness)
-        _set(self, "bound", bound)
-        _set(self, "failing_condition", failing_condition)
-        _set(self, "note", note)
+    status: str
+    cond1_note: str = COND1_NOTE
+    cond2: Cond2Result | None = None
+    cond3: Cond3Result | None = None
+    witness: NonRFWitness | None = None
+    bound: int | None = None
+    failing_condition: str | None = None
+    note: str | None = None
 
     @property
     def certified(self) -> bool:
@@ -478,28 +417,16 @@ def classify_wreath(instance: Instance) -> Verdict:
 
 
 class FPCondition(Record):
-    _fields = ("name", "ok", "reason")
-
-    def __init__(self, name: str, ok: bool, reason: str):
-        _set(self, "name", name)
-        _set(self, "ok", ok)
-        _set(self, "reason", reason)
+    name: str
+    ok: bool
+    reason: str
 
 
 class FPReport(Record):
-    _fields = ("finitely_presented", "conditions", "vertex_orbits", "edge_orbits")
-
-    def __init__(
-        self,
-        finitely_presented: bool,
-        conditions: tuple[FPCondition, ...],
-        vertex_orbits: int,
-        edge_orbits: int | None,
-    ):
-        _set(self, "finitely_presented", finitely_presented)
-        _set(self, "conditions", conditions)
-        _set(self, "vertex_orbits", vertex_orbits)
-        _set(self, "edge_orbits", edge_orbits)
+    finitely_presented: bool
+    conditions: tuple[FPCondition, ...]
+    vertex_orbits: int
+    edge_orbits: int | None
 
 
 def check_finitely_presented(instance: Instance) -> FPReport:

@@ -20,7 +20,11 @@ Element = int | tuple[int, ...]
 class Record:
     """An immutable value with the fields its class names in ``_fields``.
 
-    A subclass sets each field once in ``__init__`` through ``_set``.
+    A plain record declares each field once, as ``name: type`` or
+    ``name: type = default`` in its class body, and the generic
+    ``__init__`` binds arguments to them as that signature would.  A
+    class that validates or derives state names ``_fields`` itself and
+    sets each field once in its own ``__init__`` through ``_set``.
     Records of the same class are equal when their field values are, a
     record of another class is never equal, a record hashes as the tuple
     of its values and prints as ``Name(field=value, ...)``.  Assigning or
@@ -28,6 +32,36 @@ class Record:
     """
 
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__annotations__:
+            cls._fields = tuple(cls.__annotations__)
+            cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        fields, defaults, n, used = self._fields, self._defaults, len(args), 0
+        if n > len(fields):
+            raise TypeError(
+                f"{type(self).__name__}() takes {len(fields)} positional arguments "
+                f"but {n} were given"
+            )
+        for name, value in zip(fields, args):
+            _set(self, name, value)
+        for name in fields[n:]:
+            if name in kwargs:
+                value = kwargs[name]
+                used += 1
+            elif name in defaults:
+                value = defaults[name]
+            else:
+                raise TypeError(f"{type(self).__name__}() missing required argument {name!r}")
+            _set(self, name, value)
+        if used != len(kwargs):
+            name = next(name for name in kwargs if name not in fields[n:])
+            problem = "multiple values for" if name in fields else "an unexpected keyword"
+            raise TypeError(f"{type(self).__name__}() got {problem} argument {name!r}")
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -21,41 +21,23 @@ from .graphs import (
     Vertex,
     quotient_graph,
 )
-from .groups import Cyclic, GroupSpec, Record, _set
+from .groups import Cyclic, GroupSpec, Record
 
 
 class Truncation(Record):
     """The finite subgraph retained for one certificate."""
 
-    _fields = ("kept_offsets", "graph", "modulus")
-
-    def __init__(
-        self,
-        kept_offsets: dict[tuple[str, str], frozenset[int]],
-        graph: TranslationGraph,
-        modulus: int,
-    ):
-        _set(self, "kept_offsets", kept_offsets)
-        _set(self, "graph", graph)
-        _set(self, "modulus", modulus)
+    kept_offsets: dict[tuple[str, str], frozenset[int]]
+    graph: TranslationGraph
+    modulus: int
 
 
 class LEFCertificate(Record):
-    _fields = ("q_spec", "y", "phi", "psi", "truncation")
-
-    def __init__(
-        self,
-        q_spec: GroupSpec,
-        y: QuotientGraph,
-        phi: dict[int, int],
-        psi: dict[Vertex, tuple],
-        truncation: Truncation | None = None,
-    ):
-        _set(self, "q_spec", q_spec)
-        _set(self, "y", y)
-        _set(self, "phi", phi)
-        _set(self, "psi", psi)
-        _set(self, "truncation", truncation)
+    q_spec: GroupSpec
+    y: QuotientGraph
+    phi: dict[int, int]
+    psi: dict[Vertex, tuple]
+    truncation: Truncation | None = None
 
 
 def truncate_graph(

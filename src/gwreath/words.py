@@ -32,6 +32,8 @@ from .groups import Element, GroupSpec, Record, _set
 from .graphs import Vertex
 
 
+# Syllable, Word and wreath.WreathElement keep an explicit constructor: word
+# arithmetic builds them per syllable, and it takes under half the generic one's time.
 class Syllable(Record):
     _fields = ("vertex", "value")
 
@@ -104,7 +106,12 @@ def canonical_form(graph, delta: GroupSpec, w: Word | Iterable[Syllable]) -> Wor
     duration of the call only, so ``graph.adjacent`` is asked about
     each pair of vertices at most once.
     """
-    sylls = [s for s in _validate(graph, delta, w) if not delta.is_identity(s.value)]
+    return _canonical(graph, delta, _validate(graph, delta, w))
+
+
+def _canonical(graph, delta: GroupSpec, sylls: list[Syllable]) -> Word:
+    """``canonical_form`` of syllables already known to be valid."""
+    sylls = [s for s in sylls if not delta.is_identity(s.value)]
     adjacent = _adjacency(graph)
 
     reduced: list[Syllable] = []
@@ -116,7 +123,7 @@ def canonical_form(graph, delta: GroupSpec, w: Word | Iterable[Syllable]) -> Wor
         if k < 0 or reduced[k].vertex != v:
             reduced.append(s)
             continue
-        merged = delta._compose(reduced[k].value, s.value)  # validated above
+        merged = delta._compose(reduced[k].value, s.value)  # validated by the caller
         if delta.is_identity(merged):
             del reduced[k]
         else:
@@ -184,10 +191,9 @@ def gp_compose(graph, delta: GroupSpec, w1: Word, w2: Word) -> Word:
 
 
 def gp_invert(graph, delta: GroupSpec, w: Word) -> Word:
-    reversed_inverses = [
-        Syllable(s.vertex, delta.invert(s.value)) for s in reversed(tuple(w))
-    ]
-    return canonical_form(graph, delta, reversed_inverses)
+    sylls = _validate(graph, delta, w)  # once, before ``_invert`` can wrap a bad value
+    inverses = [Syllable(s.vertex, delta._invert(s.value)) for s in reversed(sylls)]
+    return _canonical(graph, delta, inverses)
 
 
 def support(graph, delta: GroupSpec, w: Word) -> frozenset[Vertex]:

@@ -28,6 +28,7 @@ from gwreath import (
     WordError,
     WreathElement,
     quotient_graph,
+    residues_of,
     restrict_orbits,
 )
 
@@ -298,6 +299,14 @@ def brute_quotient(graph: TranslationGraph, m: int, window: int | None = None):
             if hit_loop:
                 loops.add(u)
     return edges, loops
+
+
+def obstruction_spot_check(families, obstruction, up_to: int = 100) -> bool:
+    """Lemma oracle: the obstruction's offset (0 for a loop obstruction)
+    lies in the residue set of ``families`` for every modulus up to a
+    bound."""
+    target = 0 if obstruction.offset is None else obstruction.offset
+    return all(target % m in residues_of(families, m) for m in range(1, up_to + 1))
 
 
 def brute_factorial_residues(shift: int, m: int, extra: int = 5) -> frozenset[int]:

@@ -32,7 +32,6 @@ from gwreath import (
 )
 from gwreath.checker import NOT_RESIDUALLY_FINITE, RESIDUALLY_FINITE
 from gwreath.graphs import residues_of
-from gwreath.wreath import obstruction_spot_check
 
 from tests.support import (
     all_short_words,
@@ -43,6 +42,7 @@ from tests.support import (
     factorial_graph,
     k5_cyclic,
     line_graph,
+    obstruction_spot_check,
     path3_graph,
     random_nontrivial,
     random_word,

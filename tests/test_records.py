@@ -275,6 +275,21 @@ def test_keyword_construction_and_defaults():
     verdict = Verdict("unknown")
     assert verdict.cond1_note == COND1_NOTE and verdict.witness is None
     assert PairEvidence((0, 1), "holds").failures == ()
+    assert PairEvidence((0, 1), "fails", "rule", 3) == PairEvidence(
+        pair=(0, 1), status="fails", rule="rule", max_offset=3, failures=(), examined=(),
+        unresolved=(), subgroup_index=None,
+    )
+    assert PairEvidence((0, 1), status="holds", subgroup_index=2) == PairEvidence(
+        (0, 1), "holds", None, None, (), (), (), 2
+    )
+    with pytest.raises(TypeError, match="takes 8 positional arguments but 9"):
+        PairEvidence((0, 1), "holds", None, None, (), (), (), 2, "extra")
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        PairEvidence((0, 1), "holds", bogus=1)
+    with pytest.raises(TypeError, match="multiple values for argument 'pair'"):
+        PairEvidence((0, 1), "holds", pair=(0, 2))
+    with pytest.raises(TypeError, match="missing required argument 'status'"):
+        PairEvidence(pair=(0, 1))
     assert LEFCertificate(Cyclic(2), QUOTIENT, {}, {}).truncation is None
     with pytest.raises(TypeError):
         Syllable(vertex=0)

@@ -7,6 +7,8 @@ from gwreath import (
     Cyclic,
     EMPTY_WORD,
     FiniteModeGraph,
+    GroupError,
+    GroupSpec,
     LoopObstruction,
     Symmetric,
     Syllable,
@@ -88,8 +90,6 @@ def test_canonical_rejects_unknown_vertex():
 
 
 def test_canonical_validates_values():
-    from gwreath import GroupError
-
     with pytest.raises(GroupError):
         canonical_form(P3, C2, Word((Syllable(0, 7),)))
 
@@ -212,6 +212,23 @@ def test_canonical_adjacency_lookups_are_linear(monkeypatch, span):
     calls = _count_calls(monkeypatch, TranslationGraph, "adjacent")
     canonical_form(graph, S3, w)
     assert 0 < calls["adjacent"] <= 8 * n
+
+
+def test_gp_invert_checks_each_coefficient_once(monkeypatch):
+    graph, n = line_graph(), 100
+    # vertices two apart on the line never commute, so the word stays as built
+    w = canonical_form(graph, C5, [Syllable(("c", 2 * i), 1 + i % 4) for i in range(n)])
+    assert len(w) == n
+    calls = _count_calls(monkeypatch, GroupSpec, "check")
+    inverse = gp_invert(graph, C5, w)
+    assert calls["check"] == n
+    assert gp_compose(graph, C5, w, inverse) == EMPTY_WORD
+
+
+def test_gp_invert_rejects_a_value_before_inverting_it():
+    # Cyclic(5)._invert(7) would return the valid residue 3
+    with pytest.raises(GroupError):
+        gp_invert(line_graph(), C5, Word((Syllable(("c", 0), 7),)))
 
 
 def test_triviality_agrees_with_bfs_short_words():

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from gwreath import (
+    ArithmeticOffsets,
     Cyclic,
     EMPTY_WORD,
     FiniteModeGraph,
@@ -26,7 +27,6 @@ from gwreath import (
     gw_compose,
     gw_invert,
     quotient_graph,
-    quotient_instance,
     restrict_orbits,
     separate,
     verify_certificate,
@@ -36,7 +36,6 @@ from gwreath import (
 )
 from gwreath import formats, graphs, wreath
 from gwreath.graphs import enumerate_subgroups
-from gwreath.wreath import obstruction_spot_check
 
 from tests.support import (
     complete_z_graph,
@@ -44,6 +43,7 @@ from tests.support import (
     factorial_graph,
     k5_cyclic,
     line_graph,
+    obstruction_spot_check,
     random_word,
     random_nontrivial,
     random_wreath,
@@ -273,6 +273,23 @@ def test_witness_shifted_factorial_pair():
     assert wit.obstruction.lemma == "factorial-shift"
     assert wit.obstruction.offset == 1
     assert verify_witness(inst, wit)
+
+
+def test_verify_witness_compares_the_whole_obstruction():
+    inst = fact_instance(1, S3)
+    wit = witness(inst, "T3.2", [("c", 0), ("c", 1)])
+    assert verify_witness(inst, wit)
+    proof = wit.obstruction
+    # the arithmetic-step lemma for offset 1 over another family
+    step = wreath.certify_offset_always([ArithmeticOffsets(3, 4)], ("c", "c"), 1)
+    for tampered in (
+        replace(proof, lemma=step.lemma, family=step.family, statement=step.statement),
+        replace(proof, lemma=step.lemma),
+        replace(proof, family=step.family),
+        replace(proof, offset=-1),  # -1 is hit modulo every m as well, but is not this pair's
+        replace(proof, statement=step.statement),
+    ):
+        assert not verify_witness(inst, replace(wit, obstruction=tampered)), tampered
 
 
 def test_witness_requires_noncommuting_delta():
@@ -574,7 +591,7 @@ def test_certificate_map_is_homomorphism():
     x = WreathElement(word(C3, [(("c", 0), 1), (("c", 2), 2)]), 0)
     cert = separate(inst, x)
     phi = certificate_map(inst, cert)
-    target = quotient_instance(inst, cert)
+    target = Instance(inst.delta, cert.quotient)
     for _ in range(200):
         y1 = random_wreath(inst, rng, max_len=3, window=3)
         y2 = random_wreath(inst, rng, max_len=3, window=3)
