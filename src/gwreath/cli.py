@@ -31,8 +31,13 @@ EXIT_INPUT = 1
 EXIT_UNKNOWN = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # an input error: not a usage block and exit 2 (Unknown)
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gwreath",
         description=(
             "Exact computation with graph-indexed product groups extended "
@@ -296,17 +301,14 @@ _COMMANDS = {
 
 def run(argv) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if getattr(args, "bound", 1) < 1:
             raise ParseError(f"--bound must be at least 1, got {args.bound}")
         if getattr(args, "t_max", None) is not None and args.t_max < 0:
             raise ParseError(f"--t-max must be at least 0, got {args.t_max}")
         return _COMMANDS[args.command](args)
-    except (ParseError, GroupError, GraphError, WordError, IdentityElement) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ParseError, GroupError, GraphError, WordError, IdentityElement, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except UnicodeDecodeError as exc:

@@ -232,23 +232,18 @@ class TranslationGraph(Record):
         return self.families.get(self._pair_key(c1, c2), ())
 
     def adjacent(self, v: Vertex, w: Vertex) -> bool:
-        self.check_vertex(v)
-        self.check_vertex(w)
+        """Both must be vertices of this graph, checked by the caller."""
         if v == w:
             return False
         (c1, x), (c2, y) = v, w
         return contains_offset(self.families_for(c1, c2), y - x)
 
     def action(self, gamma: int):
-        """The vertex map of ``gamma``, checking each vertex it moves."""
-
-        def move(v: Vertex) -> Vertex:
-            self.check_vertex(v)
-            return (v[0], v[1] + gamma)
-
-        return move
+        """The vertex map of ``gamma``, on vertices checked by the caller."""
+        return lambda v: (v[0], v[1] + gamma)
 
     def act(self, gamma: int, v: Vertex) -> Vertex:
+        self.check_vertex(v)
         return self.action(gamma)(v)
 
     def vertex_key(self, v: Vertex):
@@ -360,14 +355,13 @@ class FiniteModeGraph(Record):
             raise GraphError(f"{v!r} is not a vertex of this graph")
 
     def adjacent(self, v: int, w: int) -> bool:
-        self.check_vertex(v)
-        self.check_vertex(w)
+        """Both must be vertices of this graph, checked by the caller."""
         if v == w:
             return False
         return (min(v, w), max(v, w)) in self.edges
 
     def neighbours(self, v: int) -> frozenset[int]:
-        self.check_vertex(v)
+        """``v`` must be a vertex of this graph, checked by the caller."""
         return self._neighbours[v]
 
     def perm_of(self, gamma: tuple[int, ...]) -> dict:
@@ -381,16 +375,11 @@ class FiniteModeGraph(Record):
         return out
 
     def action(self, gamma: tuple[int, ...]):
-        """The vertex map of ``gamma``: one permutation, checked lookups."""
-        perm = self.perm_of(gamma)
-
-        def move(v: int) -> int:
-            self.check_vertex(v)
-            return perm[v]
-
-        return move
+        """The vertex map of ``gamma``, on vertices checked by the caller."""
+        return self.perm_of(gamma).__getitem__
 
     def act(self, gamma: tuple[int, ...], v: int) -> int:
+        self.check_vertex(v)
         return self.action(gamma)(v)
 
     def vertex_key(self, v: int) -> int:

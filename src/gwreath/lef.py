@@ -121,6 +121,8 @@ def verify_lef(cert: LEFCertificate, graph, gamma_set, vertex_set) -> bool:
     """
     gammas = sorted(set(gamma_set))
     vertices = sorted(set(vertex_set), key=graph.vertex_key)
+    for v in vertices:
+        graph.check_vertex(v)
 
     if set(cert.phi) != set(gammas) or set(cert.psi) != set(vertices):
         return False

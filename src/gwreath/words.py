@@ -19,7 +19,8 @@ pushed past, and adjacency is memoised within a call, so a word of n
 syllables needs O(n log n) work when commuting runs are short instead
 of the O(n^2) lookups of a pairwise scan.  Equal group elements always
 produce equal canonical words, so equality and triviality testing
-reduce to comparison against this form.
+reduce to comparison against this form.  A group operation makes one
+canonical pass, which checks every syllable on entry; ``adjacent`` does not.
 """
 
 from __future__ import annotations

@@ -43,9 +43,8 @@ from .words import (
     EMPTY_WORD,
     Syllable,
     Word,
+    _validate,
     canonical_form,
-    gp_compose,
-    gp_invert,
     push_forward,
 )
 
@@ -100,28 +99,33 @@ class Instance(Record):
 
 
 def act_word(graph, delta: GroupSpec, gamma: Gamma, w: Word) -> Word:
-    """Move every syllable along the action and recanonicalize.
-
-    The action of ``gamma`` is resolved into one vertex map per call.
-    """
+    """Move every syllable along the action (one vertex map per call) and
+    recanonicalize."""
     move = graph.action(gamma)
-    moved = [Syllable(move(s.vertex), s.value) for s in w]
-    return canonical_form(graph, delta, moved)
+    for s in w:
+        graph.check_vertex(s.vertex)
+    return canonical_form(graph, delta, [Syllable(move(s.vertex), s.value) for s in w])
 
 
 def gw_compose(instance: Instance, x: WreathElement, y: WreathElement) -> WreathElement:
+    """(w1, g1)(w2, g2) = (w1 g1(w2), g1 g2), in one canonical pass."""
     graph, delta = instance.graph, instance.delta
     gamma = graph.acting.compose(x.gamma, y.gamma)  # checks both before acting
-    twisted = act_word(graph, delta, x.gamma, y.word)
-    return WreathElement(gp_compose(graph, delta, x.word, twisted), gamma)
+    move = graph.action(x.gamma)
+    for s in y.word:
+        graph.check_vertex(s.vertex)
+    moved = [Syllable(move(s.vertex), s.value) for s in y.word]
+    return WreathElement(canonical_form(graph, delta, [*x.word, *moved]), gamma)
 
 
 def gw_invert(instance: Instance, x: WreathElement) -> WreathElement:
+    """(w, g)^-1 = (g^-1(w^-1), g^-1), in one canonical pass."""
     graph, delta = instance.graph, instance.delta
     ginv = graph.acting.invert(x.gamma)
-    return WreathElement(
-        act_word(graph, delta, ginv, gp_invert(graph, delta, x.word)), ginv
-    )
+    sylls = _validate(graph, delta, x.word)  # before ``_invert`` can wrap a bad value
+    move = graph.action(ginv)
+    inverses = [Syllable(move(s.vertex), delta._invert(s.value)) for s in reversed(sylls)]
+    return WreathElement(canonical_form(graph, delta, inverses), ginv)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +352,13 @@ def restrict_orbits(instance: Instance, x: WreathElement) -> tuple[Instance, Wre
     Orbits carrying no syllable are killed outright; the support is
     untouched, so nontriviality of ``x`` survives the projection.
     """
+    return _restrict(instance, instance.normalize(x))
+
+
+def _restrict(instance: Instance, x: WreathElement) -> tuple[Instance, WreathElement]:
+    """``restrict_orbits`` of ``x`` in normal form, which it stays: the kept
+    orbits span an induced subgraph ordering its vertices as the graph does."""
     graph, delta = instance.graph, instance.delta
-    x = instance.normalize(x)
     used = x.word.vertices()
     if isinstance(graph, TranslationGraph):
         labels_used = tuple(c for c in graph.labels if c in {v[0] for v in used})
@@ -360,9 +369,7 @@ def restrict_orbits(instance: Instance, x: WreathElement) -> tuple[Instance, Wre
             pair: f for pair, f in graph.families.items()
             if pair[0] in keep and pair[1] in keep
         }
-        sub = TranslationGraph(labels_used, fams)
-        sub_instance = Instance(delta, sub)
-        return sub_instance, sub_instance.normalize(x)
+        return Instance(delta, TranslationGraph(labels_used, fams)), x
     if isinstance(graph, FiniteModeGraph):
         orbits = orbit_map(graph, graph.image_group())
         reps = {orbits[v] for v in used}
@@ -373,9 +380,7 @@ def restrict_orbits(instance: Instance, x: WreathElement) -> tuple[Instance, Wre
         edges = frozenset(e for e in graph.edges if e[0] in keep and e[1] in keep)
         maps = [dict(zip(graph.vertices, g)) for g in graph.generators]
         gens = tuple(tuple(m[v] for v in verts) for m in maps)
-        sub = FiniteModeGraph(verts, edges, gens)
-        sub_instance = Instance(delta, sub)
-        return sub_instance, sub_instance.normalize(x)
+        return Instance(delta, FiniteModeGraph(verts, edges, gens)), x
     raise GraphError(f"cannot restrict an instance over {type(graph).__name__}")
 
 
@@ -430,15 +435,11 @@ def separate(instance: Instance, x: WreathElement, bound: int = 64) -> RFCertifi
     read only the support's images, so the quotient graph is built once,
     for the accepted candidate.
     """
-    x = instance.normalize(x)
-    if instance.is_identity_element(x):
-        raise IdentityElement("cannot separate the identity element")
-    sub_instance, x = restrict_orbits(instance, x)
-    support_vertices = sorted(x.word.vertices(), key=sub_instance.graph.vertex_key)
+    sub_instance, x, support = _restricted_support(instance, x)
 
     if isinstance(instance.graph, TranslationGraph):
         for m in range(1, bound + 1):
-            cert = _try_translation(instance, sub_instance, x, support_vertices, m)
+            cert = _try_translation(instance, sub_instance, x, support, m)
             if cert is not None:
                 return cert
         raise SearchExhausted(bound)
@@ -447,7 +448,7 @@ def separate(instance: Instance, x: WreathElement, bound: int = 64) -> RFCertifi
         candidates = enumerate_subgroups(instance.graph)
         gamma_key = _perm_key(instance.graph, x.gamma)
         for perms in candidates:
-            cert = _try_finite(instance, sub_instance, x, support_vertices, perms, gamma_key)
+            cert = _try_finite(instance, sub_instance, x, support, perms, gamma_key)
             if cert is not None:
                 return cert
         raise SearchExhausted(len(candidates))
@@ -455,19 +456,27 @@ def separate(instance: Instance, x: WreathElement, bound: int = 64) -> RFCertifi
     raise GraphError(f"cannot separate over {type(instance.graph).__name__}")
 
 
-def _induced_isomorphism(graph, support_vertices, project, image_adjacent) -> bool:
-    """No merged support vertices, no created or destroyed adjacencies.
+def _restricted_support(instance: Instance, x: WreathElement):
+    """``x`` normalised once and restricted, its support in vertex order and
+    each support pair with its adjacency: no candidate subgroup changes them."""
+    x = instance.normalize(x)
+    if x.word.is_empty and instance.gamma_is_identity(x.gamma):
+        raise IdentityElement("cannot separate the identity element")
+    sub_instance, x = _restrict(instance, x)
+    graph = sub_instance.graph
+    vertices = sorted(x.word.vertices(), key=graph.vertex_key)
+    pairs = [(v, w, graph.adjacent(v, w)) for v, w in itertools.combinations(vertices, 2)]
+    return sub_instance, x, (vertices, pairs)
 
-    ``image_adjacent(v, w)`` says whether the images of two support
-    vertices with distinct images are adjacent in the quotient.
-    """
-    images = [project(v) for v in support_vertices]
+
+def _induced_isomorphism(vertices, pairs, project, image_adjacent) -> bool:
+    """No merged support vertices, no created or destroyed adjacencies:
+    once the images are distinct, every support pair (v, w, adjacent) in
+    ``pairs`` must have ``image_adjacent(v, w)`` equal to ``adjacent``."""
+    images = [project(v) for v in vertices]
     if len(set(images)) != len(images):
         return False
-    return all(
-        graph.adjacent(v, w) == image_adjacent(v, w)
-        for v, w in itertools.combinations(support_vertices, 2)
-    )
+    return all(adjacent == image_adjacent(v, w) for v, w, adjacent in pairs)
 
 
 def _certificate(instance, sub_instance, x, quotient, gamma_image, *, kind, modulus,
@@ -509,7 +518,7 @@ def _image_gamma_trivial(kind, quotient, gamma_image) -> bool:
     return gamma_image is None
 
 
-def _try_translation(instance, sub_instance, x, support_vertices, m):
+def _try_translation(instance, sub_instance, x, support, m):
     """The certificate for modulus ``m``, or None when a check fails.
 
     Every check reads residues of the support and of its label pairs
@@ -530,7 +539,7 @@ def _try_translation(instance, sub_instance, x, support_vertices, m):
     if not instance.delta.is_abelian() and any(0 in residues_for(c, c) for c in graph.labels):
         return None
     if not _induced_isomorphism(
-        graph, support_vertices,
+        *support,
         lambda v: (v[0], v[1] % m),
         lambda v, w: (w[1] - v[1]) % m in residues_for(v[0], w[0]),
     ):
@@ -548,7 +557,7 @@ def _perm_key(graph: FiniteModeGraph, gamma) -> tuple[int, ...]:
     return tuple(perm[v] for v in graph.vertices)
 
 
-def _try_finite(instance, sub_instance, x, support_vertices, perms, gamma_key):
+def _try_finite(instance, sub_instance, x, support, perms, gamma_key):
     """The certificate for the image subgroup ``perms``, or None when a
     check fails.
 
@@ -563,7 +572,7 @@ def _try_finite(instance, sub_instance, x, support_vertices, perms, gamma_key):
     if not instance.delta.is_abelian() and any(orbits[u] == orbits[w] for u, w in sub.edges):
         return None
     if not _induced_isomorphism(
-        sub, support_vertices,
+        *support,
         orbits.__getitem__,
         lambda v, w: any(orbits[u] == orbits[w] for u in sub.neighbours(v)),
     ):
@@ -584,25 +593,21 @@ def verify_certificate(instance: Instance, cert: RFCertificate) -> bool:
     compare the certificate so rebuilt with the given one as a whole."""
     graph = instance.graph
     try:
-        x = instance.normalize(cert.element)
-        if instance.is_identity_element(x):
-            return False
-        sub_instance, x = restrict_orbits(instance, x)
-        support_vertices = sorted(x.word.vertices(), key=sub_instance.graph.vertex_key)
+        sub_instance, x, support = _restricted_support(instance, cert.element)
         if cert.kind == "modulus" and isinstance(graph, TranslationGraph):
             if not isinstance(cert.modulus, int) or cert.modulus < 1:
                 return False
-            rebuilt = _try_translation(instance, sub_instance, x, support_vertices, cert.modulus)
+            rebuilt = _try_translation(instance, sub_instance, x, support, cert.modulus)
         elif cert.kind == "image-subgroup" and isinstance(graph, FiniteModeGraph):
             perms = normalize_subgroup(
                 graph, [dict(zip(graph.vertices, p)) for p in cert.subgroup_perms]
             )
             rebuilt = _try_finite(
-                instance, sub_instance, x, support_vertices, perms, _perm_key(graph, x.gamma)
+                instance, sub_instance, x, support, perms, _perm_key(graph, x.gamma)
             )
         else:
             return False
-    except (ValueError, TypeError, KeyError, AttributeError):
+    except (ValueError, TypeError, KeyError, AttributeError):  # IdentityElement is a ValueError
         return False
     return rebuilt == cert
 

@@ -27,6 +27,9 @@ from gwreath import (
     Word,
     WordError,
     WreathElement,
+    act_word,
+    gp_compose,
+    gp_invert,
     quotient_graph,
     residues_of,
     restrict_orbits,
@@ -428,3 +431,26 @@ def reference_first_candidate(instance: Instance, x: WreathElement, candidates):
             continue
         return index
     return None
+
+
+# ---------------------------------------------------------------------------
+# two-pass group operations
+
+
+def reference_gw_compose(instance: Instance, x: WreathElement, y: WreathElement) -> WreathElement:
+    """The product as first written: the right word is moved and
+    canonicalised, then canonicalised again behind the left word."""
+    graph, delta = instance.graph, instance.delta
+    gamma = graph.acting.compose(x.gamma, y.gamma)  # checks both before acting
+    twisted = act_word(graph, delta, x.gamma, y.word)
+    return WreathElement(gp_compose(graph, delta, x.word, twisted), gamma)
+
+
+def reference_gw_invert(instance: Instance, x: WreathElement) -> WreathElement:
+    """The inverse as first written: the word is inverted and
+    canonicalised, then moved and canonicalised again."""
+    graph, delta = instance.graph, instance.delta
+    ginv = graph.acting.invert(x.gamma)
+    return WreathElement(
+        act_word(graph, delta, ginv, gp_invert(graph, delta, x.word)), ginv
+    )

@@ -323,6 +323,45 @@ def test_negative_t_max_is_input_error(capsys):
     assert code == 0 and out.startswith("RESIDUALLY FINITE")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("normalize", INSTANCES / "ex11.instance"),
+         "error: the following arguments are required: --element"),
+        (("check", INSTANCES / "ex11.instance", "--bound", "x"),
+         "error: argument --bound: invalid int value: 'x'"),
+        (("frobnicate", INSTANCES / "ex11.instance"), "error: argument command: invalid choice: "),
+        (("check", INSTANCES / "ex11.instance", "--frobnicate"),
+         "error: unrecognized arguments: --frobnicate"),
+        ((), "error: the following arguments are required: command"),
+    ],
+)
+def test_bad_argv_is_an_input_error(capsys, argv, message):
+    # argparse alone would print a usage block and exit 2, the code for Unknown
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith(message)
+
+
+def test_bad_argv_exits_one_from_the_command_line():
+    child = subprocess.run(
+        [sys.executable, "-m", "gwreath.cli", "check", str(INSTANCES / "ex11.instance"),
+         "--bound", "x"],
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(gwreath.__file__).parent.parent)},
+        capture_output=True, text=True,
+    )
+    assert (child.returncode, child.stdout) == (1, "")
+    assert child.stderr == "error: argument --bound: invalid int value: 'x'\n"
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("check", "-h")])
+def test_help_still_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        run(list(argv))
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gwreath")
+
+
 def _child(probe):
     """stdout of a fresh interpreter running ``probe`` with gwreath importable."""
     src = str(pathlib.Path(gwreath.__file__).resolve().parent.parent)

@@ -19,6 +19,7 @@ from gwreath import (
     Syllable,
     WitnessError,
     Word,
+    WordError,
     WreathElement,
     act_word,
     canonical_form,
@@ -34,7 +35,7 @@ from gwreath import (
     witness,
     word,
 )
-from gwreath import formats, graphs, wreath
+from gwreath import formats, graphs, words, wreath
 from gwreath.graphs import enumerate_subgroups
 
 from tests.support import (
@@ -48,6 +49,8 @@ from tests.support import (
     random_nontrivial,
     random_wreath,
     reference_first_candidate,
+    reference_gw_compose,
+    reference_gw_invert,
     replace,
     torus_graph,
     two_orbit_graph,
@@ -664,3 +667,243 @@ def test_separate_finite_mode_smallest_index_wins():
     assert cert.subgroup_perms is not None
     assert len(cert.subgroup_perms) == 5  # the whole image: index 1
     assert verify_certificate(inst, cert)
+
+
+# ---------------------------------------------------------------------------
+# one canonical pass per group operation
+
+
+def _quotient_line(m=6):
+    return quotient_graph(line_graph(), m)
+
+
+ONE_PASS_GRAPHS = {
+    "line": line_graph,
+    "two-orbit": two_orbit_graph,
+    "torus8": lambda: torus_graph(8),
+    "line-mod-6": _quotient_line,
+}
+
+
+def _sample_element(inst, rng, n, window):
+    graph = inst.graph
+    if isinstance(graph, graphs.TranslationGraph):
+        vertices = [(c, p) for c in graph.labels for p in range(window)]
+        gamma = rng.randint(-4, 4)
+    elif isinstance(graph, FiniteModeGraph):
+        vertices = list(graph.vertices)[:window]
+        gamma = (rng.randint(-3, 3), rng.randint(-3, 3))
+    else:
+        vertices = list(graph.vertices)[:window]
+        gamma = rng.randrange(graph.modulus)
+    sylls = tuple(
+        Syllable(rng.choice(vertices), random_nontrivial(inst.delta, rng)) for _ in range(n)
+    )
+    return WreathElement(Word(sylls), gamma)
+
+
+@pytest.mark.parametrize("graph_name", sorted(ONE_PASS_GRAPHS))
+@pytest.mark.parametrize("delta", [C2, S3, Cyclic(5)], ids=["C2", "S3", "C5"])
+def test_one_pass_operations_agree_with_two_pass_reference(graph_name, delta):
+    inst = Instance(delta, ONE_PASS_GRAPHS[graph_name]())
+    rng = random.Random(f"one-pass:{graph_name}:{delta!r}")
+    for n in (0, 1, 2, 3, 5, 8, 17, 32, 64, 128, 512):
+        for window in (3, 12):
+            x = _sample_element(inst, rng, n, window)
+            y = _sample_element(inst, rng, rng.randint(0, n), window)
+            assert gw_compose(inst, x, y) == reference_gw_compose(inst, x, y)
+            assert gw_invert(inst, x) == reference_gw_invert(inst, x)
+            inverse = gw_invert(inst, x)
+            assert inst.is_identity_element(gw_compose(inst, x, inverse))
+
+
+def _count_canonical_passes(monkeypatch):
+    """Count ``canonical_form`` calls made through either module's name."""
+    calls = Counter()
+    original = wreath.canonical_form
+
+    def counted(*args):
+        calls["canonical_form"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(wreath, "canonical_form", counted)
+    monkeypatch.setattr(words, "canonical_form", counted)
+    return calls
+
+
+@pytest.mark.parametrize("graph_name", sorted(ONE_PASS_GRAPHS))
+def test_each_group_operation_makes_one_canonical_pass(monkeypatch, graph_name):
+    inst = Instance(S3, ONE_PASS_GRAPHS[graph_name]())
+    rng = random.Random(83)
+    x, y = _sample_element(inst, rng, 40, 6), _sample_element(inst, rng, 30, 6)
+    calls = _count_canonical_passes(monkeypatch)
+    for operation in (
+        lambda: gw_compose(inst, x, y),
+        lambda: gw_invert(inst, x),
+        lambda: act_word(inst.graph, S3, y.gamma, x.word),
+    ):
+        calls.clear()
+        operation()
+        assert calls == Counter({"canonical_form": 1})
+
+
+@pytest.mark.parametrize("graph_name", ["line", "two-orbit", "torus8"])
+def test_canonical_form_checks_each_vertex_once(monkeypatch, graph_name):
+    graph = ONE_PASS_GRAPHS[graph_name]()
+    rng = random.Random(89)
+    w = _sample_element(Instance(S3, graph), rng, 200, 8).word
+    cls = type(graph)
+    counts = Counter()
+    has_vertex, adjacent = cls.has_vertex, cls.adjacent
+
+    def counted_has_vertex(self, v):
+        counts["has_vertex"] += 1
+        return has_vertex(self, v)
+
+    def counted_adjacent(self, v, u):
+        counts["adjacent"] += 1
+        return adjacent(self, v, u)
+
+    monkeypatch.setattr(cls, "has_vertex", counted_has_vertex)
+    monkeypatch.setattr(cls, "adjacent", counted_adjacent)
+    canonical_form(graph, S3, w)
+    assert counts["adjacent"] > 0
+    assert counts["has_vertex"] == len(w)
+
+
+def test_separate_and_verify_canonicalise_their_element_once(monkeypatch):
+    inst = Instance(S3, two_orbit_graph())
+    # only orbit "a" is used, so the element is restricted before the search
+    x = WreathElement(
+        word(S3, [(("a", 0), (1, 0, 2)), (("a", 2), (0, 2, 1)), (("a", 5), (1, 0, 2))]), 3
+    )
+    calls = _count_canonical_passes(monkeypatch)
+    cert = separate(inst, x)
+    # normalise once, then push the word into the quotient (two passes)
+    assert calls == Counter({"canonical_form": 3})
+    calls.clear()
+    assert verify_certificate(inst, cert)
+    assert calls == Counter({"canonical_form": 3})
+
+
+def test_separate_looks_up_support_adjacency_once(monkeypatch):
+    # 841 = 1 + lcm(1..8) is 1 modulo every m <= 8: the two support
+    # vertices keep distinct images but become adjacent, so every
+    # candidate reaches the adjacency comparison and fails it
+    inst = Instance(S3, line_graph())
+    x = WreathElement(word(S3, [(("c", 0), (1, 0, 2)), (("c", 841), (1, 0, 2))]), 0)
+    calls = Counter()
+    adjacent = graphs.TranslationGraph.adjacent
+
+    def counted(self, v, w):
+        calls["adjacent"] += 1
+        return adjacent(self, v, w)
+
+    monkeypatch.setattr(graphs.TranslationGraph, "adjacent", counted)
+    for bound in (4, 8):
+        calls.clear()
+        with pytest.raises(SearchExhausted):
+            separate(inst, x, bound=bound)
+        assert calls["adjacent"] == 1 + 1  # one support pair, one canonical lookup
+
+
+def _foreign_vertex_cases():
+    """(name, call, exception) for every public function that hands a
+    caller's vertices or values to ``adjacent`` or the action."""
+    from gwreath.checker import classify, separation_bound
+    from gwreath.lef import lef_certificate, truncate_graph, verify_lef
+
+    line, torus = line_graph(), torus_graph(3)
+    on_line, on_torus = Instance(S3, line), Instance(S3, torus)
+    good = WreathElement(word(S3, [(("c", 0), (1, 0, 2)), (("c", 2), (0, 2, 1))]), 1)
+    good_t = WreathElement(word(S3, [(0, (1, 0, 2)), (4, (0, 2, 1))]), (1, 0))
+
+    def with_syllable(x, vertex, value):
+        return WreathElement(Word(x.word.syllables + (Syllable(vertex, value),)), x.gamma)
+
+    cases = []
+    for label, inst, x, foreign in (
+        ("line", on_line, good, ("x", 0)),
+        ("line-position", on_line, good, ("c", 0.5)),
+        ("torus", on_torus, good_t, 99),
+    ):
+        graph = inst.graph
+        bad_vertex = with_syllable(x, foreign, (1, 0, 2))
+        bad_value = with_syllable(x, x.word.syllables[0].vertex, (0, 0, 1))
+        for what, y, error in (("vertex", bad_vertex, None), ("value", bad_value, GroupError)):
+            cases += [
+                (f"canonical_form/{label}/{what}",
+                 lambda y=y, graph=graph: canonical_form(graph, S3, y.word),
+                 error or WordError),
+                (f"gw_compose-left/{label}/{what}",
+                 lambda y=y, inst=inst, x=x: gw_compose(inst, y, x), error or WordError),
+                (f"gw_compose-right/{label}/{what}",
+                 lambda y=y, inst=inst, x=x: gw_compose(inst, x, y), error or GraphError),
+                (f"gw_invert/{label}/{what}",
+                 lambda y=y, inst=inst: gw_invert(inst, y), error or WordError),
+                (f"act_word/{label}/{what}",
+                 lambda y=y, graph=graph, x=x: act_word(graph, S3, x.gamma, y.word),
+                 error or GraphError),
+            ]
+    line_verdict = classify(on_line)
+    cases += [
+        ("separation_bound/vertex",
+         lambda: separation_bound(on_line, line_verdict, with_syllable(good, ("c", 0.5), (1, 0, 2))),
+         WordError),
+        ("separation_bound/value",
+         lambda: separation_bound(on_line, line_verdict, with_syllable(good, ("c", 0), (0, 0, 1))),
+         GroupError),
+        ("witness/vertex",
+         lambda: witness(Instance(S3, factorial_graph(2)), "T3.2", [("c", 0), ("c", 0.5)]),
+         GraphError),
+        ("witness/value",
+         lambda: witness(Instance(S3, factorial_graph(0)), "T3.1", [("c", 0)],
+                         [(0, 0, 1), (1, 0, 2)]),
+         GroupError),
+        ("truncate_graph/vertex",
+         lambda: truncate_graph(line, [("c", 0), ("c", 0.5)]), GraphError),
+        ("truncate_graph/label", lambda: truncate_graph(line, [("c", 0), ("x", 1)]), GraphError),
+    ]
+    cert = lef_certificate(line, [0, 1], [("c", 0), ("c", 1)])
+    cases += [
+        ("verify_lef/label",
+         lambda: verify_lef(cert, line, [0, 1], [("c", 0), ("c", 1), ("x", 0)]), GraphError),
+    ]
+    return cases
+
+
+def test_foreign_vertices_and_bad_values_are_rejected_at_the_boundary():
+    # the exception types are those of the two-pass implementation
+    for name, call, error in _foreign_vertex_cases():
+        try:
+            call()
+        except error:
+            continue
+        except Exception as exc:  # noqa: BLE001 - report which case broke
+            pytest.fail(f"{name} raised {type(exc).__name__}, not {error.__name__}")
+        pytest.fail(f"{name} raised nothing")
+
+
+def test_verify_lef_rejects_a_foreign_vertex_before_comparing():
+    from gwreath.lef import lef_certificate, verify_lef
+
+    line = line_graph()
+    cert = lef_certificate(line, [0, 1], [("c", 0), ("c", 1)])
+    with pytest.raises(GraphError):
+        verify_lef(cert, line, [0, 1], [("c", 0), ("c", 1), ("c", 0.5)])
+
+
+def test_quotient_operations_reject_a_foreign_right_operand():
+    # (c, 7) is no orbit of the line modulo 6; moving it by a residue
+    # must not wrap it round into one
+    inst = Instance(C2, _quotient_line(6))
+    foreign = WreathElement(Word((Syllable(("c", 7), 1),)), 0)
+    one = WreathElement(Word((Syllable(("c", 1), 1),)), 2)
+    with pytest.raises(GraphError):
+        gw_compose(inst, one, foreign)
+    with pytest.raises(GraphError):
+        act_word(inst.graph, C2, 0, foreign.word)
+    with pytest.raises(WordError):
+        gw_compose(inst, foreign, one)
+    with pytest.raises(WordError):
+        gw_invert(inst, foreign)
