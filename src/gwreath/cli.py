@@ -36,7 +36,10 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with only ``command``'s subparser when it names
+    one (the help, error lines and parsed arguments stay those of the full
+    parser) and with all of them otherwise."""
     parser = _Parser(
         prog="gwreath",
         description=(
@@ -47,8 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, bound=True):
+    for name in [command] if command in _SUBCOMMANDS else _SUBCOMMANDS:
+        help_text, bound, arguments = _SUBCOMMANDS[name][1:]
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("instance", help="instance file")
         p.add_argument(
             "--format", choices=("text", "structured"), default="text",
@@ -60,63 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--bound", type=int, default=64,
                 help="largest modulus / subgroup search bound (default: 64)",
             )
-
-    p = sub.add_parser("normalize", help="canonical form of a named element")
-    common(p, bound=False)
-    p.add_argument("--element", required=True)
-
-    p = sub.add_parser("mul", help="product of two named elements")
-    common(p, bound=False)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-
-    p = sub.add_parser("invert", help="inverse of a named element")
-    common(p, bound=False)
-    p.add_argument("--element", required=True)
-
-    p = sub.add_parser("check", help="classify the instance")
-    common(p)
-    p.add_argument(
-        "--t-max", type=int, default=None,
-        help="offset window for the pair condition (default: 3x the largest datum)",
-    )
-    p.add_argument(
-        "--wreath", action="store_true",
-        help="use the specialized complete-graph classifier",
-    )
-
-    p = sub.add_parser("check-fp", help="finite presentation report")
-    common(p, bound=False)
-
-    p = sub.add_parser("separate", help="separation certificate for an element")
-    common(p)
-    p.add_argument("--element", required=True)
-
-    p = sub.add_parser("witness", help="non-separability witness")
-    common(p, bound=False)
-    p.add_argument("--kind", required=True, choices=wreath.WITNESS_KINDS)
-    p.add_argument(
-        "--vertices", required=True,
-        help="one vertex (T3.1) or two (T3.2 / T3.3), space separated",
-    )
-    p.add_argument(
-        "--elements", default=None,
-        help="coefficient elements (default: chosen automatically)",
-    )
-
-    p = sub.add_parser("quotient", help="quotient graph by a subgroup")
-    common(p, bound=False)
-    p.add_argument("--modulus", type=int, default=None, help="translation subgroup mZ")
-    p.add_argument(
-        "--subgroup", default=None,
-        help="finite-mode generators, e.g. '1,0;0,2' (semicolon separated vectors)",
-    )
-
-    p = sub.add_parser("lef", help="finite partial model of the action")
-    common(p)
-    p.add_argument("--gamma-set", required=True, help="acting elements, e.g. '0,1'")
-    p.add_argument("--vertex-set", required=True, help="vertices, e.g. 'c:0 c:1 c:2'")
-
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -286,28 +235,50 @@ def _cmd_lef(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "normalize": _cmd_normalize,
-    "mul": _cmd_mul,
-    "invert": _cmd_invert,
-    "check": _cmd_check,
-    "check-fp": _cmd_check_fp,
-    "separate": _cmd_separate,
-    "witness": _cmd_witness,
-    "quotient": _cmd_quotient,
-    "lef": _cmd_lef,
+_ELEMENT = ("--element", {"required": True})
+
+# command -> (handler, help, takes --bound, its own arguments), in help order
+_SUBCOMMANDS = {
+    "normalize": (_cmd_normalize, "canonical form of a named element", False, [_ELEMENT]),
+    "mul": (_cmd_mul, "product of two named elements", False,
+            [("--left", {"required": True}), ("--right", {"required": True})]),
+    "invert": (_cmd_invert, "inverse of a named element", False, [_ELEMENT]),
+    "check": (_cmd_check, "classify the instance", True, [
+        ("--t-max", {"type": int, "default": None, "help": (
+            "offset window for the pair condition (default: 3x the largest datum)")}),
+        ("--wreath", {"action": "store_true",
+                      "help": "use the specialized complete-graph classifier"}),
+    ]),
+    "check-fp": (_cmd_check_fp, "finite presentation report", False, []),
+    "separate": (_cmd_separate, "separation certificate for an element", True, [_ELEMENT]),
+    "witness": (_cmd_witness, "non-separability witness", False, [
+        ("--kind", {"required": True, "choices": wreath.WITNESS_KINDS}),
+        ("--vertices", {"required": True,
+                        "help": "one vertex (T3.1) or two (T3.2 / T3.3), space separated"}),
+        ("--elements", {"default": None,
+                        "help": "coefficient elements (default: chosen automatically)"}),
+    ]),
+    "quotient": (_cmd_quotient, "quotient graph by a subgroup", False, [
+        ("--modulus", {"type": int, "default": None, "help": "translation subgroup mZ"}),
+        ("--subgroup", {"default": None, "help": (
+            "finite-mode generators, e.g. '1,0;0,2' (semicolon separated vectors)")}),
+    ]),
+    "lef": (_cmd_lef, "finite partial model of the action", True, [
+        ("--gamma-set", {"required": True, "help": "acting elements, e.g. '0,1'"}),
+        ("--vertex-set", {"required": True, "help": "vertices, e.g. 'c:0 c:1 c:2'"}),
+    ]),
 }
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if getattr(args, "bound", 1) < 1:
             raise ParseError(f"--bound must be at least 1, got {args.bound}")
         if getattr(args, "t_max", None) is not None and args.t_max < 0:
             raise ParseError(f"--t-max must be at least 0, got {args.t_max}")
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command][0](args)
     except (ParseError, GroupError, GraphError, WordError, IdentityElement, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -393,29 +393,40 @@ def quotient_lines(q: QuotientGraph, prefix: str = "quotient") -> list[str]:
             groups.setdefault(rep, []).append(v)
         for rep in sorted(groups):
             out.append(f"{prefix}.orbit {rep} " + " ".join(str(v) for v in groups[rep]))
-    for v in sorted(q.vertices, key=q.vertex_key):
-        out.append(f"{prefix}.vertex {vertex_text(v)}")
-    for u, w in sorted(q.edges, key=lambda e: (q.vertex_key(e[0]), q.vertex_key(e[1]))):
-        out.append(f"{prefix}.edge {vertex_text(u)}|{vertex_text(w)}")
-    for v in sorted(q.loops, key=q.vertex_key):
-        out.append(f"{prefix}.loop {vertex_text(v)}")
-    for v in sorted(q.lift, key=q.vertex_key):
-        out.append(f"{prefix}.lift {vertex_text(v)} {vertex_text(q.lift[v])}")
+    # each orbit's sort key and text, computed once
+    orbits = set(q.vertices).union(*q.edges, q.loops, q.lift)
+    key = {v: q.vertex_key(v) for v in orbits}
+    text = {v: vertex_text(v) for v in orbits.union(q.lift.values())}
+    for v in sorted(q.vertices, key=key.get):
+        out.append(f"{prefix}.vertex {text[v]}")
+    for u, w in sorted(q.edges, key=lambda e: (key[e[0]], key[e[1]])):
+        out.append(f"{prefix}.edge {text[u]}|{text[w]}")
+    for v in sorted(q.loops, key=key.get):
+        out.append(f"{prefix}.loop {text[v]}")
+    for v in sorted(q.lift, key=key.get):
+        out.append(f"{prefix}.lift {text[v]} {text[q.lift[v]]}")
     return out
 
 
 def parse_quotient(record, prefix: str = "quotient") -> QuotientGraph:
     kind = _one(record, f"{prefix}.kind")
-    vertices = [_vertex_token(t) for t in record.get(f"{prefix}.vertex", [])]
+    parsed = {}  # each distinct token parsed once
+
+    def token(text):
+        if text not in parsed:
+            parsed[text] = _vertex_token(text)
+        return parsed[text]
+
+    vertices = [token(t) for t in record.get(f"{prefix}.vertex", [])]
     edges = set()
     for entry in record.get(f"{prefix}.edge", []):
         left, _, right = entry.partition("|")
-        edges.add((_vertex_token(left), _vertex_token(right)))
-    loops = {_vertex_token(t) for t in record.get(f"{prefix}.loop", [])}
+        edges.add((token(left), token(right)))
+    loops = {token(t) for t in record.get(f"{prefix}.loop", [])}
     lift = {}
     for entry in record.get(f"{prefix}.lift", []):
         key_text, _, value_text_ = entry.partition(" ")
-        lift[_vertex_token(key_text)] = _vertex_token(value_text_)
+        lift[token(key_text)] = token(value_text_)
     if kind == "translation":
         modulus = _int(_one(record, f"{prefix}.modulus"), f"{prefix}.modulus")
         if modulus < 1:

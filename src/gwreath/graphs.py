@@ -45,6 +45,10 @@ class FiniteOffsets(Record):
     def residues(self, m: int) -> frozenset[int]:
         return frozenset(d % m for d in self.offsets)
 
+    def hits(self, t: int, m: int) -> bool:
+        """Whether ``t % m`` lies in ``residues(m)``, without building it."""
+        return any((t - d) % m == 0 for d in self.offsets)
+
     def is_finite(self) -> bool:
         return True
 
@@ -89,6 +93,20 @@ class FactorialOffsets(Record):
             out.add((-(self.shift + f)) % m)
         return frozenset(out)
 
+    def hits(self, t: int, m: int) -> bool:
+        """Whether ``t % m`` lies in ``residues(m)``: the same walk, stopped at a hit."""
+        s = self.shift
+        if (t - s) % m == 0 or (t + s) % m == 0:
+            return True
+        f = 1
+        for n in range(1, m):
+            f = f * n % m
+            if f == 0:
+                return False
+            if (t - s - f) % m == 0 or (t + s + f) % m == 0:
+                return True
+        return False
+
     def is_finite(self) -> bool:
         return False
 
@@ -110,13 +128,15 @@ class ArithmeticOffsets(Record):
     def contains(self, d: int) -> bool:
         return abs(d) >= self.start and (abs(d) - self.start) % self.step == 0
 
+    # Modulo m, start + step*k runs through the class of start modulo gcd(step, m).
     def residues(self, m: int) -> frozenset[int]:
-        out = set()
-        for k in range(m):
-            value = self.start + self.step * k
-            out.add(value % m)
-            out.add((-value) % m)
-        return frozenset(out)
+        g, s = _gcd(self.step, m), self.start
+        return frozenset(r % m for j in range(0, m, g) for r in (s + j, -s - j))
+
+    def hits(self, t: int, m: int) -> bool:
+        """Whether ``t % m`` lies in ``residues(m)``."""
+        g = _gcd(self.step, m)
+        return (t - self.start) % g == 0 or (t + self.start) % g == 0
 
     def is_finite(self) -> bool:
         return False
@@ -205,6 +225,10 @@ class TranslationGraph(Record):
                 raise GraphError(f"duplicate family entry for pair {key!r}")
             normalized[key] = tuple(fams)
         _set(self, "families", normalized)
+        # Each ordered label pair to its families, for lookups without _pair_key.
+        _set(self, "_pair_families", {
+            (c1, c2): normalized.get(self._pair_key(c1, c2), ()) for c1 in labels for c2 in labels
+        })
 
     def label_index(self, c: str) -> int:
         try:
@@ -229,14 +253,17 @@ class TranslationGraph(Record):
             raise GraphError(f"{v!r} is not a vertex of this graph")
 
     def families_for(self, c1: str, c2: str) -> tuple[DifferenceFamily, ...]:
-        return self.families.get(self._pair_key(c1, c2), ())
+        try:
+            return self._pair_families[c1, c2]
+        except KeyError:
+            return self.families.get(self._pair_key(c1, c2), ())  # GraphError: unknown label
 
     def adjacent(self, v: Vertex, w: Vertex) -> bool:
         """Both must be vertices of this graph, checked by the caller."""
         if v == w:
             return False
         (c1, x), (c2, y) = v, w
-        return contains_offset(self.families_for(c1, c2), y - x)
+        return contains_offset(self._pair_families[c1, c2], y - x)
 
     def action(self, gamma: int):
         """The vertex map of ``gamma``, on vertices checked by the caller."""
@@ -551,6 +578,7 @@ class QuotientGraph:
         return lambda u: (u[0], (u[1] + gamma_residue) % m)
 
     def act(self, gamma_residue: int, u):
+        self.check_vertex(u)
         return self.action(gamma_residue)(u)
 
     def content(self) -> tuple:
@@ -588,11 +616,10 @@ def _translation_quotient(graph: TranslationGraph, m: int) -> QuotientGraph:
     for (c1, c2), fams in graph.families.items():
         res = residues_of(fams, m)
         for r1 in range(m):
-            for r2 in range(m):
-                u, w = (c1, r1), (c2, r2)
-                if (r2 - r1) % m in res and u != w:
-                    # pair keys put the lower label index first
-                    edges.add((u, w) if c1 != c2 or r1 <= r2 else (w, u))
+            for d in res:  # (c1, r1) ~ (c2, r2) iff r2 - r1 is a residue; -d is one too
+                r2 = (r1 + d) % m
+                if c1 != c2 or r1 < r2:  # pair keys put the lower label index first
+                    edges.add(((c1, r1), (c2, r2)))
         # 0 in the residue set means two distinct lifts of one orbit are
         # adjacent, which is exactly the loop condition.
         if c1 == c2 and 0 in res:

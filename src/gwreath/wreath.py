@@ -37,12 +37,12 @@ from .graphs import (
     normalize_subgroup,
     orbit_map,
     quotient_graph,
-    residues_of,
 )
 from .words import (
     EMPTY_WORD,
     Syllable,
     Word,
+    _canonical,
     _validate,
     canonical_form,
     push_forward,
@@ -114,8 +114,11 @@ def gw_compose(instance: Instance, x: WreathElement, y: WreathElement) -> Wreath
     move = graph.action(x.gamma)
     for s in y.word:
         graph.check_vertex(s.vertex)
-    moved = [Syllable(move(s.vertex), s.value) for s in y.word]
-    return WreathElement(canonical_form(graph, delta, [*x.word, *moved]), gamma)
+    left = _validate(graph, delta, x.word)
+    for s in y.word:
+        delta.check(s.value)
+    moved = [Syllable(move(s.vertex), s.value) for s in y.word]  # vertices stay vertices
+    return WreathElement(_canonical(graph, delta, left + moved), gamma)
 
 
 def gw_invert(instance: Instance, x: WreathElement) -> WreathElement:
@@ -125,7 +128,7 @@ def gw_invert(instance: Instance, x: WreathElement) -> WreathElement:
     sylls = _validate(graph, delta, x.word)  # before ``_invert`` can wrap a bad value
     move = graph.action(ginv)
     inverses = [Syllable(move(s.vertex), delta._invert(s.value)) for s in reversed(sylls)]
-    return WreathElement(canonical_form(graph, delta, inverses), ginv)
+    return WreathElement(_canonical(graph, delta, inverses), ginv)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +486,11 @@ def _certificate(instance, sub_instance, x, quotient, gamma_image, *, kind, modu
                  subgroup_perms):
     """The certificate of a candidate that passed every check."""
     delta = instance.delta
-    word_image = push_forward(sub_instance.graph, delta, x.word, quotient.project, quotient)
+    # x is in normal form and the passed checks rule out the loops push_forward
+    # refuses, so one pass over the quotient gives its image.
+    word_image = canonical_form(
+        quotient, delta, [Syllable(quotient.project(s.vertex), s.value) for s in x.word]
+    )
     nontrivial = (not word_image.is_empty) or not _image_gamma_trivial(
         kind, quotient, gamma_image
     )
@@ -527,21 +534,16 @@ def _try_translation(instance, sub_instance, x, support, m):
     if x.gamma != 0 and x.gamma % m == 0:
         return None
     graph = sub_instance.graph
-    residues = {}
 
-    def residues_for(c1, c2):
-        if (c1, c2) not in residues:
-            residues[c1, c2] = residues_of(graph.families_for(c1, c2), m)
-        return residues[c1, c2]
+    def hit(c1, c2, t):  # t % m among the residues of the pair's families
+        return any(f.hits(t, m) for f in graph.families_for(c1, c2))
 
     # 0 among an orbit's own residues means two lifts of one quotient
     # vertex are adjacent: a loop.
-    if not instance.delta.is_abelian() and any(0 in residues_for(c, c) for c in graph.labels):
+    if not instance.delta.is_abelian() and any(hit(c, c, 0) for c in graph.labels):
         return None
     if not _induced_isomorphism(
-        *support,
-        lambda v: (v[0], v[1] % m),
-        lambda v, w: (w[1] - v[1]) % m in residues_for(v[0], w[0]),
+        *support, lambda v: (v[0], v[1] % m), lambda v, w: hit(v[0], w[0], w[1] - v[1])
     ):
         return None
     quotient = quotient_graph(graph, m)

@@ -21,6 +21,7 @@ from gwreath import (
     FiniteTable,
     FreeAbelian,
     Instance,
+    QuotientGraph,
     Symmetric,
     Syllable,
     TranslationGraph,
@@ -302,6 +303,40 @@ def brute_quotient(graph: TranslationGraph, m: int, window: int | None = None):
             if hit_loop:
                 loops.add(u)
     return edges, loops
+
+
+def reference_translation_quotient(graph: TranslationGraph, m: int) -> QuotientGraph:
+    """The translation quotient as first written: every residue pair of
+    every label pair is tested against the pair's residue set, O(m^2)."""
+    vertices = [(c, r) for c in graph.labels for r in range(m)]
+    edges = set()
+    loops = set()
+    for (c1, c2), fams in graph.families.items():
+        res = residues_of(fams, m)
+        for r1 in range(m):
+            for r2 in range(m):
+                u, w = (c1, r1), (c2, r2)
+                if (r2 - r1) % m in res and u != w:
+                    # pair keys put the lower label index first
+                    edges.add((u, w) if c1 != c2 or r1 <= r2 else (w, u))
+        # 0 in the residue set means two distinct lifts of one orbit are
+        # adjacent, which is exactly the loop condition.
+        if c1 == c2 and 0 in res:
+            loops.update((c1, r) for r in range(m))
+    lift = {(c, r): (c, r) for c, r in vertices}
+    return QuotientGraph(
+        "translation", vertices, edges, loops, lift, modulus=m, labels=graph.labels
+    )
+
+
+def hits_mismatches(family, moduli, offsets) -> list[tuple[int, int]]:
+    """Residue oracle: every (t, m) where the closed-form ``family.hits(t, m)``
+    disagrees with membership of ``t % m`` in the materialised residue set."""
+    out = []
+    for m in moduli:
+        res = residues_of([family], m)
+        out += [(t, m) for t in offsets if family.hits(t, m) != (t % m in res)]
+    return out
 
 
 def obstruction_spot_check(families, obstruction, up_to: int = 100) -> bool:

@@ -8,6 +8,7 @@ from gwreath import (
     FiniteModeGraph,
     FiniteOffsets,
     GraphError,
+    TranslationGraph,
     is_complete,
     orbit_counts,
     quotient_graph,
@@ -19,6 +20,7 @@ from tests.support import (
     brute_factorial_residues,
     brute_quotient,
     complete_z_graph,
+    hits_mismatches,
     cycle_graph,
     factorial_graph,
     k5_cyclic,
@@ -26,6 +28,7 @@ from tests.support import (
     offsets_graph,
     random_vertex,
     reference_enumerate_subgroups,
+    reference_translation_quotient,
     torus_graph,
     two_orbit_graph,
 )
@@ -101,8 +104,46 @@ def test_arithmetic_residues_brute(start, step):
         assert family.residues(m) == frozenset(brute)
 
 
+HITS_FAMILIES = [
+    FiniteOffsets(frozenset({1})),
+    FiniteOffsets(frozenset({2, 5, 7})),
+    FiniteOffsets(frozenset({3, 12, 40})),
+    FactorialOffsets(0),
+    FactorialOffsets(1),
+    FactorialOffsets(5),
+    ArithmeticOffsets(1, 3),
+    ArithmeticOffsets(2, 2),
+    ArithmeticOffsets(4, 6),
+]
+
+
+@pytest.mark.parametrize("family", HITS_FAMILIES, ids=repr)
+def test_hits_agrees_with_residue_sets(family):
+    assert hits_mismatches(family, range(1, 257), range(-60, 61)) == []
+
+
+def test_hits_examples():
+    assert FactorialOffsets(1).hits(3, 4) and not FactorialOffsets(1).hits(0, 4)
+    assert ArithmeticOffsets(2, 2).hits(0, 7) and not ArithmeticOffsets(4, 6).hits(1, 6)
+    assert FiniteOffsets(frozenset({2})).hits(-9, 11) and not FiniteOffsets(frozenset()).hits(0, 1)
+
+
 # ---------------------------------------------------------------------------
 # adjacency and the action
+
+
+def test_families_for_reads_both_orientations():
+    g = TranslationGraph(
+        ("a", "b", "c"),
+        {("b", "a"): (FiniteOffsets(frozenset({2})),), ("c", "c"): (FactorialOffsets(1),)},
+    )
+    assert g.families_for("a", "b") == g.families_for("b", "a") == (FiniteOffsets(frozenset({2})),)
+    assert g.families_for("a", "c") == g.families_for("a", "a") == ()
+    assert g.adjacent(("b", 2), ("a", 0)) and g.adjacent(("a", 0), ("b", 2))
+    for c1, c2 in (("a", "x"), ("x", "a"), ("x", "x")):
+        with pytest.raises(GraphError, match="unknown orbit label 'x'"):
+            g.families_for(c1, c2)
+    assert g == TranslationGraph(g.labels, g.families)  # the table is no field
 
 
 def test_adjacency_examples():
@@ -210,6 +251,35 @@ def test_quotient_matches_brute_force(graph):
         edges, loops = brute_quotient(graph, m)
         assert q.edges == frozenset(edges), f"modulus {m}"
         assert q.loops == frozenset(loops), f"modulus {m}"
+
+
+def _ladder_graph() -> TranslationGraph:
+    return TranslationGraph(("a", "b"), {
+        ("a", "a"): (FiniteOffsets(frozenset({1})),),
+        ("a", "b"): (FiniteOffsets(frozenset({1, 2})),),
+        ("b", "b"): (FiniteOffsets(frozenset({3})),),
+    })
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [line_graph(), _ladder_graph(), two_orbit_graph(), factorial_graph(0), factorial_graph(1),
+     factorial_graph(5), complete_z_graph(),
+     TranslationGraph(("a", "b"), {("a", "a"): (ArithmeticOffsets(2, 2),),
+                                   ("a", "b"): (ArithmeticOffsets(1, 3), FactorialOffsets(2))})],
+    ids=repr,
+)
+def test_quotient_matches_quadratic_reference(graph):
+    for m in range(1, 41):
+        assert quotient_graph(graph, m) == reference_translation_quotient(graph, m), f"modulus {m}"
+
+
+def test_quotient_act_checks_its_vertex():
+    q = quotient_graph(line_graph(), 6)
+    assert q.act(2, ("c", 5)) == ("c", 1)
+    for foreign in (("c", 7), ("c", -1), ("x", 0), 3):
+        with pytest.raises(GraphError, match="is not an orbit"):
+            q.act(0, foreign)
 
 
 def test_quotient_modulus_one_has_one_vertex_per_orbit():

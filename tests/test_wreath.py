@@ -718,16 +718,17 @@ def test_one_pass_operations_agree_with_two_pass_reference(graph_name, delta):
 
 
 def _count_canonical_passes(monkeypatch):
-    """Count ``canonical_form`` calls made through either module's name."""
+    """Count canonical passes: ``words._canonical`` calls, made by
+    ``canonical_form`` or directly, through either module's name."""
     calls = Counter()
-    original = wreath.canonical_form
+    original = words._canonical
 
     def counted(*args):
         calls["canonical_form"] += 1
         return original(*args)
 
-    monkeypatch.setattr(wreath, "canonical_form", counted)
-    monkeypatch.setattr(words, "canonical_form", counted)
+    monkeypatch.setattr(wreath, "_canonical", counted)
+    monkeypatch.setattr(words, "_canonical", counted)
     return calls
 
 
@@ -779,11 +780,58 @@ def test_separate_and_verify_canonicalise_their_element_once(monkeypatch):
     )
     calls = _count_canonical_passes(monkeypatch)
     cert = separate(inst, x)
-    # normalise once, then push the word into the quotient (two passes)
-    assert calls == Counter({"canonical_form": 3})
+    # normalise once, then push the normal word into the quotient
+    assert calls == Counter({"canonical_form": 2})
     calls.clear()
     assert verify_certificate(inst, cert)
-    assert calls == Counter({"canonical_form": 3})
+    assert calls == Counter({"canonical_form": 2})
+
+
+@pytest.mark.parametrize("graph_name", sorted(ONE_PASS_GRAPHS))
+def test_group_operations_check_each_syllable_once(monkeypatch, graph_name):
+    inst = Instance(S3, ONE_PASS_GRAPHS[graph_name]())
+    rng = random.Random(97)
+    x, y = _sample_element(inst, rng, 40, 6), _sample_element(inst, rng, 30, 6)
+    cls, counts = type(inst.graph), Counter()
+    has_vertex, check = cls.has_vertex, Symmetric.check
+
+    def counted_has_vertex(self, v):
+        counts["has_vertex"] += 1
+        return has_vertex(self, v)
+
+    def counted_check(self, a):
+        counts["check"] += self is inst.delta  # not the acting group's gamma checks
+        return check(self, a)
+
+    monkeypatch.setattr(cls, "has_vertex", counted_has_vertex)
+    monkeypatch.setattr(Symmetric, "check", counted_check)
+    for operation, n in (
+        (lambda: gw_compose(inst, x, y), len(x.word) + len(y.word)),
+        (lambda: gw_invert(inst, x), len(x.word)),
+    ):
+        counts.clear()
+        operation()
+        assert counts == Counter({"has_vertex": n, "check": n})
+
+
+def test_exhausted_separate_builds_no_residue_set(monkeypatch):
+    # factorial shift 0 hits 0 modulo every m, so with S3 every modulus
+    # fails the loop check, which needs no residue set
+    inst = Instance(S3, factorial_graph(0))
+    x = WreathElement(word(S3, [(("c", 0), (1, 0, 2)), (("c", 3), (0, 2, 1))]), 0)
+    calls = Counter()
+    residues_of = graphs.residues_of
+
+    def counted(families, m):
+        calls["residues_of"] += 1
+        return residues_of(families, m)
+
+    monkeypatch.setattr(graphs, "residues_of", counted)
+    monkeypatch.setattr(graphs.FactorialOffsets, "residues",
+                        lambda self, m: calls.update(["residues"]))
+    with pytest.raises(SearchExhausted):
+        separate(inst, x, bound=256)
+    assert calls == Counter()
 
 
 def test_separate_looks_up_support_adjacency_once(monkeypatch):
