@@ -36,10 +36,7 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser, with only ``command``'s subparser when it names
-    one (the help, error lines and parsed arguments stay those of the full
-    parser) and with all of them otherwise."""
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gwreath",
         description=(
@@ -50,8 +47,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in [command] if command in _SUBCOMMANDS else _SUBCOMMANDS:
-        help_text, bound, arguments = _SUBCOMMANDS[name][1:]
+    for name, (_, help_text, bound, arguments) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("instance", help="instance file")
         p.add_argument(
@@ -271,7 +267,7 @@ _SUBCOMMANDS = {
 
 
 def run(argv) -> int:
-    parser = build_parser(argv[0] if argv else None)
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "bound", 1) < 1:

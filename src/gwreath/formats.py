@@ -410,23 +410,16 @@ def quotient_lines(q: QuotientGraph, prefix: str = "quotient") -> list[str]:
 
 def parse_quotient(record, prefix: str = "quotient") -> QuotientGraph:
     kind = _one(record, f"{prefix}.kind")
-    parsed = {}  # each distinct token parsed once
-
-    def token(text):
-        if text not in parsed:
-            parsed[text] = _vertex_token(text)
-        return parsed[text]
-
-    vertices = [token(t) for t in record.get(f"{prefix}.vertex", [])]
+    vertices = [_vertex_token(t) for t in record.get(f"{prefix}.vertex", [])]
     edges = set()
     for entry in record.get(f"{prefix}.edge", []):
         left, _, right = entry.partition("|")
-        edges.add((token(left), token(right)))
-    loops = {token(t) for t in record.get(f"{prefix}.loop", [])}
+        edges.add((_vertex_token(left), _vertex_token(right)))
+    loops = {_vertex_token(t) for t in record.get(f"{prefix}.loop", [])}
     lift = {}
     for entry in record.get(f"{prefix}.lift", []):
         key_text, _, value_text_ = entry.partition(" ")
-        lift[token(key_text)] = token(value_text_)
+        lift[_vertex_token(key_text)] = _vertex_token(value_text_)
     if kind == "translation":
         modulus = _int(_one(record, f"{prefix}.modulus"), f"{prefix}.modulus")
         if modulus < 1:

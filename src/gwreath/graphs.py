@@ -131,7 +131,7 @@ class ArithmeticOffsets(Record):
     # Modulo m, start + step*k runs through the class of start modulo gcd(step, m).
     def residues(self, m: int) -> frozenset[int]:
         g, s = _gcd(self.step, m), self.start
-        return frozenset(r % m for j in range(0, m, g) for r in (s + j, -s - j))
+        return frozenset(range(s % g, m, g)).union(range(-s % g, m, g))
 
     def hits(self, t: int, m: int) -> bool:
         """Whether ``t % m`` lies in ``residues(m)``."""

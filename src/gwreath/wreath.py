@@ -37,6 +37,7 @@ from .graphs import (
     normalize_subgroup,
     orbit_map,
     quotient_graph,
+    residues_of,
 )
 from .words import (
     EMPTY_WORD,
@@ -534,16 +535,25 @@ def _try_translation(instance, sub_instance, x, support, m):
     if x.gamma != 0 and x.gamma % m == 0:
         return None
     graph = sub_instance.graph
+    residues = {}
 
-    def hit(c1, c2, t):  # t % m among the residues of the pair's families
-        return any(f.hits(t, m) for f in graph.families_for(c1, c2))
+    def residues_for(c1, c2):
+        if (c1, c2) not in residues:
+            residues[c1, c2] = residues_of(graph.families_for(c1, c2), m)
+        return residues[c1, c2]
 
     # 0 among an orbit's own residues means two lifts of one quotient
-    # vertex are adjacent: a loop.
-    if not instance.delta.is_abelian() and any(hit(c, c, 0) for c in graph.labels):
+    # vertex are adjacent: a loop.  One offset per label, so no residue set.
+    if not instance.delta.is_abelian() and any(
+        f.hits(0, m) for c in graph.labels for f in graph.families_for(c, c)
+    ):
         return None
+    # Support pairs share their label pair's set: per-pair ``hits`` would
+    # redo a factorial family's walk for every pair.
     if not _induced_isomorphism(
-        *support, lambda v: (v[0], v[1] % m), lambda v, w: hit(v[0], w[0], w[1] - v[1])
+        *support,
+        lambda v: (v[0], v[1] % m),
+        lambda v, w: (w[1] - v[1]) % m in residues_for(v[0], w[0]),
     ):
         return None
     quotient = quotient_graph(graph, m)

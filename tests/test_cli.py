@@ -362,62 +362,6 @@ def test_help_still_exits_zero(capsys, argv):
     assert capsys.readouterr().out.startswith("usage: gwreath")
 
 
-COMMANDS = ["normalize", "mul", "invert", "check", "check-fp", "separate", "witness", "quotient", "lef"]
-
-
-def test_a_command_builds_only_its_subparser(monkeypatch):
-    import argparse
-
-    built = []
-    add_parser = argparse._SubParsersAction.add_parser
-
-    def counted(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
-
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-    for argv, names in (
-        (["invert", str(INSTANCES / "ex11.instance"), "--element", "w2"], ["invert"]),
-        (["check", "-h"], ["check"]),
-        (["-h"], COMMANDS),
-        ([], COMMANDS),
-        (["frobnicate"], COMMANDS),
-    ):
-        built.clear()
-        try:
-            run(argv)
-        except SystemExit:
-            pass
-        assert built == names
-
-
-ARGV_TEXTS = (
-    [[], ["-h"], ["--help"], ["-h", "separate"], ["--", "separate"], ["-x"], ["frobnicate", "x"],
-     ["check", "x", "--bound", "y"], ["check", "x", "--format", "xml"],
-     ["witness", "x", "--kind", "T9", "--vertices", "c:0"],
-     ["separate", str(INSTANCES / "ex11.instance"), "--element", "w1", "extra"]]
-    + [[c, "-h"] for c in COMMANDS] + [[c] for c in COMMANDS] + [[c, "x", "--nope"] for c in COMMANDS]
-)
-
-
-@pytest.mark.parametrize("argv", ARGV_TEXTS, ids=" ".join)
-def test_errors_and_help_are_those_of_the_full_parser(capsys, monkeypatch, argv):
-    from gwreath import cli
-
-    def outcome():
-        try:
-            code = run(list(argv))
-        except SystemExit as exc:
-            code = ("exit", exc.code)
-        return code, capsys.readouterr()
-
-    lazy = outcome()
-    full_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
-    assert lazy == outcome()
-    assert lazy[1].err.startswith("error: ") or lazy[1].out.startswith("usage: gwreath")
-
-
 def _child(probe):
     """stdout of a fresh interpreter running ``probe`` with gwreath importable."""
     src = str(pathlib.Path(gwreath.__file__).resolve().parent.parent)

@@ -834,6 +834,28 @@ def test_exhausted_separate_builds_no_residue_set(monkeypatch):
     assert calls == Counter()
 
 
+def test_support_pairs_share_one_residue_set_per_modulus(monkeypatch):
+    # a factorial family's hits redoes the n! mod m walk on every call, so
+    # the support pairs read one residue set per label pair and modulus
+    inst = fact_instance(1, C2)
+    x = WreathElement(word(C2, [(("c", v), 1) for v in (0, 2, 9, 17, 40, 41)]), 0)
+    built = Counter()
+    residues_of = wreath.residues_of
+
+    def counted(families, m):
+        built[m] += 1
+        return residues_of(families, m)
+
+    def walk(self, t, m):
+        raise AssertionError("per-pair hits")
+
+    monkeypatch.setattr(wreath, "residues_of", counted)
+    monkeypatch.setattr(graphs.FactorialOffsets, "hits", walk)
+    with pytest.raises(SearchExhausted):
+        separate(inst, x, bound=64)
+    assert len(built) > 30 and set(built.values()) == {1}
+
+
 def test_separate_looks_up_support_adjacency_once(monkeypatch):
     # 841 = 1 + lcm(1..8) is 1 modulo every m <= 8: the two support
     # vertices keep distinct images but become adjacent, so every
