@@ -116,7 +116,7 @@ def _orbit_evidence_translation(graph: TranslationGraph, c: str, bound: int) -> 
     if obstruction is not None:
         return OrbitEvidence(orbit=c, status="fails", obstruction=obstruction)
     for m in range(1, bound + 1):
-        if 0 not in residues_of(families, m):
+        if not any(f.hits(0, m) for f in families):
             return OrbitEvidence(orbit=c, status="holds", modulus=m)
     return OrbitEvidence(orbit=c, status="unknown")
 

@@ -295,10 +295,6 @@ class TranslationGraph(Record):
 # finite-mode graphs
 
 
-def _perm_compose(p: dict, q: dict) -> dict:
-    return {v: p[q[v]] for v in q}
-
-
 class FiniteModeGraph(Record):
     """A finite simplicial graph with Z^n acting through commuting
     edge-preserving automorphisms.
@@ -337,24 +333,21 @@ class FiniteModeGraph(Record):
             neighbours[w].add(u)
         _set(self, "edges", frozenset(pairs))
         _set(self, "generators", generators)
-        maps = []
         for g in generators:
             if len(g) != len(verts) or set(g) != position.keys():
                 raise GraphError(f"generator {g!r} is not a permutation of the vertices")
-            maps.append({verts[i]: g[i] for i in range(len(verts))})
-        for gm in maps:
+        for g in generators:  # g[position[v]] is the image of v
             for u, w in pairs:
-                if (min(gm[u], gm[w]), max(gm[u], gm[w])) not in pairs:
+                gu, gw = g[position[u]], g[position[w]]
+                if (min(gu, gw), max(gu, gw)) not in pairs:
                     raise GraphError("generator does not preserve the edge set")
-        for a, b in itertools.combinations(maps, 2):
-            if _perm_compose(a, b) != _perm_compose(b, a):
+        for a, b in itertools.combinations(generators, 2):
+            if any(a[position[v]] != b[position[u]] for u, v in zip(a, b)):
                 raise GraphError("generators must pairwise commute")
         # Derived once; not fields, so equality and hashing are unchanged.
         _set(self, "_position", position)
         _set(self, "_neighbours", {v: frozenset(ns) for v, ns in neighbours.items()})
-        _set(self, "_gen_maps", tuple(maps))
-        _set(self, "_gen_orders", tuple(_perm_order(g) for g in maps))
-        _set(self, "acting", FreeAbelian(len(maps)))
+        _set(self, "acting", FreeAbelian(len(generators)))
 
     @cached_property
     def _image(self) -> _ImageTable:
@@ -391,19 +384,20 @@ class FiniteModeGraph(Record):
         """``v`` must be a vertex of this graph, checked by the caller."""
         return self._neighbours[v]
 
-    def perm_of(self, gamma: tuple[int, ...]) -> dict:
-        """The automorphism through which a Z^n element acts."""
+    def perm_of(self, gamma: tuple[int, ...]) -> tuple[int, ...]:
+        """The automorphism through which a Z^n element acts, as the
+        images of ``vertices``, in order: read off the image table."""
         if len(gamma) != self.rank:
             raise GraphError(f"gamma must have {self.rank} coordinates, got {gamma!r}")
-        out = {v: v for v in self.vertices}
-        for g, order, power in zip(self._gen_maps, self._gen_orders, gamma):
-            for _ in range(power % order):
-                out = _perm_compose(g, out)
-        return out
+        table = self._image
+        a = 0
+        for powers, k in zip(table.powers, gamma):
+            a = table.mul[a][powers[k % len(powers)]]
+        return table.perms[a]
 
     def action(self, gamma: tuple[int, ...]):
         """The vertex map of ``gamma``, on vertices checked by the caller."""
-        return self.perm_of(gamma).__getitem__
+        return dict(zip(self.vertices, self.perm_of(gamma))).__getitem__
 
     def act(self, gamma: tuple[int, ...], v: int) -> int:
         self.check_vertex(v)
@@ -422,30 +416,22 @@ class FiniteModeGraph(Record):
         return table.subgroup_perms(range(len(table.perms)))
 
 
-def _perm_order(g: dict) -> int:
-    out = 1
-    current = g
-    ident = {v: v for v in g}
-    while current != ident:
-        current = _perm_compose(g, current)
-        out += 1
-    return out
-
-
 class _ImageTable:
     """The acting image of a finite-mode graph as a table of element ids.
 
     Element ``i`` is the permutation ``perms[i]`` (the images of
     ``graph.vertices``, in order) and ``mul[a][b]`` is the id of the
     composite of ``a`` and ``b``, in either order since the image is
-    abelian.  Ids number the elements breadth first from the identity
-    (id 0) over the generators, which is also how the table is filled:
-    each later element is a generator times an earlier one.
+    abelian; ``powers[j][k]`` is the id of the k-th power of generator
+    ``j``, for k below its order.  Ids number the elements breadth first
+    from the identity (id 0) over the generators, which is also how the
+    table is filled: each later element is a generator times an earlier
+    one.  This table is the only place permutations are composed.
     """
 
     def __init__(self, graph: FiniteModeGraph):
         verts, pos = graph.vertices, graph._position
-        gens = [tuple(pos[gmap[v]] for v in verts) for gmap in graph._gen_maps]
+        gens = [tuple(pos[v] for v in g) for g in graph.generators]
         found = [tuple(range(len(verts)))]  # permutations of positions
         ids = {found[0]: 0}
         step = []  # step[i][j]: the id of generator j times element i
@@ -460,6 +446,12 @@ class _ImageTable:
                     parent.append((j, i))
                 row.append(ids[q])
             step.append(row)
+        self.powers = []
+        for j in range(len(gens)):
+            cycle = [0]
+            while (a := step[cycle[-1]][j]) != 0:
+                cycle.append(a)
+            self.powers.append(cycle)
         self.perms = tuple(tuple(verts[k] for k in p) for p in found)
         self.index = {p: i for i, p in enumerate(self.perms)}
         self.mul = []
@@ -525,7 +517,7 @@ class QuotientGraph:
     """
 
     def __init__(self, kind, vertices, edges, loops, lift, *, modulus=None,
-                 labels=None, orbit_map=None, subgroup_perms=None):
+                 labels=None, orbit_map=None):
         self.kind = kind  # "translation" | "finite"
         self.vertices = tuple(vertices)
         self.edges = frozenset(edges)
@@ -536,7 +528,6 @@ class QuotientGraph:
         self._label_index = {c: i for i, c in enumerate(self.labels or ())}
         self._vertex_set = frozenset(self.vertices)
         self.orbit_map = dict(orbit_map) if orbit_map is not None else None
-        self.subgroup_perms = subgroup_perms
         # Residues act on a translation quotient; a finite-mode one
         # carries no acting group, since only cosets act on its orbits.
         self.acting = Cyclic(modulus) if kind == "translation" else None
@@ -597,13 +588,15 @@ def quotient_graph(graph, subgroup) -> QuotientGraph:
 
     Translation mode takes a modulus m >= 1 and computes edges through
     the residue sets of the difference families.  Finite mode takes the
-    subgroup as an iterable of gamma vectors (or permutation dicts) and
-    enumerates orbits exhaustively.
+    subgroup as an iterable of gamma vectors (or permutation dicts),
+    closes it in the image table and reads the quotient off its orbit
+    map (``_orbit_quotient``, which ``separate`` also calls with the
+    ambient orbit map restricted to the kept orbits).
     """
     if isinstance(graph, TranslationGraph):
         return _translation_quotient(graph, subgroup)
     if isinstance(graph, FiniteModeGraph):
-        return _finite_quotient(graph, subgroup)
+        return _orbit_quotient(graph, orbit_map(graph, normalize_subgroup(graph, subgroup)))
     raise GraphError(f"cannot quotient {type(graph).__name__}")
 
 
@@ -639,9 +632,12 @@ def normalize_subgroup(graph: FiniteModeGraph, subgroup) -> tuple[tuple[int, ...
     table = graph._image
     closed = frozenset({0})
     for g in subgroup:
-        p = g if isinstance(g, dict) else graph.perm_of(tuple(g))
-        a = table.index.get(tuple(p.get(v) for v in graph.vertices))
-        if a is None or len(p) != len(graph.vertices):
+        if isinstance(g, dict):
+            p = tuple(g.get(v) for v in graph.vertices) if len(g) == len(graph.vertices) else None
+        else:
+            p = graph.perm_of(tuple(g))
+        a = table.index.get(p)
+        if a is None:
             raise GraphError("subgroup generator lies outside the acting image")
         closed = table.join(closed, a)
     return table.subgroup_perms(closed)
@@ -663,9 +659,10 @@ def orbit_map(graph: FiniteModeGraph, perms, vertices=None) -> dict[int, int]:
     return out
 
 
-def _finite_quotient(graph: FiniteModeGraph, subgroup) -> QuotientGraph:
-    perms = normalize_subgroup(graph, subgroup)
-    omap = orbit_map(graph, perms)
+def _orbit_quotient(graph: FiniteModeGraph, omap: dict[int, int]) -> QuotientGraph:
+    """The quotient with orbit map ``omap``, which covers ``graph``'s
+    vertices: an orbit map of the ambient image's subgroup restricted to
+    kept orbits serves a restricted graph as well as its own would."""
     vertices = sorted(set(omap.values()))
     edges = set()
     loops = set()
@@ -676,9 +673,7 @@ def _finite_quotient(graph: FiniteModeGraph, subgroup) -> QuotientGraph:
         else:
             edges.add((min(ou, ow), max(ou, ow)))
     lift = {rep: rep for rep in vertices}
-    return QuotientGraph(
-        "finite", vertices, edges, loops, lift, orbit_map=omap, subgroup_perms=perms
-    )
+    return QuotientGraph("finite", vertices, edges, loops, lift, orbit_map=omap)
 
 
 def enumerate_subgroups(graph: FiniteModeGraph) -> list[tuple[tuple[int, ...], ...]]:

@@ -242,8 +242,14 @@ def push_forward(
             except KeyError:
                 raise WordError(f"vertex {v!r} is not mapped") from None
 
+    return _push_normal(canonical, delta, mapper, dst_graph)
+
+
+def _push_normal(w: Word, delta: GroupSpec, mapper: Callable, dst_graph) -> Word:
+    """``push_forward`` of a word already in normal form, with the same
+    errors, in one canonical pass over ``dst_graph``."""
     images = {}
-    for v in canonical.vertices():
+    for v in w.vertices():
         u = mapper(v)
         if not dst_graph.has_vertex(u):
             raise WordError(f"image vertex {u!r} does not belong to the destination")
@@ -252,5 +258,4 @@ def push_forward(
         for u in sorted(images.values(), key=dst_graph.vertex_key):
             if dst_graph.has_loop(u):
                 raise LoopObstruction(u)
-    mapped = [Syllable(images[s.vertex], s.value) for s in canonical]
-    return canonical_form(dst_graph, delta, mapped)
+    return _canonical(dst_graph, delta, [Syllable(images[s.vertex], s.value) for s in w])

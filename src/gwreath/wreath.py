@@ -33,8 +33,8 @@ from .graphs import (
     QuotientGraph,
     TranslationGraph,
     Vertex,
+    _orbit_quotient,
     enumerate_subgroups,
-    normalize_subgroup,
     orbit_map,
     quotient_graph,
     residues_of,
@@ -44,9 +44,9 @@ from .words import (
     Syllable,
     Word,
     _canonical,
+    _push_normal,
     _validate,
     canonical_form,
-    push_forward,
 )
 
 
@@ -382,8 +382,8 @@ def _restrict(instance: Instance, x: WreathElement) -> tuple[Instance, WreathEle
             return instance, x
         verts = tuple(sorted(keep))
         edges = frozenset(e for e in graph.edges if e[0] in keep and e[1] in keep)
-        maps = [dict(zip(graph.vertices, g)) for g in graph.generators]
-        gens = tuple(tuple(m[v] for v in verts) for m in maps)
+        pos = graph._position
+        gens = tuple(tuple(g[pos[v]] for v in verts) for g in graph.generators)
         return Instance(delta, FiniteModeGraph(verts, edges, gens)), x
     raise GraphError(f"cannot restrict an instance over {type(graph).__name__}")
 
@@ -450,7 +450,7 @@ def separate(instance: Instance, x: WreathElement, bound: int = 64) -> RFCertifi
 
     if isinstance(instance.graph, FiniteModeGraph):
         candidates = enumerate_subgroups(instance.graph)
-        gamma_key = _perm_key(instance.graph, x.gamma)
+        gamma_key = instance.graph.perm_of(x.gamma)
         for perms in candidates:
             cert = _try_finite(instance, sub_instance, x, support, perms, gamma_key)
             if cert is not None:
@@ -487,11 +487,8 @@ def _certificate(instance, sub_instance, x, quotient, gamma_image, *, kind, modu
                  subgroup_perms):
     """The certificate of a candidate that passed every check."""
     delta = instance.delta
-    # x is in normal form and the passed checks rule out the loops push_forward
-    # refuses, so one pass over the quotient gives its image.
-    word_image = canonical_form(
-        quotient, delta, [Syllable(quotient.project(s.vertex), s.value) for s in x.word]
-    )
+    # x is in normal form, so one pass over the quotient gives its image.
+    word_image = _push_normal(x.word, delta, quotient.project, quotient)
     nontrivial = (not word_image.is_empty) or not _image_gamma_trivial(
         kind, quotient, gamma_image
     )
@@ -563,18 +560,13 @@ def _try_translation(instance, sub_instance, x, support, m):
     )
 
 
-def _perm_key(graph: FiniteModeGraph, gamma) -> tuple[int, ...]:
-    """The permutation tuple through which ``gamma`` acts."""
-    perm = graph.perm_of(gamma)
-    return tuple(perm[v] for v in graph.vertices)
-
-
 def _try_finite(instance, sub_instance, x, support, perms, gamma_key):
     """The certificate for the image subgroup ``perms``, or None when a
     check fails.
 
     Every check reads the orbit map of the subgroup on the restricted
-    vertices; the quotient graph is built once all of them pass.
+    vertices; once all of them pass, the quotient graph is read off that
+    same map, so the restricted graph needs no image table of its own.
     """
     graph, sub = instance.graph, sub_instance.graph
     gamma_in_subgroup = gamma_key in perms
@@ -589,10 +581,10 @@ def _try_finite(instance, sub_instance, x, support, perms, gamma_key):
         lambda v, w: any(orbits[u] == orbits[w] for u in sub.neighbours(v)),
     ):
         return None
-    elements = [dict(zip(graph.vertices, p)) for p in perms]
-    quotient = quotient_graph(sub, [{v: p[v] for v in sub.vertices} for p in elements])
+    quotient = _orbit_quotient(sub, orbits)
+    pos = graph._position
     gamma_image = (
-        None if gamma_in_subgroup else min(tuple(p[v] for v in gamma_key) for p in elements)
+        None if gamma_in_subgroup else min(tuple(p[pos[v]] for v in gamma_key) for p in perms)
     )
     return _certificate(
         instance, sub_instance, x, quotient, gamma_image,
@@ -611,11 +603,11 @@ def verify_certificate(instance: Instance, cert: RFCertificate) -> bool:
                 return False
             rebuilt = _try_translation(instance, sub_instance, x, support, cert.modulus)
         elif cert.kind == "image-subgroup" and isinstance(graph, FiniteModeGraph):
-            perms = normalize_subgroup(
-                graph, [dict(zip(graph.vertices, p)) for p in cert.subgroup_perms]
-            )
+            # Only a listed subgroup, in its listed form, can rebuild equal.
+            if cert.subgroup_perms not in enumerate_subgroups(graph):
+                return False
             rebuilt = _try_finite(
-                instance, sub_instance, x, support, perms, _perm_key(graph, x.gamma)
+                instance, sub_instance, x, support, cert.subgroup_perms, graph.perm_of(x.gamma)
             )
         else:
             return False
@@ -639,7 +631,7 @@ def certificate_map(instance: Instance, cert: RFCertificate):
 
     def apply(y: WreathElement) -> WreathElement:
         y = sub.normalize(y)
-        image = push_forward(sub.graph, delta, y.word, quotient.project, quotient)
+        image = _push_normal(y.word, delta, quotient.project, quotient)
         return WreathElement(image, y.gamma % cert.modulus)
 
     return apply

@@ -20,6 +20,7 @@ from gwreath import (
     FiniteOffsets,
     FiniteTable,
     FreeAbelian,
+    GraphError,
     Instance,
     QuotientGraph,
     Symmetric,
@@ -393,6 +394,33 @@ def close_permutations(maps, vertices) -> list[dict]:
                     nxt.append(q)
         frontier = nxt
     return [seen[k] for k in sorted(seen)]
+
+
+def _perm_order(g: dict) -> int:
+    out = 1
+    current = g
+    ident = {v: v for v in g}
+    while current != ident:
+        current = _perm_compose(g, current)
+        out += 1
+    return out
+
+
+def reference_perm_of(graph: FiniteModeGraph, gamma: tuple[int, ...]) -> dict:
+    """The automorphism through which ``gamma`` acts, as a vertex dict
+    composed generator by generator, each power reduced modulo the
+    generator's order: the direct algorithm, kept as a differential
+    oracle for ``FiniteModeGraph.perm_of``."""
+    verts = graph.vertices
+    gen_maps = [{verts[i]: g[i] for i in range(len(verts))} for g in graph.generators]
+    gen_orders = [_perm_order(g) for g in gen_maps]
+    if len(gamma) != graph.rank:
+        raise GraphError(f"gamma must have {graph.rank} coordinates, got {gamma!r}")
+    out = {v: v for v in graph.vertices}
+    for g, order, power in zip(gen_maps, gen_orders, gamma):
+        for _ in range(power % order):
+            out = _perm_compose(g, out)
+    return out
 
 
 def reference_enumerate_subgroups(graph: FiniteModeGraph) -> list[list[dict]]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from tests.support import (
     offsets_graph,
     random_vertex,
     reference_enumerate_subgroups,
+    reference_perm_of,
     reference_translation_quotient,
     torus_graph,
     two_orbit_graph,
@@ -337,17 +339,37 @@ def _as_perm_tuples(graph, subgroups):
     return [tuple(sorted(tuple(p[v] for v in verts) for p in sub)) for sub in subgroups]
 
 
-def test_enumerate_subgroups_matches_reference():
-    # the same subgroups in the same order as the join-of-cyclics closure
-    # over permutation dicts, on cyclic, rank-2 and non-faithful actions
+def _image_reference_graphs():
+    """Cyclic, rank-2 and non-faithful actions (a rotation given twice)."""
     rotation = tuple((i + 1) % 6 for i in range(6))
     kernel = FiniteModeGraph(tuple(range(6)), cycle_graph(6).edges, (rotation, rotation))
     graphs = [cycle_graph(n) for n in range(1, 31)]
     graphs += [torus_graph(n) for n in range(2, 7)]
-    graphs += [k5_cyclic(), kernel]
-    for graph in graphs:
+    return graphs + [k5_cyclic(), kernel]
+
+
+def test_enumerate_subgroups_matches_reference():
+    # the same subgroups in the same order as the join-of-cyclics closure
+    # over permutation dicts
+    for graph in _image_reference_graphs():
         expected = _as_perm_tuples(graph, reference_enumerate_subgroups(graph))
         assert enumerate_subgroups(graph) == expected, graph
+
+
+def test_perm_of_matches_dict_composition():
+    # the image-table read-off agrees with composing generator dicts
+    big = 10**9 + 7
+    for graph in _image_reference_graphs():
+        gammas = list(itertools.product(range(-7, 8), repeat=graph.rank))
+        gammas.append(tuple((-1) ** i * big for i in range(graph.rank)))
+        for gamma in gammas:
+            expected = reference_perm_of(graph, gamma)
+            assert graph.perm_of(gamma) == tuple(expected[v] for v in graph.vertices), gamma
+
+
+def test_perm_of_checks_the_rank():
+    with pytest.raises(GraphError):
+        torus_graph(3).perm_of((1,))
 
 
 def test_subgroup_lists_are_closed_and_normalized():
@@ -356,7 +378,6 @@ def test_subgroup_lists_are_closed_and_normalized():
         generators = [dict(zip(graph.vertices, p)) for p in perms]
         assert normalize_subgroup(graph, generators) == perms
         q = quotient_graph(graph, generators)
-        assert q.subgroup_perms == perms
         assert len(q.vertices) * len(perms) == len(graph.vertices)  # free action
 
 

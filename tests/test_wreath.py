@@ -10,13 +10,16 @@ from gwreath import (
     Cyclic,
     EMPTY_WORD,
     FiniteModeGraph,
+    FiniteOffsets,
     GraphError,
     GroupError,
     IdentityElement,
     Instance,
+    LoopObstruction,
     SearchExhausted,
     Symmetric,
     Syllable,
+    TranslationGraph,
     WitnessError,
     Word,
     WordError,
@@ -127,21 +130,17 @@ def test_act_word_resolves_one_permutation_per_call(monkeypatch):
         graph, S3, [Syllable(graph.act(gamma, s.vertex), s.value) for s in w]
     )
 
-    calls = Counter()
-    perm_of, perm_order = FiniteModeGraph.perm_of, graphs._perm_order
+    calls = _count_image_tables(monkeypatch)
+    perm_of = FiniteModeGraph.perm_of
 
     def counted_perm_of(self, g):
         calls["perm_of"] += 1
         return perm_of(self, g)
 
-    def counted_perm_order(g):
-        calls["_perm_order"] += 1
-        return perm_order(g)
-
     monkeypatch.setattr(FiniteModeGraph, "perm_of", counted_perm_of)
-    monkeypatch.setattr(graphs, "_perm_order", counted_perm_order)
     assert act_word(graph, S3, gamma, w) == expected
-    assert calls == Counter({"perm_of": 1})
+    assert calls["perm_of"] == 1
+    assert calls["_ImageTable"] <= 1
 
 
 def test_finite_mode_gamma_is_checked_at_the_boundary():
@@ -386,6 +385,10 @@ def test_restrict_orbits_finite_mode():
     sub, y = restrict_orbits(inst, x)
     assert sub.graph.vertices == (0, 1, 2)
     assert len(sub.graph.edges) == 3
+    assert sub.graph.generators == ((1, 2, 0),)
+    sub, _ = restrict_orbits(inst, WreathElement(word(C2, [(3, 1)]), (0,)))
+    assert sub.graph.vertices == (3, 4)
+    assert sub.graph.generators == ((4, 3),)
 
 
 # ---------------------------------------------------------------------------
@@ -511,14 +514,17 @@ def test_verify_certificate_perm_outside_image_is_false():
 
 
 def _count_quotients(monkeypatch):
+    """Count the quotient builds of ``wreath``: ``quotient_graph`` for a
+    modulus, ``_orbit_quotient`` for a subgroup of a finite image."""
     calls = Counter()
-    build = wreath.quotient_graph
+    for name in ("quotient_graph", "_orbit_quotient"):
+        build = getattr(wreath, name)
 
-    def counted(graph, subgroup):
-        calls["quotient_graph"] += 1
-        return build(graph, subgroup)
+        def counted(*args, name=name, build=build):
+            calls[name] += 1
+            return build(*args)
 
-    monkeypatch.setattr(wreath, "quotient_graph", counted)
+        monkeypatch.setattr(wreath, name, counted)
     return calls
 
 
@@ -527,14 +533,14 @@ def test_separate_builds_one_quotient(monkeypatch):
     # 1..6 all divide 60 and merge the support, so six moduli are rejected first
     cert = separate(line_instance(), WreathElement(word(C2, [(("c", 0), 1), (("c", 60), 1)]), 0))
     assert cert.modulus == 7
-    assert calls["quotient_graph"] == 1
+    assert calls == Counter({"quotient_graph": 1})
     calls.clear()
     cert = separate(Instance(S3, torus_graph(4)), WreathElement(word(S3, [(0, (1, 0, 2))]), (1, 0)))
     assert cert.kind == "image-subgroup"
-    assert calls["quotient_graph"] == 1
+    assert calls == Counter({"_orbit_quotient": 1})
 
 
-def test_separate_and_verify_build_one_image_table(monkeypatch):
+def _count_image_tables(monkeypatch):
     calls = Counter()
     build = graphs._ImageTable.__init__
 
@@ -543,12 +549,29 @@ def test_separate_and_verify_build_one_image_table(monkeypatch):
         build(self, graph)
 
     monkeypatch.setattr(graphs._ImageTable, "__init__", counted)
+    return calls
+
+
+def test_separate_and_verify_build_one_image_table(monkeypatch):
+    calls = _count_image_tables(monkeypatch)
     inst = Instance(S3, torus_graph(6))
     x = WreathElement(word(S3, [(0, (1, 0, 2)), (7, (0, 2, 1))]), (1, 2))
     cert = separate(inst, x)
     assert cert.kind == "image-subgroup"
     assert verify_certificate(inst, cert)
     assert calls["_ImageTable"] <= 1
+
+
+def test_restricted_separation_builds_only_the_ambient_image_table(monkeypatch):
+    # two triangles, only the first rotated: the support at vertex 0 keeps
+    # the first triangle, whose quotient is read off the ambient orbit map
+    edges = frozenset({(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)})
+    inst = Instance(S3, FiniteModeGraph(tuple(range(6)), edges, ((1, 2, 0, 3, 4, 5),)))
+    calls = _count_image_tables(monkeypatch)
+    cert = separate(inst, WreathElement(word(S3, [(0, (1, 0, 2))]), (0,)))
+    assert cert.restricted == cert.quotient.vertices == (0, 1, 2)
+    assert verify_certificate(inst, cert)
+    assert calls == Counter({"_ImageTable": 1})
 
 
 def test_exhausted_separate_builds_no_quotient(monkeypatch):
@@ -609,6 +632,29 @@ def test_certificate_map_preserves_certified_element():
     cert = separate(inst, x)
     phi = certificate_map(inst, cert)
     assert phi(cert.element).word == cert.word_image
+
+
+def test_certificate_map_makes_two_canonical_passes(monkeypatch):
+    inst = line_instance(S3)
+    x = WreathElement(word(S3, [(("c", 0), (1, 0, 2)), (("c", 2), (0, 2, 1))]), 0)
+    phi = certificate_map(inst, separate(inst, x))
+    calls = _count_canonical_passes(monkeypatch)
+    phi(x)
+    # normalise, then one pass over the quotient
+    assert calls == Counter({"canonical_form": 2})
+
+
+def test_certificate_map_keeps_the_push_forward_errors():
+    inst = line_instance(S3)
+    x = WreathElement(word(S3, [(("c", 0), (1, 0, 2)), (("c", 2), (0, 2, 1))]), 0)
+    cert = separate(inst, x)
+    looped = replace(cert, modulus=1, quotient=quotient_graph(inst.graph, 1))
+    with pytest.raises(LoopObstruction):
+        certificate_map(inst, looped)(x)
+    other = TranslationGraph(("d",), {("d", "d"): (FiniteOffsets(frozenset({1})),)})
+    foreign = replace(cert, quotient=quotient_graph(other, cert.modulus))
+    with pytest.raises(WordError):
+        certificate_map(inst, foreign)(x)
 
 
 # ---------------------------------------------------------------------------
