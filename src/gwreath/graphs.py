@@ -346,6 +346,7 @@ class FiniteModeGraph(Record):
                 raise GraphError("generators must pairwise commute")
         # Derived once; not fields, so equality and hashing are unchanged.
         _set(self, "_position", position)
+        _set(self, "_places", tuple(_cycle_places([position[v] for v in g]) for g in generators))
         _set(self, "_neighbours", {v: frozenset(ns) for v, ns in neighbours.items()})
         _set(self, "acting", FreeAbelian(len(generators)))
 
@@ -386,14 +387,14 @@ class FiniteModeGraph(Record):
 
     def perm_of(self, gamma: tuple[int, ...]) -> tuple[int, ...]:
         """The automorphism through which a Z^n element acts, as the
-        images of ``vertices``, in order: read off the image table."""
+        images of ``vertices``, in order: each generator's power moves
+        every position along its cycle, so no image table is needed."""
         if len(gamma) != self.rank:
             raise GraphError(f"gamma must have {self.rank} coordinates, got {gamma!r}")
-        table = self._image
-        a = 0
-        for powers, k in zip(table.powers, gamma):
-            a = table.mul[a][powers[k % len(powers)]]
-        return table.perms[a]
+        image = range(len(self.vertices))  # positions
+        for places, k in zip(self._places, gamma):
+            image = [c[(t + k) % len(c)] for c, t in map(places.__getitem__, image)]
+        return tuple(map(self.vertices.__getitem__, image))
 
     def action(self, gamma: tuple[int, ...]):
         """The vertex map of ``gamma``, on vertices checked by the caller."""
@@ -416,17 +417,30 @@ class FiniteModeGraph(Record):
         return table.subgroup_perms(range(len(table.perms)))
 
 
+def _cycle_places(step: list[int]) -> list[tuple[tuple[int, ...], int]]:
+    """For each position, its cycle under ``step`` (a position, then its
+    successive images) and its place in that cycle."""
+    places = [None] * len(step)
+    for start in range(len(step)):
+        if places[start] is None:
+            cycle = [start]
+            while (i := step[cycle[-1]]) != start:
+                cycle.append(i)
+            for t, i in enumerate(cycle):
+                places[i] = (cycle, t)
+    return places
+
+
 class _ImageTable:
     """The acting image of a finite-mode graph as a table of element ids.
 
     Element ``i`` is the permutation ``perms[i]`` (the images of
     ``graph.vertices``, in order) and ``mul[a][b]`` is the id of the
     composite of ``a`` and ``b``, in either order since the image is
-    abelian; ``powers[j][k]`` is the id of the k-th power of generator
-    ``j``, for k below its order.  Ids number the elements breadth first
-    from the identity (id 0) over the generators, which is also how the
-    table is filled: each later element is a generator times an earlier
-    one.  This table is the only place permutations are composed.
+    abelian.  Ids number the elements breadth first from the identity
+    (id 0) over the generators, which is also how the table is filled:
+    each later element is a generator times an earlier one.  The table
+    serves the subgroup search; ``perm_of`` needs none.
     """
 
     def __init__(self, graph: FiniteModeGraph):
@@ -446,12 +460,6 @@ class _ImageTable:
                     parent.append((j, i))
                 row.append(ids[q])
             step.append(row)
-        self.powers = []
-        for j in range(len(gens)):
-            cycle = [0]
-            while (a := step[cycle[-1]][j]) != 0:
-                cycle.append(a)
-            self.powers.append(cycle)
         self.perms = tuple(tuple(verts[k] for k in p) for p in found)
         self.index = {p: i for i, p in enumerate(self.perms)}
         self.mul = []
@@ -632,12 +640,9 @@ def normalize_subgroup(graph: FiniteModeGraph, subgroup) -> tuple[tuple[int, ...
     table = graph._image
     closed = frozenset({0})
     for g in subgroup:
-        if isinstance(g, dict):
-            p = tuple(g.get(v) for v in graph.vertices) if len(g) == len(graph.vertices) else None
-        else:
-            p = graph.perm_of(tuple(g))
+        p = tuple(map(g.get, graph.vertices)) if isinstance(g, dict) else graph.perm_of(tuple(g))
         a = table.index.get(p)
-        if a is None:
+        if a is None or isinstance(g, dict) and len(g) != len(p):
             raise GraphError("subgroup generator lies outside the acting image")
         closed = table.join(closed, a)
     return table.subgroup_perms(closed)

@@ -604,7 +604,7 @@ def verify_certificate(instance: Instance, cert: RFCertificate) -> bool:
             rebuilt = _try_translation(instance, sub_instance, x, support, cert.modulus)
         elif cert.kind == "image-subgroup" and isinstance(graph, FiniteModeGraph):
             # Only a listed subgroup, in its listed form, can rebuild equal.
-            if cert.subgroup_perms not in enumerate_subgroups(graph):
+            if cert.subgroup_perms not in graph._image.subgroups:
                 return False
             rebuilt = _try_finite(
                 instance, sub_instance, x, support, cert.subgroup_perms, graph.perm_of(x.gamma)

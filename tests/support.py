@@ -116,6 +116,19 @@ def torus_graph(n: int) -> FiniteModeGraph:
     return FiniteModeGraph(tuple(range(n * n)), frozenset(edges), (rows, cols))
 
 
+def prime_cycles_graph() -> FiniteModeGraph:
+    """Disjoint cycles of lengths 2, 3, 5, 7, 11 and 13, all rotated by
+    one generator: 41 vertices and an image of order 30030."""
+    verts, edges, rotation, start = [], set(), [], 0
+    for n in (2, 3, 5, 7, 11, 13):
+        cycle = list(range(start, start + n))
+        verts += cycle
+        rotation += cycle[1:] + cycle[:1]
+        edges |= {(min(u, w), max(u, w)) for u, w in zip(cycle, cycle[1:] + cycle[:1])}
+        start += n
+    return FiniteModeGraph(tuple(verts), frozenset(edges), (tuple(rotation),))
+
+
 def klein_table() -> FiniteTable:
     table = (
         (0, 1, 2, 3),

@@ -27,6 +27,7 @@ from tests.support import (
     k5_cyclic,
     line_graph,
     offsets_graph,
+    prime_cycles_graph,
     random_vertex,
     reference_enumerate_subgroups,
     reference_perm_of,
@@ -322,6 +323,9 @@ def test_finite_quotient_rejects_outside_generators():
     k5 = k5_cyclic()
     with pytest.raises(GraphError):
         quotient_graph(k5, [{0: 1, 1: 0, 2: 2, 3: 3, 4: 4}])  # a swap is not in the image
+    rotation = dict(zip(k5.vertices, k5.generators[0]))
+    with pytest.raises(GraphError):  # a rotation with a key that is not a vertex
+        quotient_graph(k5, [{**rotation, 9: 9}])
 
 
 def test_enumerate_subgroups_of_c6():
@@ -357,7 +361,7 @@ def test_enumerate_subgroups_matches_reference():
 
 
 def test_perm_of_matches_dict_composition():
-    # the image-table read-off agrees with composing generator dicts
+    # the cycle read-off agrees with composing generator dicts
     big = 10**9 + 7
     for graph in _image_reference_graphs():
         gammas = list(itertools.product(range(-7, 8), repeat=graph.rank))
@@ -365,6 +369,15 @@ def test_perm_of_matches_dict_composition():
         for gamma in gammas:
             expected = reference_perm_of(graph, gamma)
             assert graph.perm_of(gamma) == tuple(expected[v] for v in graph.vertices), gamma
+
+
+def test_perm_of_on_an_image_far_larger_than_the_vertex_set():
+    # order 30030 on 41 vertices: read off the cycles, with no image table
+    graph = prime_cycles_graph()
+    for k in (-3, -1, 0, 1, 2, 30029, 30031, 10**9 + 7):
+        expected = reference_perm_of(graph, (k,))
+        assert graph.perm_of((k,)) == tuple(expected[v] for v in graph.vertices), k
+    assert "_image" not in vars(graph)
 
 
 def test_perm_of_checks_the_rank():

@@ -48,6 +48,7 @@ from tests.support import (
     k5_cyclic,
     line_graph,
     obstruction_spot_check,
+    prime_cycles_graph,
     random_word,
     random_nontrivial,
     random_wreath,
@@ -140,7 +141,22 @@ def test_act_word_resolves_one_permutation_per_call(monkeypatch):
     monkeypatch.setattr(FiniteModeGraph, "perm_of", counted_perm_of)
     assert act_word(graph, S3, gamma, w) == expected
     assert calls["perm_of"] == 1
-    assert calls["_ImageTable"] <= 1
+    assert calls["_ImageTable"] == 0
+
+
+def test_word_operations_build_no_image_table_on_a_large_image(monkeypatch):
+    graph = prime_cycles_graph()
+    inst = Instance(S3, graph)
+    calls = _count_image_tables(monkeypatch)
+    rng = random.Random(67)
+    x = WreathElement(random_word(graph, S3, rng, 12), (30031,))
+    y = WreathElement(random_word(graph, S3, rng, 12), (-4,))
+    assert graph.perm_of((30030,)) == graph.vertices
+    assert graph.perm_of((30031,)) == graph.perm_of((1,))
+    assert gw_compose(inst, x, gw_invert(inst, x)) == inst.normalize(WreathElement(EMPTY_WORD, (0,)))
+    assert gw_compose(inst, x, y) == reference_gw_compose(inst, x, y)
+    assert act_word(graph, S3, (-1,), act_word(graph, S3, (1,), y.word)) == inst.normalize(y).word
+    assert calls["_ImageTable"] == 0
 
 
 def test_finite_mode_gamma_is_checked_at_the_boundary():
