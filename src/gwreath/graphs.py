@@ -13,6 +13,7 @@ this package ultimately reduces to.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -303,8 +304,9 @@ class FiniteModeGraph(Record):
     of ``vertices[k]`` under the i-th generator.  Generators must
     pairwise commute (so the image of Z^n stays abelian) and map edges
     to edges; both properties are checked exhaustively at construction.
-    ``acting`` is Z^n; the table of its image, with the image's
-    subgroups and their orbit maps, is built on first use and kept.
+    ``acting`` is Z^n.  Its image, as sorted permutation tuples, and the
+    image's subgroups, as the lattices of Z^n that contain the kernel of
+    the action (with their orbit maps), are built on first use and kept.
     """
 
     _fields = ("vertices", "edges", "generators")
@@ -351,18 +353,57 @@ class FiniteModeGraph(Record):
         _set(self, "acting", FreeAbelian(len(generators)))
 
     @cached_property
-    def _image(self) -> _ImageTable:
-        """The acting image as a table, built on first use and kept."""
-        return _ImageTable(self)
+    def _image(self) -> tuple[tuple[int, ...], ...]:
+        """The acting image as sorted permutation tuples, built on first use and kept."""
+        return _closure(self.vertices, self.generators)
+
+    @cached_property
+    def _subgroups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Every subgroup of the acting image, as ``enumerate_subgroups``
+        lists them, built on first use and kept.
+
+        The image is Z^n/K for K the lattice of gammas acting trivially,
+        so its subgroups of index k are the images of the lattices
+        K <= L <= Z^n of index k.  Each such L has one upper-triangular
+        Hermite normal form basis, row i being d_i e_i plus entries
+        0 <= a_ij < d_j for j > i (Cohen, GTM 138, 2.4), and d_i divides
+        the order of generator i since that multiple of e_i lies in K.
+        The basis images generate the image of L, of index [Z^n : L+K],
+        which is k exactly when K <= L; so a closure is abandoned once it
+        grows past |image|/k elements.
+        """
+        order = len(self._image)
+        divisors = []
+        for places in self._places:
+            n = math.lcm(*(len(cycle) for cycle, _ in places))
+            divisors.append([d for d in range(1, n + 1) if n % d == 0])
+        diagonals: dict[int, list[tuple[int, ...]]] = {}
+        for diag in itertools.product(*divisors):
+            if order % math.prod(diag) == 0:
+                diagonals.setdefault(math.prod(diag), []).append(diag)
+        subgroups = []
+        for k in sorted(diagonals):
+            found = []
+            for diag in diagonals[k]:
+                rows = [  # the images of every choice of row i
+                    [self.perm_of((0,) * i + (d,) + tail)
+                     for tail in itertools.product(*map(range, diag[i + 1:]))]
+                    for i, d in enumerate(diag)
+                ]
+                for basis in itertools.product(*rows):
+                    sub = _closure(self.vertices, basis, order // k)
+                    if sub is not None:
+                        found.append(sub)
+            subgroups += sorted(found)
+        return tuple(subgroups)
 
     @cached_property
     def _subgroup_orbits(self) -> tuple[tuple[int, dict[int, int]], ...]:
         """(index, orbit map) for every subgroup of the acting image, in
         the order of ``enumerate_subgroups``; the first is the whole
         image.  Built on first use and kept."""
-        subgroups = self._image.subgroups
-        order = len(subgroups[0])
-        return tuple((order // len(sub), orbit_map(self, sub)) for sub in subgroups)
+        order = len(self._image)
+        return tuple((order // len(sub), orbit_map(self, sub)) for sub in self._subgroups)
 
     @property
     def rank(self) -> int:
@@ -388,7 +429,7 @@ class FiniteModeGraph(Record):
     def perm_of(self, gamma: tuple[int, ...]) -> tuple[int, ...]:
         """The automorphism through which a Z^n element acts, as the
         images of ``vertices``, in order: each generator's power moves
-        every position along its cycle, so no image table is needed."""
+        every position along its cycle, so the image is not needed."""
         if len(gamma) != self.rank:
             raise GraphError(f"gamma must have {self.rank} coordinates, got {gamma!r}")
         image = range(len(self.vertices))  # positions
@@ -413,8 +454,7 @@ class FiniteModeGraph(Record):
     def image_group(self) -> tuple[tuple[int, ...], ...]:
         """The finite abelian group generated by the generator maps, as
         sorted permutation tuples (the images of ``vertices``, in order)."""
-        table = self._image
-        return table.subgroup_perms(range(len(table.perms)))
+        return self._image
 
 
 def _cycle_places(step: list[int]) -> list[tuple[tuple[int, ...], int]]:
@@ -431,83 +471,24 @@ def _cycle_places(step: list[int]) -> list[tuple[tuple[int, ...], int]]:
     return places
 
 
-class _ImageTable:
-    """The acting image of a finite-mode graph as a table of element ids.
-
-    Element ``i`` is the permutation ``perms[i]`` (the images of
-    ``graph.vertices``, in order) and ``mul[a][b]`` is the id of the
-    composite of ``a`` and ``b``, in either order since the image is
-    abelian.  Ids number the elements breadth first from the identity
-    (id 0) over the generators, which is also how the table is filled:
-    each later element is a generator times an earlier one.  The table
-    serves the subgroup search; ``perm_of`` needs none.
-    """
-
-    def __init__(self, graph: FiniteModeGraph):
-        verts, pos = graph.vertices, graph._position
-        gens = [tuple(pos[v] for v in g) for g in graph.generators]
-        found = [tuple(range(len(verts)))]  # permutations of positions
-        ids = {found[0]: 0}
-        step = []  # step[i][j]: the id of generator j times element i
-        parent = [None]  # (j, i): element first reached as generator j times i
-        for i, p in enumerate(found):  # ``found`` grows while it is read
-            row = []
-            for j, g in enumerate(gens):
-                q = tuple(g[k] for k in p)
-                if q not in ids:
-                    ids[q] = len(found)
-                    found.append(q)
-                    parent.append((j, i))
-                row.append(ids[q])
-            step.append(row)
-        self.perms = tuple(tuple(verts[k] for k in p) for p in found)
-        self.index = {p: i for i, p in enumerate(self.perms)}
-        self.mul = []
-        for a in range(len(found)):
-            row = [a]
-            for j, i in parent[1:]:
-                row.append(step[row[i]][j])
-            self.mul.append(row)
-
-    def join(self, sub: frozenset[int], a: int) -> frozenset[int]:
-        """The subgroup generated by ``sub`` and ``a``: the union of the
-        cosets a^k sub, which repeat once a^k lies in ``sub``."""
-        out = set(sub)
-        coset = list(sub)
-        row = self.mul[a]
+def _closure(vertices, perms, limit=None) -> tuple[tuple[int, ...], ...] | None:
+    """The group generated by ``perms`` (commuting permutations, as the
+    images of the tuple ``vertices``) as sorted permutation tuples, or
+    None once it has more than ``limit`` elements.  Each generator g adds
+    the cosets g^k H of the group H generated so far, which repeat once
+    g^k lies in H."""
+    out = {vertices}
+    for g in perms:
+        step = dict(zip(vertices, g)).__getitem__
+        coset = list(out)
         while True:
-            coset = [row[h] for h in coset]
+            coset = [tuple(map(step, h)) for h in coset]
             if coset[0] in out:
-                return frozenset(out)
+                break
             out.update(coset)
-
-    def subgroup_perms(self, sub) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(self.perms[i] for i in sub))
-
-    @cached_property
-    def subgroups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Every subgroup, as ``enumerate_subgroups`` lists them: the
-        joins of cyclic subgroups, closed as sets of element ids."""
-        trivial = frozenset({0})
-        cyclic = {}  # cyclic subgroup -> an element generating it
-        for a in range(len(self.perms)):
-            cyclic.setdefault(self.join(trivial, a), a)
-        found = {trivial}
-        frontier = [trivial]
-        while frontier:
-            nxt = []
-            for sub in frontier:
-                for a in cyclic.values():
-                    if a in sub:
-                        continue
-                    joined = self.join(sub, a)
-                    if joined not in found:
-                        found.add(joined)
-                        nxt.append(joined)
-            frontier = nxt
-        total = len(self.perms)
-        subgroups = [self.subgroup_perms(sub) for sub in found]
-        return tuple(sorted(subgroups, key=lambda s: (total // len(s), s)))
+            if limit is not None and len(out) > limit:
+                return None
+    return tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +578,7 @@ def quotient_graph(graph, subgroup) -> QuotientGraph:
     Translation mode takes a modulus m >= 1 and computes edges through
     the residue sets of the difference families.  Finite mode takes the
     subgroup as an iterable of gamma vectors (or permutation dicts),
-    closes it in the image table and reads the quotient off its orbit
+    closes it among the permutations and reads the quotient off its orbit
     map (``_orbit_quotient``, which ``separate`` also calls with the
     ambient orbit map restricted to the kept orbits).
     """
@@ -637,15 +618,16 @@ def normalize_subgroup(graph: FiniteModeGraph, subgroup) -> tuple[tuple[int, ...
     Generators are gamma vectors or permutation dicts; the result lists
     the permutation tuples of the subgroup, sorted.
     """
-    table = graph._image
-    closed = frozenset({0})
+    perms = []
     for g in subgroup:
-        p = tuple(map(g.get, graph.vertices)) if isinstance(g, dict) else graph.perm_of(tuple(g))
-        a = table.index.get(p)
-        if a is None or isinstance(g, dict) and len(g) != len(p):
-            raise GraphError("subgroup generator lies outside the acting image")
-        closed = table.join(closed, a)
-    return table.subgroup_perms(closed)
+        if isinstance(g, dict):
+            p = tuple(map(g.get, graph.vertices))
+            if len(g) != len(p) or p not in graph._image:
+                raise GraphError("subgroup generator lies outside the acting image")
+        else:
+            p = graph.perm_of(tuple(g))
+        perms.append(p)
+    return _closure(graph.vertices, perms)
 
 
 def orbit_map(graph: FiniteModeGraph, perms, vertices=None) -> dict[int, int]:
@@ -687,9 +669,11 @@ def enumerate_subgroups(graph: FiniteModeGraph) -> list[tuple[tuple[int, ...], .
     Each subgroup is listed as its sorted permutation tuples (the images
     of ``graph.vertices``); within one index the subgroups are ordered
     by these lists, so the searches downstream are deterministic.  The
-    list is computed once per graph, with its image table.
+    subgroups are the images of the lattices between Z^n and the kernel
+    of the action, from their Hermite normal form bases; the list is
+    computed once per graph.
     """
-    return list(graph._image.subgroups)
+    return list(graph._subgroups)
 
 
 # ---------------------------------------------------------------------------

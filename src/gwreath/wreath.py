@@ -566,7 +566,7 @@ def _try_finite(instance, sub_instance, x, support, perms, gamma_key):
 
     Every check reads the orbit map of the subgroup on the restricted
     vertices; once all of them pass, the quotient graph is read off that
-    same map, so the restricted graph needs no image table of its own.
+    same map, so the restricted graph needs no image or subgroups of its own.
     """
     graph, sub = instance.graph, sub_instance.graph
     gamma_in_subgroup = gamma_key in perms
@@ -582,9 +582,9 @@ def _try_finite(instance, sub_instance, x, support, perms, gamma_key):
     ):
         return None
     quotient = _orbit_quotient(sub, orbits)
-    pos = graph._position
+    gpos = [graph._position[v] for v in gamma_key]
     gamma_image = (
-        None if gamma_in_subgroup else min(tuple(p[pos[v]] for v in gamma_key) for p in perms)
+        None if gamma_in_subgroup else min(tuple(map(p.__getitem__, gpos)) for p in perms)
     )
     return _certificate(
         instance, sub_instance, x, quotient, gamma_image,
@@ -604,7 +604,7 @@ def verify_certificate(instance: Instance, cert: RFCertificate) -> bool:
             rebuilt = _try_translation(instance, sub_instance, x, support, cert.modulus)
         elif cert.kind == "image-subgroup" and isinstance(graph, FiniteModeGraph):
             # Only a listed subgroup, in its listed form, can rebuild equal.
-            if cert.subgroup_perms not in graph._image.subgroups:
+            if cert.subgroup_perms not in graph._subgroups:
                 return False
             rebuilt = _try_finite(
                 instance, sub_instance, x, support, cert.subgroup_perms, graph.perm_of(x.gamma)

@@ -116,11 +116,11 @@ def torus_graph(n: int) -> FiniteModeGraph:
     return FiniteModeGraph(tuple(range(n * n)), frozenset(edges), (rows, cols))
 
 
-def prime_cycles_graph() -> FiniteModeGraph:
-    """Disjoint cycles of lengths 2, 3, 5, 7, 11 and 13, all rotated by
-    one generator: 41 vertices and an image of order 30030."""
+def prime_cycles_graph(lengths=(2, 3, 5, 7, 11, 13)) -> FiniteModeGraph:
+    """Disjoint cycles of the given lengths, all rotated by one
+    generator; by default 41 vertices and an image of order 30030."""
     verts, edges, rotation, start = [], set(), [], 0
-    for n in (2, 3, 5, 7, 11, 13):
+    for n in lengths:
         cycle = list(range(start, start + n))
         verts += cycle
         rotation += cycle[1:] + cycle[:1]

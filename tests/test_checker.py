@@ -138,25 +138,21 @@ def test_cond3_finite_mode_always_holds():
 
 
 def test_classify_computes_the_subgroup_list_once(monkeypatch):
-    # conditions 2 and 3 read one image table and one subgroup list
+    # conditions 2 and 3 read one image and one subgroup list: as many
+    # closures as one enumeration of the subgroups makes
     calls = Counter()
-    build, join = graphs._ImageTable.__init__, graphs._ImageTable.join
+    closure = graphs._closure
 
-    def counted_build(self, graph):
-        calls["_ImageTable"] += 1
-        build(self, graph)
+    def counted(*args):
+        calls["_closure"] += 1
+        return closure(*args)
 
-    def counted_join(self, sub, a):
-        calls["join"] += 1
-        return join(self, sub, a)
-
-    monkeypatch.setattr(graphs._ImageTable, "__init__", counted_build)
-    monkeypatch.setattr(graphs._ImageTable, "join", counted_join)
+    monkeypatch.setattr(graphs, "_closure", counted)
     enumerate_subgroups(torus_graph(6))
-    one_list = calls["join"]
+    one_list = calls["_closure"]
     calls.clear()
     assert classify(Instance(S3, torus_graph(6))).status == RESIDUALLY_FINITE
-    assert calls == Counter({"_ImageTable": 1, "join": one_list})
+    assert calls == Counter({"_closure": one_list})
 
 
 def test_classify_computes_each_orbit_map_once(monkeypatch):

@@ -344,12 +344,26 @@ def _as_perm_tuples(graph, subgroups):
 
 
 def _image_reference_graphs():
-    """Cyclic, rank-2 and non-faithful actions (a rotation given twice)."""
+    """Cyclic, rank-2 and non-faithful actions (a rotation given twice),
+    and two of rank 3: disjoint 2-, 3- and 4-cycles each rotated by its
+    own generator (image order 24), and C6 under its rotation, the
+    rotation's square and the identity (a trivial generator and a
+    kernel that is not diagonal)."""
     rotation = tuple((i + 1) % 6 for i in range(6))
     kernel = FiniteModeGraph(tuple(range(6)), cycle_graph(6).edges, (rotation, rotation))
+    square = tuple(rotation[v] for v in rotation)
+    kernel3 = FiniteModeGraph(
+        tuple(range(6)), cycle_graph(6).edges, (rotation, square, tuple(range(6)))
+    )
+    cycles = prime_cycles_graph((2, 3, 4))
+    own = tuple(
+        tuple(cycles.generators[0][v] if start <= v < end else v for v in cycles.vertices)
+        for start, end in ((0, 2), (2, 5), (5, 9))
+    )
     graphs = [cycle_graph(n) for n in range(1, 31)]
     graphs += [torus_graph(n) for n in range(2, 7)]
-    return graphs + [k5_cyclic(), kernel]
+    own_cycles = FiniteModeGraph(cycles.vertices, cycles.edges, own)
+    return graphs + [k5_cyclic(), kernel, kernel3, own_cycles]
 
 
 def test_enumerate_subgroups_matches_reference():

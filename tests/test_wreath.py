@@ -1,6 +1,7 @@
 import copy
 import pathlib
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -131,7 +132,7 @@ def test_act_word_resolves_one_permutation_per_call(monkeypatch):
         graph, S3, [Syllable(graph.act(gamma, s.vertex), s.value) for s in w]
     )
 
-    calls = _count_image_tables(monkeypatch)
+    calls = _count_closures(monkeypatch)
     perm_of = FiniteModeGraph.perm_of
 
     def counted_perm_of(self, g):
@@ -140,14 +141,13 @@ def test_act_word_resolves_one_permutation_per_call(monkeypatch):
 
     monkeypatch.setattr(FiniteModeGraph, "perm_of", counted_perm_of)
     assert act_word(graph, S3, gamma, w) == expected
-    assert calls["perm_of"] == 1
-    assert calls["_ImageTable"] == 0
+    assert calls == Counter({"perm_of": 1})  # and no closure
 
 
 def test_word_operations_build_no_image_table_on_a_large_image(monkeypatch):
     graph = prime_cycles_graph()
     inst = Instance(S3, graph)
-    calls = _count_image_tables(monkeypatch)
+    calls = _count_closures(monkeypatch)
     rng = random.Random(67)
     x = WreathElement(random_word(graph, S3, rng, 12), (30031,))
     y = WreathElement(random_word(graph, S3, rng, 12), (-4,))
@@ -156,7 +156,7 @@ def test_word_operations_build_no_image_table_on_a_large_image(monkeypatch):
     assert gw_compose(inst, x, gw_invert(inst, x)) == inst.normalize(WreathElement(EMPTY_WORD, (0,)))
     assert gw_compose(inst, x, y) == reference_gw_compose(inst, x, y)
     assert act_word(graph, S3, (-1,), act_word(graph, S3, (1,), y.word)) == inst.normalize(y).word
-    assert calls["_ImageTable"] == 0
+    assert not calls
 
 
 def test_finite_mode_gamma_is_checked_at_the_boundary():
@@ -556,26 +556,32 @@ def test_separate_builds_one_quotient(monkeypatch):
     assert calls == Counter({"_orbit_quotient": 1})
 
 
-def _count_image_tables(monkeypatch):
+def _count_closures(monkeypatch):
+    """Calls of ``graphs._closure``, which builds the image and each
+    subgroup, counted by the vertex tuple they close over."""
     calls = Counter()
-    build = graphs._ImageTable.__init__
+    closure = graphs._closure
 
-    def counted(self, graph):
-        calls["_ImageTable"] += 1
-        build(self, graph)
+    def counted(vertices, *args):
+        calls[vertices] += 1
+        return closure(vertices, *args)
 
-    monkeypatch.setattr(graphs._ImageTable, "__init__", counted)
+    monkeypatch.setattr(graphs, "_closure", counted)
     return calls
 
 
 def test_separate_and_verify_build_one_image_table(monkeypatch):
-    calls = _count_image_tables(monkeypatch)
+    # one image and one subgroup list, read by both
+    calls = _count_closures(monkeypatch)
+    enumerate_subgroups(torus_graph(6))
+    one_list = calls.total()
+    calls.clear()
     inst = Instance(S3, torus_graph(6))
     x = WreathElement(word(S3, [(0, (1, 0, 2)), (7, (0, 2, 1))]), (1, 2))
     cert = separate(inst, x)
     assert cert.kind == "image-subgroup"
     assert verify_certificate(inst, cert)
-    assert calls["_ImageTable"] <= 1
+    assert calls == Counter({inst.graph.vertices: one_list})
 
 
 def test_restricted_separation_builds_only_the_ambient_image_table(monkeypatch):
@@ -583,11 +589,29 @@ def test_restricted_separation_builds_only_the_ambient_image_table(monkeypatch):
     # the first triangle, whose quotient is read off the ambient orbit map
     edges = frozenset({(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)})
     inst = Instance(S3, FiniteModeGraph(tuple(range(6)), edges, ((1, 2, 0, 3, 4, 5),)))
-    calls = _count_image_tables(monkeypatch)
+    calls = _count_closures(monkeypatch)
+    enumerate_subgroups(replace(inst.graph))  # a copy, with its own subgroup list
+    one_list = calls.total()
+    calls.clear()
     cert = separate(inst, WreathElement(word(S3, [(0, (1, 0, 2))]), (0,)))
     assert cert.restricted == cert.quotient.vertices == (0, 1, 2)
     assert verify_certificate(inst, cert)
-    assert calls == Counter({"_ImageTable": 1})
+    assert calls == Counter({inst.graph.vertices: one_list})
+
+
+def test_separate_and_verify_on_a_large_image_keep_a_small_memory_peak():
+    # image order 2310 on 28 vertices: each subgroup is closed from a
+    # lattice basis, with no table of |image|^2 products
+    inst = Instance(S3, prime_cycles_graph((2, 3, 5, 7, 11)))
+    x = WreathElement(word(S3, [(0, (1, 0, 2)), (17, (1, 2, 0))]), (0,))
+    tracemalloc.start()
+    try:
+        cert = separate(inst, x)
+        assert verify_certificate(inst, cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_exhausted_separate_builds_no_quotient(monkeypatch):
