@@ -381,8 +381,8 @@ class FiniteModeGraph(Record):
         for diag in itertools.product(*divisors):
             if order % math.prod(diag) == 0:
                 diagonals.setdefault(math.prod(diag), []).append(diag)
-        subgroups = []
-        for k in sorted(diagonals):
+        subgroups = [self._image]  # index 1: the identity basis closes to the image
+        for k in sorted(diagonals)[1:]:
             found = []
             for diag in diagonals[k]:
                 rows = [  # the images of every choice of row i
