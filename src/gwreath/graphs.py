@@ -373,6 +373,7 @@ class FiniteModeGraph(Record):
         grows past |image|/k elements.
         """
         order = len(self._image)
+        shared = {p: p for p in self._image}  # subgroups keep the image's tuples, not copies
         divisors = []
         for places in self._places:
             n = math.lcm(*(len(cycle) for cycle, _ in places))
@@ -393,7 +394,7 @@ class FiniteModeGraph(Record):
                 for basis in itertools.product(*rows):
                     sub = _closure(self.vertices, basis, order // k)
                     if sub is not None:
-                        found.append(sub)
+                        found.append(tuple(map(shared.__getitem__, sub)))
             subgroups += sorted(found)
         return tuple(subgroups)
 

@@ -15,9 +15,9 @@ problem of Crisp, Godelle and Wiest:
   reduced word's commutation class, ordered by ``vertex_key``.
 
 Each syllable costs one adjacency lookup per commuting syllable it is
-pushed past, and adjacency is memoised within a call, so a word of n
-syllables needs O(n log n) work when commuting runs are short instead
-of the O(n^2) lookups of a pairwise scan.  Equal group elements always
+pushed past, and adjacency is memoised per call over interned vertex
+ids, so a word of n syllables needs O(n log n) work when commuting runs
+are short instead of the O(n^2) lookups of a pairwise scan.  Equal group elements always
 produce equal canonical words, so equality and triviality testing
 reduce to comparison against this form.  A group operation makes one
 canonical pass, which checks every syllable on entry; ``adjacent`` does not.
@@ -103,88 +103,97 @@ def canonical_form(graph, delta: GroupSpec, w: Word | Iterable[Syllable]) -> Wor
 
     Both passes cost one adjacency lookup per syllable stepped over, so
     the work is linear in the length times the length of the commuting
-    runs, plus a heap log factor.  Adjacency is memoised for the
-    duration of the call only, so ``graph.adjacent`` is asked about
-    each pair of vertices at most once.
+    runs, plus a heap log factor.  Each distinct vertex of the call gets
+    a small int id and adjacency is memoised per call over pairs of ids,
+    so ``graph.adjacent`` is asked about each unordered pair at most once.
     """
     return _canonical(graph, delta, _validate(graph, delta, w))
 
 
 def _canonical(graph, delta: GroupSpec, sylls: list[Syllable]) -> Word:
-    """``canonical_form`` of syllables already known to be valid."""
-    sylls = [s for s in sylls if not delta.is_identity(s.value)]
-    adjacent = _adjacency(graph)
+    """``canonical_form`` of syllables already known to be valid.
 
+    A vertex's id is its index in ``verts``; ``adj`` holds the adjacency
+    of ids i and j under both ``i * n + j`` and ``j * n + i`` (every id is
+    below ``n``), and no id is adjacent to itself.  The reduced word keeps
+    the caller's syllables: only a merge builds a new one.
+    """
+    identity, compose, adjacent = delta.identity(), delta._compose, graph.adjacent
+    n = len(sylls) + 1
+    ids: dict[Vertex, int] = {}
+    verts: list[Vertex] = []
+    adj: dict[int, bool] = {}
     reduced: list[Syllable] = []
+    rid: list[int] = []  # the vertex id of each reduced syllable
+
     for s in sylls:
-        v = s.vertex
-        k = len(reduced) - 1
-        while k >= 0 and reduced[k].vertex != v and adjacent(reduced[k].vertex, v):
-            k -= 1
-        if k < 0 or reduced[k].vertex != v:
-            reduced.append(s)
+        if s.value == identity:
             continue
-        merged = delta._compose(reduced[k].value, s.value)  # validated by the caller
-        if delta.is_identity(merged):
-            del reduced[k]
+        v = s.vertex
+        j = ids.get(v)
+        if j is None:
+            j = ids[v] = len(verts)
+            verts.append(v)
+            adj[j * n + j] = False
+        k = len(rid) - 1
+        while k >= 0:
+            i = rid[k]
+            key = i * n + j
+            a = adj.get(key)
+            if a is None:
+                a = adj[key] = adj[j * n + i] = adjacent(verts[i], v)
+            if not a:
+                break
+            k -= 1
+        if k < 0 or rid[k] != j:
+            reduced.append(s)
+            rid.append(j)
+            continue
+        merged = compose(reduced[k].value, s.value)
+        if merged == identity:
+            del reduced[k], rid[k]
         else:
             reduced[k] = Syllable(v, merged)
-    return Word(tuple(_least_shuffle(graph, reduced, adjacent)))
 
-
-def _adjacency(graph) -> Callable[[Vertex, Vertex], bool]:
-    """``graph.adjacent`` memoised over unordered pairs, for one call."""
-    memo: dict[tuple[Vertex, Vertex], bool] = {}
-
-    def adjacent(u: Vertex, w: Vertex) -> bool:
-        try:
-            return memo[u, w]
-        except KeyError:
-            memo[u, w] = memo[w, u] = found = graph.adjacent(u, w)
-            return found
-
-    return adjacent
-
-
-def _least_shuffle(graph, sylls: list[Syllable], adjacent) -> list[Syllable]:
-    """The lexicographically least reordering of a reduced word that
-    only swaps neighbouring syllables at adjacent vertices.
-
-    Remaining syllables form a linked list (``prev``/``nxt``).  A
-    syllable enters the heap once no remaining predecessor blocks it;
-    ties in ``vertex_key`` go to the earlier position.
-    """
-    n = len(sylls)
-    verts = [s.vertex for s in sylls]
-    keys = {v: graph.vertex_key(v) for v in verts}
-    prev = list(range(-1, n - 1))
-    nxt = list(range(1, n + 1))
-    waiting: list[list[int]] = [[] for _ in range(n)]
+    # The least shuffle: a syllable enters the heap once no remaining one
+    # before it (linked by prev/nxt) blocks it; ties go to the earlier.
+    keys = list(map(graph.vertex_key, verts))
+    m = len(reduced)
+    prev = list(range(-1, m - 1))
+    nxt = list(range(1, m + 1))
+    waiting: list[list[int]] = [[] for _ in range(m)]
     heap: list[tuple] = []
 
-    def place(j: int, i: int) -> None:
-        v = verts[j]
-        while i >= 0 and adjacent(verts[i], v):
-            i = prev[i]
-        if i < 0:
-            heapq.heappush(heap, (keys[v], j))
+    def place(t: int, k: int) -> None:
+        j = rid[t]
+        while k >= 0:
+            i = rid[k]
+            key = i * n + j
+            a = adj.get(key)
+            if a is None:
+                a = adj[key] = adj[j * n + i] = adjacent(verts[i], verts[j])
+            if not a:
+                break
+            k = prev[k]
+        if k < 0:
+            heapq.heappush(heap, (keys[j], t))
         else:
-            waiting[i].append(j)
+            waiting[k].append(t)
 
-    for j in range(n):
-        place(j, j - 1)
+    for t in range(m):
+        place(t, t - 1)
     out = []
     while heap:
-        _, i = heapq.heappop(heap)
-        out.append(sylls[i])
-        p, q = prev[i], nxt[i]
+        _, k = heapq.heappop(heap)
+        out.append(reduced[k])
+        p, q = prev[k], nxt[k]
         if p >= 0:
             nxt[p] = q
-        if q < n:
+        if q < m:
             prev[q] = p
-        for j in waiting[i]:
-            place(j, p)
-    return out
+        for t in waiting[k]:
+            place(t, p)
+    return Word(tuple(out))
 
 
 def gp_compose(graph, delta: GroupSpec, w1: Word, w2: Word) -> Word:
@@ -211,8 +220,7 @@ def retract(graph, delta: GroupSpec, w: Word, keep: Iterable[Vertex]) -> Word:
     it is the identity.
     """
     keep_set = set(keep)
-    kept = [s for s in _validate(graph, delta, w) if s.vertex in keep_set]
-    return canonical_form(graph, delta, kept)
+    return _canonical(graph, delta, [s for s in _validate(graph, delta, w) if s.vertex in keep_set])
 
 
 def push_forward(

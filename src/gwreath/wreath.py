@@ -101,11 +101,14 @@ class Instance(Record):
 
 def act_word(graph, delta: GroupSpec, gamma: Gamma, w: Word) -> Word:
     """Move every syllable along the action (one vertex map per call) and
-    recanonicalize."""
+    recanonicalize, checking each syllable once."""
     move = graph.action(gamma)
     for s in w:
         graph.check_vertex(s.vertex)
-    return canonical_form(graph, delta, [Syllable(move(s.vertex), s.value) for s in w])
+    graph.acting.check(gamma)  # as ``gw_compose`` does, so moved vertices stay vertices
+    for s in w:
+        delta.check(s.value)
+    return _canonical(graph, delta, [Syllable(move(s.vertex), s.value) for s in w])
 
 
 def gw_compose(instance: Instance, x: WreathElement, y: WreathElement) -> WreathElement:

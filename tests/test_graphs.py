@@ -399,6 +399,13 @@ def test_perm_of_checks_the_rank():
         torus_graph(3).perm_of((1,))
 
 
+def test_subgroups_share_the_image_tuples():
+    graph = prime_cycles_graph((2, 3, 5, 7, 11))
+    image = {id(p) for p in graph._image}
+    assert len(image) == 2310
+    assert all(id(p) in image for sub in enumerate_subgroups(graph) for p in sub)
+
+
 def test_subgroup_lists_are_closed_and_normalized():
     graph = torus_graph(4)
     for perms in enumerate_subgroups(graph):

@@ -9,15 +9,18 @@ from gwreath import (
     FiniteModeGraph,
     GroupError,
     GroupSpec,
+    Instance,
     LoopObstruction,
     Symmetric,
     Syllable,
     TranslationGraph,
     Word,
     WordError,
+    WreathElement,
     canonical_form,
     gp_compose,
     gp_invert,
+    gw_compose,
     push_forward,
     quotient_graph,
     retract,
@@ -28,6 +31,7 @@ from gwreath import (
 from tests.support import (
     bfs_trivial,
     factorial_graph,
+    klein_table,
     line_graph,
     path3_graph,
     random_nontrivial,
@@ -161,6 +165,7 @@ REFERENCE_GRAPHS = {
     "factorial": lambda: factorial_graph(0),
     "torus8": lambda: torus_graph(8),
     "quotient-two-orbit-12": lambda: quotient_graph(two_orbit_graph(), 12),
+    "quotient-torus8-4x4": lambda: quotient_graph(torus_graph(8), [(4, 0), (0, 4)]),
 }
 
 
@@ -168,7 +173,7 @@ REFERENCE_GRAPHS = {
 def test_canonical_matches_reference_on_long_words(name):
     graph = REFERENCE_GRAPHS[name]()
     rng = random.Random(f"reference:{name}")
-    for delta in (C2, S3, C5):
+    for delta in (C2, S3, C5, klein_table()):
         for window, pool in _windows(graph).items():
             lengths = [rng.randint(0, 512)]
             if (delta, window) == (C2, "wide"):
@@ -183,6 +188,51 @@ def test_canonical_matches_reference_on_long_words(name):
                 assert canonical_form(graph, delta, w) == reference_canonical_form(
                     graph, delta, w
                 ), (delta, window, n)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS))
+def test_canonical_asks_each_adjacency_once(monkeypatch, name):
+    # a memo filled for one order only asks some pair twice, and colliding
+    # keys read another pair's answer, which the reference catches
+    graph = REFERENCE_GRAPHS[name]()
+    rng = random.Random(f"memo:{name}")
+    cls, asked = type(graph), []
+    adjacent = cls.adjacent
+
+    def recorded(self, *pair):
+        asked.append(pair)
+        return adjacent(self, *pair)
+
+    monkeypatch.setattr(cls, "adjacent", recorded)
+    for delta in (C2, S3):
+        for window, pool in _windows(graph).items():
+            w = [Syllable(rng.choice(pool), random_nontrivial(delta, rng)) for _ in range(300)]
+            asked.clear()
+            out = canonical_form(graph, delta, w)
+            assert asked, (delta, window)
+            assert all(u != v for u, v in asked), (delta, window)
+            pairs = Counter(frozenset(pair) for pair in asked)
+            assert max(pairs.values()) == 1, (delta, window)
+            assert out == reference_canonical_form(graph, delta, w), (delta, window)
+
+
+def test_equal_vertices_are_each_validated():
+    # ("c", 1.0) equals and hashes like the vertex ("c", 1) but is not one
+    line = line_graph()
+    inst = Instance(C2, line)
+    w = Word((Syllable(("c", 1), 1), Syllable(("c", 1.0), 1)))
+    with pytest.raises(WordError):
+        canonical_form(line, C2, w)
+    with pytest.raises(WordError):
+        inst.normalize(WreathElement(w, 0))
+    with pytest.raises(WordError):
+        gw_compose(inst, WreathElement(w, 0), inst.identity_element())
+    # a list equals no permutation tuple, and is not an element of S3
+    w = Word((Syllable(("c", 0), (1, 0, 2)), Syllable(("c", 0), [1, 0, 2])))
+    with pytest.raises(GroupError):
+        canonical_form(line, S3, w)
+    with pytest.raises(GroupError):
+        gw_compose(Instance(S3, line), WreathElement(w, 0), WreathElement(EMPTY_WORD, 0))
 
 
 def _count_calls(monkeypatch, cls, name) -> Counter:

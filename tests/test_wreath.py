@@ -33,6 +33,7 @@ from gwreath import (
     gw_invert,
     quotient_graph,
     restrict_orbits,
+    retract,
     separate,
     verify_certificate,
     verify_witness,
@@ -184,6 +185,8 @@ def test_act_word_validates_gamma_and_vertices():
         act_word(graph, S3, (1, 0), Word((Syllable(99, (1, 0, 2)),)))
     with pytest.raises(GraphError):
         act_word(line_graph(), C2, 1, Word((Syllable(("x", 0), 1),)))
+    with pytest.raises(GroupError):  # it would move ("c", 0) to ("c", 1.0), not a vertex
+        act_word(line_graph(), C2, 1.0, Word((Syllable(("c", 0), 1),)))
 
 
 # ---------------------------------------------------------------------------
@@ -894,6 +897,8 @@ def test_group_operations_check_each_syllable_once(monkeypatch, graph_name):
     for operation, n in (
         (lambda: gw_compose(inst, x, y), len(x.word) + len(y.word)),
         (lambda: gw_invert(inst, x), len(x.word)),
+        (lambda: act_word(inst.graph, S3, y.gamma, x.word), len(x.word)),
+        (lambda: retract(inst.graph, S3, x.word, {s.vertex for s in list(x.word)[::2]}), len(x.word)),
     ):
         counts.clear()
         operation()
