@@ -138,15 +138,17 @@ def _orbit_evidence_finite(graph: FiniteModeGraph):
 
 
 class PairEvidence(Record):
-    """Outcome for one orbit pair (translation) or vertex pair (finite)."""
+    """Outcome for one orbit pair (translation) or vertex pair (finite).
+
+    A failing translation pair keeps the obstruction of its least
+    lemma-certified non-adjacent offset (by size, positive first), so
+    the offset it reports is ``obstruction.offset``.
+    """
 
     pair: tuple
     status: str  # "holds-vacuous" | "holds-rule" | "holds" | "fails" | "unknown"
     rule: str | None = None
-    max_offset: int | None = None
-    failures: tuple[tuple[int, Obstruction], ...] = ()
-    examined: tuple[tuple[int, int], ...] = ()  # (offset, separating modulus)
-    unresolved: tuple[int, ...] = ()
+    obstruction: Obstruction | None = None
     subgroup_index: int | None = None
 
 
@@ -169,18 +171,17 @@ def check_cond3(instance: Instance, bound: int = 64, t_max: int | None = None) -
     """Check the pair separation condition.
 
     With only finite families a single explicit rule covers every
-    offset.  Infinite families are examined offset by offset inside a
-    window (plus the lemma-certified classes); a universal positive
-    over the remaining infinitely many offsets is never claimed, so the
-    pair outcome is Unknown unless a lemma certifies a failure or the
-    pair has no non-adjacent offsets at all.
+    offset.  Infinite families are walked through the non-adjacent
+    offsets of the window ``|t| <= t_max`` in report order (0 for two
+    labels, then 1, -1, 2, -2, ...), and a pair fails at the first
+    offset a lemma certifies, which is the one it reports.  A universal
+    positive over the remaining infinitely many offsets is never
+    claimed, so the pair outcome is otherwise Unknown unless it has no
+    non-adjacent offsets at all.
     """
     graph = instance.graph
     if isinstance(graph, FiniteModeGraph):
-        evidence = tuple(_pair_evidence_finite(graph))
-        failing = None
-        holds = True
-        return Cond3Result(per_pair=evidence, holds=holds, t_max=None, failing=failing)
+        return Cond3Result(per_pair=tuple(_pair_evidence_finite(graph)), holds=True, t_max=None)
     if not isinstance(graph, TranslationGraph):
         raise GraphError(f"cannot classify over {type(graph).__name__}")
 
@@ -221,35 +222,21 @@ def _pair_evidence_translation(
             pair=(c1, c2),
             status="holds-rule",
             rule=f"m(t) = |t| + {dmax} + 1",
-            max_offset=dmax,
         )
 
-    failures = []
-    examined = []
-    unresolved = []
-    residues: dict[int, frozenset[int]] = {}
-    for t in range(-t_max, t_max + 1):
-        if same and t == 0:
-            continue
-        if contains_offset(families, t):
+    window = []  # the non-adjacent offsets no lemma certifies
+    # 0, 1, -1, 2, -2, ...: by size, positive first, the order offsets are reported in
+    for t in itertools.chain.from_iterable((k, -k) if k else (0,) for k in range(t_max + 1)):
+        if (same and t == 0) or contains_offset(families, t):
             continue  # adjacent offsets need no separating
         obstruction = certify_offset_always(families, (c1, c2), t)
         if obstruction is not None:
-            failures.append((t, obstruction))
-            continue
-        m = _separating_modulus(families, t, same, bound, residues)
-        if m is None:
-            unresolved.append(t)
-        else:
-            examined.append((t, m))
-    if failures:
-        return PairEvidence(
-            pair=(c1, c2),
-            status="fails",
-            failures=tuple(sorted(failures, key=lambda item: (abs(item[0]), item[0] < 0))),
-            examined=tuple(examined),
-            unresolved=tuple(unresolved),
-        )
+            return PairEvidence(pair=(c1, c2), status="fails", obstruction=obstruction)
+        window.append(t)
+    residues: dict[int, frozenset[int]] = {}
+    separated = all(
+        _separating_modulus(families, t, same, bound, residues) is not None for t in window
+    )
     return PairEvidence(
         pair=(c1, c2),
         status="unknown",
@@ -257,10 +244,8 @@ def _pair_evidence_translation(
             f"offsets up to {t_max} all separate within the bound, but the "
             f"family is infinite and no lemma settles the remaining offsets"
         )
-        if not unresolved
+        if separated
         else None,
-        examined=tuple(examined),
-        unresolved=tuple(unresolved),
     )
 
 
@@ -365,8 +350,7 @@ def _cond2_witness(instance: Instance, cond2: Cond2Result) -> NonRFWitness:
 
 def _cond3_witness(instance: Instance, cond3: Cond3Result) -> NonRFWitness:
     c1, c2 = cond3.failing.pair
-    t, _ = cond3.failing.failures[0]
-    return witness(instance, "T3.2", [(c1, 0), (c2, t)])
+    return witness(instance, "T3.2", [(c1, 0), (c2, cond3.failing.obstruction.offset)])
 
 
 def classify_wreath(instance: Instance) -> Verdict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .errors import GraphError, ParseError
+from .errors import ParseError
 from .graphs import (
     ArithmeticOffsets,
     DifferenceFamily,
@@ -394,41 +394,39 @@ def quotient_lines(q: QuotientGraph, prefix: str = "quotient") -> list[str]:
         for rep in sorted(groups):
             out.append(f"{prefix}.orbit {rep} " + " ".join(str(v) for v in groups[rep]))
     # each orbit's sort key and text, computed once
-    orbits = set(q.vertices).union(*q.edges, q.loops, q.lift)
+    orbits = set(q.vertices).union(*q.edges, q.loops)
     key = {v: q.vertex_key(v) for v in orbits}
-    text = {v: vertex_text(v) for v in orbits.union(q.lift.values())}
-    for v in sorted(q.vertices, key=key.get):
+    text = {v: vertex_text(v) for v in orbits}
+    vertices = sorted(q.vertices, key=key.get)
+    for v in vertices:
         out.append(f"{prefix}.vertex {text[v]}")
     for u, w in sorted(q.edges, key=lambda e: (key[e[0]], key[e[1]])):
         out.append(f"{prefix}.edge {text[u]}|{text[w]}")
     for v in sorted(q.loops, key=key.get):
         out.append(f"{prefix}.loop {text[v]}")
-    for v in sorted(q.lift, key=key.get):
-        out.append(f"{prefix}.lift {text[v]} {text[q.lift[v]]}")
+    for v in vertices:  # each orbit id is its own lift
+        out.append(f"{prefix}.lift {text[v]} {text[v]}")
     return out
 
 
 def parse_quotient(record, prefix: str = "quotient") -> QuotientGraph:
     kind = _one(record, f"{prefix}.kind")
-    vertices = [_vertex_token(t) for t in record.get(f"{prefix}.vertex", [])]
+    listed = record.get(f"{prefix}.vertex", [])
+    if record.get(f"{prefix}.lift", []) != [f"{t} {t}" for t in listed]:
+        raise ParseError(f"{prefix}.lift lines must map each {prefix}.vertex to itself, in order")
+    vertices = [_vertex_token(t) for t in listed]
     edges = set()
     for entry in record.get(f"{prefix}.edge", []):
         left, _, right = entry.partition("|")
         edges.add((_vertex_token(left), _vertex_token(right)))
     loops = {_vertex_token(t) for t in record.get(f"{prefix}.loop", [])}
-    lift = {}
-    for entry in record.get(f"{prefix}.lift", []):
-        key_text, _, value_text_ = entry.partition(" ")
-        lift[_vertex_token(key_text)] = _vertex_token(value_text_)
     if kind == "translation":
         modulus = _int(_one(record, f"{prefix}.modulus"), f"{prefix}.modulus")
         if modulus < 1:
             raise ParseError(f"{prefix}.modulus must be at least 1, got {modulus}")
         labels_text = _one(record, f"{prefix}.labels")
         labels = tuple(labels_text.split()) if labels_text != "-" else ()
-        return QuotientGraph(
-            "translation", vertices, edges, loops, lift, modulus=modulus, labels=labels
-        )
+        return QuotientGraph("translation", vertices, edges, loops, modulus=modulus, labels=labels)
     if kind == "finite":
         orbit_map = {}
         for entry in record.get(f"{prefix}.orbit", []):
@@ -437,7 +435,7 @@ def parse_quotient(record, prefix: str = "quotient") -> QuotientGraph:
                 raise ParseError(f"empty {prefix}.orbit line")
             for member in ids[1:]:
                 orbit_map[member] = ids[0]
-        return QuotientGraph("finite", vertices, edges, loops, lift, orbit_map=orbit_map)
+        return QuotientGraph("finite", vertices, edges, loops, orbit_map=orbit_map)
     raise ParseError(f"unknown quotient kind {kind!r}")
 
 
@@ -617,17 +615,15 @@ def lef_from_record(graph: TranslationGraph, record) -> LEFCertificate:
             tokens = entry.split()
             if len(tokens) < 2:
                 raise ParseError(f"truncation.offsets needs a label pair, got {entry!r}")
-            kept[tokens[0], tokens[1]] = frozenset(
-                _int(x, "truncation.offsets") for x in tokens[2:]
-            )
-        try:
-            families = {
-                pair: (FiniteOffsets(offs),) for pair, offs in kept.items() if offs
-            }
-            truncated = TranslationGraph(graph.labels, families)
-        except GraphError as exc:
-            raise ParseError(f"bad truncation: {exc}") from None
-        truncation = Truncation(kept_offsets=kept, graph=truncated, modulus=_int(modulus_text, "modulus"))
+            c1, c2, *offsets = tokens
+            if c1 not in graph.labels or c2 not in graph.labels:
+                raise ParseError(f"bad truncation: unknown label in {entry!r}")
+            if (c1, c2) in kept or (c2, c1) in kept:
+                raise ParseError(f"bad truncation: label pair {c1} {c2} given twice")
+            kept[c1, c2] = frozenset(_int(x, "truncation.offsets") for x in offsets)
+            if 0 in kept[c1, c2]:
+                raise ParseError("bad truncation: offset 0 would create a loop")
+        truncation = Truncation(kept_offsets=kept, modulus=_int(modulus_text, "modulus"))
     return LEFCertificate(q_spec=q_spec, y=y, phi=phi, psi=psi, truncation=truncation)
 
 
@@ -683,9 +679,8 @@ def verdict_lines(instance: Instance, verdict) -> list[str]:
             line = f"condition-3.pair {pair} {e.status}"
             if e.rule:
                 line += f" rule {e.rule}"
-            if e.failures:
-                t, obs = e.failures[0]
-                line += f" offset {t} lemma {obs.lemma}"
+            if e.obstruction is not None:
+                line += f" offset {e.obstruction.offset} lemma {e.obstruction.lemma}"
             out.append(line)
     if verdict.witness is not None:
         for line in witness_lines(instance, verdict.witness)[1:]:
@@ -741,8 +736,8 @@ def render_verdict(instance: Instance, verdict) -> list[str]:
         for e in c3.per_pair:
             pair = ", ".join(str(p) for p in e.pair)
             if e.status == "fails":
-                t, obs = e.failures[0]
-                out.append(f"    pair ({pair}): fails at offset {t} ({obs.statement})")
+                obs = e.obstruction
+                out.append(f"    pair ({pair}): fails at offset {obs.offset} ({obs.statement})")
             elif e.rule:
                 out.append(f"    pair ({pair}): {e.status} ({e.rule})")
             else:

@@ -272,6 +272,7 @@ class TranslationGraph(Record):
 
     def act(self, gamma: int, v: Vertex) -> Vertex:
         self.check_vertex(v)
+        self.acting.check(gamma)
         return self.action(gamma)(v)
 
     def vertex_key(self, v: Vertex):
@@ -433,6 +434,7 @@ class FiniteModeGraph(Record):
         every position along its cycle, so the image is not needed."""
         if len(gamma) != self.rank:
             raise GraphError(f"gamma must have {self.rank} coordinates, got {gamma!r}")
+        self.acting.check(gamma)
         image = range(len(self.vertices))  # positions
         for places, k in zip(self._places, gamma):
             image = [c[(t + k) % len(c)] for c, t in map(places.__getitem__, image)]
@@ -503,16 +505,17 @@ class QuotientGraph:
     their members are, and an orbit carries a loop flag when two
     distinct members of it are adjacent.  Loops are recorded and never
     dropped: whether a loop is fatal is a property of the coefficient
-    group, decided downstream.
+    group, decided downstream.  Each orbit id is its own lift: the
+    residue (c, r) lifts to the vertex (c, r), and a finite-mode orbit is
+    named by its least vertex.
     """
 
-    def __init__(self, kind, vertices, edges, loops, lift, *, modulus=None,
+    def __init__(self, kind, vertices, edges, loops, *, modulus=None,
                  labels=None, orbit_map=None):
         self.kind = kind  # "translation" | "finite"
         self.vertices = tuple(vertices)
         self.edges = frozenset(edges)
         self.loops = frozenset(loops)
-        self.lift = dict(lift)
         self.modulus = modulus
         self.labels = tuple(labels) if labels is not None else None
         self._label_index = {c: i for i, c in enumerate(self.labels or ())}
@@ -565,7 +568,7 @@ class QuotientGraph:
     def content(self) -> tuple:
         orbits = None if self.orbit_map is None else tuple(sorted(self.orbit_map.items()))
         return (self.kind, self.vertices, self.edges, self.loops,
-                tuple(sorted(self.lift.items())), self.modulus, self.labels, orbits)
+                self.modulus, self.labels, orbits)
 
     def __eq__(self, other):
         if not isinstance(other, QuotientGraph):
@@ -607,10 +610,7 @@ def _translation_quotient(graph: TranslationGraph, m: int) -> QuotientGraph:
         # adjacent, which is exactly the loop condition.
         if c1 == c2 and 0 in res:
             loops.update((c1, r) for r in range(m))
-    lift = {(c, r): (c, r) for c, r in vertices}
-    return QuotientGraph(
-        "translation", vertices, edges, loops, lift, modulus=m, labels=graph.labels
-    )
+    return QuotientGraph("translation", vertices, edges, loops, modulus=m, labels=graph.labels)
 
 
 def normalize_subgroup(graph: FiniteModeGraph, subgroup) -> tuple[tuple[int, ...], ...]:
@@ -660,8 +660,7 @@ def _orbit_quotient(graph: FiniteModeGraph, omap: dict[int, int]) -> QuotientGra
             loops.add(ou)
         else:
             edges.add((min(ou, ow), max(ou, ow)))
-    lift = {rep: rep for rep in vertices}
-    return QuotientGraph("finite", vertices, edges, loops, lift, orbit_map=omap)
+    return QuotientGraph("finite", vertices, edges, loops, orbit_map=omap)
 
 
 def enumerate_subgroups(graph: FiniteModeGraph) -> list[tuple[tuple[int, ...], ...]]:

@@ -25,10 +25,9 @@ from .groups import Cyclic, GroupSpec, Record
 
 
 class Truncation(Record):
-    """The finite subgraph retained for one certificate."""
+    """The offsets retained for one certificate, and its modulus."""
 
     kept_offsets: dict[tuple[str, str], frozenset[int]]
-    graph: TranslationGraph
     modulus: int
 
 
@@ -79,82 +78,90 @@ def lef_certificate(
     this construction; each candidate is then checked exhaustively
     against all four certificate conditions before being returned.
     """
+    prepared = _prepare(graph, gamma_set, vertex_set)
+    for m in range(1, bound + 1):
+        cert = _certificate_at(graph, prepared, m)
+        if cert is not None:
+            return cert
+    raise SearchExhausted(bound)
+
+
+def verify_lef(cert: LEFCertificate, graph, gamma_set, vertex_set) -> bool:
+    """Rebuild the certificate at its recorded modulus and compare it
+    with the given one as a whole, so every field is checked."""
+    prepared = _prepare(graph, gamma_set, vertex_set)
+    m = None if cert.truncation is None else cert.truncation.modulus
+    # a rebuilt Y has an orbit per label and residue: build none larger than the given Y
+    if not isinstance(m, int) or m < 1 or len(cert.y.vertices) != len(graph.labels) * m:
+        return False
+    return _certificate_at(graph, prepared, m) == cert
+
+
+def _prepare(graph, gamma_set, vertex_set):
+    """A and E, checked and sorted; the truncation of E; and the values
+    a modulus must keep distinct."""
     if not isinstance(graph, TranslationGraph):
         raise GraphError("finite partial models are built for translation graphs only")
     gammas = sorted(set(gamma_set))
     for g in gammas:
         if not isinstance(g, int):
             raise GraphError(f"acting elements must be integers, got {g!r}")
+    truncated, kept = truncate_graph(graph, vertex_set)
     vertices = sorted(set(vertex_set), key=graph.vertex_key)
-    truncated, kept = truncate_graph(graph, vertices)
-    offsets = sorted({abs(o) for offs in kept.values() for o in offs})
+    offsets = {abs(o) for offs in kept.values() for o in offs}
     positions = [v[1] for v in vertices]
-    distinct_targets = set(gammas) | set(positions) | {
-        p + o for p in positions for o in offsets
-    }
-
-    for m in range(1, bound + 1):
-        if len({value % m for value in distinct_targets}) != len(distinct_targets):
-            continue
-        quotient = quotient_graph(truncated, m)
-        phi = {g: g % m for g in gammas}
-        psi = {v: quotient.project(v) for v in vertices}
-        cert = LEFCertificate(
-            q_spec=Cyclic(m),
-            y=quotient,
-            phi=phi,
-            psi=psi,
-            truncation=Truncation(kept_offsets=kept, graph=truncated, modulus=m),
-        )
-        if verify_lef(cert, graph, gammas, vertices):
-            return cert
-    raise SearchExhausted(bound)
+    targets = set(gammas) | set(positions) | {p + o for p in positions for o in offsets}
+    return gammas, vertices, truncated, kept, targets
 
 
-def verify_lef(cert: LEFCertificate, graph, gamma_set, vertex_set) -> bool:
-    """Exhaustively re-check a certificate against the original action.
+def _certificate_at(graph, prepared, m: int) -> LEFCertificate | None:
+    """The certificate at modulus ``m``, or None when ``m`` merges two
+    of the distinct values or the exhaustive check rejects it."""
+    gammas, vertices, truncated, kept, targets = prepared
+    if len({value % m for value in targets}) != len(targets):
+        return None
+    quotient = quotient_graph(truncated, m)
+    cert = LEFCertificate(
+        q_spec=Cyclic(m),
+        y=quotient,
+        phi={g: g % m for g in gammas},
+        psi={v: quotient.project(v) for v in vertices},
+        truncation=Truncation(kept_offsets=kept, modulus=m),
+    )
+    return cert if _satisfies(cert, graph, gammas, vertices) else None
+
+
+def _satisfies(cert: LEFCertificate, graph, gammas, vertices) -> bool:
+    """Exhaustively check a certificate against the original action.
 
     Injectivity of both maps, the induced-subgraph embedding (taken
     against the untruncated graph, with no loops allowed on image
     vertices), the partial homomorphism law on A, and equivariance
     wherever a translate of E stays in E.
     """
-    gammas = sorted(set(gamma_set))
-    vertices = sorted(set(vertex_set), key=graph.vertex_key)
-    for v in vertices:
-        graph.check_vertex(v)
-
-    if set(cert.phi) != set(gammas) or set(cert.psi) != set(vertices):
+    phi, psi, y = cert.phi, cert.psi, cert.y
+    if (
+        set(phi) != set(gammas)
+        or set(psi) != set(vertices)
+        or len(set(phi.values())) != len(gammas)
+        or len(set(psi.values())) != len(vertices)
+        or not all(map(cert.q_spec.contains, phi.values()))
+        or not all(map(y.has_vertex, psi.values()))
+    ):
         return False
-    if len(set(cert.phi.values())) != len(gammas):
-        return False
-    if len(set(cert.psi.values())) != len(vertices):
-        return False
-    for image in cert.phi.values():
-        if not cert.q_spec.contains(image):
-            return False
-    for image in cert.psi.values():
-        if not cert.y.has_vertex(image):
-            return False
-
     for v, w in itertools.combinations(vertices, 2):
-        if graph.adjacent(v, w) != cert.y.adjacent(cert.psi[v], cert.psi[w]):
+        if graph.adjacent(v, w) != y.adjacent(psi[v], psi[w]):
             return False
-    for v in vertices:
-        if cert.y.has_loop(cert.psi[v]):
-            return False
-
-    for a, b in itertools.product(gammas, repeat=2):
-        ab = a + b
-        if ab in cert.phi:
-            if cert.q_spec.compose(cert.phi[a], cert.phi[b]) != cert.phi[ab]:
-                return False
-
-    psi_lookup = dict(cert.psi)
+    if any(y.has_loop(psi[v]) for v in vertices):
+        return False
+    if any(
+        a + b in phi and cert.q_spec.compose(phi[a], phi[b]) != phi[a + b]
+        for a, b in itertools.product(gammas, repeat=2)
+    ):
+        return False
     for a in gammas:
+        move = graph.action(a)  # A and E are checked
         for v in vertices:
-            moved = graph.act(a, v)
-            if moved in psi_lookup:
-                if cert.y.act(cert.phi[a], cert.psi[v]) != psi_lookup[moved]:
-                    return False
+            if move(v) in psi and y.act(phi[a], psi[v]) != psi[move(v)]:
+                return False
     return True

@@ -36,6 +36,8 @@ from gwreath import (
     residues_of,
     restrict_orbits,
 )
+from gwreath.graphs import contains_offset, covers_all_nonzero
+from gwreath.wreath import certify_offset_always
 
 
 def replace(record, **changes):
@@ -337,10 +339,46 @@ def reference_translation_quotient(graph: TranslationGraph, m: int) -> QuotientG
         # adjacent, which is exactly the loop condition.
         if c1 == c2 and 0 in res:
             loops.update((c1, r) for r in range(m))
-    lift = {(c, r): (c, r) for c, r in vertices}
     return QuotientGraph(
-        "translation", vertices, edges, loops, lift, modulus=m, labels=graph.labels
+        "translation", vertices, edges, loops, modulus=m, labels=graph.labels
     )
+
+
+# ---------------------------------------------------------------------------
+# the condition-3 oracle
+
+
+def reference_cond3_pair(graph: TranslationGraph, c1: str, c2: str, bound: int, t_max: int):
+    """Condition 3 for one label pair by the full-window scan first
+    written: every non-adjacent offset with |t| <= t_max is examined,
+    the lemma failures are collected and sorted by size, positive first,
+    and every other offset gets its least separating modulus.  Returns
+    (status, rule, failures) with failures a list of (t, obstruction)."""
+    families = graph.families_for(c1, c2)
+    same = c1 == c2
+    if same and covers_all_nonzero(families):
+        return "holds-vacuous", "every nonzero offset is an edge, so no pair needs separating", []
+    if all(f.is_finite() for f in families):
+        dmax = max((f.max_offset() for f in families), default=0)
+        return "holds-rule", f"m(t) = |t| + {dmax} + 1", []
+    failures, unresolved = [], []
+    for t in range(-t_max, t_max + 1):
+        if (same and t == 0) or contains_offset(families, t):
+            continue
+        obstruction = certify_offset_always(families, (c1, c2), t)
+        if obstruction is not None:
+            failures.append((t, obstruction))
+            continue
+        zero = {0} if same else set()
+        if not any(t % m not in residues_of(families, m) | zero for m in range(1, bound + 1)):
+            unresolved.append(t)
+    if failures:
+        return "fails", None, sorted(failures, key=lambda item: (abs(item[0]), item[0] < 0))
+    rule = (
+        f"offsets up to {t_max} all separate within the bound, but the "
+        f"family is infinite and no lemma settles the remaining offsets"
+    )
+    return "unknown", None if unresolved else rule, []
 
 
 def hits_mismatches(family, moduli, offsets) -> list[tuple[int, int]]:

@@ -105,8 +105,7 @@ def test_criterion_3_shifted_factorial_pair_condition():
     assert verdict.status == NOT_RESIDUALLY_FINITE
     assert verdict.failing_condition == "condition-3"
     assert verdict.witness.theorem == "T3.2"
-    t, _ = verdict.cond3.failing.failures[0]
-    assert t == 1
+    assert verdict.cond3.failing.obstruction.offset == 1
     assert verdict.cond2.per_orbit[0].modulus == 4
     finish()
     _report(3, "shifted factorial graph fails the pair condition at offset 1, modulus-4 evidence")

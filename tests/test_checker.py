@@ -4,10 +4,14 @@ from collections import Counter
 import pytest
 
 from gwreath import (
+    ArithmeticOffsets,
     Cyclic,
+    FactorialOffsets,
+    FiniteOffsets,
     GraphError,
     Instance,
     Symmetric,
+    TranslationGraph,
     WreathElement,
     check_cond2,
     check_cond3,
@@ -18,9 +22,10 @@ from gwreath import (
     separate,
     separation_bound,
     verify_certificate,
+    witness,
 )
-from gwreath import graphs
-from gwreath.checker import NOT_RESIDUALLY_FINITE, RESIDUALLY_FINITE, UNKNOWN
+from gwreath import checker, formats, graphs
+from gwreath.checker import NOT_RESIDUALLY_FINITE, RESIDUALLY_FINITE, UNKNOWN, default_t_max
 from gwreath.graphs import enumerate_subgroups, residues_of
 
 from tests.support import (
@@ -32,6 +37,7 @@ from tests.support import (
     line_graph,
     path3_graph,
     random_wreath,
+    reference_cond3_pair,
     torus_graph,
     two_orbit_graph,
 )
@@ -105,9 +111,8 @@ def test_cond3_edgeless_rule_is_point_separation():
 def test_cond3_shifted_factorial_fails_at_offset_one():
     result = check_cond3(Instance(C2, factorial_graph(1)))
     assert result.holds is False
-    t, obstruction = result.failing.failures[0]
-    assert t == 1
-    assert obstruction.lemma == "factorial-shift"
+    assert result.failing.obstruction.offset == 1
+    assert result.failing.obstruction.lemma == "factorial-shift"
 
 
 def test_cond3_factorial_zero_is_unknown():
@@ -115,7 +120,7 @@ def test_cond3_factorial_zero_is_unknown():
     assert result.holds is None
     evidence = result.per_pair[0]
     assert evidence.status == "unknown"
-    assert not evidence.failures
+    assert evidence.obstruction is None
 
 
 def test_cond3_complete_graph_vacuous():
@@ -124,12 +129,92 @@ def test_cond3_complete_graph_vacuous():
     assert result.per_pair[0].status == "holds-vacuous"
 
 
-def test_cond3_examined_offsets_record_moduli():
-    result = check_cond3(Instance(C2, factorial_graph(0)), bound=64)
-    evidence = result.per_pair[0]
-    fams = factorial_graph(0).families_for("c", "c")
-    for t, m in evidence.examined:
-        assert t % m not in (residues_of(fams, m) | {0})
+def _random_translation_graph(rng) -> TranslationGraph:
+    labels = ("a", "b", "c")[: rng.randint(1, 3)]
+    families = {}
+    for i, c1 in enumerate(labels):
+        for c2 in labels[i:]:
+            fams = []
+            for _ in range(rng.randint(0, 2)):
+                kind = rng.choice(("finite", "factorial", "arithmetic"))
+                if kind == "finite":
+                    fams.append(FiniteOffsets(frozenset(rng.sample(range(1, 9), rng.randint(1, 3)))))
+                elif kind == "factorial":
+                    fams.append(FactorialOffsets(rng.randint(0, 5)))
+                else:
+                    fams.append(ArithmeticOffsets(rng.randint(1, 6), rng.randint(1, 6)))
+            if fams:
+                families[c1, c2] = tuple(fams)
+    return TranslationGraph(labels, families)
+
+
+def _reference_lines(pairs):
+    """The condition-3 pair lines of the verdict document and of its
+    rendering, written from the full-window scan's sorted failures."""
+    doc, text = [], []
+    for pair, (status, rule, failures) in pairs:
+        line = f"condition-3.pair {' '.join(pair)} {status}"
+        if rule:
+            line += f" rule {rule}"
+        if failures:
+            t, obs = failures[0]
+            line += f" offset {t} lemma {obs.lemma}"
+            text.append(f"    pair ({', '.join(pair)}): fails at offset {t} ({obs.statement})")
+        else:
+            text.append(f"    pair ({', '.join(pair)}): {status}" + (f" ({rule})" if rule else ""))
+        doc.append(line)
+    return doc, text
+
+
+def test_cond3_matches_the_full_window_reference():
+    rng = random.Random(113)
+    seen = Counter()
+    for _ in range(600):
+        graph = _random_translation_graph(rng)
+        inst = Instance(rng.choice((S3, C2)), graph)
+        bound, t_max = rng.choice((4, 16, 64)), rng.choice((None, 0, 3, 10, 40))
+        window = default_t_max(graph) if t_max is None else t_max
+        result = check_cond3(inst, bound, t_max)
+        pairs = [(e.pair, reference_cond3_pair(graph, *e.pair, bound, window)) for e in result.per_pair]
+        for e, (_, (status, rule, failures)) in zip(result.per_pair, pairs):
+            assert (e.status, e.rule) == (status, rule), (graph, e.pair, bound, t_max)
+            assert e.obstruction == (failures[0][1] if failures else None)
+            seen[status, rule is None] += 1
+        verdict = classify(inst, bound, t_max)
+        if verdict.cond3 is None:  # condition 2 failed first
+            continue
+        seen["verdict", verdict.status] += 1
+        doc, text = _reference_lines(pairs)
+        assert [line for line in formats.verdict_lines(inst, verdict)
+                if line.startswith("condition-3.pair")] == doc
+        assert [line for line in formats.render_verdict(inst, verdict)
+                if line.startswith("    pair (")] == text
+        if verdict.failing_condition == "condition-3" and verdict.cond3.holds is False:
+            (c1, c2), (_, _, failures) = next(p for p in pairs if p[1][0] == "fails")
+            assert verdict.witness == witness(inst, "T3.2", [(c1, 0), (c2, failures[0][0])])
+    # every pair status, Unknown with and without its rule, and all three verdicts
+    for key in [("fails", True), ("unknown", True), ("unknown", False), ("holds-rule", False),
+                ("holds-vacuous", False), ("verdict", UNKNOWN), ("verdict", RESIDUALLY_FINITE),
+                ("verdict", NOT_RESIDUALLY_FINITE)]:
+        assert seen[key] >= 5, (key, seen)
+
+
+def test_failing_pairs_search_no_separating_modulus(monkeypatch):
+    # a pair fails at its first lemma offset without looking for a
+    # modulus that separates any other offset
+    calls = []
+    separating = checker._separating_modulus
+    monkeypatch.setattr(checker, "_separating_modulus", lambda *args: calls.append(args) or separating(*args))
+    mixed = TranslationGraph(("a", "b"), {("a", "a"): (FactorialOffsets(1),),
+                                          ("a", "b"): (ArithmeticOffsets(2, 3),),
+                                          ("b", "b"): (FactorialOffsets(2),)})
+    for graph in (factorial_graph(1), mixed):
+        result = check_cond3(Instance(C2, graph), t_max=300)
+        assert all(e.status == "fails" for e in result.per_pair), result.per_pair
+        assert not calls
+    verdict = classify(Instance(C2, factorial_graph(1)), t_max=300)
+    assert verdict.cond3.failing.obstruction.offset == 1
+    assert not calls
 
 
 def test_cond3_finite_mode_always_holds():

@@ -19,7 +19,7 @@ from gwreath import (
 )
 from gwreath import formats
 
-from tests.support import factorial_graph, k5_cyclic, line_graph
+from tests.support import factorial_graph, k5_cyclic, line_graph, two_orbit_graph
 
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
 
@@ -238,6 +238,61 @@ def test_single_line_edits_parse_or_raise_parse_error():
                     from_record(context, formats.parse_structured(text)[1])
                 except ParseError:
                     pass
+
+
+def _lift_edits(lines):
+    """A lift line mapping its orbit elsewhere, a missing lift line, an
+    extra one, and two lift lines swapped."""
+    at = [i for i, line in enumerate(lines) if line.split(" ", 1)[0].endswith(".lift")]
+    first, last = at[0], at[-1]
+    key, source, _ = lines[first].split(" ")
+    elsewhere = f"{key} {source} {lines[last].split(' ')[1]}"
+    swapped = [lines[first + 1], lines[first]]
+    return [
+        lines[:first] + [elsewhere] + lines[first + 1:],
+        lines[:first] + lines[first + 1:],
+        lines[:last + 1] + [lines[last]] + lines[last + 1:],
+        lines[:first] + swapped + lines[first + 2:],
+    ]
+
+
+def test_lift_lines_must_be_the_identity_in_order():
+    documents = [doc for doc in _emitted_documents() if doc[2] is not formats.witness_from_record]
+    assert len(documents) == 3  # two separation certificates and a LEF document
+    for lines, context, from_record in documents:
+        assert from_record(context, formats.parse_structured("\n".join(lines))[1])
+        for edited in _lift_edits(lines):
+            with pytest.raises(ParseError, match="lift"):
+                from_record(context, formats.parse_structured("\n".join(edited))[1])
+
+
+@pytest.mark.parametrize(
+    "offsets,fragment",
+    [
+        ("truncation.offsets c c 0 1", "offset 0"),
+        ("truncation.offsets c x 1", "unknown label"),
+        ("truncation.offsets x c 1", "unknown label"),
+        ("truncation.offsets c", "label pair"),
+    ],
+)
+def test_lef_truncation_offsets_are_checked(offsets, fragment):
+    graph = factorial_graph(0)
+    lines = formats.lef_lines(graph, lef_certificate(graph, [0, 1], [("c", 0), ("c", 1), ("c", 2)]))
+    at = lines.index("truncation.offsets c c 1 2")
+    for edited in (lines[:at] + [offsets] + lines[at + 1:], lines[:at] + [offsets] + lines[at:]):
+        with pytest.raises(ParseError, match=fragment):
+            formats.lef_from_record(graph, formats.parse_structured("\n".join(edited))[1])
+
+
+def test_lef_truncation_label_pair_given_twice():
+    graph = two_orbit_graph()
+    vertices = [("a", 0), ("a", 1), ("b", 2)]
+    lines = formats.lef_lines(graph, lef_certificate(graph, [0, 1], vertices))
+    at = lines.index("truncation.offsets a b 2")
+    for again in ("truncation.offsets a b 2", "truncation.offsets b a -2"):
+        edited = lines[:at + 1] + [again] + lines[at + 1:]
+        with pytest.raises(ParseError, match="given twice"):
+            formats.lef_from_record(graph, formats.parse_structured("\n".join(edited))[1])
 
 
 def test_verdict_lines_deterministic():

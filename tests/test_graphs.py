@@ -9,6 +9,7 @@ from gwreath import (
     FiniteModeGraph,
     FiniteOffsets,
     GraphError,
+    GroupError,
     TranslationGraph,
     is_complete,
     orbit_counts,
@@ -181,6 +182,24 @@ def test_act_examples():
     assert cycle.act((-1,), 0) == 4
 
 
+def test_act_checks_gamma():
+    # a gamma outside the acting group is a GroupError; one of the wrong
+    # length for the rank is a GraphError, as in ``perm_of``
+    for gamma in (1.5, (1,), "1"):
+        with pytest.raises(GroupError):
+            line_graph().act(gamma, ("c", 0))
+    torus = torus_graph(3)
+    for gamma in ((1.0, 0), (0, 1.5)):
+        with pytest.raises(GroupError):
+            torus.act(gamma, 0)
+        with pytest.raises(GroupError):
+            torus.perm_of(gamma)
+    for gamma in ((1,), (1, 0, 0)):
+        with pytest.raises(GraphError):
+            torus.act(gamma, 0)
+    assert torus.act((1, 0), 0) == torus.perm_of((1, 0))[0]
+
+
 @pytest.mark.parametrize("graph", [line_graph(), factorial_graph(1), two_orbit_graph()], ids=repr)
 def test_act_preserves_adjacency_translation(graph):
     rng = random.Random(5)
@@ -291,10 +310,9 @@ def test_quotient_modulus_one_has_one_vertex_per_orbit():
         assert len(q.vertices) == len(graph.labels)
 
 
-def test_quotient_lift_is_residue_representative():
+def test_quotient_projects_onto_residue_orbits():
     q = quotient_graph(line_graph(), 5)
     for (c, r) in q.vertices:
-        assert q.lift[(c, r)] == (c, r)
         assert q.project((c, r + 35)) == (c, r)
 
 

@@ -5,12 +5,14 @@ import pytest
 from gwreath import (
     Cyclic,
     GraphError,
+    ParseError,
     QuotientGraph,
     SearchExhausted,
     lef_certificate,
     truncate_graph,
     verify_lef,
 )
+from gwreath import formats
 
 from tests.support import (
     factorial_graph,
@@ -148,7 +150,7 @@ def test_verify_rejects_dropped_edges():
     pruned_edges.discard((cert.psi[(C, 0)], cert.psi[(C, 1)]))
     pruned_edges.discard((cert.psi[(C, 1)], cert.psi[(C, 0)]))
     pruned = QuotientGraph(
-        y.kind, y.vertices, pruned_edges, y.loops, y.lift,
+        y.kind, y.vertices, pruned_edges, y.loops,
         modulus=y.modulus, labels=y.labels,
     )
     assert not verify_lef(replace(cert, y=pruned), graph, gammas, vertices)
@@ -169,6 +171,58 @@ def test_verify_rejects_non_homomorphic_phi():
     broken = dict(cert.phi)
     broken[2] = (broken[2] + 1) % cert.q_spec.n
     assert not verify_lef(replace(cert, phi=broken), graph, gammas, vertices)
+
+
+def _edited(lines, old, new):
+    """``lines`` with the line ``old`` replaced by the lines ``new``."""
+    at = lines.index(old)
+    return lines[:at] + new + lines[at + 1:]
+
+
+def test_verify_rejects_edited_documents():
+    # each edit parses, and is rejected because the certificate rebuilt
+    # at the recorded modulus differs from it
+    graph, gammas, vertices, cert = _base_case()
+    lines = formats.lef_lines(graph, cert)
+    edits = [
+        _edited(lines, "q cyclic 5", ["q cyclic 7"]),
+        _edited(lines, "modulus 5", []),
+        _edited(lines, "y.modulus 5", ["y.modulus 7"]),
+        _edited(lines, "truncation.offsets c c 1 2", []),
+        _edited(_edited(lines, "y.vertex c:4", []), "y.lift c:4 c:4", []),
+        [line for line in lines if not line.startswith("y.edge") or "c:3" not in line],
+    ]
+    for edited in edits:
+        parsed = formats.lef_from_record(graph, formats.parse_structured("\n".join(edited))[1])
+        assert not verify_lef(parsed, graph, gammas, vertices), edited
+    assert verify_lef(formats.lef_from_record(graph, formats.parse_structured("\n".join(lines))[1]),
+                      graph, gammas, vertices)
+
+
+@pytest.mark.parametrize(
+    "graph,gammas,vertices",
+    [
+        (factorial_graph(0), [0, 1], cv(0, 1, 2)),
+        (two_orbit_graph(), [0, 1], [("a", 0), ("a", 1), ("b", 2)]),
+        (line_graph(), [-1, 0, 2], cv(0, 1, 3)),
+    ],
+    ids=["factorial", "two-orbit", "line"],
+)
+def test_single_line_edits_are_rejected_or_change_nothing(graph, gammas, vertices):
+    # deleting any one line or replacing its last token either raises
+    # ParseError, fails verification, or re-emits the document unchanged
+    lines = formats.lef_lines(graph, lef_certificate(graph, gammas, vertices))
+    for i, line in enumerate(lines):
+        head = line.rsplit(" ", 1)[0]
+        tokens = ("0", "7", "-1", "x", f"{graph.labels[0]}:7", f"{graph.labels[-1]}:1")
+        for edit in ([], *([f"{head} {token}"] for token in tokens)):
+            edited = lines[:i] + edit + lines[i + 1:]
+            try:
+                parsed = formats.lef_from_record(graph, formats.parse_structured("\n".join(edited))[1])
+            except ParseError:
+                continue
+            if verify_lef(parsed, graph, gammas, vertices):
+                assert formats.lef_lines(graph, parsed) == lines, edited
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,8 @@ def test_act_word_validates_gamma_and_vertices():
     w = Word((Syllable(0, (1, 0, 2)),))
     with pytest.raises(GraphError):
         act_word(graph, S3, (1,), w)
+    with pytest.raises(GroupError):
+        act_word(graph, S3, (1.0, 0), w)
     with pytest.raises(GraphError):
         act_word(graph, S3, (1, 0), Word((Syllable(99, (1, 0, 2)),)))
     with pytest.raises(GraphError):
