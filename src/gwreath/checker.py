@@ -125,12 +125,10 @@ def _orbit_evidence_finite(graph: FiniteModeGraph):
     subgroups = graph._subgroup_orbits
     for v in sorted(set(subgroups[0][1].values())):
         neighbours = graph.neighbours(v)
-        for index, orbits in subgroups:
-            if not any(orbits[u] == orbits[v] for u in neighbours):
-                yield OrbitEvidence(orbit=v, status="holds", subgroup_index=index)
-                break
-        else:  # pragma: no cover - the trivial subgroup always succeeds
-            yield OrbitEvidence(orbit=v, status="unknown")
+        # the trivial subgroup comes last and always succeeds: there are no loops
+        index = next(i for i, orbits in subgroups
+                     if not any(orbits[u] == orbits[v] for u in neighbours))
+        yield OrbitEvidence(orbit=v, status="holds", subgroup_index=index)
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +272,12 @@ def _pair_evidence_finite(graph: FiniteModeGraph):
     for v, w in itertools.combinations(graph.vertices, 2):
         if w in neighbours[v]:
             continue
+        # the trivial subgroup comes last and always succeeds: v and w are not adjacent
         for index, orbits, near in subgroups:
             ov, ow = orbits[v], orbits[w]
             if ov != ow and ow not in near[v]:
                 yield PairEvidence(pair=(v, w), status="holds", subgroup_index=index)
                 break
-        else:  # pragma: no cover - the trivial subgroup always succeeds
-            yield PairEvidence(pair=(v, w), status="unknown")
 
 
 # ---------------------------------------------------------------------------

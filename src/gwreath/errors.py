@@ -8,7 +8,12 @@ class GroupError(ValueError):
 
 
 class GraphError(ValueError):
-    """Invalid graph data or an ill-formed subgroup descriptor."""
+    """Invalid graph data or an ill-formed subgroup descriptor; ``culprit``
+    names the offending input, as ("edge", e) or ("generator", g), if any."""
+
+    def __init__(self, message: str, culprit: tuple | None = None):
+        self.culprit = culprit
+        super().__init__(message)
 
 
 class WordError(ValueError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .errors import ParseError
+from .errors import GraphError, ParseError
 from .graphs import (
     ArithmeticOffsets,
     DifferenceFamily,
@@ -247,6 +247,8 @@ def _parse_graph(entries):
     if mode == "translation":
         orbits, line = _single(entries, "orbits", section="graph")
         labels = tuple(orbits.split())
+        if len(set(labels)) != len(labels):
+            raise ParseError("orbit labels must be distinct", line=line)
         families: dict[tuple[str, str], list[DifferenceFamily]] = {}
         for key, value, lineno in entries:
             if key != "family":
@@ -271,6 +273,7 @@ def _parse_graph(entries):
             raise ParseError("vertices must be integers", line=line) from None
         edges = set()
         generators = []
+        lines = {}  # a GraphError's culprit -> the first line giving it
         for key, value, lineno in entries:
             if key == "edge":
                 try:
@@ -278,12 +281,18 @@ def _parse_graph(entries):
                 except ValueError:
                     raise ParseError("edge needs two vertex ids", line=lineno) from None
                 edges.add((u, w))
+                lines.setdefault(("edge", (u, w)), lineno)
             elif key == "generator":
                 try:
-                    generators.append(tuple(int(x) for x in value.split()))
+                    g = tuple(int(x) for x in value.split())
                 except ValueError:
                     raise ParseError("generator must list vertex images", line=lineno) from None
-        return FiniteModeGraph(vertices, frozenset(edges), tuple(generators))
+                generators.append(g)
+                lines.setdefault(("generator", g), lineno)
+        try:
+            return FiniteModeGraph(vertices, frozenset(edges), tuple(generators))
+        except GraphError as exc:  # repeated vertex ids have no culprit
+            raise ParseError(str(exc), line=lines.get(exc.culprit, line)) from None
     raise ParseError(f"unknown graph mode {mode!r}", line=line)
 
 
@@ -570,16 +579,10 @@ def witness_from_record(instance: Instance, record) -> NonRFWitness:
 def lef_lines(graph: TranslationGraph, cert: LEFCertificate) -> list[str]:
     out = [_header("lef-certificate")]
     out.append(f"q {delta_text(cert.q_spec)}")
-    if cert.truncation is not None:
-        out.append(f"modulus {cert.truncation.modulus}")
-        for (c1, c2) in sorted(
-            cert.truncation.kept_offsets,
-            key=lambda p: (graph.label_index(p[0]), graph.label_index(p[1])),
-        ):
-            offsets = sorted(cert.truncation.kept_offsets[(c1, c2)])
-            out.append(
-                f"truncation.offsets {c1} {c2} " + " ".join(str(o) for o in offsets)
-            )
+    out.append(f"modulus {cert.truncation.modulus}")
+    kept = cert.truncation.kept_offsets
+    for c1, c2 in sorted(kept, key=lambda p: (graph.label_index(p[0]), graph.label_index(p[1]))):
+        out.append(f"truncation.offsets {c1} {c2} " + " ".join(map(str, sorted(kept[c1, c2]))))
     out.extend(quotient_lines(cert.y, prefix="y"))
     for g in sorted(cert.phi):
         out.append(f"phi {g} {cert.phi[g]}")
@@ -607,23 +610,21 @@ def lef_from_record(graph: TranslationGraph, record) -> LEFCertificate:
     for entry in record.get("psi", []):
         source, image = _split(entry, "psi", 2)
         psi[parse_vertex(graph, source)] = _vertex_token(image)
-    truncation = None
-    modulus_text = _one(record, "modulus", required=False)
-    if modulus_text is not None:
-        kept = {}
-        for entry in record.get("truncation.offsets", []):
-            tokens = entry.split()
-            if len(tokens) < 2:
-                raise ParseError(f"truncation.offsets needs a label pair, got {entry!r}")
-            c1, c2, *offsets = tokens
-            if c1 not in graph.labels or c2 not in graph.labels:
-                raise ParseError(f"bad truncation: unknown label in {entry!r}")
-            if (c1, c2) in kept or (c2, c1) in kept:
-                raise ParseError(f"bad truncation: label pair {c1} {c2} given twice")
-            kept[c1, c2] = frozenset(_int(x, "truncation.offsets") for x in offsets)
-            if 0 in kept[c1, c2]:
-                raise ParseError("bad truncation: offset 0 would create a loop")
-        truncation = Truncation(kept_offsets=kept, modulus=_int(modulus_text, "modulus"))
+    modulus = _int(_one(record, "modulus"), "modulus")
+    kept = {}
+    for entry in record.get("truncation.offsets", []):
+        tokens = entry.split()
+        if len(tokens) < 2:
+            raise ParseError(f"truncation.offsets needs a label pair, got {entry!r}")
+        c1, c2, *offsets = tokens
+        if c1 not in graph.labels or c2 not in graph.labels:
+            raise ParseError(f"bad truncation: unknown label in {entry!r}")
+        if (c1, c2) in kept or (c2, c1) in kept:
+            raise ParseError(f"bad truncation: label pair {c1} {c2} given twice")
+        kept[c1, c2] = frozenset(_int(x, "truncation.offsets") for x in offsets)
+        if 0 in kept[c1, c2]:
+            raise ParseError("bad truncation: offset 0 would create a loop")
+    truncation = Truncation(kept_offsets=kept, modulus=modulus)
     return LEFCertificate(q_spec=q_spec, y=y, phi=phi, psi=psi, truncation=truncation)
 
 
@@ -800,11 +801,8 @@ def render_witness(instance: Instance, wit: NonRFWitness) -> list[str]:
 
 def render_lef(graph: TranslationGraph, cert: LEFCertificate) -> list[str]:
     out = [f"LEF MODEL with group of order {cert.q_spec.order()}"]
-    if cert.truncation is not None:
-        kept = sorted(
-            (pair, sorted(offs)) for pair, offs in cert.truncation.kept_offsets.items()
-        )
-        out.append(f"  retained offsets: {kept if kept else 'none'}")
+    kept = sorted((pair, sorted(offs)) for pair, offs in cert.truncation.kept_offsets.items())
+    out.append(f"  retained offsets: {kept if kept else 'none'}")
     out.append(f"  graph vertices: {len(cert.y.vertices)}")
     out.append(
         "  phi: " + (", ".join(f"{a}->{cert.phi[a]}" for a in sorted(cert.phi)) or "-")

@@ -328,9 +328,9 @@ class FiniteModeGraph(Record):
         for e in edges:
             u, w = e
             if u == w:
-                raise GraphError(f"loop at vertex {u} is not allowed")
+                raise GraphError(f"loop at vertex {u} is not allowed", ("edge", e))
             if u not in position or w not in position:
-                raise GraphError(f"edge {e!r} references an unknown vertex")
+                raise GraphError(f"edge {e!r} references an unknown vertex", ("edge", e))
             pairs.add((min(u, w), max(u, w)))
             neighbours[u].add(w)
             neighbours[w].add(u)
@@ -338,15 +338,17 @@ class FiniteModeGraph(Record):
         _set(self, "generators", generators)
         for g in generators:
             if len(g) != len(verts) or set(g) != position.keys():
-                raise GraphError(f"generator {g!r} is not a permutation of the vertices")
+                raise GraphError(
+                    f"generator {g!r} is not a permutation of the vertices", ("generator", g)
+                )
         for g in generators:  # g[position[v]] is the image of v
             for u, w in pairs:
                 gu, gw = g[position[u]], g[position[w]]
                 if (min(gu, gw), max(gu, gw)) not in pairs:
-                    raise GraphError("generator does not preserve the edge set")
+                    raise GraphError("generator does not preserve the edge set", ("generator", g))
         for a, b in itertools.combinations(generators, 2):
             if any(a[position[v]] != b[position[u]] for u, v in zip(a, b)):
-                raise GraphError("generators must pairwise commute")
+                raise GraphError("generators must pairwise commute", ("generator", b))
         # Derived once; not fields, so equality and hashing are unchanged.
         _set(self, "_position", position)
         _set(self, "_places", tuple(_cycle_places([position[v] for v in g]) for g in generators))

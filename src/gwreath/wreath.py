@@ -602,9 +602,11 @@ def verify_certificate(instance: Instance, cert: RFCertificate) -> bool:
     try:
         sub_instance, x, support = _restricted_support(instance, cert.element)
         if cert.kind == "modulus" and isinstance(graph, TranslationGraph):
-            if not isinstance(cert.modulus, int) or cert.modulus < 1:
+            m, labels = cert.modulus, len(sub_instance.graph.labels)
+            # a rebuilt quotient has an orbit per label and residue: build none larger
+            if not isinstance(m, int) or m < 1 or len(cert.quotient.vertices) != labels * m:
                 return False
-            rebuilt = _try_translation(instance, sub_instance, x, support, cert.modulus)
+            rebuilt = _try_translation(instance, sub_instance, x, support, m)
         elif cert.kind == "image-subgroup" and isinstance(graph, FiniteModeGraph):
             # Only a listed subgroup, in its listed form, can rebuild equal.
             if cert.subgroup_perms not in graph._subgroups:

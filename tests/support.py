@@ -14,7 +14,6 @@ from collections import deque
 from gwreath import (
     ArithmeticOffsets,
     Cyclic,
-    CyclicPower,
     FactorialOffsets,
     FiniteModeGraph,
     FiniteOffsets,
@@ -156,8 +155,6 @@ def random_element(spec, rng):
         return rng.randrange(spec.size)
     if isinstance(spec, FreeAbelian):
         return tuple(rng.randint(-5, 5) for _ in range(spec.rank))
-    if isinstance(spec, CyclicPower):
-        return tuple(rng.randrange(spec.n) for _ in range(spec.rank))
     raise TypeError(f"no sampler for {spec!r}")
 
 
@@ -568,3 +565,61 @@ def reference_gw_invert(instance: Instance, x: WreathElement) -> WreathElement:
     return WreathElement(
         act_word(graph, delta, ginv, gp_invert(graph, delta, x.word)), ginv
     )
+
+
+# ---------------------------------------------------------------------------
+# finite partial models
+
+
+def random_translation_graph(rng) -> TranslationGraph:
+    """1-3 labels; each label pair gets no family, or one finite,
+    factorial or arithmetic family."""
+    labels = ("a", "b", "c")[: rng.randint(1, 3)]
+    families = {}
+    for i, c1 in enumerate(labels):
+        for c2 in labels[i:]:
+            kind = rng.choice(("none", "finite", "factorial", "arithmetic"))
+            if kind == "finite":
+                offsets = {rng.choice((-1, 1)) * rng.randint(1, 6) for _ in range(3)}
+                families[c1, c2] = (FiniteOffsets(frozenset(offsets)),)
+            elif kind == "factorial":
+                families[c1, c2] = (FactorialOffsets(rng.randint(0, 3)),)
+            elif kind == "arithmetic":
+                families[c1, c2] = (ArithmeticOffsets(rng.randint(1, 4), rng.randint(1, 5)),)
+    return TranslationGraph(labels, families)
+
+
+def lef_satisfies(cert, graph, gammas, vertices) -> bool:
+    """Exhaustively check a certificate against the original action.
+
+    Injectivity of both maps, the induced-subgraph embedding (taken
+    against the untruncated graph, with no loops allowed on image
+    vertices), the partial homomorphism law on A, and equivariance
+    wherever a translate of E stays in E.
+    """
+    phi, psi, y = cert.phi, cert.psi, cert.y
+    if (
+        set(phi) != set(gammas)
+        or set(psi) != set(vertices)
+        or len(set(phi.values())) != len(gammas)
+        or len(set(psi.values())) != len(vertices)
+        or not all(map(cert.q_spec.contains, phi.values()))
+        or not all(map(y.has_vertex, psi.values()))
+    ):
+        return False
+    for v, w in itertools.combinations(vertices, 2):
+        if graph.adjacent(v, w) != y.adjacent(psi[v], psi[w]):
+            return False
+    if any(y.has_loop(psi[v]) for v in vertices):
+        return False
+    if any(
+        a + b in phi and cert.q_spec.compose(phi[a], phi[b]) != phi[a + b]
+        for a, b in itertools.product(gammas, repeat=2)
+    ):
+        return False
+    for a in gammas:
+        move = graph.action(a)  # A and E are checked
+        for v in vertices:
+            if move(v) in psi and y.act(phi[a], psi[v]) != psi[move(v)]:
+                return False
+    return True

@@ -258,6 +258,36 @@ def test_parse_error_names_line(capsys, tmp_path):
     assert "line 4" in err
 
 
+# (name, gamma kind, [graph] body, the line the error names); the [graph]
+# header is line 7, so its first field is line 8
+GRAPH_ERRORS = [
+    ("repeated-labels", "z", "mode = translation\norbits = c c\nfamily = c c finite 1", 9),
+    ("loop", "z^1", "mode = finite\nvertices = 0 1 2\nedge = 0 1\nedge = 1 1", 11),
+    ("unknown-vertex", "z^1", "mode = finite\nvertices = 0 1 2\nedge = 1 5\nedge = 0 1", 10),
+    ("repeated-vertex", "z^1", "mode = finite\nvertices = 0 1 1\nedge = 0 1", 9),
+    ("not-a-permutation", "z^1", "mode = finite\nvertices = 0 1 2\ngenerator = 1 1 0", 10),
+    (
+        "edges-not-preserved", "z^2",
+        "mode = finite\nvertices = 0 1 2\nedge = 0 1\ngenerator = 0 1 2\ngenerator = 1 2 0", 12,
+    ),
+    (
+        "not-commuting", "z^2",
+        "mode = finite\nvertices = 0 1 2\ngenerator = 1 0 2\ngenerator = 0 2 1", 11,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "gamma, body, line", [case[1:] for case in GRAPH_ERRORS], ids=[c[0] for c in GRAPH_ERRORS]
+)
+def test_graph_errors_name_their_line(capsys, tmp_path, gamma, body, line):
+    bad = tmp_path / "bad.instance"
+    bad.write_text(f"[delta]\nkind = cyclic\norder = 2\n\n[gamma]\nkind = {gamma}\n[graph]\n{body}\n")
+    code, out, err = invoke(capsys, "check", bad)
+    assert code == 1 and not out
+    assert err.startswith("error: ") and err.rstrip().endswith(f"(line {line})"), err
+
+
 def test_output_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "out.txt"
     code, out, _ = invoke(
@@ -389,7 +419,7 @@ def test_import_gwreath_loads_no_submodule():
 
 
 # (argv, the modules its process must not load); each command imports
-# only the modules it runs, and none loads the homomorphism library
+# only the modules it runs
 IMPORT_PLAN = [
     (["normalize", "ex11.instance", "--element", "w1"], {"checker", "lef"}),
     (["mul", "ex11.instance", "--left", "w1", "--right", "w2"], {"checker", "lef"}),
@@ -423,7 +453,7 @@ def test_command_imports_only_what_it_runs(argv, unused):
     assert code == "0"
     loaded = {name.split(".", 1)[1] for name in json.loads(loaded)}
     assert {"cli", "formats", "wreath"} <= loaded
-    assert not loaded & (unused | {"homomorphisms"})
+    assert not loaded & unused
 
 
 def test_exports_are_the_defining_modules_objects():

@@ -5,16 +5,13 @@ from hypothesis import given, strategies as st
 
 from gwreath import (
     Cyclic,
-    CyclicPower,
     FiniteTable,
     FreeAbelian,
     GroupError,
-    Homomorphism,
     Integers,
     Symmetric,
     commutator,
     first_nontrivial,
-    identity_hom,
     noncommuting_pair,
 )
 
@@ -30,7 +27,6 @@ SPECS = [
     FreeAbelian(0),
     FreeAbelian(1),
     FreeAbelian(3),
-    CyclicPower(3, 2),
     klein_table(),
 ]
 
@@ -150,46 +146,6 @@ def test_finite_table_klein():
     assert k.compose(1, 2) == 3
     assert k.invert(3) == 3
     assert k.is_abelian()
-
-
-def test_homomorphism_property_sampled():
-    rng = random.Random(3)
-    homs = [
-        identity_hom(Symmetric(3)),
-        Homomorphism(FreeAbelian(2), CyclicPower(3, 2), "reduce-mod", modulus=3),
-        Homomorphism(
-            Cyclic(4),
-            Cyclic(2),
-            "table",
-            mapping=tuple((i, i % 2) for i in range(4)),
-        ),
-    ]
-    for hom in homs:
-        for _ in range(500):
-            a = random_element(hom.source, rng)
-            b = random_element(hom.source, rng)
-            assert hom.apply(hom.source.compose(a, b)) == hom.target.compose(
-                hom.apply(a), hom.apply(b)
-            )
-
-
-def test_homomorphism_table_rule_validated():
-    with pytest.raises(GroupError):
-        Homomorphism(
-            Cyclic(4),
-            Cyclic(2),
-            "table",
-            mapping=tuple((i, (i + 1) % 2) for i in range(4)),
-        )
-    with pytest.raises(GroupError):  # incomplete map
-        Homomorphism(Cyclic(4), Cyclic(2), "table", mapping=((0, 0),))
-
-
-def test_homomorphism_reduce_mod_target_checked():
-    with pytest.raises(GroupError):
-        Homomorphism(FreeAbelian(2), CyclicPower(3, 1), "reduce-mod", modulus=3)
-    with pytest.raises(GroupError):
-        Homomorphism(Cyclic(4), CyclicPower(2, 1), "reduce-mod", modulus=2)
 
 
 def test_noncommuting_pair():

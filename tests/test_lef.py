@@ -12,13 +12,15 @@ from gwreath import (
     truncate_graph,
     verify_lef,
 )
-from gwreath import formats
+from gwreath import formats, lef
 
 from tests.support import (
     factorial_graph,
     k5_cyclic,
+    lef_satisfies,
     line_graph,
     offsets_graph,
+    random_translation_graph,
     replace,
     two_orbit_graph,
 )
@@ -124,6 +126,28 @@ def test_two_orbit_model():
     assert verify_lef(cert, graph, gammas, vertices)
 
 
+def test_the_distinctness_rule_alone_yields_certificates():
+    # the exhaustive oracle accepts the search's certificate and the one
+    # at every modulus up to 64 whose distinctness precheck passes
+    rng = random.Random(131)
+    accepted = 0
+    for _ in range(500):
+        graph = random_translation_graph(rng)
+        gammas = sorted({rng.randint(-6, 6) for _ in range(rng.randint(1, 4))})
+        vertices = sorted(
+            {(rng.choice(graph.labels), rng.randint(-6, 6)) for _ in range(rng.randint(0, 5))},
+            key=graph.vertex_key,
+        )
+        assert lef_satisfies(lef_certificate(graph, gammas, vertices), graph, gammas, vertices)
+        prepared = lef._prepare(graph, gammas, vertices)
+        for m in range(1, 65):
+            cert = lef._certificate_at(prepared, m)
+            if cert is not None:
+                accepted += 1
+                assert lef_satisfies(cert, graph, gammas, vertices), (graph, gammas, vertices, m)
+    assert accepted > 10_000
+
+
 # ---------------------------------------------------------------------------
 # verification is strict
 
@@ -186,7 +210,6 @@ def test_verify_rejects_edited_documents():
     lines = formats.lef_lines(graph, cert)
     edits = [
         _edited(lines, "q cyclic 5", ["q cyclic 7"]),
-        _edited(lines, "modulus 5", []),
         _edited(lines, "y.modulus 5", ["y.modulus 7"]),
         _edited(lines, "truncation.offsets c c 1 2", []),
         _edited(_edited(lines, "y.vertex c:4", []), "y.lift c:4 c:4", []),
@@ -197,6 +220,10 @@ def test_verify_rejects_edited_documents():
         assert not verify_lef(parsed, graph, gammas, vertices), edited
     assert verify_lef(formats.lef_from_record(graph, formats.parse_structured("\n".join(lines))[1]),
                       graph, gammas, vertices)
+    # a document without its modulus line does not parse
+    record = formats.parse_structured("\n".join(_edited(lines, "modulus 5", [])))[1]
+    with pytest.raises(ParseError, match="missing key 'modulus'"):
+        formats.lef_from_record(graph, record)
 
 
 @pytest.mark.parametrize(

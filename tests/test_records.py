@@ -9,13 +9,11 @@ from gwreath import (
     EMPTY_WORD,
     ArithmeticOffsets,
     Cyclic,
-    CyclicPower,
     FactorialOffsets,
     FiniteModeGraph,
     FiniteOffsets,
     FiniteTable,
     FreeAbelian,
-    Homomorphism,
     Instance,
     Integers,
     LEFCertificate,
@@ -87,13 +85,6 @@ CASES = {
     ),
     "Integers": (Integers, "Integers()", True),
     "FreeAbelian": (lambda: FreeAbelian(rank=2), "FreeAbelian(rank=2)", True),
-    "CyclicPower": (lambda: CyclicPower(n=3, rank=2), "CyclicPower(n=3, rank=2)", True),
-    "Homomorphism": (
-        lambda: Homomorphism(source=Cyclic(2), target=Cyclic(2), rule="identity"),
-        "Homomorphism(source=Cyclic(n=2), target=Cyclic(n=2), rule='identity', "
-        "modulus=None, mapping=None)",
-        True,
-    ),
     "FiniteOffsets": (
         lambda: FiniteOffsets(offsets=frozenset({1})),
         "FiniteOffsets(offsets=frozenset({1, -1}))",
@@ -162,9 +153,12 @@ CASES = {
         False,
     ),
     "LEFCertificate": (
-        lambda: LEFCertificate(q_spec=Cyclic(2), y=QUOTIENT, phi={0: 0}, psi={("c", 0): ("c", 0)}),
+        lambda: LEFCertificate(
+            q_spec=Cyclic(2), y=QUOTIENT, phi={0: 0}, psi={("c", 0): ("c", 0)},
+            truncation=Truncation(kept_offsets={}, modulus=2),
+        ),
         f"LEFCertificate(q_spec=Cyclic(n=2), y={QUOTIENT!r}, phi={{0: 0}}, "
-        "psi={('c', 0): ('c', 0)}, truncation=None)",
+        "psi={('c', 0): ('c', 0)}, truncation=Truncation(kept_offsets={}, modulus=2))",
         False,
     ),
     "OrbitEvidence": (
@@ -269,9 +263,6 @@ def test_keyword_construction_and_defaults():
     assert graph == FiniteModeGraph((1, 0), frozenset(), ())
     assert TranslationGraph(labels=("c",)).families == {}
     assert FiniteTable(size=1, table=((0,),)).identity_index == 0
-    assert Homomorphism(Cyclic(2), Cyclic(2), "identity") == Homomorphism(
-        source=Cyclic(2), target=Cyclic(2), rule="identity", modulus=None, mapping=None
-    )
     verdict = Verdict("unknown")
     assert verdict.cond1_note == COND1_NOTE and verdict.witness is None
     assert PairEvidence((0, 1), "holds").obstruction is None
@@ -289,7 +280,9 @@ def test_keyword_construction_and_defaults():
         PairEvidence((0, 1), "holds", pair=(0, 2))
     with pytest.raises(TypeError, match="missing required argument 'status'"):
         PairEvidence(pair=(0, 1))
-    assert LEFCertificate(Cyclic(2), QUOTIENT, {}, {}).truncation is None
+    assert LEFCertificate._defaults == {}
+    with pytest.raises(TypeError, match="missing required argument 'truncation'"):
+        LEFCertificate(Cyclic(2), QUOTIENT, {}, {})
     with pytest.raises(TypeError):
         Syllable(vertex=0)
     with pytest.raises(TypeError):

@@ -522,6 +522,27 @@ def test_verify_certificate_rejects_tampering():
     assert not _verifies(inst, text.replace("subgroup.perm 0,1,2,3,4", "subgroup.perm 1,2,3,4,0"))
 
 
+@pytest.mark.parametrize("modulus", [10**6, 10**9])
+def test_verify_certificate_rejects_a_huge_modulus_without_building_it(modulus):
+    # the rebuilt quotient would have |labels| * m vertices against the
+    # document's few, so no residues and no quotient are built
+    inst, _, text = _certificate_document("ex11.instance", "w1")
+    edits = [
+        text.replace("subgroup.modulus 4", f"subgroup.modulus {modulus}"),
+        text.replace("subgroup.modulus 4", f"subgroup.modulus {modulus}")
+        .replace("quotient.modulus 4", f"quotient.modulus {modulus}"),
+    ]
+    tracemalloc.start()
+    try:
+        for edited in edits:
+            assert edited != text
+            assert not _verifies(inst, edited)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_verify_certificate_short_perm_is_false():
     inst, _, text = _certificate_document("finite5-s3.instance", "w1")
     assert not _verifies(inst, text.replace("subgroup.perm 0,1,2,3,4", "subgroup.perm 0,1"))
