@@ -231,6 +231,35 @@ def test_finite_mode_validation():
         FiniteModeGraph((0, 1, 2), frozenset(), ((1, 0, 2), (0, 2, 1)))
 
 
+# (name, vertices, edges, generators, the culprit the error names)
+FINITE_MODE_ERRORS = [
+    ("loop", (0, 1), {(0, 1), (0, 0)}, (), ("edge", (0, 0))),
+    ("unknown-vertex", (0, 1, 2), {(1, 5)}, (), ("edge", (1, 5))),
+    ("not-a-permutation", (0, 1), {(0, 1)}, ((1, 0), (0, 0)), ("generator", (0, 0))),
+    ("edges-not-preserved", (0, 1, 2), {(0, 1)}, ((0, 1, 2), (0, 2, 1)), ("generator", (0, 2, 1))),
+    ("not-commuting", (0, 1, 2), set(), ((1, 0, 2), (0, 2, 1)), ("generator", (0, 2, 1))),
+    ("repeated-vertex", (0, 1, 1), set(), (), None),
+]
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, generators, culprit",
+    [case[1:] for case in FINITE_MODE_ERRORS],
+    ids=[case[0] for case in FINITE_MODE_ERRORS],
+)
+def test_finite_mode_errors_name_their_culprit(vertices, edges, generators, culprit):
+    # the instance parser maps the culprit back to the line that gave it
+    with pytest.raises(GraphError) as info:
+        FiniteModeGraph(vertices, frozenset(edges), generators)
+    assert info.value.culprit == culprit
+
+
+def test_translation_graph_rejects_repeated_labels():
+    with pytest.raises(GraphError, match="orbit labels must be distinct") as info:
+        TranslationGraph(("c", "d", "c"))
+    assert info.value.culprit is None
+
+
 # ---------------------------------------------------------------------------
 # quotients
 

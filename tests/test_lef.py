@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -224,6 +225,21 @@ def test_verify_rejects_edited_documents():
     record = formats.parse_structured("\n".join(_edited(lines, "modulus 5", [])))[1]
     with pytest.raises(ParseError, match="missing key 'modulus'"):
         formats.lef_from_record(graph, record)
+
+
+@pytest.mark.parametrize("modulus", [10**6, 10**9])
+def test_verify_lef_rejects_a_huge_modulus_without_building_it(modulus):
+    # the rebuilt Y would have |labels| * m vertices against the given
+    # Y's few, so no quotient is built
+    graph, gammas, vertices, cert = _base_case()
+    huge = replace(cert, truncation=replace(cert.truncation, modulus=modulus))
+    tracemalloc.start()
+    try:
+        assert not verify_lef(huge, graph, gammas, vertices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(
