@@ -201,7 +201,11 @@ class TranslationGraph(Record):
     label index first) to the difference families generating edges
     between the two orbits: (c, x) ~ (c', y) iff y - x lies in some
     family of the pair.  Negation closure of the families makes this
-    orientation-independent.
+    orientation-independent.  Construction derives, per ordered label
+    pair, the union of its finite offsets and the tuple of its infinite
+    families, so ``adjacent`` is a set probe that asks the infinite
+    families only for pairs that have any; ``has_vertex`` and
+    ``vertex_key`` look labels up in a dict.
     """
 
     acting = Integers()  # not a field: translation by the integers
@@ -226,9 +230,17 @@ class TranslationGraph(Record):
                 raise GraphError(f"duplicate family entry for pair {key!r}")
             normalized[key] = tuple(fams)
         _set(self, "families", normalized)
-        # Each ordered label pair to its families, for lookups without _pair_key.
+        # Each ordered label pair to its families, for lookups without _pair_key,
+        # and to the union of its finite offsets beside its infinite families.
         _set(self, "_pair_families", {
             (c1, c2): normalized.get(self._pair_key(c1, c2), ()) for c1 in labels for c2 in labels
+        })
+        _set(self, "_pair_tables", {
+            pair: (
+                frozenset().union(*(f.offsets for f in fams if f.is_finite())),
+                tuple(f for f in fams if not f.is_finite()),
+            )
+            for pair, fams in self._pair_families.items()
         })
 
     def label_index(self, c: str) -> int:
@@ -242,12 +254,12 @@ class TranslationGraph(Record):
         return (c1, c2) if self.label_index(c1) <= self.label_index(c2) else (c2, c1)
 
     def has_vertex(self, v: Vertex) -> bool:
-        return (
-            isinstance(v, tuple)
-            and len(v) == 2
-            and v[0] in self.labels
-            and isinstance(v[1], int)
-        )
+        if not (isinstance(v, tuple) and len(v) == 2 and isinstance(v[1], int)):
+            return False
+        try:
+            return v[0] in self._label_index
+        except TypeError:  # an unhashable label is no label
+            return False
 
     def check_vertex(self, v: Vertex) -> None:
         if not self.has_vertex(v):
@@ -260,11 +272,18 @@ class TranslationGraph(Record):
             return self.families.get(self._pair_key(c1, c2), ())  # GraphError: unknown label
 
     def adjacent(self, v: Vertex, w: Vertex) -> bool:
-        """Both must be vertices of this graph, checked by the caller."""
-        if v == w:
-            return False
+        """Both must be vertices of this graph, checked by the caller.
+
+        A probe of the pair's finite offsets, then of its infinite
+        families if it has any.  No family holds offset 0, so no vertex
+        is adjacent to itself.
+        """
         (c1, x), (c2, y) = v, w
-        return contains_offset(self._pair_families[c1, c2], y - x)
+        offsets, infinite = self._pair_tables[c1, c2]
+        d = y - x
+        if d in offsets:
+            return True
+        return bool(infinite) and contains_offset(infinite, d)
 
     def action(self, gamma: int):
         """The vertex map of ``gamma``, on vertices checked by the caller."""
@@ -276,7 +295,10 @@ class TranslationGraph(Record):
         return self.action(gamma)(v)
 
     def vertex_key(self, v: Vertex):
-        return (self.label_index(v[0]), v[1])
+        try:
+            return (self._label_index[v[0]], v[1])
+        except KeyError:
+            raise GraphError(f"unknown orbit label {v[0]!r}") from None
 
     def has_loop(self, v: Vertex) -> bool:
         return False
@@ -422,9 +444,7 @@ class FiniteModeGraph(Record):
 
     def adjacent(self, v: int, w: int) -> bool:
         """Both must be vertices of this graph, checked by the caller."""
-        if v == w:
-            return False
-        return (min(v, w), max(v, w)) in self.edges
+        return w in self._neighbours[v]
 
     def neighbours(self, v: int) -> frozenset[int]:
         """``v`` must be a vertex of this graph, checked by the caller."""

@@ -188,12 +188,13 @@ class Symmetric(GroupSpec):
         if degree < 1:
             raise GroupError(f"symmetric degree must be >= 1, got {degree}")
         _set(self, "degree", degree)
+        _set(self, "_points", list(range(degree)))  # not a field: what ``contains`` sorts to
 
     def identity(self) -> tuple[int, ...]:
         return tuple(range(self.degree))
 
     def _compose(self, a, b):
-        return tuple(a[b[i]] for i in range(self.degree))
+        return tuple(map(a.__getitem__, b))
 
     def _invert(self, a):
         out = [0] * self.degree
@@ -202,11 +203,14 @@ class Symmetric(GroupSpec):
         return tuple(out)
 
     def contains(self, a) -> bool:
-        return (
-            isinstance(a, tuple)
-            and len(a) == self.degree
-            and sorted(a) == list(range(self.degree))
-        )
+        if not (isinstance(a, tuple) and len(a) == self.degree):
+            return False
+        # A sum of ints is an int: an entry such as 1.0, which sorts and
+        # compares like 1 but cannot index a tuple, makes it a float.
+        try:
+            return type(sum(a)) is int and sorted(a) == self._points
+        except TypeError:  # entries that neither add nor sort among ints
+            return False
 
     def is_abelian(self) -> bool:
         return self.degree <= 2
@@ -227,7 +231,8 @@ class FiniteTable(GroupSpec):
     ``table[i][j]`` is the index of the product of elements i and j.
     The table is validated eagerly at construction: closure, the
     declared identity, inverses, and associativity are all checked by
-    exhaustive scan, and invalid tables are rejected outright.
+    exhaustive scan, and invalid tables are rejected outright.  Whether
+    the group is abelian is decided by the same scan and kept.
     """
 
     _fields = ("size", "table", "identity_index")
@@ -263,6 +268,10 @@ class FiniteTable(GroupSpec):
                         raise GroupError(
                             f"table is not associative at ({i}, {j}, {k})"
                         )
+        # Not a field: equality and hashing still see only the table.
+        _set(self, "_abelian", all(
+            self.table[i][j] == self.table[j][i] for i in range(n) for j in range(i)
+        ))
 
     def identity(self) -> int:
         return self.identity_index
@@ -281,10 +290,7 @@ class FiniteTable(GroupSpec):
         return isinstance(a, int) and 0 <= a < self.size
 
     def is_abelian(self) -> bool:
-        n = self.size
-        return all(
-            self.table[i][j] == self.table[j][i] for i in range(n) for j in range(n)
-        )
+        return self._abelian
 
     def order(self) -> int:
         return self.size

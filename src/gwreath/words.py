@@ -17,10 +17,14 @@ problem of Crisp, Godelle and Wiest:
 Each syllable costs one adjacency lookup per commuting syllable it is
 pushed past, and adjacency is memoised per call over interned vertex
 ids, so a word of n syllables needs O(n log n) work when commuting runs
-are short instead of the O(n^2) lookups of a pairwise scan.  Equal group elements always
+are short instead of the O(n^2) lookups of a pairwise scan.  A lookup
+the memo misses is a table probe in the graph (a set of offsets per
+label pair, or a neighbour set).  Equal group elements always
 produce equal canonical words, so equality and triviality testing
 reduce to comparison against this form.  A group operation makes one
-canonical pass, which checks every syllable on entry; ``adjacent`` does not.
+canonical pass, which checks every syllable on entry with one vertex
+test and one membership test (``contains``) of its value; ``check``
+runs only to raise, and ``adjacent`` checks nothing.
 """
 
 from __future__ import annotations
@@ -78,11 +82,15 @@ def word(delta: GroupSpec, pairs: Iterable[tuple[Vertex, Element]]) -> Word:
 
 
 def _validate(graph, delta: GroupSpec, w: Word | Iterable[Syllable]) -> list[Syllable]:
+    """The syllables of ``w``, each vertex and then value tested once;
+    ``check`` runs only to raise."""
     sylls = list(w)
+    has_vertex, contains = graph.has_vertex, delta.contains
     for s in sylls:
-        if not graph.has_vertex(s.vertex):
+        if not has_vertex(s.vertex):
             raise WordError(f"syllable vertex {s.vertex!r} does not belong to the graph")
-        delta.check(s.value)
+        if not contains(s.value):
+            delta.check(s.value)
     return sylls
 
 
@@ -202,7 +210,8 @@ def gp_compose(graph, delta: GroupSpec, w1: Word, w2: Word) -> Word:
 
 def gp_invert(graph, delta: GroupSpec, w: Word) -> Word:
     sylls = _validate(graph, delta, w)  # once, before ``_invert`` can wrap a bad value
-    inverses = [Syllable(s.vertex, delta._invert(s.value)) for s in reversed(sylls)]
+    invert = delta._invert
+    inverses = [Syllable(s.vertex, invert(s.value)) for s in reversed(sylls)]
     return _canonical(graph, delta, inverses)
 
 

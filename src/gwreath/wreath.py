@@ -103,12 +103,26 @@ def act_word(graph, delta: GroupSpec, gamma: Gamma, w: Word) -> Word:
     """Move every syllable along the action (one vertex map per call) and
     recanonicalize, checking each syllable once."""
     move = graph.action(gamma)
-    for s in w:
-        graph.check_vertex(s.vertex)
+    _check_vertices(graph, w)
     graph.acting.check(gamma)  # as ``gw_compose`` does, so moved vertices stay vertices
-    for s in w:
-        delta.check(s.value)
+    _check_values(delta, w)
     return _canonical(graph, delta, [Syllable(move(s.vertex), s.value) for s in w])
+
+
+def _check_vertices(graph, w: Word) -> None:
+    """Test each syllable's vertex once; ``check_vertex`` runs only to raise."""
+    has_vertex = graph.has_vertex
+    for s in w:
+        if not has_vertex(s.vertex):
+            graph.check_vertex(s.vertex)
+
+
+def _check_values(delta: GroupSpec, w: Word) -> None:
+    """Test each syllable's value once; ``check`` runs only to raise."""
+    contains = delta.contains
+    for s in w:
+        if not contains(s.value):
+            delta.check(s.value)
 
 
 def gw_compose(instance: Instance, x: WreathElement, y: WreathElement) -> WreathElement:
@@ -116,11 +130,9 @@ def gw_compose(instance: Instance, x: WreathElement, y: WreathElement) -> Wreath
     graph, delta = instance.graph, instance.delta
     gamma = graph.acting.compose(x.gamma, y.gamma)  # checks both before acting
     move = graph.action(x.gamma)
-    for s in y.word:
-        graph.check_vertex(s.vertex)
+    _check_vertices(graph, y.word)
     left = _validate(graph, delta, x.word)
-    for s in y.word:
-        delta.check(s.value)
+    _check_values(delta, y.word)
     moved = [Syllable(move(s.vertex), s.value) for s in y.word]  # vertices stay vertices
     return WreathElement(_canonical(graph, delta, left + moved), gamma)
 
@@ -130,8 +142,8 @@ def gw_invert(instance: Instance, x: WreathElement) -> WreathElement:
     graph, delta = instance.graph, instance.delta
     ginv = graph.acting.invert(x.gamma)
     sylls = _validate(graph, delta, x.word)  # before ``_invert`` can wrap a bad value
-    move = graph.action(ginv)
-    inverses = [Syllable(move(s.vertex), delta._invert(s.value)) for s in reversed(sylls)]
+    move, invert = graph.action(ginv), delta._invert
+    inverses = [Syllable(move(s.vertex), invert(s.value)) for s in reversed(sylls)]
     return WreathElement(_canonical(graph, delta, inverses), ginv)
 
 

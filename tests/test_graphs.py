@@ -16,7 +16,12 @@ from gwreath import (
     quotient_graph,
     residues_of,
 )
-from gwreath.graphs import covers_all_nonzero, enumerate_subgroups, normalize_subgroup
+from gwreath.graphs import (
+    contains_offset,
+    covers_all_nonzero,
+    enumerate_subgroups,
+    normalize_subgroup,
+)
 
 from tests.support import (
     brute_factorial_residues,
@@ -29,6 +34,7 @@ from tests.support import (
     line_graph,
     offsets_graph,
     prime_cycles_graph,
+    random_translation_graph,
     random_vertex,
     reference_enumerate_subgroups,
     reference_perm_of,
@@ -166,6 +172,43 @@ def test_adjacency_cross_orbit():
     assert g.adjacent(("a", 0), ("b", -2))
     assert not g.adjacent(("a", 0), ("b", 1))
     assert not g.adjacent(("a", 0), ("b", 0))
+
+
+def test_translation_adjacency_table_matches_the_families():
+    # each pair's finite offsets are merged into one set beside its
+    # infinite families; half the pairs get a second, finite family
+    rng = random.Random(71)
+    for _ in range(200):
+        base = random_translation_graph(rng)
+        families = {}
+        for pair, fams in base.families.items():
+            if rng.random() < 0.5:
+                fams += (FiniteOffsets(frozenset({rng.randint(1, 9)})),)
+            families[pair] = fams
+        graph = TranslationGraph(base.labels, families)
+        for c1, c2 in itertools.product(graph.labels, repeat=2):
+            fams = graph.families_for(c1, c2)
+            x = rng.randint(-20, 20)
+            for d in range(-60, 61):
+                expected = contains_offset(fams, d)
+                assert graph.adjacent((c1, x), (c2, x + d)) == expected, (families, c1, c2, d)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [cycle_graph(n) for n in range(3, 13)] + [torus_graph(n) for n in range(2, 6)] + [k5_cyclic()],
+    ids=repr,
+)
+def test_finite_mode_adjacency_matches_the_edge_set(graph):
+    for u, w in itertools.product(graph.vertices, repeat=2):
+        assert graph.adjacent(u, w) == ((min(u, w), max(u, w)) in graph.edges), (u, w)
+
+
+def test_has_vertex_rejects_malformed_vertices():
+    line = line_graph()
+    assert line.has_vertex(("c", -3))
+    for v in ((["c"], 0), ("x", 0), ("c", 1.0), ("c",), ["c", 0], "c", None):
+        assert line.has_vertex(v) is False, v
 
 
 def test_act_examples():

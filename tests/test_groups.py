@@ -132,6 +132,45 @@ def test_compose_and_invert_check_every_argument(spec):
             spec.invert(bad)
 
 
+def test_symmetric_elements_have_int_entries():
+    # 1.0 sorts and compares like 1 but cannot index a tuple; "a" cannot be sorted among ints
+    s3 = Symmetric(3)
+    for bad in ((1.0, 0, 2), (True, 0.0, 2), ("a", 0, 1)):
+        assert not s3.contains(bad)
+        with pytest.raises(GroupError):
+            s3.compose(bad, s3.identity())
+        with pytest.raises(GroupError):
+            s3.compose(s3.identity(), bad)
+        with pytest.raises(GroupError):
+            s3.invert(bad)
+    assert s3.contains((1, 0, 2))
+
+
+class _CountedRows(tuple):
+    """Table rows that count how often one is read by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_finite_table_decides_commutativity_at_construction():
+    s3 = Symmetric(3)
+    perms = list(s3.elements())
+    tables = {
+        True: [[(i + j) % 12 for j in range(12)] for i in range(12)],
+        False: [[perms.index(s3.compose(a, b)) for b in perms] for a in perms],
+    }
+    for abelian, rows in tables.items():
+        table = _CountedRows(map(tuple, rows))
+        spec = FiniteTable(len(rows), table, 0)
+        table.reads = 0
+        assert [spec.is_abelian() for _ in range(3)] == [abelian] * 3
+        assert table.reads == 0
+
+
 def test_finite_table_rejects_bad_tables():
     with pytest.raises(GroupError):  # wrong identity
         FiniteTable(2, ((0, 1), (1, 0)), 1)

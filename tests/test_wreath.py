@@ -905,18 +905,18 @@ def test_group_operations_check_each_syllable_once(monkeypatch, graph_name):
     rng = random.Random(97)
     x, y = _sample_element(inst, rng, 40, 6), _sample_element(inst, rng, 30, 6)
     cls, counts = type(inst.graph), Counter()
-    has_vertex, check = cls.has_vertex, Symmetric.check
+    has_vertex, contains = cls.has_vertex, Symmetric.contains
 
     def counted_has_vertex(self, v):
         counts["has_vertex"] += 1
         return has_vertex(self, v)
 
-    def counted_check(self, a):
-        counts["check"] += self is inst.delta  # not the acting group's gamma checks
-        return check(self, a)
+    def counted_contains(self, a):
+        counts["contains"] += self is inst.delta  # not the acting group's gamma checks
+        return contains(self, a)
 
     monkeypatch.setattr(cls, "has_vertex", counted_has_vertex)
-    monkeypatch.setattr(Symmetric, "check", counted_check)
+    monkeypatch.setattr(Symmetric, "contains", counted_contains)
     for operation, n in (
         (lambda: gw_compose(inst, x, y), len(x.word) + len(y.word)),
         (lambda: gw_invert(inst, x), len(x.word)),
@@ -925,7 +925,7 @@ def test_group_operations_check_each_syllable_once(monkeypatch, graph_name):
     ):
         counts.clear()
         operation()
-        assert counts == Counter({"has_vertex": n, "check": n})
+        assert counts == Counter({"has_vertex": n, "contains": n})
 
 
 def test_exhausted_separate_builds_no_residue_set(monkeypatch):
@@ -1014,10 +1014,18 @@ def _foreign_vertex_cases():
         graph = inst.graph
         bad_vertex = with_syllable(x, foreign, (1, 0, 2))
         bad_value = with_syllable(x, x.word.syllables[0].vertex, (0, 0, 1))
-        for what, y, error in (("vertex", bad_vertex, None), ("value", bad_value, GroupError)):
+        # 1.0 sorts and compares like 1, but a tuple cannot be indexed by it
+        float_value = with_syllable(x, x.word.syllables[0].vertex, (1.0, 0, 2))
+        for what, y, error in (
+            ("vertex", bad_vertex, None),
+            ("value", bad_value, GroupError),
+            ("float-value", float_value, GroupError),
+        ):
             cases += [
                 (f"canonical_form/{label}/{what}",
                  lambda y=y, graph=graph: canonical_form(graph, S3, y.word),
+                 error or WordError),
+                (f"normalize/{label}/{what}", lambda y=y, inst=inst: inst.normalize(y),
                  error or WordError),
                 (f"gw_compose-left/{label}/{what}",
                  lambda y=y, inst=inst, x=x: gw_compose(inst, y, x), error or WordError),
