@@ -3,33 +3,32 @@
 An element of the product group attached to a graph is a sequence of
 syllables (vertex, value).  Copies at adjacent vertices commute; no
 other relations hold beyond the group laws inside each copy.  Words are
-brought to a canonical form in two passes, after the Hermiller-Meier
-normal form for graph products and the piling solution of the word
-problem of Crisp, Godelle and Wiest:
-
-* a single left-to-right piling pass drops identity syllables and
-  pushes each syllable back past the trailing syllables it commutes
-  with, merging or cancelling it against the first same-vertex
-  syllable it meets; the result is a reduced word;
-* a heap then emits the lexicographically least shuffle of that
-  reduced word's commutation class, ordered by ``vertex_key``.
+brought to a canonical form in one left-to-right pass, after the
+Hermiller-Meier normal form for graph products and the piling solution
+of the word problem of Crisp, Godelle and Wiest.  The pass drops
+identity syllables and pushes each syllable back past the trailing
+syllables it commutes with.  It merges or cancels the syllable against
+the first same-vertex syllable it meets; otherwise it inserts it where
+the lexicographic normal form by ``vertex_key`` puts it.  The word kept
+is reduced and in that normal form after every syllable, so the pass
+ends on the canonical form.
 
 Each syllable costs one adjacency lookup per commuting syllable it is
-pushed past, and adjacency is memoised per call over interned vertex
-ids, so a word of n syllables needs O(n log n) work when commuting runs
-are short instead of the O(n^2) lookups of a pairwise scan.  A lookup
-the memo misses is a table probe in the graph (a set of offsets per
-label pair, or a neighbour set).  Equal group elements always
-produce equal canonical words, so equality and triviality testing
-reduce to comparison against this form.  A group operation makes one
-canonical pass, which checks every syllable on entry with one vertex
-test and one membership test (``contains``) of its value; ``check``
-runs only to raise, and ``adjacent`` checks nothing.
+pushed past, plus one ``list.insert``, and adjacency is memoised per
+call over interned vertex ids, so a word of n syllables needs n times
+the length of its commuting runs in lookups, not the O(n^2) of a
+pairwise scan.  A lookup the memo misses is a table probe in the graph
+(a set of offsets per label pair, or a neighbour set).  Equal group
+elements always produce equal canonical words, so equality and
+triviality testing reduce to comparison against this form.  A group
+operation makes one canonical pass, which checks every syllable on
+entry with one vertex test and one membership test (``contains``) of
+its value; ``check`` runs only to raise, and ``adjacent`` checks
+nothing.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Iterable, Mapping
 
 from .errors import LoopObstruction, WordError
@@ -95,25 +94,24 @@ def _validate(graph, delta: GroupSpec, w: Word | Iterable[Syllable]) -> list[Syl
 
 
 def canonical_form(graph, delta: GroupSpec, w: Word | Iterable[Syllable]) -> Word:
-    """The unique canonical word equal to ``w``.
+    """The unique canonical word equal to ``w``: among the reduced words
+    equal to it, the least by ``vertex_key`` read syllable by syllable.
 
-    One left-to-right pass keeps a reduced word: each incoming syllable
+    One left-to-right pass keeps such a word: each incoming syllable
     is pushed back past the trailing syllables whose vertices are
     adjacent to its own, then merged with (or cancelled against) the
-    first same-vertex syllable it meets, or appended when a
-    non-commuting syllable stops it first.  A cancellation removes a
-    syllable that everything after it commuted with, so it can never
-    unblock an earlier pair and no rescan is needed.  The reduced word
-    is then emitted as the least shuffle of its class with a heap keyed
-    by ``vertex_key``: a syllable waits on its nearest remaining
-    non-commuting predecessor and is looked at again only when that
-    predecessor is emitted.
+    first same-vertex syllable it meets.  When a syllable at another,
+    non-adjacent vertex stops it first, it goes in just before the first
+    syllable after that one whose key exceeds its own, or at the end.
+    ``_canonical`` proves that the word stays reduced and in
+    lexicographic normal form.
 
-    Both passes cost one adjacency lookup per syllable stepped over, so
-    the work is linear in the length times the length of the commuting
-    runs, plus a heap log factor.  Each distinct vertex of the call gets
-    a small int id and adjacency is memoised per call over pairs of ids,
-    so ``graph.adjacent`` is asked about each unordered pair at most once.
+    Each syllable costs one adjacency lookup per commuting syllable it
+    passes, plus one ``list.insert``, so the work is linear in the
+    length times the length of the commuting runs.  Each distinct vertex
+    of the call gets a small int id and its key once, and adjacency is
+    memoised per call over pairs of ids, so ``graph.adjacent`` is asked
+    about each unordered pair at most once.
     """
     return _canonical(graph, delta, _validate(graph, delta, w))
 
@@ -121,15 +119,47 @@ def canonical_form(graph, delta: GroupSpec, w: Word | Iterable[Syllable]) -> Wor
 def _canonical(graph, delta: GroupSpec, sylls: list[Syllable]) -> Word:
     """``canonical_form`` of syllables already known to be valid.
 
-    A vertex's id is its index in ``verts``; ``adj`` holds the adjacency
-    of ids i and j under both ``i * n + j`` and ``j * n + i`` (every id is
-    below ``n``), and no id is adjacent to itself.  The reduced word keeps
-    the caller's syllables: only a merge builds a new one.
+    ``reduced`` stays reduced (no two same-vertex syllables with only
+    commuting syllables between them) and in lexicographic normal form
+    by key.  By Anisimov and Knuth (*Inhomogeneous sorting*, 1979; see
+    Diekert and Rozenberg, *The Book of Traces*, 1995), a word is in
+    that form iff it has no forbidden factor: a factor ``b u a`` with
+    key(a) < key(b) where a commutes with b and with every letter of u.
+    The reduced words of one element form one commutation class (Green's
+    normal form theorem), whose form is unique, so the word left at the
+    end is the canonical one.  The back-scan walks back over the
+    syllables the new syllable s commutes with, to its blocker: the last
+    syllable it does not commute with.
+
+    * Insertion (no blocker, or one at another vertex): s goes before
+      the first syllable c after the blocker whose key exceeds its own,
+      or at the end; it commutes with every syllable it moves past.  A
+      forbidden factor ending in s would begin after the blocker and
+      before s, where no key exceeds s's.  One that starts at s ends
+      below s's key, so past c: ``s c u' a`` with key(a) < key(s) <
+      key(c), and ``c u' a`` was forbidden already.  No same-vertex
+      syllable lies after the blocker, and the blocker hides every
+      earlier one.  A forbidden factor or same-vertex pair that passes
+      over s was one without s.
+    * Cancellation (the blocker t is at s's vertex and the product is
+      the identity): t is deleted.  Everything after t commutes with s,
+      so with t, and a forbidden factor or same-vertex pair that
+      passes over t's place was one with t in it.
+    * Merge (as cancellation, with another product): t keeps its
+      vertex, so its key and what it commutes with.
+
+    A vertex's id is its index in ``verts`` and ``keys``; ``adj`` holds
+    the adjacency of ids i and j under both ``i * n + j`` and
+    ``j * n + i`` (every id is below ``n``), and no id is adjacent to
+    itself.  The reduced word keeps the caller's syllables: only a merge
+    builds a new one.
     """
-    identity, compose, adjacent = delta.identity(), delta._compose, graph.adjacent
+    identity, compose = delta.identity(), delta._compose
+    adjacent, vertex_key = graph.adjacent, graph.vertex_key
     n = len(sylls) + 1
     ids: dict[Vertex, int] = {}
     verts: list[Vertex] = []
+    keys: list = []
     adj: dict[int, bool] = {}
     reduced: list[Syllable] = []
     rid: list[int] = []  # the vertex id of each reduced syllable
@@ -142,8 +172,11 @@ def _canonical(graph, delta: GroupSpec, sylls: list[Syllable]) -> Word:
         if j is None:
             j = ids[v] = len(verts)
             verts.append(v)
+            keys.append(vertex_key(v))
             adj[j * n + j] = False
+        kj = keys[j]
         k = len(rid) - 1
+        place = k + 1
         while k >= 0:
             i = rid[k]
             key = i * n + j
@@ -152,56 +185,19 @@ def _canonical(graph, delta: GroupSpec, sylls: list[Syllable]) -> Word:
                 a = adj[key] = adj[j * n + i] = adjacent(verts[i], v)
             if not a:
                 break
+            if keys[i] > kj:
+                place = k
             k -= 1
         if k < 0 or rid[k] != j:
-            reduced.append(s)
-            rid.append(j)
+            reduced.insert(place, s)
+            rid.insert(place, j)
             continue
         merged = compose(reduced[k].value, s.value)
         if merged == identity:
             del reduced[k], rid[k]
         else:
             reduced[k] = Syllable(v, merged)
-
-    # The least shuffle: a syllable enters the heap once no remaining one
-    # before it (linked by prev/nxt) blocks it; ties go to the earlier.
-    keys = list(map(graph.vertex_key, verts))
-    m = len(reduced)
-    prev = list(range(-1, m - 1))
-    nxt = list(range(1, m + 1))
-    waiting: list[list[int]] = [[] for _ in range(m)]
-    heap: list[tuple] = []
-
-    def place(t: int, k: int) -> None:
-        j = rid[t]
-        while k >= 0:
-            i = rid[k]
-            key = i * n + j
-            a = adj.get(key)
-            if a is None:
-                a = adj[key] = adj[j * n + i] = adjacent(verts[i], verts[j])
-            if not a:
-                break
-            k = prev[k]
-        if k < 0:
-            heapq.heappush(heap, (keys[j], t))
-        else:
-            waiting[k].append(t)
-
-    for t in range(m):
-        place(t, t - 1)
-    out = []
-    while heap:
-        _, k = heapq.heappop(heap)
-        out.append(reduced[k])
-        p, q = prev[k], nxt[k]
-        if p >= 0:
-            nxt[p] = q
-        if q < m:
-            prev[q] = p
-        for t in waiting[k]:
-            place(t, p)
-    return Word(tuple(out))
+    return Word(tuple(reduced))
 
 
 def gp_compose(graph, delta: GroupSpec, w1: Word, w2: Word) -> Word:

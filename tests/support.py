@@ -288,6 +288,38 @@ def reference_canonical_form(graph, delta, w) -> Word:
     return Word(tuple(out))
 
 
+def is_reduced(graph, delta, w) -> bool:
+    """Whether ``w`` has no identity syllable and no two same-vertex
+    syllables with only syllables adjacent to that vertex between them."""
+    sylls = list(w)
+    for j, s in enumerate(sylls):
+        if delta.is_identity(s.value):
+            return False
+        for i in range(j - 1, -1, -1):
+            if sylls[i].vertex == s.vertex:
+                return False
+            if not graph.adjacent(sylls[i].vertex, s.vertex):
+                break
+    return True
+
+
+def is_lex_normal(graph, w) -> bool:
+    """Whether ``w`` is in lexicographic normal form by ``vertex_key``.
+
+    Checks the Anisimov-Knuth characterisation by brute force: no factor
+    ``b u a`` has key(a) < key(b) with a's vertex adjacent to b's and to
+    that of every syllable of u.
+    """
+    vertices = [s.vertex for s in w]
+    for j, a in enumerate(vertices):
+        for i in range(j):
+            if graph.vertex_key(a) < graph.vertex_key(vertices[i]) and all(
+                graph.adjacent(vertices[k], a) for k in range(i, j)
+            ):
+                return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # the quotient oracle
 

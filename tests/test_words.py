@@ -4,9 +4,11 @@ from collections import Counter
 import pytest
 
 from gwreath import (
+    ArithmeticOffsets,
     Cyclic,
     EMPTY_WORD,
     FiniteModeGraph,
+    FiniteOffsets,
     GroupError,
     Instance,
     LoopObstruction,
@@ -29,7 +31,12 @@ from gwreath import (
 
 from tests.support import (
     bfs_trivial,
+    complete_z_graph,
+    edgeless_graph,
     factorial_graph,
+    is_lex_normal,
+    is_reduced,
+    k5_cyclic,
     klein_table,
     line_graph,
     path3_graph,
@@ -158,6 +165,18 @@ def _windows(graph):
     return {"narrow": narrow, "wide": wide}
 
 
+def _mixed_graph():
+    """Two labels, with finite and arithmetic families side by side."""
+    return TranslationGraph(
+        ("a", "b"),
+        {
+            ("a", "a"): (FiniteOffsets(frozenset({1, 2})),),
+            ("a", "b"): (ArithmeticOffsets(2, 3),),
+            ("b", "b"): (FiniteOffsets(frozenset({1})), ArithmeticOffsets(5, 5)),
+        },
+    )
+
+
 REFERENCE_GRAPHS = {
     "line": line_graph,
     "two-orbit": two_orbit_graph,
@@ -165,18 +184,25 @@ REFERENCE_GRAPHS = {
     "torus8": lambda: torus_graph(8),
     "quotient-two-orbit-12": lambda: quotient_graph(two_orbit_graph(), 12),
     "quotient-torus8-4x4": lambda: quotient_graph(torus_graph(8), [(4, 0), (0, 4)]),
+    "complete": complete_z_graph,
+    "near-complete": lambda: TranslationGraph(("c",), {("c", "c"): (ArithmeticOffsets(2, 1),)}),
+    "edgeless": edgeless_graph,
+    "k5": k5_cyclic,
+    "mixed": _mixed_graph,
 }
+# the reference is cubic where long commuting runs meet long reduced words
+LONGEST = {"near-complete": 200}
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS))
 def test_canonical_matches_reference_on_long_words(name):
-    graph = REFERENCE_GRAPHS[name]()
+    graph, longest = REFERENCE_GRAPHS[name](), LONGEST.get(name, 512)
     rng = random.Random(f"reference:{name}")
     for delta in (C2, S3, C5, klein_table()):
         for window, pool in _windows(graph).items():
-            lengths = [rng.randint(0, 512)]
+            lengths = [rng.randint(0, longest)]
             if (delta, window) == (C2, "wide"):
-                lengths += [0, 512]
+                lengths += [0, longest]
             for n in lengths:
                 w = Word(
                     tuple(
@@ -205,7 +231,10 @@ def test_canonical_asks_each_adjacency_once(monkeypatch, name):
     monkeypatch.setattr(cls, "adjacent", recorded)
     for delta in (C2, S3):
         for window, pool in _windows(graph).items():
-            w = [Syllable(rng.choice(pool), random_nontrivial(delta, rng)) for _ in range(300)]
+            w = [
+                Syllable(rng.choice(pool), random_nontrivial(delta, rng))
+                for _ in range(LONGEST.get(name, 300))
+            ]
             asked.clear()
             out = canonical_form(graph, delta, w)
             assert asked, (delta, window)
@@ -213,6 +242,43 @@ def test_canonical_asks_each_adjacency_once(monkeypatch, name):
             pairs = Counter(frozenset(pair) for pair in asked)
             assert max(pairs.values()) == 1, (delta, window)
             assert out == reference_canonical_form(graph, delta, w), (delta, window)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS))
+def test_canonical_words_are_reduced_and_lex_normal(name):
+    graph = REFERENCE_GRAPHS[name]()
+    rng = random.Random(f"lex-normal:{name}")
+    for delta in (C2, S3, C5, klein_table()):
+        for window, pool in _windows(graph).items():
+            for n in (0, 1, 2, rng.randint(3, 20), rng.randint(20, 150)):
+                w = [Syllable(rng.choice(pool), random_nontrivial(delta, rng)) for _ in range(n)]
+                out = canonical_form(graph, delta, w)
+                assert is_reduced(graph, delta, out), (delta, window, n)
+                assert is_lex_normal(graph, out), (delta, window, n)
+
+
+def test_insertion_goes_before_a_larger_key_behind_the_blocker():
+    # ("c", 3) commutes with ("c", 4) and ("c", 2) but not with ("c", 9)
+    line = line_graph()
+    w = [syl(("c", 9)), syl(("c", 2)), syl(("c", 4)), syl(("c", 3))]
+    assert canonical_form(line, C2, w) == Word(
+        (syl(("c", 9)), syl(("c", 2)), syl(("c", 3)), syl(("c", 4)))
+    )
+
+
+def test_cancellation_after_smaller_keyed_commuting_syllables():
+    # ("c", 1) goes in before the first ("c", 3), which the second cancels
+    graph = complete_z_graph()
+    w = [syl(("c", 3)), syl(("c", 5)), syl(("c", 1)), syl(("c", 3))]
+    assert canonical_form(graph, C2, w) == Word((syl(("c", 1)), syl(("c", 5))))
+
+
+def test_merge_into_a_target_with_larger_keys_after_it():
+    graph = complete_z_graph()
+    w = [syl(("c", 3)), syl(("c", 5)), syl(("c", 1)), syl(("c", 3))]
+    assert canonical_form(graph, C3, w) == Word(
+        (syl(("c", 1)), syl(("c", 3), 2), syl(("c", 5)))
+    )
 
 
 def test_equal_vertices_are_each_validated():
