@@ -54,7 +54,7 @@ def value_text(value) -> str:
         return str(value)
     if value == ():
         return "-"
-    return ",".join(str(x) for x in value)
+    return ",".join(map(str, value))
 
 
 def parse_value(spec: GroupSpec, text: str, line: int | None = None):
@@ -66,7 +66,7 @@ def parse_value(spec: GroupSpec, text: str, line: int | None = None):
         elif text == "-":
             value = ()
         else:
-            value = tuple(int(x) for x in text.split(","))
+            value = tuple(map(int, text.split(",")))
     except ValueError:
         raise ParseError(f"cannot parse group element {text!r}", line=line) from None
     if not spec.contains(value):
@@ -335,20 +335,31 @@ def _header(kind: str) -> str:
 
 
 def parse_structured(text: str) -> tuple[str, dict[str, list[str]]]:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    """The document kind and each key's values in order.  Blank lines
+    are skipped, a second header is an error, and errors name the line
+    of the text they are on."""
+    lines = text.splitlines()
+    at = 0  # the header is the first line that is not blank
+    while at < len(lines) and not lines[at].strip():
+        at += 1
+    if at == len(lines):
         raise ParseError("empty document")
-    head = lines[0].split()
+    head = lines[at].split()
     if len(head) != 3 or head[0] != "gwreath":
-        raise ParseError(f"bad header {lines[0]!r}", line=1)
+        raise ParseError(f"bad header {lines[at]!r}", line=at + 1)
     if head[1] != FORMAT_VERSION:
-        raise ParseError(f"unsupported format version {head[1]!r}", line=1)
+        raise ParseError(f"unsupported format version {head[1]!r}", line=at + 1)
     record: dict[str, list[str]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines[at + 1:], start=at + 2):
+        if not line.strip():
+            continue
         key, _, value = line.partition(" ")
-        if not key:
-            raise ParseError("expected 'key value'", line=lineno)
-        record.setdefault(key, []).append(value.strip())
+        if key in record:
+            record[key].append(value.strip())
+        elif key and key != "gwreath":
+            record[key] = [value.strip()]
+        else:
+            raise ParseError("a second header" if key else "expected 'key value'", line=lineno)
     return head[2], record
 
 
@@ -368,6 +379,14 @@ def _int(text: str, key: str) -> int:
         return int(text)
     except ValueError:
         raise ParseError(f"{key} takes an integer, got {text!r}", field=key) from None
+
+
+def _ints(tokens: list[str], key: str) -> list[int]:
+    """``_int`` of every token, converted at once."""
+    try:
+        return list(map(int, tokens))
+    except ValueError:  # the first bad token, named as ``_int`` names it
+        return [_int(x, key) for x in tokens]
 
 
 def _split(text: str, key: str, count: int) -> list[str]:
@@ -392,6 +411,13 @@ def _parse_check(text: str) -> bool | None:
 
 
 def quotient_lines(q: QuotientGraph, prefix: str = "quotient") -> list[str]:
+    """The quotient's lines: finite-mode orbits by representative, then
+    vertices, edges, loops and lifts in ``vertex_key`` order.
+
+    Every orbit id is ranked once by its key; vertices and loops sort as
+    ranks and each edge (u, w) as the int rank(u) * n + rank(w), n the
+    number of orbits, which orders edges as their key pairs do.
+    """
     out = [f"{prefix}.kind {q.kind}"]
     if q.kind == "translation":
         out.append(f"{prefix}.modulus {q.modulus}")
@@ -401,34 +427,52 @@ def quotient_lines(q: QuotientGraph, prefix: str = "quotient") -> list[str]:
         for v, rep in sorted(q.orbit_map.items()):
             groups.setdefault(rep, []).append(v)
         for rep in sorted(groups):
-            out.append(f"{prefix}.orbit {rep} " + " ".join(str(v) for v in groups[rep]))
-    # each orbit's sort key and text, computed once
-    orbits = set(q.vertices).union(*q.edges, q.loops)
-    key = {v: q.vertex_key(v) for v in orbits}
-    text = {v: vertex_text(v) for v in orbits}
-    vertices = sorted(q.vertices, key=key.get)
-    for v in vertices:
-        out.append(f"{prefix}.vertex {text[v]}")
-    for u, w in sorted(q.edges, key=lambda e: (key[e[0]], key[e[1]])):
+            out.append(f"{prefix}.orbit {rep} " + " ".join(map(str, groups[rep])))
+    orbits = sorted(set(q.vertices).union(*q.edges, q.loops), key=q.vertex_key)
+    n = len(orbits)
+    rank = dict(zip(orbits, range(n)))
+    text = list(map(vertex_text, orbits))
+    vertices = [text[i] for i in sorted(map(rank.__getitem__, q.vertices))]
+    out += [f"{prefix}.vertex {t}" for t in vertices]
+    for code in sorted([rank[u] * n + rank[w] for u, w in q.edges]):
+        u, w = divmod(code, n)
         out.append(f"{prefix}.edge {text[u]}|{text[w]}")
-    for v in sorted(q.loops, key=key.get):
-        out.append(f"{prefix}.loop {text[v]}")
-    for v in vertices:  # each orbit id is its own lift
-        out.append(f"{prefix}.lift {text[v]} {text[v]}")
+    out += [f"{prefix}.loop {text[i]}" for i in sorted(map(rank.__getitem__, q.loops))]
+    out += [f"{prefix}.lift {t} {t}" for t in vertices]  # each orbit id is its own lift
     return out
 
 
+class _Tokens(dict):
+    """Listed vertex tokens to their vertices; any other token is read on its own."""
+
+    def __missing__(self, token):
+        return _vertex_token(token)
+
+
 def parse_quotient(record, prefix: str = "quotient") -> QuotientGraph:
+    """The quotient of ``quotient_lines``.  Each listed vertex token is
+    read once, and edges and loops look their tokens up; a token no
+    vertex line lists is read on its own.  A vertex, edge, loop or orbit
+    member given twice is a ParseError."""
     kind = _one(record, f"{prefix}.kind")
     listed = record.get(f"{prefix}.vertex", [])
     if record.get(f"{prefix}.lift", []) != [f"{t} {t}" for t in listed]:
         raise ParseError(f"{prefix}.lift lines must map each {prefix}.vertex to itself, in order")
-    vertices = [_vertex_token(t) for t in listed]
+    ids = _Tokens(zip(listed, map(_vertex_token, listed)))
+    vertices = list(ids.values())
+    if len(set(vertices)) != len(listed):
+        raise ParseError(f"repeated {prefix}.vertex entry")
+    entries = record.get(f"{prefix}.edge", [])
     edges = set()
-    for entry in record.get(f"{prefix}.edge", []):
+    for entry in entries:
         left, _, right = entry.partition("|")
-        edges.add((_vertex_token(left), _vertex_token(right)))
-    loops = {_vertex_token(t) for t in record.get(f"{prefix}.loop", [])}
+        edges.add((ids[left], ids[right]))
+    if len(edges) != len(entries):
+        raise ParseError(f"repeated {prefix}.edge entry")
+    entries = record.get(f"{prefix}.loop", [])
+    loops = set(map(ids.__getitem__, entries))
+    if len(loops) != len(entries):
+        raise ParseError(f"repeated {prefix}.loop entry")
     if kind == "translation":
         modulus = _int(_one(record, f"{prefix}.modulus"), f"{prefix}.modulus")
         if modulus < 1:
@@ -439,10 +483,12 @@ def parse_quotient(record, prefix: str = "quotient") -> QuotientGraph:
     if kind == "finite":
         orbit_map = {}
         for entry in record.get(f"{prefix}.orbit", []):
-            ids = [_int(x, f"{prefix}.orbit") for x in entry.split()]
+            ids = _ints(entry.split(), f"{prefix}.orbit")
             if not ids:
                 raise ParseError(f"empty {prefix}.orbit line")
             for member in ids[1:]:
+                if member in orbit_map:
+                    raise ParseError(f"repeated {prefix}.orbit entry: vertex {member}")
                 orbit_map[member] = ids[0]
         return QuotientGraph("finite", vertices, edges, loops, orbit_map=orbit_map)
     raise ParseError(f"unknown quotient kind {kind!r}")
@@ -457,8 +503,8 @@ def certificate_lines(instance: Instance, cert: RFCertificate) -> list[str]:
         out.append(f"subgroup.modulus {cert.modulus}")
     else:
         for perm in cert.subgroup_perms:
-            out.append("subgroup.perm " + ",".join(str(x) for x in perm))
-    restricted = " ".join(vertex_text(v) for v in cert.restricted)
+            out.append("subgroup.perm " + ",".join(map(str, perm)))
+    restricted = " ".join(map(vertex_text, cert.restricted))
     out.append("restricted " + (restricted if restricted else "-"))
     out.extend(quotient_lines(cert.quotient))
     if cert.kind == "modulus":
@@ -467,7 +513,7 @@ def certificate_lines(instance: Instance, cert: RFCertificate) -> list[str]:
         if cert.gamma_image is None:
             out.append("image.gamma-coset trivial")
         else:
-            out.append("image.gamma-coset " + ",".join(str(x) for x in cert.gamma_image))
+            out.append("image.gamma-coset " + ",".join(map(str, cert.gamma_image)))
     out.append(f"image.word {word_text(cert.word_image)}")
     out.append(f"check.gamma-injective {_check_text(cert.checks.gamma_injective)}")
     out.append(
@@ -493,13 +539,13 @@ def certificate_from_record(instance: Instance, record) -> RFCertificate:
         modulus = None
         subgroup_perms = tuple(
             sorted(
-                tuple(_int(x, "subgroup.perm") for x in entry.split(","))
+                tuple(_ints(entry.split(","), "subgroup.perm"))
                 for entry in record.get("subgroup.perm", [])
             )
         )
         coset = _one(record, "image.gamma-coset")
         gamma_image = None if coset == "trivial" else tuple(
-            _int(x, "image.gamma-coset") for x in coset.split(",")
+            _ints(coset.split(","), "image.gamma-coset")
         )
     else:
         raise ParseError(f"unknown subgroup kind {kind!r}")
@@ -509,7 +555,7 @@ def certificate_from_record(instance: Instance, record) -> RFCertificate:
     elif isinstance(graph, TranslationGraph):
         restricted = tuple(restricted_text.split())
     else:
-        restricted = tuple(_int(x, "restricted") for x in restricted_text.split())
+        restricted = tuple(_ints(restricted_text.split(), "restricted"))
     word_image = parse_word(quotient, delta, _one(record, "image.word"))
     checks = CheckRecord(
         gamma_injective=_parse_check(_one(record, "check.gamma-injective")),
@@ -605,11 +651,17 @@ def lef_from_record(graph: TranslationGraph, record) -> LEFCertificate:
     phi = {}
     for entry in record.get("phi", []):
         a, image = _split(entry, "phi", 2)
-        phi[_int(a, "phi")] = _int(image, "phi")
+        a = _int(a, "phi")
+        if a in phi:
+            raise ParseError(f"repeated phi entry: {a}")
+        phi[a] = _int(image, "phi")
     psi = {}
     for entry in record.get("psi", []):
         source, image = _split(entry, "psi", 2)
-        psi[parse_vertex(graph, source)] = _vertex_token(image)
+        v = parse_vertex(graph, source)
+        if v in psi:
+            raise ParseError(f"repeated psi entry: {source}")
+        psi[v] = _vertex_token(image)
     modulus = _int(_one(record, "modulus"), "modulus")
     kept = {}
     for entry in record.get("truncation.offsets", []):
@@ -621,7 +673,7 @@ def lef_from_record(graph: TranslationGraph, record) -> LEFCertificate:
             raise ParseError(f"bad truncation: unknown label in {entry!r}")
         if (c1, c2) in kept or (c2, c1) in kept:
             raise ParseError(f"bad truncation: label pair {c1} {c2} given twice")
-        kept[c1, c2] = frozenset(_int(x, "truncation.offsets") for x in offsets)
+        kept[c1, c2] = frozenset(_ints(offsets, "truncation.offsets"))
         if 0 in kept[c1, c2]:
             raise ParseError("bad truncation: offset 0 would create a loop")
     truncation = Truncation(kept_offsets=kept, modulus=modulus)
@@ -676,8 +728,8 @@ def verdict_lines(instance: Instance, verdict) -> list[str]:
         if c3.t_max is not None:
             out.append(f"condition-3.offset-window {c3.t_max}")
         for e in c3.per_pair:
-            pair = " ".join(str(p) for p in e.pair)
-            line = f"condition-3.pair {pair} {e.status}"
+            a, b = e.pair
+            line = f"condition-3.pair {a} {b} {e.status}"
             if e.rule:
                 line += f" rule {e.rule}"
             if e.obstruction is not None:

@@ -588,9 +588,9 @@ class QuotientGraph:
         return self.action(gamma_residue)(u)
 
     def content(self) -> tuple:
-        orbits = None if self.orbit_map is None else tuple(sorted(self.orbit_map.items()))
+        """Everything equality compares; the orbit map compares as a dict."""
         return (self.kind, self.vertices, self.edges, self.loops,
-                self.modulus, self.labels, orbits)
+                self.modulus, self.labels, self.orbit_map)
 
     def __eq__(self, other):
         if not isinstance(other, QuotientGraph):
@@ -618,20 +618,22 @@ def quotient_graph(graph, subgroup) -> QuotientGraph:
 def _translation_quotient(graph: TranslationGraph, m: int) -> QuotientGraph:
     if not isinstance(m, int) or m < 1:
         raise GraphError(f"modulus must be a positive integer, got {m!r}")
-    vertices = [(c, r) for c in graph.labels for r in range(m)]
+    rows = {c: [(c, r) for r in range(m)] for c in graph.labels}
     edges = set()
     loops = set()
     for (c1, c2), fams in graph.families.items():
         res = residues_of(fams, m)
-        for r1 in range(m):
-            for d in res:  # (c1, r1) ~ (c2, r2) iff r2 - r1 is a residue; -d is one too
-                r2 = (r1 + d) % m
-                if c1 != c2 or r1 < r2:  # pair keys put the lower label index first
-                    edges.add(((c1, r1), (c2, r2)))
+        left, right = rows[c1], rows[c2]
+        for d in res:  # (c1, r) ~ (c2, (r + d) % m), each residue d at once
+            if c1 != c2:  # pair keys put the lower label index first
+                edges.update(zip(left, right[d:] + right[:d]))
+            elif d:  # within one label, the lower residue first: r < r + d < m
+                edges.update(zip(left[:m - d], right[d:]))
         # 0 in the residue set means two distinct lifts of one orbit are
         # adjacent, which is exactly the loop condition.
         if c1 == c2 and 0 in res:
-            loops.update((c1, r) for r in range(m))
+            loops.update(left)
+    vertices = [v for c in graph.labels for v in rows[c]]
     return QuotientGraph("translation", vertices, edges, loops, modulus=m, labels=graph.labels)
 
 
@@ -681,7 +683,7 @@ def _orbit_quotient(graph: FiniteModeGraph, omap: dict[int, int]) -> QuotientGra
         if ou == ow:
             loops.add(ou)
         else:
-            edges.add((min(ou, ow), max(ou, ow)))
+            edges.add((ou, ow) if ou < ow else (ow, ou))
     return QuotientGraph("finite", vertices, edges, loops, orbit_map=omap)
 
 

@@ -10,6 +10,7 @@ across threads and tests.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterator
 
 from .errors import GroupError
@@ -39,6 +40,14 @@ class Record:
         if cls.__annotations__:
             cls._fields = tuple(cls.__annotations__)
             cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+        # The field values as a tuple, read by one attrgetter (which
+        # returns a bare value for a single name, and takes no zero names).
+        fields = cls._fields
+        if len(fields) == 1:
+            get = operator.attrgetter(fields[0])
+            cls._values = staticmethod(lambda record: (get(record),))
+        else:
+            cls._values = staticmethod(operator.attrgetter(*fields) if fields else lambda record: ())
 
     def __init__(self, *args, **kwargs):
         fields, defaults, n, used = self._fields, self._defaults, len(args), 0
@@ -63,16 +72,14 @@ class Record:
             problem = "multiple values for" if name in fields else "an unexpected keyword"
             raise TypeError(f"{type(self).__name__}() got {problem} argument {name!r}")
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            values = self._values
+            return values(self) == values(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

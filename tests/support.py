@@ -35,6 +35,7 @@ from gwreath import (
     residues_of,
     restrict_orbits,
 )
+from gwreath.checker import PairEvidence
 from gwreath.graphs import contains_offset, covers_all_nonzero
 from gwreath.wreath import certify_offset_always
 
@@ -240,11 +241,13 @@ def bfs_trivial(graph, delta, syllables) -> bool:
 def reference_canonical_form(graph, delta, w) -> Word:
     """The canonical form by the direct quadratic algorithm.
 
-    Merge the nearest same-vertex pair whose in-between vertices are all
-    adjacent to theirs, rescanning from the start after every merge
-    until none is left; then repeatedly emit the syllable with the
-    smallest vertex among those whose remaining predecessors all
-    commute past it.  Slow, but each step is read straight off the
+    Merge each syllable with the nearest same-vertex syllable after it
+    when every syllable in between is adjacent to their vertex, going on
+    from the same place after each merge, in passes until one merges
+    nothing; then repeatedly emit the syllable with the smallest vertex
+    among the available ones, those whose remaining predecessors all
+    commute past them, kept as a set with a count of blocking
+    predecessors per syllable.  Each step is read straight off the
     definition, so it is a differential oracle for ``canonical_form``.
     """
     sylls = list(w)
@@ -257,34 +260,43 @@ def reference_canonical_form(graph, delta, w) -> Word:
     changed = True
     while changed:
         changed = False
-        for i in range(len(sylls)):
+        i = 0
+        while i < len(sylls):
             v = sylls[i].vertex
-            for j in range(i + 1, len(sylls)):
-                if sylls[j].vertex != v:
-                    continue
-                if all(graph.adjacent(sylls[k].vertex, v) for k in range(i + 1, j)):
-                    merged = delta.compose(sylls[i].value, sylls[j].value)
-                    del sylls[j]
-                    if delta.is_identity(merged):
-                        del sylls[i]
-                    else:
-                        sylls[i] = Syllable(v, merged)
-                    changed = True
-                break  # a same-vertex syllable blocks any later merge with i
-            if changed:
-                break
+            # the first syllable after i that is on v or does not commute with it
+            j = next((j for j in range(i + 1, len(sylls))
+                      if sylls[j].vertex == v or not graph.adjacent(sylls[j].vertex, v)), None)
+            if j is None or sylls[j].vertex != v:
+                i += 1
+                continue
+            merged = delta.compose(sylls[i].value, sylls[j].value)
+            del sylls[j]
+            if delta.is_identity(merged):
+                del sylls[i]
+            else:
+                sylls[i] = Syllable(v, merged)
+            changed = True  # and look at position i again
 
+    n = len(sylls)
+    later_blocked = [  # the later syllables each one does not commute with
+        [j for j in range(i + 1, n) if not graph.adjacent(sylls[i].vertex, sylls[j].vertex)]
+        for i in range(n)
+    ]
+    blockers = [0] * n
+    for blocked in later_blocked:
+        for j in blocked:
+            blockers[j] += 1
+    keys = [graph.vertex_key(s.vertex) for s in sylls]
+    available = {j for j in range(n) if not blockers[j]}
     out: list[Syllable] = []
-    remaining = sylls
-    while remaining:
-        best = None
-        for i, s in enumerate(remaining):
-            if all(graph.adjacent(remaining[k].vertex, s.vertex) for k in range(i)):
-                if best is None or graph.vertex_key(s.vertex) < graph.vertex_key(
-                    remaining[best].vertex
-                ):
-                    best = i
-        out.append(remaining.pop(best))
+    while available:
+        best = min(available, key=keys.__getitem__)
+        available.remove(best)
+        out.append(sylls[best])
+        for j in later_blocked[best]:
+            blockers[j] -= 1
+            if not blockers[j]:
+                available.add(j)
     return Word(tuple(out))
 
 
@@ -408,6 +420,30 @@ def reference_cond3_pair(graph: TranslationGraph, c1: str, c2: str, bound: int, 
         f"family is infinite and no lemma settles the remaining offsets"
     )
     return "unknown", None if unresolved else rule, []
+
+
+def reference_pair_evidence_finite(graph: FiniteModeGraph):
+    """Finite-mode condition 3 by the per-pair scan first written: every
+    non-adjacent pair scans the subgroup list for its least index.  A
+    differential oracle for the per-orbit spread in ``check_cond3``."""
+    # Per subgroup, the orbit ids of each vertex's neighbours: the orbit
+    # of w avoids v and N(v) exactly when its id is neither v's nor one
+    # of those.  The orbit of v then avoids w and N(w) too, since
+    # hw ~ v if and only if w ~ h^-1 v.
+    neighbours = {v: graph.neighbours(v) for v in graph.vertices}
+    subgroups = [
+        (index, orbits, {v: {orbits[u] for u in ns} for v, ns in neighbours.items()})
+        for index, orbits in graph._subgroup_orbits
+    ]
+    for v, w in itertools.combinations(graph.vertices, 2):
+        if w in neighbours[v]:
+            continue
+        # the trivial subgroup comes last and always succeeds: v and w are not adjacent
+        for index, orbits, near in subgroups:
+            ov, ow = orbits[v], orbits[w]
+            if ov != ow and ow not in near[v]:
+                yield PairEvidence(pair=(v, w), status="holds", subgroup_index=index)
+                break
 
 
 def hits_mismatches(family, moduli, offsets) -> list[tuple[int, int]]:

@@ -7,6 +7,7 @@ from gwreath import (
     ArithmeticOffsets,
     Cyclic,
     FactorialOffsets,
+    FiniteModeGraph,
     FiniteOffsets,
     GraphError,
     Instance,
@@ -36,8 +37,10 @@ from tests.support import (
     k5_cyclic,
     line_graph,
     path3_graph,
+    prime_cycles_graph,
     random_wreath,
     reference_cond3_pair,
+    reference_pair_evidence_finite,
     torus_graph,
     two_orbit_graph,
 )
@@ -292,6 +295,27 @@ def test_finite_mode_evidence_matches_direct_orbit_checks():
                 lambda sub: not any(u == v or graph.adjacent(u, v) for u in orbit(sub, w))
                 and not any(u == w or graph.adjacent(u, w) for u in orbit(sub, v))
             )
+
+
+SPREAD_GRAPHS = (
+    [(f"cycle-{n}", lambda n=n: cycle_graph(n)) for n in range(3, 31)]
+    + [(f"torus-{n}", lambda n=n: torus_graph(n)) for n in range(2, 7)]
+    + [
+        ("k5", k5_cyclic),
+        ("path3", path3_graph),  # rank 0, not vertex-transitive
+        ("prime-cycles-2-3-5", lambda: prime_cycles_graph((2, 3, 5))),
+        ("rank-0", lambda: FiniteModeGraph(tuple(range(5)), frozenset({(0, 1), (2, 3)}), ())),
+    ]
+)
+
+
+@pytest.mark.parametrize("build", [b for _, b in SPREAD_GRAPHS], ids=[n for n, _ in SPREAD_GRAPHS])
+def test_cond3_orbit_spread_matches_the_per_pair_scan(build):
+    # one scan per orbit of pairs, spread through the image, gives every
+    # pair the least index the scan of each pair finds
+    graph = build()
+    per_pair = check_cond3(Instance(S3, graph)).per_pair
+    assert per_pair == tuple(reference_pair_evidence_finite(graph))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,16 @@ from gwreath import (
 )
 from gwreath import formats
 
-from tests.support import factorial_graph, k5_cyclic, line_graph, two_orbit_graph
+from gwreath.graphs import FiniteOffsets, TranslationGraph, quotient_graph
+
+from tests.support import (
+    cycle_graph,
+    factorial_graph,
+    k5_cyclic,
+    line_graph,
+    torus_graph,
+    two_orbit_graph,
+)
 
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
 
@@ -143,6 +152,66 @@ def test_structured_header_parses():
         formats.parse_structured("")
 
 
+def test_structured_errors_name_source_lines():
+    # blank lines count: the bad line is line 4, the header line 3
+    with pytest.raises(ParseError, match="expected 'key value'") as bad:
+        formats.parse_structured("gwreath v1 verdict\n\n\n bad\n")
+    assert bad.value.line == 4
+    with pytest.raises(ParseError, match="unsupported format version") as header:
+        formats.parse_structured("\n \ngwreath v2 verdict\nstatus x\n")
+    assert header.value.line == 3
+    with pytest.raises(ParseError, match="bad header") as header:
+        formats.parse_structured("\n\nnot a header\n")
+    assert header.value.line == 3
+    with pytest.raises(ParseError, match="a second header") as header:
+        formats.parse_structured("gwreath v1 verdict\nstatus x\n\ngwreath v1 verdict\n")
+    assert header.value.line == 4
+    assert formats.parse_structured("\n\ngwreath v1 verdict\n\nstatus x\n") == (
+        "verdict", {"status": ["x"]}
+    )
+
+
+def _looped_quotients():
+    """Quotients with edges and several orbits: a translation one and a
+    finite-mode one with loops, and a finite-mode one without."""
+    graph = TranslationGraph(
+        ("a", "b"),
+        {("a", "a"): (FiniteOffsets(frozenset({1, 3})),), ("a", "b"): (FiniteOffsets(frozenset({2})),)},
+    )
+    # offset 3 = 0 mod 3 loops every a-orbit; rows of the 4x4 torus fall into its column orbits
+    return [quotient_graph(graph, 3), quotient_graph(torus_graph(4), [(1, 0)]),
+            quotient_graph(cycle_graph(6), [(2,)])]
+
+
+def _quotient_document(lines):
+    return formats.parse_structured("\n".join(["gwreath v1 quotient", *lines]))[1]
+
+
+def test_quotient_lines_round_trip():
+    for q in _looped_quotients():
+        lines = formats.quotient_lines(q)
+        assert len(q.vertices) > 1 and q.edges
+        parsed = formats.parse_quotient(_quotient_document(lines))
+        assert parsed == q
+        assert formats.quotient_lines(parsed) == lines
+    assert all(q.loops for q in _looped_quotients()[:2])
+
+
+def test_quotient_edge_endpoints_no_vertex_line_lists():
+    # such a token is read on its own, and emits and parses back alike
+    for q, extra in zip(_looped_quotients(), ("a:7", "99", "-5")):
+        lines = formats.quotient_lines(q)
+        first = next(line for line in lines if ".edge " in line)
+        u = first.split(" ")[1].split("|")[0]
+        parsed = formats.parse_quotient(_quotient_document(lines + [f"quotient.edge {u}|{extra}"]))
+        assert parsed.edges == q.edges | {(formats._vertex_token(u), formats._vertex_token(extra))}
+        again = formats.quotient_lines(parsed)
+        assert f"quotient.edge {u}|{extra}" in again
+        assert formats.parse_quotient(_quotient_document(again)) == parsed
+        with pytest.raises(ParseError, match="bad vertex 'x'"):
+            formats.parse_quotient(_quotient_document(lines + [f"quotient.edge {u}|x"]))
+
+
 def test_certificate_round_trip_translation():
     inst, elements = formats.parse_instance_text(EX11)
     cert = separate(inst, elements["w1"])
@@ -238,6 +307,73 @@ def test_single_line_edits_parse_or_raise_parse_error():
                     from_record(context, formats.parse_structured(text)[1])
                 except ParseError:
                     pass
+
+
+def _checked_documents():
+    """Emitted separation certificates (translation, with and without
+    loops, and finite mode), a witness and a LEF document, each with a
+    function that reads a record back, verifies it and returns its
+    re-emission, or None when it does not verify."""
+    docs = []
+    for name in ("ex11", "complete-c2", "finite5-s3"):
+        inst, elements = formats.load_instance(INSTANCES / f"{name}.instance")
+
+        def check(record, inst=inst):
+            cert = formats.certificate_from_record(inst, record)
+            return formats.certificate_lines(inst, cert) if verify_certificate(inst, cert) else None
+
+        docs.append((formats.certificate_lines(inst, separate(inst, elements["w1"])), check))
+    inst = Instance(Symmetric(3), factorial_graph(0))
+
+    def check_witness(record):
+        wit = formats.witness_from_record(inst, record)
+        return formats.witness_lines(inst, wit) if verify_witness(inst, wit) else None
+
+    docs.append((formats.witness_lines(inst, witness(inst, "T3.1", [("c", 0)])), check_witness))
+    graph = formats.load_instance(INSTANCES / "ex12.instance")[0].graph
+    gammas, vertices = [0, 1], [("c", 0), ("c", 1), ("c", 2)]
+
+    def check_lef(record):
+        cert = formats.lef_from_record(graph, record)
+        return formats.lef_lines(graph, cert) if verify_lef(cert, graph, gammas, vertices) else None
+
+    docs.append((formats.lef_lines(graph, lef_certificate(graph, gammas, vertices)), check_lef))
+    return docs
+
+
+def test_single_line_duplicates_are_rejected():
+    # a document with any line given twice raises ParseError, fails
+    # verification, or re-emits byte-identically, which no document
+    # with a repeated line can
+    for lines, check in _checked_documents():
+        for i in range(len(lines)):
+            doubled = lines[:i + 1] + lines[i:]
+            try:
+                again = check(formats.parse_structured("\n".join(doubled))[1])
+            except ParseError:
+                continue
+            assert again is None or again == doubled, lines[i]
+
+
+def test_repeated_quotient_and_model_entries_are_parse_errors():
+    repeatable = ("quotient.edge", "quotient.loop", "quotient.orbit", "y.edge", "phi", "psi")
+    seen = set()
+    for lines, check in _checked_documents():
+        for i, line in enumerate(lines):
+            key = line.split(" ", 1)[0]
+            if key in repeatable:
+                seen.add(key)
+                with pytest.raises(ParseError, match=f"repeated {key} entry"):
+                    check(formats.parse_structured("\n".join(lines[:i + 1] + lines[i:]))[1])
+        # a vertex given twice with its lift line given twice too
+        at = next((i for i, line in enumerate(lines) if line.split(" ", 1)[0].endswith(".vertex")), None)
+        if at is not None:
+            key, token = lines[at].split(" ")
+            lift = lines.index(f"{key[:-len('vertex')]}lift {token} {token}")
+            doubled = lines[:at + 1] + lines[at:lift + 1] + lines[lift:]
+            with pytest.raises(ParseError, match=f"repeated {key} entry"):
+                check(formats.parse_structured("\n".join(doubled))[1])
+    assert seen == set(repeatable)
 
 
 def _lift_edits(lines):
