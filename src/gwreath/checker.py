@@ -122,11 +122,11 @@ def _orbit_evidence_translation(graph: TranslationGraph, c: str, bound: int) -> 
 
 
 def _orbit_evidence_finite(graph: FiniteModeGraph):
-    subgroups = graph._subgroup_orbits
-    for v in sorted(set(subgroups[0][1].values())):
+    subgroups = graph._subgroups
+    for v in sorted(set(subgroups[0][2].values())):
         neighbours = graph.neighbours(v)
         # the trivial subgroup comes last and always succeeds: there are no loops
-        index = next(i for i, orbits in subgroups
+        index = next(i for i, _, orbits in subgroups
                      if not any(orbits[u] == orbits[v] for u in neighbours))
         yield OrbitEvidence(orbit=v, status="holds", subgroup_index=index)
 
@@ -286,7 +286,7 @@ def _pair_evidence_finite(graph: FiniteModeGraph):
     when H(gw) avoids the other.
     """
     neighbours, position = graph._neighbours, graph._position
-    subgroups = graph._subgroup_orbits
+    subgroups = graph._subgroups
     # each unordered pair keyed once, lower position (vertices are sorted: lower id) first
     found: dict[tuple[int, int], int] = {}
     for v, w in itertools.combinations(graph.vertices, 2):
@@ -295,7 +295,7 @@ def _pair_evidence_finite(graph: FiniteModeGraph):
         index = found.get((v, w))
         if index is None:
             # the trivial subgroup comes last and always succeeds: v and w are not adjacent
-            index = next(i for i, orbits in subgroups
+            index = next(i for i, _, orbits in subgroups
                          if orbits[v] != (ow := orbits[w])
                          and not any(orbits[u] == ow for u in neighbours[v]))
             iv, iw = position[v], position[w]

@@ -150,19 +150,6 @@ def parse_family(tokens: list[str], line: int | None = None) -> DifferenceFamily
     raise ParseError(f"unknown family kind {kind!r}", line=line)
 
 
-def delta_text(spec: GroupSpec) -> str:
-    if isinstance(spec, Cyclic):
-        return f"cyclic {spec.n}"
-    if isinstance(spec, Symmetric):
-        return f"symmetric {spec.degree}"
-    if isinstance(spec, FreeAbelian):
-        return f"free-abelian {spec.rank}"
-    if isinstance(spec, FiniteTable):
-        rows = ";".join(",".join(str(x) for x in row) for row in spec.table)
-        return f"table {spec.size} {spec.identity_index} {rows}"
-    raise ParseError(f"unknown group spec {spec!r}")
-
-
 # ---------------------------------------------------------------------------
 # instance files
 
@@ -410,6 +397,30 @@ def _parse_check(text: str) -> bool | None:
     raise ParseError(f"bad check value {text!r}")
 
 
+# The keys each document kind emits; a parser rejects any other.
+_CERTIFICATE_KEYS = {"element.word", "element.gamma", "subgroup.kind", "restricted", "image.word",
+                     *(f"check.{k}" for k in ("gamma-injective", "induced-isomorphism",
+                                              "loops-clear", "image-nontrivial"))}
+_SUBGROUP_KEYS = {"modulus": {"subgroup.modulus", "image.gamma"},
+                  "image-subgroup": {"subgroup.perm", "image.gamma-coset"}}
+_WITNESS_KEYS = {"kind", "vertex", "delta-element", "element.word", "element.gamma",
+                 *(f"obstruction.{k}" for k in ("lemma", "pair", "family", "offset", "statement"))}
+
+
+def _check_keys(record, keys) -> None:
+    """A ParseError naming the first key of ``record`` outside ``keys``:
+    no line is silently dropped."""
+    for key in record:
+        if key not in keys:
+            raise ParseError(f"unexpected key {key!r}")
+
+
+def _quotient_keys(q: QuotientGraph, prefix: str) -> set[str]:
+    """The keys ``quotient_lines`` emits for a quotient of ``q``'s kind."""
+    own = ("modulus", "labels") if q.kind == "translation" else ("orbit",)
+    return {f"{prefix}.{key}" for key in ("kind", "vertex", "edge", "loop", "lift", *own)}
+
+
 def quotient_lines(q: QuotientGraph, prefix: str = "quotient") -> list[str]:
     """The quotient's lines: finite-mode orbits by representative, then
     vertices, edges, loops and lifts in ``vertex_key`` order.
@@ -549,6 +560,7 @@ def certificate_from_record(instance: Instance, record) -> RFCertificate:
         )
     else:
         raise ParseError(f"unknown subgroup kind {kind!r}")
+    _check_keys(record, _CERTIFICATE_KEYS | _SUBGROUP_KEYS[kind] | _quotient_keys(quotient, "quotient"))
     restricted_text = _one(record, "restricted")
     if restricted_text == "-":
         restricted: tuple = ()
@@ -598,6 +610,7 @@ def witness_lines(instance: Instance, wit: NonRFWitness) -> list[str]:
 
 def witness_from_record(instance: Instance, record) -> NonRFWitness:
     graph, delta = instance.graph, instance.delta
+    _check_keys(record, _WITNESS_KEYS)
     kind = _one(record, "kind")
     vertices = tuple(parse_vertex(graph, t) for t in record.get("vertex", []))
     elements = tuple(parse_value(delta, t) for t in record.get("delta-element", []))
@@ -624,7 +637,7 @@ def witness_from_record(instance: Instance, record) -> NonRFWitness:
 
 def lef_lines(graph: TranslationGraph, cert: LEFCertificate) -> list[str]:
     out = [_header("lef-certificate")]
-    out.append(f"q {delta_text(cert.q_spec)}")
+    out.append(f"q cyclic {cert.q_spec.n}")  # lef builds cyclic models only
     out.append(f"modulus {cert.truncation.modulus}")
     kept = cert.truncation.kept_offsets
     for c1, c2 in sorted(kept, key=lambda p: (graph.label_index(p[0]), graph.label_index(p[1]))):
@@ -648,6 +661,7 @@ def lef_from_record(graph: TranslationGraph, record) -> LEFCertificate:
         raise ParseError(f"q needs a positive order, got {n}")
     q_spec = Cyclic(n)
     y = parse_quotient(record, prefix="y")
+    _check_keys(record, {"q", "modulus", "truncation.offsets", "phi", "psi"} | _quotient_keys(y, "y"))
     phi = {}
     for entry in record.get("phi", []):
         a, image = _split(entry, "phi", 2)

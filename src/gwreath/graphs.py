@@ -328,8 +328,8 @@ class FiniteModeGraph(Record):
     pairwise commute (so the image of Z^n stays abelian) and map edges
     to edges; both properties are checked exhaustively at construction.
     ``acting`` is Z^n.  Its image, as sorted permutation tuples, and the
-    image's subgroups, as the lattices of Z^n that contain the kernel of
-    the action (with their orbit maps), are built on first use and kept.
+    table of the image's subgroups, from the lattices of Z^n that contain
+    the kernel of the action, are built on first use and kept.
     """
 
     _fields = ("vertices", "edges", "generators")
@@ -383,9 +383,10 @@ class FiniteModeGraph(Record):
         return _closure(self.vertices, self.generators)
 
     @cached_property
-    def _subgroups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Every subgroup of the acting image, as ``enumerate_subgroups``
-        lists them, built on first use and kept.
+    def _subgroups(self) -> tuple[tuple[int, tuple[tuple[int, ...], ...], dict[int, int]], ...]:
+        """The subgroup table: (index, permutation tuples, orbit map) for
+        every subgroup of the acting image, in ``enumerate_subgroups``
+        order, built on first use and kept.
 
         The image is Z^n/K for K the lattice of gammas acting trivially,
         so its subgroups of index k are the images of the lattices
@@ -421,15 +422,7 @@ class FiniteModeGraph(Record):
                     if sub is not None:
                         found.append(tuple(map(shared.__getitem__, sub)))
             subgroups += sorted(found)
-        return tuple(subgroups)
-
-    @cached_property
-    def _subgroup_orbits(self) -> tuple[tuple[int, dict[int, int]], ...]:
-        """(index, orbit map) for every subgroup of the acting image, in
-        the order of ``enumerate_subgroups``; the first is the whole
-        image.  Built on first use and kept."""
-        order = len(self._image)
-        return tuple((order // len(sub), orbit_map(self, sub)) for sub in self._subgroups)
+        return tuple((order // len(sub), sub, orbit_map(self, sub)) for sub in subgroups)
 
     @property
     def rank(self) -> int:
@@ -475,11 +468,6 @@ class FiniteModeGraph(Record):
 
     def has_loop(self, v: int) -> bool:
         return False
-
-    def image_group(self) -> tuple[tuple[int, ...], ...]:
-        """The finite abelian group generated by the generator maps, as
-        sorted permutation tuples (the images of ``vertices``, in order)."""
-        return self._image
 
 
 def _cycle_places(step: list[int]) -> list[tuple[tuple[int, ...], int]]:
@@ -605,8 +593,8 @@ def quotient_graph(graph, subgroup) -> QuotientGraph:
     the residue sets of the difference families.  Finite mode takes the
     subgroup as an iterable of gamma vectors (or permutation dicts),
     closes it among the permutations and reads the quotient off its orbit
-    map (``_orbit_quotient``, which ``separate`` also calls with the
-    ambient orbit map restricted to the kept orbits).
+    map (``_orbit_quotient``, which ``separate`` also calls on a
+    restricted graph with an orbit map from the ambient subgroup table).
     """
     if isinstance(graph, TranslationGraph):
         return _translation_quotient(graph, subgroup)
@@ -655,15 +643,14 @@ def normalize_subgroup(graph: FiniteModeGraph, subgroup) -> tuple[tuple[int, ...
     return _closure(graph.vertices, perms)
 
 
-def orbit_map(graph: FiniteModeGraph, perms, vertices=None) -> dict[int, int]:
+def orbit_map(graph: FiniteModeGraph, perms) -> dict[int, int]:
     """Each vertex mapped to the least vertex of its orbit.
 
     ``perms`` is a subgroup of the acting image as permutation tuples,
-    as ``enumerate_subgroups`` lists them; ``vertices``, a union of its
-    orbits, defaults to every vertex.
+    as ``enumerate_subgroups`` lists them.
     """
     out: dict[int, int] = {}
-    for v in graph.vertices if vertices is None else vertices:
+    for v in graph.vertices:
         if v not in out:
             k = graph._position[v]
             orbit = {p[k] for p in perms}
@@ -672,9 +659,10 @@ def orbit_map(graph: FiniteModeGraph, perms, vertices=None) -> dict[int, int]:
 
 
 def _orbit_quotient(graph: FiniteModeGraph, omap: dict[int, int]) -> QuotientGraph:
-    """The quotient with orbit map ``omap``, which covers ``graph``'s
-    vertices: an orbit map of the ambient image's subgroup restricted to
-    kept orbits serves a restricted graph as well as its own would."""
+    """The quotient with orbit map ``omap`` read on ``graph``'s vertices:
+    an ambient subgroup's orbit map serves a graph restricted to a union
+    of the ambient image's orbits as well as its own would."""
+    omap = {v: omap[v] for v in graph.vertices}
     vertices = sorted(set(omap.values()))
     edges = set()
     loops = set()
@@ -695,9 +683,9 @@ def enumerate_subgroups(graph: FiniteModeGraph) -> list[tuple[tuple[int, ...], .
     by these lists, so the searches downstream are deterministic.  The
     subgroups are the images of the lattices between Z^n and the kernel
     of the action, from their Hermite normal form bases; the list is
-    computed once per graph.
+    computed once per graph, in its subgroup table.
     """
-    return list(graph._subgroups)
+    return [perms for _, perms, _ in graph._subgroups]
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +709,7 @@ def orbit_counts(graph) -> tuple[int, int | None]:
                 edge_orbits += len(offsets)
         return vertex_orbits, edge_orbits
     if isinstance(graph, FiniteModeGraph):
-        perms = graph.image_group()
+        perms = graph._image
         vertex_orbits = len(set(orbit_map(graph, perms).values()))
         seen_e = set()
         edge_orbits = 0

@@ -384,9 +384,10 @@ def noncommuting_pair(spec: GroupSpec) -> tuple[Element, Element] | None:
     """
     if spec.is_abelian():
         return None
-    pool = list(spec.elements())
-    for a in pool:
-        for b in pool:
+    for a in spec.elements():  # lazily: S_12 returns on its third inner element
+        if spec.is_identity(a):  # it commutes with everything
+            continue
+        for b in spec.elements():
             if spec.compose(a, b) != spec.compose(b, a):
                 return a, b
     return None

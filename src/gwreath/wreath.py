@@ -34,7 +34,6 @@ from .graphs import (
     TranslationGraph,
     Vertex,
     _orbit_quotient,
-    enumerate_subgroups,
     orbit_map,
     quotient_graph,
     residues_of,
@@ -390,7 +389,7 @@ def _restrict(instance: Instance, x: WreathElement) -> tuple[Instance, WreathEle
         }
         return Instance(delta, TranslationGraph(labels_used, fams)), x
     if isinstance(graph, FiniteModeGraph):
-        orbits = orbit_map(graph, graph.image_group())
+        orbits = orbit_map(graph, graph._image)
         reps = {orbits[v] for v in used}
         keep = {v for v in graph.vertices if orbits[v] in reps}
         if len(keep) == len(graph.vertices):
@@ -464,13 +463,13 @@ def separate(instance: Instance, x: WreathElement, bound: int = 64) -> RFCertifi
         raise SearchExhausted(bound)
 
     if isinstance(instance.graph, FiniteModeGraph):
-        candidates = enumerate_subgroups(instance.graph)
+        table = instance.graph._subgroups
         gamma_key = instance.graph.perm_of(x.gamma)
-        for perms in candidates:
-            cert = _try_finite(instance, sub_instance, x, support, perms, gamma_key)
+        for entry in table:
+            cert = _try_finite(instance, sub_instance, x, support, entry, gamma_key)
             if cert is not None:
                 return cert
-        raise SearchExhausted(len(candidates))
+        raise SearchExhausted(len(table))
 
     raise GraphError(f"cannot separate over {type(instance.graph).__name__}")
 
@@ -504,9 +503,8 @@ def _certificate(instance, sub_instance, x, quotient, gamma_image, *, kind, modu
     delta = instance.delta
     # x is in normal form, so one pass over the quotient gives its image.
     word_image = _push_normal(x.word, delta, quotient.project, quotient)
-    nontrivial = (not word_image.is_empty) or not _image_gamma_trivial(
-        kind, quotient, gamma_image
-    )
+    # a trivial gamma image is residue 0 of a modulus, or None for an image subgroup
+    nontrivial = not word_image.is_empty or gamma_image not in (0, None)
     assert nontrivial, "a passing candidate must keep the element alive"
     restricted = (
         sub_instance.graph.labels
@@ -530,12 +528,6 @@ def _certificate(instance, sub_instance, x, quotient, gamma_image, *, kind, modu
         word_image=word_image,
         checks=checks,
     )
-
-
-def _image_gamma_trivial(kind, quotient, gamma_image) -> bool:
-    if kind == "modulus":
-        return gamma_image == 0
-    return gamma_image is None
 
 
 def _try_translation(instance, sub_instance, x, support, m):
@@ -575,19 +567,19 @@ def _try_translation(instance, sub_instance, x, support, m):
     )
 
 
-def _try_finite(instance, sub_instance, x, support, perms, gamma_key):
-    """The certificate for the image subgroup ``perms``, or None when a
-    check fails.
+def _try_finite(instance, sub_instance, x, support, entry, gamma_key):
+    """The certificate for the image subgroup of the ambient table's
+    ``entry``, or None when a check fails.
 
-    Every check reads the orbit map of the subgroup on the restricted
-    vertices; once all of them pass, the quotient graph is read off that
-    same map, so the restricted graph needs no image or subgroups of its own.
+    Every check reads the entry's orbit map on the restricted vertices;
+    once all of them pass, the quotient graph is read off that same map,
+    so the restricted graph needs no image or subgroups of its own.
     """
     graph, sub = instance.graph, sub_instance.graph
+    _, perms, orbits = entry
     gamma_in_subgroup = gamma_key in perms
     if gamma_in_subgroup and any(x.gamma):
         return None
-    orbits = orbit_map(graph, perms, sub.vertices)
     if not instance.delta.is_abelian() and any(orbits[u] == orbits[w] for u, w in sub.edges):
         return None
     if not _induced_isomorphism(
@@ -621,11 +613,10 @@ def verify_certificate(instance: Instance, cert: RFCertificate) -> bool:
             rebuilt = _try_translation(instance, sub_instance, x, support, m)
         elif cert.kind == "image-subgroup" and isinstance(graph, FiniteModeGraph):
             # Only a listed subgroup, in its listed form, can rebuild equal.
-            if cert.subgroup_perms not in graph._subgroups:
+            entry = next((e for e in graph._subgroups if e[1] == cert.subgroup_perms), None)
+            if entry is None:
                 return False
-            rebuilt = _try_finite(
-                instance, sub_instance, x, support, cert.subgroup_perms, graph.perm_of(x.gamma)
-            )
+            rebuilt = _try_finite(instance, sub_instance, x, support, entry, graph.perm_of(x.gamma))
         else:
             return False
     except (ValueError, TypeError, KeyError, AttributeError):  # IdentityElement is a ValueError

@@ -36,7 +36,7 @@ from gwreath import (
     restrict_orbits,
 )
 from gwreath.checker import PairEvidence
-from gwreath.graphs import contains_offset, covers_all_nonzero
+from gwreath.graphs import contains_offset, covers_all_nonzero, enumerate_subgroups
 from gwreath.wreath import certify_offset_always
 
 
@@ -431,10 +431,15 @@ def reference_pair_evidence_finite(graph: FiniteModeGraph):
     # of those.  The orbit of v then avoids w and N(w) too, since
     # hw ~ v if and only if w ~ h^-1 v.
     neighbours = {v: graph.neighbours(v) for v in graph.vertices}
-    subgroups = [
-        (index, orbits, {v: {orbits[u] for u in ns} for v, ns in neighbours.items()})
-        for index, orbits in graph._subgroup_orbits
-    ]
+    perm_lists = enumerate_subgroups(graph)
+    subgroups = []
+    for perms in perm_lists:
+        index = len(perm_lists[0]) // len(perms)
+        # each vertex named by the least vertex its subgroup moves it to
+        orbits = {v: min(p[k] for p in perms) for k, v in enumerate(graph.vertices)}
+        subgroups.append(
+            (index, orbits, {v: {orbits[u] for u in ns} for v, ns in neighbours.items()})
+        )
     for v, w in itertools.combinations(graph.vertices, 2):
         if w in neighbours[v]:
             continue

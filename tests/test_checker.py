@@ -24,8 +24,9 @@ from gwreath import (
     separation_bound,
     verify_certificate,
     witness,
+    word,
 )
-from gwreath import checker, formats, graphs
+from gwreath import checker, formats, graphs, wreath
 from gwreath.checker import NOT_RESIDUALLY_FINITE, RESIDUALLY_FINITE, UNKNOWN, default_t_max
 from gwreath.graphs import enumerate_subgroups, residues_of
 
@@ -244,20 +245,29 @@ def test_classify_computes_the_subgroup_list_once(monkeypatch):
 
 
 def test_classify_computes_each_orbit_map_once(monkeypatch):
-    # conditions 2 and 3 read one (index, orbit map) list: one orbit map
-    # for each of the 30 subgroups of the 6x6 torus's image
+    # conditions 2 and 3 read one subgroup table: one orbit map for each
+    # of the 30 subgroups of the 6x6 torus's image, which a later
+    # separation and its verification read too, computing only the
+    # image's orbit map that restricts the element, once each
     calls = Counter()
     orbit_map = graphs.orbit_map
+    for module in (graphs, wreath):
 
-    def counted(*args):
-        calls["orbit_map"] += 1
-        return orbit_map(*args)
+        def counted(*args, name=module.__name__):
+            calls[name] += 1
+            return orbit_map(*args)
 
-    monkeypatch.setattr(graphs, "orbit_map", counted)
+        monkeypatch.setattr(module, "orbit_map", counted)
     graph = torus_graph(6)
     assert len(enumerate_subgroups(graph)) == 30
-    assert classify(Instance(S3, graph)).status == RESIDUALLY_FINITE
-    assert calls["orbit_map"] == 30
+    inst = Instance(S3, graph)
+    assert classify(inst).status == RESIDUALLY_FINITE
+    assert calls == Counter({"gwreath.graphs": 30})
+    x = WreathElement(word(S3, [(0, (1, 0, 2)), (7, (0, 2, 1))]), (1, 2))
+    cert = separate(inst, x)
+    assert cert.kind == "image-subgroup"
+    assert verify_certificate(inst, cert)
+    assert calls == Counter({"gwreath.graphs": 30, "gwreath.wreath": 2})
 
 
 def test_finite_mode_evidence_matches_direct_orbit_checks():

@@ -341,18 +341,71 @@ def _checked_documents():
     return docs
 
 
+def _rejected_or_unchanged(check, kind, edited) -> bool:
+    """Whether an edited document of ``kind`` raises ParseError, names
+    another kind in its header (which ``parse_structured`` returns for
+    its reader to check), fails verification, or re-emits byte-identically."""
+    try:
+        got, record = formats.parse_structured("\n".join(edited))
+        if got != kind:
+            return True
+        again = check(record)
+    except ParseError:
+        return True
+    return again is None or again == edited
+
+
 def test_single_line_duplicates_are_rejected():
     # a document with any line given twice raises ParseError, fails
     # verification, or re-emits byte-identically, which no document
     # with a repeated line can
     for lines, check in _checked_documents():
+        kind = lines[0].split()[2]
         for i in range(len(lines)):
-            doubled = lines[:i + 1] + lines[i:]
-            try:
-                again = check(formats.parse_structured("\n".join(doubled))[1])
-            except ParseError:
-                continue
-            assert again is None or again == doubled, lines[i]
+            assert _rejected_or_unchanged(check, kind, lines[:i + 1] + lines[i:]), lines[i]
+
+
+def test_single_line_mutations_are_rejected():
+    # the same rule for every line deleted, every last token replaced
+    # (by the tokens of the LEF edit test) and an unknown key inserted
+    tokens = ("0", "7", "-1", "x", "c:7", "c:1")
+    for lines, check in _checked_documents():
+        kind = lines[0].split()[2]
+        for i, line in enumerate(lines):
+            head = line.rsplit(" ", 1)[0]
+            for edit in ([], *([f"{head} {token}"] for token in tokens)):
+                edited = lines[:i] + edit + lines[i + 1:]
+                assert _rejected_or_unchanged(check, kind, edited), edited
+        assert _rejected_or_unchanged(check, kind, lines[:1] + ["note x"] + lines[1:]), kind
+
+
+def test_keys_outside_the_document_kind_are_parse_errors():
+    # an unknown key, or a key another kind of document emits, names
+    # itself in the ParseError
+    inst, elements = formats.load_instance(INSTANCES / "ex11.instance")
+    modulus = formats.certificate_lines(inst, separate(inst, elements["w1"]))
+    finite, elements = formats.load_instance(INSTANCES / "finite5-s3.instance")
+    subgroup = formats.certificate_lines(finite, separate(finite, elements["w1"]))
+    wit_inst = Instance(Symmetric(3), factorial_graph(0))
+    wit = formats.witness_lines(wit_inst, witness(wit_inst, "T3.1", [("c", 0)]))
+    graph = factorial_graph(0)
+    lef = formats.lef_lines(graph, lef_certificate(graph, [0, 1], [("c", 0), ("c", 1), ("c", 2)]))
+    cases = [
+        (modulus, inst, formats.certificate_from_record,
+         ["quotient.note anything", "subgroup.perm 0,1", "image.gamma-coset trivial",
+          "quotient.orbit 0 0"]),
+        (subgroup, finite, formats.certificate_from_record,
+         ["quotient.note anything", "subgroup.modulus 2", "image.gamma 0", "quotient.modulus 2"]),
+        (wit, wit_inst, formats.witness_from_record, ["note x", "obstruction.note x"]),
+        (lef, graph, formats.lef_from_record, ["y.note x", "y.orbit 0 0", "note x"]),
+    ]
+    for lines, context, from_record, extras in cases:
+        assert from_record(context, formats.parse_structured("\n".join(lines))[1])
+        for extra in extras:
+            key = extra.split(" ", 1)[0]
+            record = formats.parse_structured("\n".join(lines[:-1] + [extra] + lines[-1:]))[1]
+            with pytest.raises(ParseError, match=f"unexpected key '{key}'"):
+                from_record(context, record)
 
 
 def test_repeated_quotient_and_model_entries_are_parse_errors():

@@ -464,6 +464,17 @@ def test_enumerate_subgroups_matches_reference():
         assert enumerate_subgroups(graph) == expected, graph
 
 
+def test_subgroup_table_entries_match_their_permutations():
+    # each entry's index times its order is the image's order, and its
+    # orbit map names each vertex's orbit, read off the permutations
+    for graph in _image_reference_graphs():
+        image = len(graph._image)
+        for index, perms, orbits in graph._subgroups:
+            assert index * len(perms) == image, graph
+            orbit = {v: {p[k] for p in perms} for k, v in enumerate(graph.vertices)}
+            assert orbits == {v: min(orbit[v]) for v in graph.vertices}, graph
+
+
 def test_perm_of_matches_dict_composition():
     # the cycle read-off agrees with composing generator dicts
     big = 10**9 + 7

@@ -197,6 +197,31 @@ def test_noncommuting_pair():
     assert noncommuting_pair(klein_table()) is None
 
 
+def test_noncommuting_pair_is_pinned():
+    s3 = Symmetric(3)
+    assert noncommuting_pair(s3) == ((0, 2, 1), (1, 0, 2))
+    # S3 again as a table over its elements in enumeration order
+    elements = list(s3.elements())
+    index = {p: i for i, p in enumerate(elements)}
+    rows = tuple(tuple(index[s3.compose(a, b)] for b in elements) for a in elements)
+    assert noncommuting_pair(FiniteTable(6, rows, 0)) == (1, 2)
+
+
+def test_noncommuting_pair_draws_elements_lazily():
+    # the identity and a transposition as outer elements, three inner
+    # draws: not the 8! elements of the whole group
+    drawn = []
+
+    class Counted(Symmetric):
+        def elements(self):
+            for p in super().elements():
+                drawn.append(p)
+                yield p
+
+    assert noncommuting_pair(Counted(8)) == ((0, 1, 2, 3, 4, 5, 7, 6), (0, 1, 2, 3, 4, 6, 5, 7))
+    assert len(drawn) <= 10
+
+
 def test_first_nontrivial():
     assert first_nontrivial(Cyclic(1)) is None
     assert first_nontrivial(Cyclic(2)) == 1

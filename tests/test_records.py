@@ -291,6 +291,6 @@ def test_keyword_construction_and_defaults():
 
 def test_derived_state_stays_out_of_equality_and_repr():
     graph = edge()
-    assert graph._subgroup_orbits[0][0] == 1  # kept on the graph, not a field
+    assert graph._subgroups[0][0] == 1  # kept on the graph, not a field
     assert graph == edge() and hash(graph) == hash(edge())
     assert repr(graph) == EDGE

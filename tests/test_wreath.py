@@ -623,6 +623,34 @@ def test_restricted_separation_builds_only_the_ambient_image_table(monkeypatch):
     assert cert.restricted == cert.quotient.vertices == (0, 1, 2)
     assert verify_certificate(inst, cert)
     assert calls == Counter({inst.graph.vertices: one_list})
+    # the trivial subgroup; its orbit lines cover the kept triangle only
+    assert formats.certificate_lines(inst, cert) == [
+        "gwreath v1 separation-certificate",
+        "element.word 0=1,0,2",
+        "element.gamma 0",
+        "subgroup.kind image-subgroup",
+        "subgroup.perm 0,1,2,3,4,5",
+        "restricted 0 1 2",
+        "quotient.kind finite",
+        "quotient.orbit 0 0",
+        "quotient.orbit 1 1",
+        "quotient.orbit 2 2",
+        "quotient.vertex 0",
+        "quotient.vertex 1",
+        "quotient.vertex 2",
+        "quotient.edge 0|1",
+        "quotient.edge 0|2",
+        "quotient.edge 1|2",
+        "quotient.lift 0 0",
+        "quotient.lift 1 1",
+        "quotient.lift 2 2",
+        "image.gamma-coset trivial",
+        "image.word 0=1,0,2",
+        "check.gamma-injective pass",
+        "check.induced-isomorphism pass",
+        "check.loops-clear pass",
+        "check.image-nontrivial pass",
+    ]
 
 
 def test_separate_and_verify_on_a_large_image_keep_a_small_memory_peak():
