@@ -1,32 +1,34 @@
-"""Three-valued classification of instances.
+"""Classification of instances.
 
-An instance is certified separable when (1) the coefficient and acting
+An instance is separable exactly when (1) the coefficient and acting
 groups are separable, which holds by construction for the supported
 classes, (2) either the coefficients are abelian and neighbouring
 vertices are torn apart by some finite-index subgroup, or every orbit
 can be pushed off its own neighbourhood, and (3) every non-adjacent
-vertex pair can be pushed apart from the neighbourhood as well.  The
-negative direction is certified through the residue lemmas; whenever
-neither direction can be certified (condition 3 quantifies over
-infinitely many offsets for infinite families) the verdict is Unknown
-rather than a guess.
+vertex pair can be pushed apart from the neighbourhood as well.  Both
+conditions are decided: in finite mode by the finite subgroup table, in
+translation mode from residue classes (``_rule_modulus`` and
+``_offset_window`` hold the proofs).  A failure is certified through a
+residue lemma and packaged as an explicit witness element.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
 from .errors import GraphError
 from .groups import Record, _set
 from .graphs import (
+    ArithmeticOffsets,
+    FactorialOffsets,
     FiniteModeGraph,
     TranslationGraph,
     contains_offset,
     covers_all_nonzero,
     is_complete,
     orbit_counts,
-    residues_of,
 )
 from .wreath import (
     Instance,
@@ -40,7 +42,6 @@ from .wreath import (
 
 RESIDUALLY_FINITE = "residually-finite"
 NOT_RESIDUALLY_FINITE = "not-residually-finite"
-UNKNOWN = "unknown"
 
 COND1_NOTE = (
     "coefficient and acting groups are separable by construction of the "
@@ -56,7 +57,7 @@ class OrbitEvidence(Record):
     """Per-orbit outcome of the search for K with Kv disjoint from N(v)."""
 
     orbit: str | int
-    status: str  # "holds" | "fails" | "unknown"
+    status: str  # "holds" | "fails"
     modulus: int | None = None
     subgroup_index: int | None = None
     obstruction: Obstruction | None = None
@@ -66,7 +67,7 @@ class Cond2Result(Record):
     abelian: bool
     abelian_rule: str | None
     per_orbit: tuple[OrbitEvidence, ...]
-    holds: bool | None
+    holds: bool
     failing: OrbitEvidence | None = None
 
 
@@ -77,8 +78,10 @@ def check_cond2(instance: Instance, bound: int = 64) -> Cond2Result:
     orbit) always holds over the supported acting groups: translation
     separates any two positions by a large enough modulus, and the
     trivial image subgroup separates finite-mode points.  The per-orbit
-    search for a subgroup clearing the whole neighbourhood is run
-    regardless, because its moduli are reusable evidence downstream.
+    decision is made regardless, because its moduli are reusable
+    evidence downstream.  A translation orbit fails exactly when 0 is a
+    lemma offset (``_rule_modulus``, claim 2); otherwise its modulus is
+    the least up to ``bound`` that misses 0, or m(0) past the bound.
     """
     graph, delta = instance.graph, instance.delta
     abelian = delta.is_abelian()
@@ -91,21 +94,12 @@ def check_cond2(instance: Instance, bound: int = 64) -> Cond2Result:
     else:
         raise GraphError(f"cannot classify over {type(graph).__name__}")
 
-    failing = next((e for e in evidence if e.status == "fails"), None)
-    if abelian:
-        holds = True
-        failing = None
-    elif failing is not None:
-        holds = False
-    elif all(e.status == "holds" for e in evidence):
-        holds = True
-    else:
-        holds = None
+    failing = None if abelian else next((e for e in evidence if e.status == "fails"), None)
     return Cond2Result(
         abelian=abelian,
         abelian_rule=abelian_rule if abelian else None,
         per_orbit=evidence,
-        holds=holds,
+        holds=failing is None,
         failing=failing,
     )
 
@@ -115,10 +109,13 @@ def _orbit_evidence_translation(graph: TranslationGraph, c: str, bound: int) -> 
     obstruction = certify_zero_always(families, (c, c))
     if obstruction is not None:
         return OrbitEvidence(orbit=c, status="fails", obstruction=obstruction)
+    # missing 0 persists under multiples, which ``separation_bound`` relies on
     for m in range(1, bound + 1):
         if not any(f.hits(0, m) for f in families):
-            return OrbitEvidence(orbit=c, status="holds", modulus=m)
-    return OrbitEvidence(orbit=c, status="unknown")
+            break
+    else:
+        m = _rule_modulus(0, *_datum_and_steps(families))
+    return OrbitEvidence(orbit=c, status="holds", modulus=m)
 
 
 def _orbit_evidence_finite(graph: FiniteModeGraph):
@@ -144,7 +141,7 @@ class PairEvidence(Record):
     """
 
     pair: tuple
-    status: str  # "holds-vacuous" | "holds-rule" | "holds" | "fails" | "unknown"
+    status: str  # "holds-vacuous" | "holds-rule" | "holds" | "fails"
     rule: str | None = None
     obstruction: Obstruction | None = None
     subgroup_index: int | None = None
@@ -165,7 +162,7 @@ class PairEvidence(Record):
 
 class Cond3Result(Record):
     per_pair: tuple[PairEvidence, ...]
-    holds: bool | None
+    holds: bool
     t_max: int | None
     failing: PairEvidence | None = None
 
@@ -178,17 +175,17 @@ def default_t_max(graph: TranslationGraph) -> int:
     return 3 * datum
 
 
-def check_cond3(instance: Instance, bound: int = 64, t_max: int | None = None) -> Cond3Result:
+def check_cond3(instance: Instance, t_max: int | None = None) -> Cond3Result:
     """Check the pair separation condition.
 
-    With only finite families a single explicit rule covers every
-    offset.  Infinite families are walked through the non-adjacent
-    offsets of the window ``|t| <= t_max`` in report order (0 for two
-    labels, then 1, -1, 2, -2, ...), and a pair fails at the first
-    offset a lemma certifies, which is the one it reports.  A universal
-    positive over the remaining infinitely many offsets is never
-    claimed, so the pair outcome is otherwise Unknown unless it has no
-    non-adjacent offsets at all.
+    A translation label pair with only finite families holds by one
+    rule.  Otherwise it fails iff some non-adjacent offset (t != 0 within
+    one label) is a lemma offset: ±shift of a factorial family, or
+    t = ±start mod step of an arithmetic one.  It reports the first by
+    size, positive first, walking only the lemma offsets 0 <= t <= W
+    (``_offset_window``); a holding pair costs O(#shifts + sum W/step)
+    lookups and states the rule m(t) of ``_rule_modulus``.  ``t_max``
+    is only recorded (``default_t_max`` when None).
     """
     graph = instance.graph
     if isinstance(graph, FiniteModeGraph):
@@ -196,80 +193,106 @@ def check_cond3(instance: Instance, bound: int = 64, t_max: int | None = None) -
     if not isinstance(graph, TranslationGraph):
         raise GraphError(f"cannot classify over {type(graph).__name__}")
 
-    if t_max is None:
-        t_max = default_t_max(graph)
-    pairs = [
-        (c1, c2)
+    evidence = tuple(
+        _pair_evidence_translation(graph, c1, c2)
         for i, c1 in enumerate(graph.labels)
         for c2 in graph.labels[i:]
-    ]
-    evidence = tuple(
-        _pair_evidence_translation(graph, c1, c2, bound, t_max) for c1, c2 in pairs
     )
     failing = next((e for e in evidence if e.status == "fails"), None)
-    if failing is not None:
-        holds = False
-    elif all(e.status in ("holds-vacuous", "holds-rule") for e in evidence):
-        holds = True
-    else:
-        holds = None
-    return Cond3Result(per_pair=evidence, holds=holds, t_max=t_max, failing=failing)
+    return Cond3Result(per_pair=evidence, holds=failing is None,
+                       t_max=default_t_max(graph) if t_max is None else t_max, failing=failing)
 
 
-def _pair_evidence_translation(
-    graph: TranslationGraph, c1: str, c2: str, bound: int, t_max: int
-) -> PairEvidence:
-    families = graph.families_for(c1, c2)
-    same = c1 == c2
-    if same and covers_all_nonzero(families):
-        return PairEvidence(
-            pair=(c1, c2),
-            status="holds-vacuous",
-            rule="every nonzero offset is an edge, so no pair needs separating",
-        )
+def _pair_evidence_translation(graph: TranslationGraph, c1: str, c2: str) -> PairEvidence:
+    families, pair = graph.families_for(c1, c2), (c1, c2)
+    if c1 == c2 and covers_all_nonzero(families):
+        return PairEvidence(pair, "holds-vacuous",
+                            "every nonzero offset is an edge, so no pair needs separating")
     if all(f.is_finite() for f in families):
         dmax = max((f.max_offset() for f in families), default=0)
-        return PairEvidence(
-            pair=(c1, c2),
-            status="holds-rule",
-            rule=f"m(t) = |t| + {dmax} + 1",
-        )
-
-    window = []  # the non-adjacent offsets no lemma certifies
-    # 0, 1, -1, 2, -2, ...: by size, positive first, the order offsets are reported in
-    for t in itertools.chain.from_iterable((k, -k) if k else (0,) for k in range(t_max + 1)):
-        if (same and t == 0) or contains_offset(families, t):
-            continue  # adjacent offsets need no separating
-        obstruction = certify_offset_always(families, (c1, c2), t)
-        if obstruction is not None:
-            return PairEvidence(pair=(c1, c2), status="fails", obstruction=obstruction)
-        window.append(t)
-    residues: dict[int, frozenset[int]] = {}
-    separated = all(
-        _separating_modulus(families, t, same, bound, residues) is not None for t in window
-    )
-    return PairEvidence(
-        pair=(c1, c2),
-        status="unknown",
-        rule=(
-            f"offsets up to {t_max} all separate within the bound, but the "
-            f"family is infinite and no lemma settles the remaining offsets"
-        )
-        if separated
-        else None,
-    )
+        return PairEvidence(pair, "holds-rule", f"m(t) = |t| + {dmax} + 1")
+    # the lemma offsets 0 <= t <= W in increasing order, merged lazily from a heap of each
+    # run's next offset and step: the classes ±start mod step, and ±shift stepping past W
+    shifts, runs = [], []
+    for f in families:
+        if isinstance(f, FactorialOffsets):
+            shifts.append(f.shift)
+        elif isinstance(f, ArithmeticOffsets):
+            runs += [(r, f.step) for r in {f.start % f.step, -f.start % f.step}]
+    datum, steps = _datum_and_steps(families)
+    window = _offset_window(shifts, datum, steps)
+    runs += [(s, window + 1) for s in shifts]
+    heapq.heapify(runs)
+    while runs and runs[0][0] <= window:
+        t, step = runs[0]
+        if not ((c1 == c2 and t == 0) or contains_offset(families, t)):
+            return PairEvidence(pair, "fails", obstruction=certify_offset_always(families, pair, t))
+        heapq.heapreplace(runs, (t + step, step))
+    return PairEvidence(pair, "holds-rule", f"m(t) = lcm({steps}, M!) for the least M >= 2 "
+                                            f"with (M - 1)*(M - 1)! > |t| + {datum}")
 
 
-def _separating_modulus(families, t: int, include_zero: bool, bound: int,
-                        residues: dict[int, frozenset[int]]) -> int | None:
-    """The least modulus whose residue set misses ``t``; ``residues``
-    keeps the sets by modulus across the offsets of one pair."""
-    for m in range(1, bound + 1):
-        if m not in residues:
-            residues[m] = residues_of(families, m) | ({0} if include_zero else frozenset())
-        if t % m not in residues[m]:
-            return m
-    return None
+def _datum_and_steps(families) -> tuple[int, int]:
+    """D, the largest datum, and L, the lcm of the arithmetic steps."""
+    datum, steps = 0, 1
+    for f in families:
+        datum = max(datum, f.datum())
+        if isinstance(f, ArithmeticOffsets):
+            steps = math.lcm(steps, f.step)
+    return datum, steps
+
+
+def _rule_modulus(t: int, datum: int, steps: int) -> int:
+    """m(t) = lcm(L, M!), M the least >= 2 with (M - 1)*(M - 1)! > |t| + D.
+
+    Claim 1: modulo m(t) the families miss every non-adjacent t that is
+    no lemma offset, and within one label t misses 0 as well.  Proof:
+    M! > (M - 1)*(M - 1)! > |t| + D, and M! and L divide m(t).  Let d be
+    an offset with d = t mod m(t).  Finite: |d| <= D, so |t - d| < M!
+    and d = t, adjacent.  Arithmetic: the step divides L, so t = ±start
+    mod step, a lemma offset.  Factorial, d = ±(s + n!) with s <= D:
+    for n >= M, M! divides n!, so t = ±s mod M!, and |t -+ s| < M!
+    gives t = ±s, a lemma offset; for n < M, |t| + s + n! <
+    (M - 1)*(M - 1)! + (M - 1)! = M!, so d = t, adjacent.  Within one
+    label 0 < |t| < m(t).  Conversely each lemma hits its offsets
+    modulo every m, so the pair decision is exact.
+
+    Claim 2: condition 2 is the case t = 0: no family holds 0, and 0 is
+    a lemma offset exactly when ``certify_zero_always`` names a lemma.
+    """
+    m, factorial = 2, 1  # M and (M - 1)!
+    while (m - 1) * factorial <= abs(t) + datum:
+        factorial *= m
+        m += 1
+    return math.lcm(steps, factorial * m)
+
+
+def _offset_window(shifts: list[int], datum: int, steps: int) -> int:
+    """W = D + (F + 1)*L, F the least fixed point from 0 of the count of
+    factorial offsets shift + n! <= W.  Families, lemmas and adjacency
+    are closed under negation, so the first non-adjacent lemma offset in
+    report order is never negative, and a pair walks 0 <= t <= W.
+
+    Claim 3: if some non-adjacent offset t is a lemma offset, one is
+    within W.  Proof: let |t| > W.  Past D no finite offset lies, t' is
+    a lemma offset iff t' = ±start mod step for an arithmetic family
+    (each ±shift is within D), and an arithmetic family holds t' iff
+    |t'| = start mod step; each step divides L.  So the F + 1 offsets
+    t' = t mod L of t's sign with D < |t'| <= W are lemma offsets that
+    no finite or arithmetic family holds, and at most F of them are
+    factorial offsets.
+    """
+    count = 0
+    while True:  # F never decreases, and grows like log W while W grows linearly in F
+        window, found = datum + (count + 1) * steps, 0
+        for s in shifts:
+            n = factorial = 1
+            while s + factorial <= window:
+                found, n = found + 1, n + 1
+                factorial *= n
+        if found == count:
+            return window
+        count = found
 
 
 def _pair_evidence_finite(graph: FiniteModeGraph):
@@ -319,50 +342,35 @@ class Verdict(Record):
     failing_condition: str | None = None
     note: str | None = None
 
-    @property
-    def certified(self) -> bool:
-        return self.status in (RESIDUALLY_FINITE, NOT_RESIDUALLY_FINITE)
-
 
 def classify(instance: Instance, bound: int = 64, t_max: int | None = None) -> Verdict:
-    """Classify an instance, never overclaiming.
+    """Decide whether an instance is residually finite.
 
-    A certified negative from either condition wins immediately and is
-    packaged as an explicit witness element; a certified positive needs
-    both conditions; anything else is Unknown together with the bound
-    that was exhausted.
+    A negative from either condition wins immediately and is packaged
+    as an explicit witness element; a positive needs both.  ``bound``
+    only limits the search for the least condition-2 modulus, and
+    ``t_max`` is only recorded: neither changes the status.
     """
     cond2 = check_cond2(instance, bound)
-    if cond2.holds is False:
-        wit = _cond2_witness(instance, cond2)
+    if not cond2.holds:
         return Verdict(
             status=NOT_RESIDUALLY_FINITE,
             cond2=cond2,
-            witness=wit,
+            witness=_cond2_witness(instance, cond2),
             bound=bound,
             failing_condition="condition-2",
         )
-    cond3 = check_cond3(instance, bound, t_max)
-    if cond3.holds is False:
-        wit = _cond3_witness(instance, cond3)
+    cond3 = check_cond3(instance, t_max)
+    if not cond3.holds:
         return Verdict(
             status=NOT_RESIDUALLY_FINITE,
             cond2=cond2,
             cond3=cond3,
-            witness=wit,
+            witness=_cond3_witness(instance, cond3),
             bound=bound,
             failing_condition="condition-3",
         )
-    if cond2.holds and cond3.holds:
-        return Verdict(status=RESIDUALLY_FINITE, cond2=cond2, cond3=cond3, bound=bound)
-    failing = "condition-2" if cond2.holds is None else "condition-3"
-    return Verdict(
-        status=UNKNOWN,
-        cond2=cond2,
-        cond3=cond3,
-        bound=bound,
-        failing_condition=failing,
-    )
+    return Verdict(status=RESIDUALLY_FINITE, cond2=cond2, cond3=cond3, bound=bound)
 
 
 def _cond2_witness(instance: Instance, cond2: Cond2Result) -> NonRFWitness:
@@ -483,7 +491,7 @@ def separation_bound(instance: Instance, verdict: Verdict, x: WreathElement) -> 
     """A modulus within which ``separate`` must succeed, read off the
     verdict's rules.
 
-    Only meaningful for certified-separable translation instances whose
+    Only meaningful for residually finite translation instances whose
     families are all finite.  The bound is the lcm of the per-constraint
     moduli, each of which persists under multiples.
     """
@@ -491,7 +499,7 @@ def separation_bound(instance: Instance, verdict: Verdict, x: WreathElement) -> 
     if not isinstance(graph, TranslationGraph):
         raise GraphError("rule bounds are only derived for translation instances")
     if verdict.status != RESIDUALLY_FINITE:
-        raise GraphError("rule bounds require a certified separable verdict")
+        raise GraphError("rule bounds require a residually finite verdict")
     x = instance.normalize(x)
     constraints = [1]
     if x.gamma != 0:
@@ -499,10 +507,7 @@ def separation_bound(instance: Instance, verdict: Verdict, x: WreathElement) -> 
     vertices = sorted(x.word.vertices(), key=graph.vertex_key)
     if not instance.delta.is_abelian() and verdict.cond2 is not None:
         moduli = {e.orbit: e.modulus for e in verdict.cond2.per_orbit}
-        for c in {v[0] for v in vertices}:
-            if moduli.get(c) is None:
-                raise GraphError(f"no recorded modulus for orbit {c!r}")
-            constraints.append(moduli[c])
+        constraints.extend(moduli[c] for c in {v[0] for v in vertices})
     for v, w in itertools.combinations(vertices, 2):
         (c1, p), (c2, q) = v, w
         t = q - p

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes are a bit-exact contract: 0 for a certified verdict or a
-successful construction, 2 when a search was exhausted or the verdict
-is Unknown, 1 for input errors.
+Exit codes are a bit-exact contract: 0 for a verdict (``check``
+decides every instance) or a successful construction, 2 when a
+``separate`` or ``lef`` search was exhausted or ``witness`` found no
+witness, 1 for input errors, an input too large for memory included.
 
 Each command imports only the modules it runs: ``checker`` loads inside
 ``check``/``check-fp`` and ``lef`` inside ``lef``, so a process that
@@ -28,11 +29,11 @@ from .graphs import TranslationGraph, quotient_graph
 
 EXIT_OK = 0
 EXIT_INPUT = 1
-EXIT_UNKNOWN = 2
+EXIT_NO_RESULT = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # an input error: not a usage block and exit 2 (Unknown)
+    def error(self, message):  # an input error (exit 1), not argparse's usage block and exit 2
         raise ParseError(message)
 
 
@@ -127,12 +128,12 @@ def _cmd_check(args) -> int:
     if args.wreath:
         verdict = checker.classify_wreath(instance)
     else:
-        verdict = checker.classify(instance, bound=args.bound, t_max=args.t_max)
+        verdict = checker.classify(instance, bound=args.bound)
     if args.format == "structured":
         _emit(formats.verdict_lines(instance, verdict), args)
     else:
         _emit(formats.render_verdict(instance, verdict), args)
-    return EXIT_OK if verdict.certified else EXIT_UNKNOWN
+    return EXIT_OK
 
 
 def _cmd_check_fp(args) -> int:
@@ -154,7 +155,7 @@ def _cmd_separate(args) -> int:
         cert = wreath.separate(instance, x, bound=args.bound)
     except SearchExhausted as exc:
         _emit([f"SEARCH EXHAUSTED at bound {exc.bound}"], args)
-        return EXIT_UNKNOWN
+        return EXIT_NO_RESULT
     if args.format == "structured":
         _emit(formats.certificate_lines(instance, cert), args)
     else:
@@ -177,7 +178,7 @@ def _cmd_witness(args) -> int:
         wit = wreath.witness(instance, args.kind, vertices, elements)
     except WitnessError as exc:
         _emit([f"NO WITNESS: {exc}"], args)
-        return EXIT_UNKNOWN
+        return EXIT_NO_RESULT
     if args.format == "structured":
         _emit(formats.witness_lines(instance, wit), args)
     else:
@@ -223,7 +224,7 @@ def _cmd_lef(args) -> int:
         cert = lef.lef_certificate(instance.graph, gammas, vertices, bound=args.bound)
     except SearchExhausted as exc:
         _emit([f"SEARCH EXHAUSTED at bound {exc.bound}"], args)
-        return EXIT_UNKNOWN
+        return EXIT_NO_RESULT
     if args.format == "structured":
         _emit(formats.lef_lines(instance.graph, cert), args)
     else:
@@ -240,8 +241,6 @@ _SUBCOMMANDS = {
             [("--left", {"required": True}), ("--right", {"required": True})]),
     "invert": (_cmd_invert, "inverse of a named element", False, [_ELEMENT]),
     "check": (_cmd_check, "classify the instance", True, [
-        ("--t-max", {"type": int, "default": None, "help": (
-            "offset window for the pair condition (default: 3x the largest datum)")}),
         ("--wreath", {"action": "store_true",
                       "help": "use the specialized complete-graph classifier"}),
     ]),
@@ -272,11 +271,12 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "bound", 1) < 1:
             raise ParseError(f"--bound must be at least 1, got {args.bound}")
-        if getattr(args, "t_max", None) is not None and args.t_max < 0:
-            raise ParseError(f"--t-max must be at least 0, got {args.t_max}")
         return _SUBCOMMANDS[args.command][0](args)
     except (ParseError, GroupError, GraphError, WordError, IdentityElement, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_INPUT
     except UnicodeDecodeError as exc:
         print(f"error: {args.instance} is not UTF-8 text ({exc.reason} at byte {exc.start})",

@@ -321,10 +321,23 @@ def _header(kind: str) -> str:
     return f"gwreath {FORMAT_VERSION} {kind}"
 
 
+class _Record(dict):
+    """Each key's values in order, and in ``kind`` the document kind the
+    header names, which the ``*_from_record`` readers check."""
+
+    __slots__ = ("kind",)
+
+
+def _expect_kind(record, kind: str) -> None:
+    got = getattr(record, "kind", kind)  # a plain dict names no kind
+    if got != kind:
+        raise ParseError(f"expected a {kind} document, the header names {got!r}")
+
+
 def parse_structured(text: str) -> tuple[str, dict[str, list[str]]]:
     """The document kind and each key's values in order.  Blank lines
     are skipped, a second header is an error, and errors name the line
-    of the text they are on."""
+    of the text they are on.  The record carries the kind as well."""
     lines = text.splitlines()
     at = 0  # the header is the first line that is not blank
     while at < len(lines) and not lines[at].strip():
@@ -347,7 +360,9 @@ def parse_structured(text: str) -> tuple[str, dict[str, list[str]]]:
             record[key] = [value.strip()]
         else:
             raise ParseError("a second header" if key else "expected 'key value'", line=lineno)
-    return head[2], record
+    document = _Record(record)  # filled as a plain dict, whose item access is faster
+    document.kind = head[2]
+    return head[2], document
 
 
 def _one(record, key, *, required=True) -> str | None:
@@ -536,6 +551,7 @@ def certificate_lines(instance: Instance, cert: RFCertificate) -> list[str]:
 
 
 def certificate_from_record(instance: Instance, record) -> RFCertificate:
+    _expect_kind(record, "separation-certificate")
     graph, delta = instance.graph, instance.delta
     w = parse_word(graph, delta, _one(record, "element.word"))
     gamma = parse_gamma(instance, _one(record, "element.gamma"))
@@ -609,6 +625,7 @@ def witness_lines(instance: Instance, wit: NonRFWitness) -> list[str]:
 
 
 def witness_from_record(instance: Instance, record) -> NonRFWitness:
+    _expect_kind(record, "witness")
     graph, delta = instance.graph, instance.delta
     _check_keys(record, _WITNESS_KEYS)
     kind = _one(record, "kind")
@@ -653,6 +670,7 @@ def lef_lines(graph: TranslationGraph, cert: LEFCertificate) -> list[str]:
 def lef_from_record(graph: TranslationGraph, record) -> LEFCertificate:
     from .lef import LEFCertificate, Truncation
 
+    _expect_kind(record, "lef-certificate")
     group, order = _split(_one(record, "q"), "q", 2)
     if group != "cyclic":
         raise ParseError(f"unsupported finite model group {group!r}")
@@ -723,22 +741,21 @@ def verdict_lines(instance: Instance, verdict) -> list[str]:
         out.append(f"note {verdict.note}")
     if verdict.cond2 is not None:
         c2 = verdict.cond2
-        out.append(f"condition-2.holds {_tri(c2.holds)}")
+        out.append(f"condition-2.holds {_flag(c2.holds)}")
         out.append(f"condition-2.abelian {'true' if c2.abelian else 'false'}")
         if c2.abelian_rule:
             out.append(f"condition-2.abelian-rule {c2.abelian_rule}")
         for e in c2.per_orbit:
-            suffix = ""
             if e.modulus is not None:
-                suffix = f" modulus {e.modulus}"
+                suffix = f"modulus {e.modulus}"
             elif e.subgroup_index is not None:
-                suffix = f" subgroup-index {e.subgroup_index}"
-            elif e.obstruction is not None:
-                suffix = f" lemma {e.obstruction.lemma}"
-            out.append(f"condition-2.orbit {e.orbit} {e.status}{suffix}")
+                suffix = f"subgroup-index {e.subgroup_index}"
+            else:
+                suffix = f"lemma {e.obstruction.lemma}"
+            out.append(f"condition-2.orbit {e.orbit} {e.status} {suffix}")
     if verdict.cond3 is not None:
         c3 = verdict.cond3
-        out.append(f"condition-3.holds {_tri(c3.holds)}")
+        out.append(f"condition-3.holds {_flag(c3.holds)}")
         if c3.t_max is not None:
             out.append(f"condition-3.offset-window {c3.t_max}")
         for e in c3.per_pair:
@@ -759,9 +776,7 @@ def verdict_lines(instance: Instance, verdict) -> list[str]:
     return out
 
 
-def _tri(value: bool | None) -> str:
-    if value is None:
-        return "unknown"
+def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
@@ -772,18 +787,14 @@ def _tri(value: bool | None) -> str:
 def render_verdict(instance: Instance, verdict) -> list[str]:
     if verdict.status == "residually-finite":
         out = ["RESIDUALLY FINITE"]
-    elif verdict.status == "not-residually-finite":
-        out = [f"NOT RESIDUALLY FINITE (witness {verdict.witness.theorem})"]
     else:
-        out = [
-            f"UNKNOWN (bound {verdict.bound} exhausted on {verdict.failing_condition})"
-        ]
+        out = [f"NOT RESIDUALLY FINITE (witness {verdict.witness.theorem})"]
     out.append(f"  condition 1: {verdict.cond1_note}")
     if verdict.note:
         out.append(f"  note: {verdict.note}")
     if verdict.cond2 is not None:
         c2 = verdict.cond2
-        out.append(f"  condition 2: {_tri(c2.holds)}")
+        out.append(f"  condition 2: {_flag(c2.holds)}")
         if c2.abelian:
             out.append(f"    abelian coefficients: {c2.abelian_rule}")
         for e in c2.per_orbit:
@@ -793,13 +804,11 @@ def render_verdict(instance: Instance, verdict) -> list[str]:
                 out.append(
                     f"    orbit {e.orbit}: clears its neighbourhood at subgroup index {e.subgroup_index}"
                 )
-            elif e.obstruction is not None:
-                out.append(f"    orbit {e.orbit}: fails for every modulus ({e.obstruction.statement})")
             else:
-                out.append(f"    orbit {e.orbit}: unresolved within the bound")
+                out.append(f"    orbit {e.orbit}: fails for every modulus ({e.obstruction.statement})")
     if verdict.cond3 is not None:
         c3 = verdict.cond3
-        out.append(f"  condition 3: {_tri(c3.holds)}")
+        out.append(f"  condition 3: {_flag(c3.holds)}")
         for e in c3.per_pair:
             pair = ", ".join(str(p) for p in e.pair)
             if e.status == "fails":

@@ -2,13 +2,16 @@
 
 The oracles here deliberately avoid the library's own algorithms: the
 word-problem oracle is a breadth-first search over elementary rewriting
-moves, and the quotient oracle enumerates lifts in a window.  They are
+moves, the quotient oracle enumerates lifts in a window, and the
+condition-3 oracle enumerates offsets and residue sets.  They are
 the ground truth the fast paths are checked against.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import re
 from collections import deque
 
 from gwreath import (
@@ -36,8 +39,7 @@ from gwreath import (
     restrict_orbits,
 )
 from gwreath.checker import PairEvidence
-from gwreath.graphs import contains_offset, covers_all_nonzero, enumerate_subgroups
-from gwreath.wreath import certify_offset_always
+from gwreath.graphs import enumerate_subgroups
 
 
 def replace(record, **changes):
@@ -389,37 +391,85 @@ def reference_translation_quotient(graph: TranslationGraph, m: int) -> QuotientG
 # the condition-3 oracle
 
 
-def reference_cond3_pair(graph: TranslationGraph, c1: str, c2: str, bound: int, t_max: int):
-    """Condition 3 for one label pair by the full-window scan first
-    written: every non-adjacent offset with |t| <= t_max is examined,
-    the lemma failures are collected and sorted by size, positive first,
-    and every other offset gets its least separating modulus.  Returns
-    (status, rule, failures) with failures a list of (t, obstruction)."""
+def brute_offsets(families, limit: int) -> frozenset[int]:
+    """Every offset of ``families`` with |d| <= ``limit``, listed out:
+    finite offsets, ±(start + k*step) and ±(shift + n!)."""
+    out = set()
+    for f in families:
+        if isinstance(f, FiniteOffsets):
+            out |= {d for d in f.offsets if abs(d) <= limit}
+        elif isinstance(f, ArithmeticOffsets):
+            out |= {s * d for d in range(f.start, limit + 1, f.step) for s in (1, -1)}
+        else:
+            n, factorial = 1, 1
+            while f.shift + factorial <= limit:
+                out |= {f.shift + factorial, -(f.shift + factorial)}
+                n += 1
+                factorial *= n
+    return frozenset(out)
+
+
+_BRUTE_RESIDUES: dict = {}
+
+
+def brute_residues(families, m: int) -> frozenset[int]:
+    """The residues modulo m of every offset of ``families``, enumerated:
+    ``brute_factorial_residues`` and {±(start + k*step) mod m : k < m}."""
+    out = set()
+    for f in families:
+        key = (f, m)
+        if key not in _BRUTE_RESIDUES:
+            if isinstance(f, FiniteOffsets):
+                res = {d % m for d in f.offsets}
+            elif isinstance(f, ArithmeticOffsets):
+                res = {s * (f.start + k * f.step) % m for k in range(m) for s in (1, -1)}
+            else:
+                res = brute_factorial_residues(f.shift, m)
+            _BRUTE_RESIDUES[key] = frozenset(res)
+        out |= _BRUTE_RESIDUES[key]
+    return frozenset(out)
+
+
+def rule_modulus(rule: str, t: int) -> int:
+    """m(t) as a condition-3 holds-rule text states it, computed anew."""
+    finite = re.fullmatch(r"m\(t\) = \|t\| \+ (\d+) \+ 1", rule)
+    if finite:
+        return abs(t) + int(finite[1]) + 1
+    lcm, datum = map(int, re.fullmatch(
+        r"m\(t\) = lcm\((\d+), M!\) for the least M >= 2 with "
+        r"\(M - 1\)\*\(M - 1\)! > \|t\| \+ (\d+)", rule).groups())
+    M = 2
+    while (M - 1) * math.factorial(M - 1) <= abs(t) + datum:
+        M += 1
+    return math.lcm(lcm, math.factorial(M))
+
+
+def brute_nonadjacent(graph: TranslationGraph, c1: str, c2: str, limit: int = 60) -> list[int]:
+    """The non-adjacent offsets t of a label pair with |t| <= ``limit``,
+    in report order (by size, positive first)."""
+    adjacent = brute_offsets(graph.families_for(c1, c2), limit) | ({0} if c1 == c2 else set())
+    return [t for t in sorted(range(-limit, limit + 1), key=lambda t: (abs(t), t < 0))
+            if t not in adjacent]
+
+
+def reference_cond3_pair(graph: TranslationGraph, c1: str, c2: str,
+                         limit: int = 60, moduli: int = 200) -> int | None:
+    """Condition 3 for one label pair by brute force: the first offset of
+    ``brute_nonadjacent`` hit modulo every m <= ``moduli`` (t mod m in
+    the enumerated residue set, or 0 mod m within one label), or None.
+    Uses neither the families' own residue or membership tests nor the
+    lemmas."""
     families = graph.families_for(c1, c2)
-    same = c1 == c2
-    if same and covers_all_nonzero(families):
-        return "holds-vacuous", "every nonzero offset is an edge, so no pair needs separating", []
-    if all(f.is_finite() for f in families):
-        dmax = max((f.max_offset() for f in families), default=0)
-        return "holds-rule", f"m(t) = |t| + {dmax} + 1", []
-    failures, unresolved = [], []
-    for t in range(-t_max, t_max + 1):
-        if (same and t == 0) or contains_offset(families, t):
-            continue
-        obstruction = certify_offset_always(families, (c1, c2), t)
-        if obstruction is not None:
-            failures.append((t, obstruction))
-            continue
-        zero = {0} if same else set()
-        if not any(t % m not in residues_of(families, m) | zero for m in range(1, bound + 1)):
-            unresolved.append(t)
-    if failures:
-        return "fails", None, sorted(failures, key=lambda item: (abs(item[0]), item[0] < 0))
-    rule = (
-        f"offsets up to {t_max} all separate within the bound, but the "
-        f"family is infinite and no lemma settles the remaining offsets"
-    )
-    return "unknown", None if unresolved else rule, []
+    zero = {0} if c1 == c2 else set()
+    residues = {}  # by modulus, 0 included within one label
+
+    def hit(t, m):
+        if m not in residues:
+            residues[m] = brute_residues(families, m) | zero
+        return t % m in residues[m]
+
+    return next((t for t in brute_nonadjacent(graph, c1, c2, limit)
+                 if all(hit(t, m) for m in range(1, moduli + 1))), None)
 
 
 def reference_pair_evidence_finite(graph: FiniteModeGraph):

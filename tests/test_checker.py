@@ -26,11 +26,13 @@ from gwreath import (
     witness,
     word,
 )
-from gwreath import checker, formats, graphs, wreath
-from gwreath.checker import NOT_RESIDUALLY_FINITE, RESIDUALLY_FINITE, UNKNOWN, default_t_max
+from gwreath import checker, graphs, wreath
+from gwreath.checker import NOT_RESIDUALLY_FINITE, RESIDUALLY_FINITE
 from gwreath.graphs import enumerate_subgroups, residues_of
 
 from tests.support import (
+    brute_nonadjacent,
+    brute_residues,
     complete_z_graph,
     cycle_graph,
     edgeless_graph,
@@ -42,6 +44,7 @@ from tests.support import (
     random_wreath,
     reference_cond3_pair,
     reference_pair_evidence_finite,
+    rule_modulus,
     torus_graph,
     two_orbit_graph,
 )
@@ -119,11 +122,13 @@ def test_cond3_shifted_factorial_fails_at_offset_one():
     assert result.failing.obstruction.lemma == "factorial-shift"
 
 
-def test_cond3_factorial_zero_is_unknown():
+def test_cond3_factorial_zero_holds_by_rule():
+    # no lemma offset but 0, which is the vertex itself
     result = check_cond3(Instance(C2, factorial_graph(0)))
-    assert result.holds is None
+    assert result.holds is True
     evidence = result.per_pair[0]
-    assert evidence.status == "unknown"
+    assert evidence.status == "holds-rule"
+    assert evidence.rule == "m(t) = lcm(1, M!) for the least M >= 2 with (M - 1)*(M - 1)! > |t| + 1"
     assert evidence.obstruction is None
 
 
@@ -152,73 +157,85 @@ def _random_translation_graph(rng) -> TranslationGraph:
     return TranslationGraph(labels, families)
 
 
-def _reference_lines(pairs):
-    """The condition-3 pair lines of the verdict document and of its
-    rendering, written from the full-window scan's sorted failures."""
-    doc, text = [], []
-    for pair, (status, rule, failures) in pairs:
-        line = f"condition-3.pair {' '.join(pair)} {status}"
-        if rule:
-            line += f" rule {rule}"
-        if failures:
-            t, obs = failures[0]
-            line += f" offset {t} lemma {obs.lemma}"
-            text.append(f"    pair ({', '.join(pair)}): fails at offset {t} ({obs.statement})")
-        else:
-            text.append(f"    pair ({', '.join(pair)}): {status}" + (f" ({rule})" if rule else ""))
-        doc.append(line)
-    return doc, text
-
-
-def test_cond3_matches_the_full_window_reference():
+def test_cond3_matches_the_brute_force_reference():
+    # a failing pair reports the first non-adjacent offset hit modulo
+    # every m <= 200, and a holding pair's rule m(t) misses every
+    # non-adjacent offset, both by enumerated residue sets for |t| <= 60
     rng = random.Random(113)
     seen = Counter()
     for _ in range(600):
         graph = _random_translation_graph(rng)
         inst = Instance(rng.choice((S3, C2)), graph)
-        bound, t_max = rng.choice((4, 16, 64)), rng.choice((None, 0, 3, 10, 40))
-        window = default_t_max(graph) if t_max is None else t_max
-        result = check_cond3(inst, bound, t_max)
-        pairs = [(e.pair, reference_cond3_pair(graph, *e.pair, bound, window)) for e in result.per_pair]
-        for e, (_, (status, rule, failures)) in zip(result.per_pair, pairs):
-            assert (e.status, e.rule) == (status, rule), (graph, e.pair, bound, t_max)
-            assert e.obstruction == (failures[0][1] if failures else None)
-            seen[status, rule is None] += 1
-        verdict = classify(inst, bound, t_max)
-        if verdict.cond3 is None:  # condition 2 failed first
-            continue
+        result = check_cond3(inst, rng.choice((None, 0, 3, 10, 40)))
+        for e in result.per_pair:
+            if e.status == "fails":
+                assert reference_cond3_pair(graph, *e.pair) == e.obstruction.offset, (graph, e.pair)
+                seen["fails"] += 1
+                continue
+            families = graph.families_for(*e.pair)
+            zero = {0} if e.pair[0] == e.pair[1] else set()
+            offsets = brute_nonadjacent(graph, *e.pair)
+            if e.status == "holds-vacuous":
+                assert offsets == []
+            residues = {}
+            for t in offsets:
+                m = rule_modulus(e.rule, t)
+                if m not in residues:
+                    residues[m] = brute_residues(families, m) | zero
+                assert t % m not in residues[m], (graph, e.pair, t, m)
+            seen[e.status, all(f.is_finite() for f in families)] += 1
+        verdict = classify(inst)
         seen["verdict", verdict.status] += 1
-        doc, text = _reference_lines(pairs)
-        assert [line for line in formats.verdict_lines(inst, verdict)
-                if line.startswith("condition-3.pair")] == doc
-        assert [line for line in formats.render_verdict(inst, verdict)
-                if line.startswith("    pair (")] == text
-        if verdict.failing_condition == "condition-3" and verdict.cond3.holds is False:
-            (c1, c2), (_, _, failures) = next(p for p in pairs if p[1][0] == "fails")
-            assert verdict.witness == witness(inst, "T3.2", [(c1, 0), (c2, failures[0][0])])
-    # every pair status, Unknown with and without its rule, and all three verdicts
-    for key in [("fails", True), ("unknown", True), ("unknown", False), ("holds-rule", False),
-                ("holds-vacuous", False), ("verdict", UNKNOWN), ("verdict", RESIDUALLY_FINITE),
-                ("verdict", NOT_RESIDUALLY_FINITE)]:
+        if verdict.failing_condition == "condition-3":
+            failing = next(e for e in result.per_pair if e.status == "fails")
+            (c1, c2), t = failing.pair, failing.obstruction.offset
+            assert verdict.witness == witness(inst, "T3.2", [(c1, 0), (c2, t)])
+    # every pair status, rules over finite and infinite families, and both verdicts
+    for key in ["fails", ("holds-rule", True), ("holds-rule", False), ("holds-vacuous", False),
+                ("verdict", RESIDUALLY_FINITE), ("verdict", NOT_RESIDUALLY_FINITE)]:
         assert seen[key] >= 5, (key, seen)
 
 
-def test_failing_pairs_search_no_separating_modulus(monkeypatch):
-    # a pair fails at its first lemma offset without looking for a
-    # modulus that separates any other offset
-    calls = []
-    separating = checker._separating_modulus
-    monkeypatch.setattr(checker, "_separating_modulus", lambda *args: calls.append(args) or separating(*args))
+def test_cond3_window_counts_factorial_offsets():
+    # 3 and 7 are factorial offsets in the class 3 mod 4, so the first
+    # non-adjacent lemma offset, 11, lies past D + L = 9
+    graph = TranslationGraph(("c",), {("c", "c"): (ArithmeticOffsets(1, 4), FactorialOffsets(1))})
+    failing = check_cond3(Instance(C2, graph)).failing
+    assert (failing.obstruction.offset, failing.obstruction.lemma) == (11, "arithmetic-step")
+    assert reference_cond3_pair(graph, "c", "c") == 11
+
+
+def test_translation_verdicts_do_not_depend_on_the_search_knobs():
+    # one of the two statuses, the same for every bound and t_max, and
+    # a negative witness that verifies
+    rng = random.Random(20)
+    for _ in range(300):
+        inst = Instance(rng.choice((S3, C2)), _random_translation_graph(rng))
+        verdicts = [classify(inst, bound, t_max) for bound in (1, 4, 64) for t_max in (None, 0, 40)]
+        assert len({(v.status, v.witness) for v in verdicts}) == 1
+        assert verdicts[0].status in (RESIDUALLY_FINITE, NOT_RESIDUALLY_FINITE)
+        if verdicts[0].witness is not None:
+            assert wreath.verify_witness(inst, verdicts[0].witness)
+
+
+def test_failing_pairs_stop_at_their_first_lemma_offset(monkeypatch):
+    # a failing pair walks only lemma offsets and asks the lemmas once,
+    # for the offset it reports
+    tested, certified = [], []
+    contains, certify = checker.contains_offset, checker.certify_offset_always
+    monkeypatch.setattr(checker, "contains_offset", lambda *args: tested.append(args[1]) or contains(*args))
+    monkeypatch.setattr(checker, "certify_offset_always",
+                        lambda *args: certified.append(args[2]) or certify(*args))
     mixed = TranslationGraph(("a", "b"), {("a", "a"): (FactorialOffsets(1),),
                                           ("a", "b"): (ArithmeticOffsets(2, 3),),
                                           ("b", "b"): (FactorialOffsets(2),)})
     for graph in (factorial_graph(1), mixed):
+        tested.clear(), certified.clear()
         result = check_cond3(Instance(C2, graph), t_max=300)
         assert all(e.status == "fails" for e in result.per_pair), result.per_pair
-        assert not calls
+        assert tested == certified == [e.obstruction.offset for e in result.per_pair]
     verdict = classify(Instance(C2, factorial_graph(1)), t_max=300)
     assert verdict.cond3.failing.obstruction.offset == 1
-    assert not calls
 
 
 def test_cond3_finite_mode_always_holds():
@@ -371,11 +388,19 @@ def test_classify_edgeless_free_product_shape():
     assert classify(Instance(S3, edgeless_graph())).status == RESIDUALLY_FINITE
 
 
-def test_classify_factorial_abelian_is_unknown():
+def test_classify_factorial_abelian_is_residually_finite():
     verdict = classify(Instance(C2, factorial_graph(0)))
-    assert verdict.status == UNKNOWN
-    assert verdict.failing_condition == "condition-3"
+    assert verdict.status == RESIDUALLY_FINITE
+    assert verdict.failing_condition is None
     assert verdict.bound == 64
+
+
+def test_cond2_modulus_past_the_bound_is_the_rule_modulus():
+    # within the bound the least modulus that misses 0, past it m(0)
+    inst = Instance(S3, factorial_graph(1))
+    assert check_cond2(inst, bound=4).per_orbit[0].modulus == 4
+    assert check_cond2(inst, bound=3).per_orbit[0].modulus == 6
+    assert 0 not in brute_residues(factorial_graph(1).families_for("c", "c"), 6)
 
 
 def test_classify_certified_verdicts_are_bound_monotone():
@@ -383,16 +408,17 @@ def test_classify_certified_verdicts_are_bound_monotone():
         Instance(C2, line_graph()),
         Instance(S3, line_graph()),
         Instance(S3, factorial_graph(0)),
+        Instance(C2, factorial_graph(0)),
         Instance(C2, factorial_graph(1)),
+        Instance(S3, TranslationGraph(("c",), {("c", "c"): (ArithmeticOffsets(2, 4),)})),
         Instance(C2, complete_z_graph()),
         Instance(S3, complete_z_graph()),
         Instance(S3, k5_cyclic()),
     ]
     for inst in cases:
-        small = classify(inst, bound=64)
-        large = classify(inst, bound=128)
-        assert small.status == large.status
-        assert small.certified
+        statuses = {classify(inst, bound=bound).status for bound in (1, 64, 128)}
+        assert len(statuses) == 1
+        assert statuses <= {RESIDUALLY_FINITE, NOT_RESIDUALLY_FINITE}
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +492,9 @@ def test_separation_succeeds_within_rule_bound(inst):
 
 
 def test_separation_bound_requires_separable_verdict():
-    inst = Instance(C2, factorial_graph(0))
+    inst = Instance(S3, factorial_graph(0))
     verdict = classify(inst)
+    assert verdict.status == NOT_RESIDUALLY_FINITE
     with pytest.raises(GraphError):
         separation_bound(inst, verdict, WreathElement(inst.identity_element().word, 1))
 

@@ -32,15 +32,26 @@ def test_check_not_separable_instance(capsys):
     assert "T3.1" in out
 
 
-def test_check_unknown_exits_two(capsys, tmp_path):
-    unknown = tmp_path / "unknown.instance"
-    unknown.write_text(
+def test_check_decides_infinite_families(capsys, tmp_path):
+    # condition 3 over factorial offsets is decided, not left open
+    path = tmp_path / "factorial-c2.instance"
+    path.write_text(
         "[delta]\nkind = cyclic\norder = 2\n\n[gamma]\nkind = z\n\n"
         "[graph]\nmode = translation\norbits = c\nfamily = c c factorial 0\n"
     )
-    code, out, _ = invoke(capsys, "check", unknown)
-    assert code == 2
-    assert out.startswith("UNKNOWN")
+    code, out, _ = invoke(capsys, "check", path)
+    assert code == 0
+    assert out.startswith("RESIDUALLY FINITE")
+
+
+def test_check_arithmetic_two_four_is_residually_finite(capsys):
+    code, out, _ = invoke(capsys, "check", INSTANCES / "arithmetic-2-4-s3.instance",
+                          "--format", "structured")
+    assert code == 0
+    assert "status residually-finite" in out.splitlines()
+    assert any(line.startswith("condition-3.pair c c holds-rule") for line in out.splitlines())
+    code, out, _ = invoke(capsys, "check", INSTANCES / "arithmetic-2-4-s3.instance")
+    assert code == 0 and out.startswith("RESIDUALLY FINITE")
 
 
 def test_check_structured_and_deterministic(capsys):
@@ -345,12 +356,25 @@ def test_unreadable_paths_are_input_errors(capsys, tmp_path):
     assert err == f"error: {binary} is not UTF-8 text (invalid start byte at byte 15)\n"
 
 
-def test_negative_t_max_is_input_error(capsys):
-    code, out, err = invoke(capsys, "check", INSTANCES / "ex11.instance", "--t-max", "-5")
+def test_t_max_is_an_unknown_option(capsys):
+    # check takes no offset window: no verdict depends on one
+    for value in ("-5", "0"):
+        code, out, err = invoke(capsys, "check", INSTANCES / "ex11.instance", "--t-max", value)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: unrecognized arguments: --t-max {value}"]
+
+
+def test_memory_error_is_one_line(capsys, monkeypatch):
+    # an input too large for memory is reported, not a traceback
+    from gwreath import cli
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "quotient_graph", exhausted)
+    code, out, err = invoke(capsys, "quotient", INSTANCES / "ex11.instance", "--modulus", "100000000")
     assert (code, out) == (1, "")
-    assert err.splitlines() == ["error: --t-max must be at least 0, got -5"]
-    code, out, _ = invoke(capsys, "check", INSTANCES / "ex11.instance", "--t-max", "0")
-    assert code == 0 and out.startswith("RESIDUALLY FINITE")
+    assert len(err.splitlines()) == 1 and err.startswith("error: out of memory")
 
 
 @pytest.mark.parametrize(

@@ -377,6 +377,12 @@ def test_single_line_mutations_are_rejected():
                 edited = lines[:i] + edit + lines[i + 1:]
                 assert _rejected_or_unchanged(check, kind, edited), edited
         assert _rejected_or_unchanged(check, kind, lines[:1] + ["note x"] + lines[1:]), kind
+        # the reader itself rejects a header naming another kind
+        for other in (*tokens, "witness", "lef-certificate", "separation-certificate", "verdict"):
+            if other != kind:
+                record = formats.parse_structured("\n".join([f"gwreath v1 {other}", *lines[1:]]))[1]
+                with pytest.raises(ParseError, match=f"expected a {kind} document"):
+                    check(record)
 
 
 def test_keys_outside_the_document_kind_are_parse_errors():
@@ -501,5 +507,5 @@ def test_render_verdict_headlines():
     headline = formats.render_verdict(bad, classify(bad))[0]
     assert headline.startswith("NOT RESIDUALLY FINITE")
     assert "T3.1" in headline
-    unknown = Instance(Cyclic(2), factorial_graph(0))
-    assert formats.render_verdict(unknown, classify(unknown))[0].startswith("UNKNOWN")
+    abelian = Instance(Cyclic(2), factorial_graph(0))
+    assert formats.render_verdict(abelian, classify(abelian))[0] == "RESIDUALLY FINITE"
