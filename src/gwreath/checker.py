@@ -491,9 +491,9 @@ def separation_bound(instance: Instance, verdict: Verdict, x: WreathElement) -> 
     """A modulus within which ``separate`` must succeed, read off the
     verdict's rules.
 
-    Only meaningful for residually finite translation instances whose
-    families are all finite.  The bound is the lcm of the per-constraint
-    moduli, each of which persists under multiples.
+    Only meaningful for residually finite translation instances.  The
+    bound is the lcm of the per-constraint moduli, each of which persists
+    under multiples; an infinite family's is m(t), by ``_rule_modulus``.
     """
     graph = instance.graph
     if not isinstance(graph, TranslationGraph):
@@ -516,10 +516,7 @@ def separation_bound(instance: Instance, verdict: Verdict, x: WreathElement) -> 
             if c1 == c2:
                 constraints.append(abs(t) + 1)
             continue
-        if not all(f.is_finite() for f in families):
-            raise GraphError(
-                f"no finite-offset rule covers the pair {(c1, c2)!r} at offset {t}"
-            )
-        dmax = max((f.max_offset() for f in families), default=0)
-        constraints.append(abs(t) + dmax + 1)
+        datum, steps = _datum_and_steps(families)
+        finite = all(f.is_finite() for f in families)
+        constraints.append(abs(t) + datum + 1 if finite else _rule_modulus(t, datum, steps))
     return math.lcm(*constraints)

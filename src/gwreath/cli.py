@@ -2,8 +2,8 @@
 
 Exit codes are a bit-exact contract: 0 for a verdict (``check``
 decides every instance) or a successful construction, 2 when a
-``separate`` or ``lef`` search was exhausted or ``witness`` found no
-witness, 1 for input errors, an input too large for memory included.
+``separate`` search was exhausted or ``witness`` found no witness, 1
+for input errors, an input too large for memory included.
 
 Each command imports only the modules it runs: ``checker`` loads inside
 ``check``/``check-fp`` and ``lef`` inside ``lef``, so a process that
@@ -220,11 +220,7 @@ def _cmd_lef(args) -> int:
     vertices = [
         formats.parse_vertex(instance.graph, token) for token in args.vertex_set.split()
     ]
-    try:
-        cert = lef.lef_certificate(instance.graph, gammas, vertices, bound=args.bound)
-    except SearchExhausted as exc:
-        _emit([f"SEARCH EXHAUSTED at bound {exc.bound}"], args)
-        return EXIT_NO_RESULT
+    cert = lef.lef_certificate(instance.graph, gammas, vertices)
     if args.format == "structured":
         _emit(formats.lef_lines(instance.graph, cert), args)
     else:
@@ -258,7 +254,7 @@ _SUBCOMMANDS = {
         ("--subgroup", {"default": None, "help": (
             "finite-mode generators, e.g. '1,0;0,2' (semicolon separated vectors)")}),
     ]),
-    "lef": (_cmd_lef, "finite partial model of the action", True, [
+    "lef": (_cmd_lef, "finite partial model of the action", False, [
         ("--gamma-set", {"required": True, "help": "acting elements, e.g. '0,1'"}),
         ("--vertex-set", {"required": True, "help": "vertices, e.g. 'c:0 c:1 c:2'"}),
     ]),

@@ -29,9 +29,11 @@ class Record:
     Records of the same class are equal when their field values are, a
     record of another class is never equal, a record hashes as the tuple
     of its values and prints as ``Name(field=value, ...)``.  Assigning or
-    deleting an attribute raises AttributeError.
+    deleting an attribute raises AttributeError, so copy and pickle
+    restore state through ``_set``.
     """
 
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
     _defaults: dict[str, object] = {}
 
@@ -91,8 +93,15 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __getstate__(self):
+        return getattr(self, "__dict__", None) or dict(zip(self._fields, self._values(self)))
 
-# Sets an attribute of a record from its ``__init__``, past Record.__setattr__.
+    def __setstate__(self, state):
+        for name, value in state.items():
+            _set(self, name, value)
+
+
+# Sets an attribute of a record from its ``__init__`` or ``__setstate__``, past Record.__setattr__.
 _set = object.__setattr__
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import GraphError, SearchExhausted
+from .errors import GraphError
 from .graphs import (
     FiniteOffsets,
     QuotientGraph,
@@ -68,21 +68,18 @@ def truncate_graph(
     return truncated, kept
 
 
-def lef_certificate(
-    graph: TranslationGraph, gamma_set, vertex_set, bound: int = 64
-) -> LEFCertificate:
-    """Search for the least modulus giving a finite partial model.
+def lef_certificate(graph: TranslationGraph, gamma_set, vertex_set) -> LEFCertificate:
+    """The finite partial model at the least good modulus.
 
     The first modulus keeping A, E, and every realized offset translate
     of E pairwise distinct is returned; that rule alone makes the
-    quotient a certificate (see ``_certificate_at``).
+    quotient a certificate (see ``_certificate_at``).  T injects modulo
+    every m > max T - min T, so the scan stops by the span of T plus one.
     """
     prepared = _prepare(graph, gamma_set, vertex_set)
-    for m in range(1, bound + 1):
-        cert = _certificate_at(prepared, m)
-        if cert is not None:
+    for m in itertools.count(1):
+        if (cert := _certificate_at(prepared, m)) is not None:
             return cert
-    raise SearchExhausted(bound)
 
 
 def verify_lef(cert: LEFCertificate, graph, gamma_set, vertex_set) -> bool:

@@ -36,10 +36,10 @@ from .groups import Element, GroupSpec, Record, _set
 from .graphs import Vertex
 
 
-# Syllable, Word and wreath.WreathElement keep an explicit constructor: word
-# arithmetic builds them per syllable, and it takes under half the generic one's time.
+# Syllable, Word and wreath.WreathElement, which word arithmetic builds per syllable, keep an
+# explicit constructor (under half the generic one's time) and slots (no instance dictionary).
 class Syllable(Record):
-    _fields = ("vertex", "value")
+    __slots__ = _fields = ("vertex", "value")
 
     def __init__(self, vertex: Vertex, value: Element):
         _set(self, "vertex", vertex)
@@ -47,7 +47,7 @@ class Syllable(Record):
 
 
 class Word(Record):
-    _fields = ("syllables",)
+    __slots__ = _fields = ("syllables",)
 
     def __init__(self, syllables: tuple[Syllable, ...] = ()):
         _set(self, "syllables", syllables)

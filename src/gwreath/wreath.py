@@ -50,8 +50,8 @@ from .words import (
 
 
 class WreathElement(Record):
-    # Keeps an explicit constructor for the reason given at words.Syllable.
-    _fields = ("word", "gamma")
+    # Slotted, with an explicit constructor, for the reasons given at words.Syllable.
+    __slots__ = _fields = ("word", "gamma")
 
     def __init__(self, word: Word, gamma: Gamma):
         _set(self, "word", word)

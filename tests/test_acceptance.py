@@ -252,7 +252,7 @@ def test_criterion_10_lef_certificates():
         e_set = [("c", p) for p in positions]
         produced += 1
         rule = max(a_set) + line.max_finite_offset() + diameter + 1
-        cert = lef_certificate(line, a_set, e_set, bound=rule)
+        cert = lef_certificate(line, a_set, e_set)
         assert cert.truncation.modulus <= rule
         assert verify_lef(cert, line, a_set, e_set)
     _report(10, "finite model at modulus 5 verifies; 50 random models within the documented rule")

@@ -1,3 +1,4 @@
+import pathlib
 import random
 from collections import Counter
 
@@ -26,7 +27,7 @@ from gwreath import (
     witness,
     word,
 )
-from gwreath import checker, graphs, wreath
+from gwreath import checker, formats, graphs, wreath
 from gwreath.checker import NOT_RESIDUALLY_FINITE, RESIDUALLY_FINITE
 from gwreath.graphs import enumerate_subgroups, residues_of
 
@@ -49,6 +50,7 @@ from tests.support import (
     two_orbit_graph,
 )
 
+INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
 C2 = Cyclic(2)
 C3 = Cyclic(3)
 S3 = Symmetric(3)
@@ -489,6 +491,39 @@ def test_separation_succeeds_within_rule_bound(inst):
         cert = separate(inst, x, bound=bound)
         assert cert.modulus <= bound
         assert verify_certificate(inst, cert)
+
+
+def test_separation_bound_covers_an_infinite_family():
+    inst, _ = formats.load_instance(str(INSTANCES / "arithmetic-2-4-s3.instance"))
+    verdict = classify(inst)
+    assert verdict.status == RESIDUALLY_FINITE
+    x = WreathElement(word(S3, [(("c", 0), (1, 0, 2)), (("c", 1), (1, 2, 0))]), 0)
+    bound = separation_bound(inst, verdict, x)
+    cert = separate(inst, x, bound=bound)
+    assert cert.modulus == 4 <= bound
+    assert verify_certificate(inst, cert)
+
+
+def test_separation_succeeds_within_rule_bound_for_infinite_families():
+    rng = random.Random(127)
+    seen = Counter()
+    while sum(seen.values()) < 100:
+        graph = _random_translation_graph(rng)
+        if all(f.is_finite() for fams in graph.families.values() for f in fams):
+            continue
+        inst = Instance(rng.choice((S3, C2)), graph)
+        verdict = classify(inst)
+        if verdict.status != RESIDUALLY_FINITE:
+            continue
+        x = random_wreath(inst, rng, max_len=4, window=3)
+        if inst.is_identity_element(x):
+            continue
+        bound = separation_bound(inst, verdict, x)
+        cert = separate(inst, x, bound=bound)
+        assert cert.modulus <= min(bound, 300), (graph, x)
+        assert verify_certificate(inst, cert)
+        seen[type(inst.delta).__name__] += 1
+    assert seen["Symmetric"] and seen["Cyclic"]
 
 
 def test_separation_bound_requires_separable_verdict():

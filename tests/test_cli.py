@@ -234,6 +234,17 @@ def test_lef_command(capsys):
     assert out.startswith("LEF MODEL with group of order 5")
 
 
+def test_lef_takes_no_bound_and_always_decides(capsys):
+    lef = ("lef", INSTANCES / "ex12.instance", "--vertex-set", "c:0 c:1 c:2")
+    code, out, err = invoke(capsys, *lef, "--gamma-set", "0,1", "--bound", "5")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: unrecognized arguments: --bound 5"]
+    gammas = ",".join(map(str, range(71)))
+    code, out, _ = invoke(capsys, *lef, "--gamma-set", gammas, "--format", "structured")
+    assert code == 0
+    assert "modulus 71" in out.splitlines()
+
+
 def test_lef_structured_round_trips(capsys):
     code, out, _ = invoke(
         capsys,
@@ -319,7 +330,6 @@ def test_bound_below_one_is_input_error(capsys):
     for argv in (
         ("separate", INSTANCES / "ex11.instance", "--element", "w1"),
         ("check", INSTANCES / "ex11.instance"),
-        ("lef", INSTANCES / "ex12.instance", "--gamma-set", "0,1", "--vertex-set", "c:0"),
     ):
         for bound in ("0", "-3"):
             code, out, err = invoke(capsys, *argv, "--bound", bound)

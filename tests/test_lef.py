@@ -8,7 +8,6 @@ from gwreath import (
     GraphError,
     ParseError,
     QuotientGraph,
-    SearchExhausted,
     lef_certificate,
     truncate_graph,
     verify_lef,
@@ -112,11 +111,21 @@ def test_empty_vertex_set_gives_trivial_model():
     assert verify_lef(cert, graph, [0], [])
 
 
-def test_search_exhausted_bound_reported():
+def test_least_modulus_past_four_is_returned():
     graph = factorial_graph(0)
-    with pytest.raises(SearchExhausted) as info:
-        lef_certificate(graph, [0, 1], cv(0, 1, 2), bound=4)
-    assert info.value.bound == 4
+    prepared = lef._prepare(graph, [0, 1], cv(0, 1, 2))
+    assert all(lef._certificate_at(prepared, m) is None for m in range(1, 5))
+    cert = lef_certificate(graph, [0, 1], cv(0, 1, 2))
+    assert cert.truncation.modulus == 5
+    assert verify_lef(cert, graph, [0, 1], cv(0, 1, 2))
+
+
+def test_least_modulus_past_the_old_default_bound():
+    # T = 0..70 needs modulus 71, beyond the old default search bound 64
+    graph = factorial_graph(0)
+    cert = lef_certificate(graph, range(71), cv(0, 1, 2))
+    assert cert.truncation.modulus == 71
+    assert verify_lef(cert, graph, range(71), cv(0, 1, 2))
 
 
 def test_two_orbit_model():
@@ -287,7 +296,7 @@ def test_random_models_within_documented_rule(graph):
         vertices = [(rng.choice(graph.labels), p) for p in positions]
         produced += 1
         rule = max(gammas) + dmax + diameter + 1
-        cert = lef_certificate(graph, gammas, vertices, bound=rule)
+        cert = lef_certificate(graph, gammas, vertices)
         assert verify_lef(cert, graph, gammas, vertices)
         assert cert.truncation.modulus <= rule
 
@@ -303,7 +312,7 @@ def test_random_models_within_spread_rule(graph):
         positions = {base + rng.randint(0, 8) for _ in range(rng.randint(1, 4))}
         vertices = [(rng.choice(graph.labels), p) for p in positions]
         spread_rule = _spread_rule(graph, gammas, vertices)
-        cert = lef_certificate(graph, gammas, vertices, bound=spread_rule)
+        cert = lef_certificate(graph, gammas, vertices)
         assert verify_lef(cert, graph, gammas, vertices)
         assert cert.truncation.modulus <= spread_rule
 

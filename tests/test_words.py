@@ -255,6 +255,34 @@ def test_canonical_words_are_reduced_and_lex_normal(name):
                 assert is_lex_normal(graph, out), (delta, window, n)
 
 
+@pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS))
+def test_canonical_keeps_the_callers_syllables(name):
+    # only a merge builds a syllable: with one syllable per vertex nothing
+    # merges, and splitting a canonical syllable in two merges exactly there
+    graph = REFERENCE_GRAPHS[name]()
+    rng = random.Random(f"identity:{name}")
+    for delta in (S3, C5):
+        for window, pool in _windows(graph).items():
+            vertices = rng.sample(pool, min(len(pool), 40))
+            w = [Syllable(v, random_nontrivial(delta, rng)) for v in vertices]
+            out = canonical_form(graph, delta, w).syllables
+            assert sorted(map(id, out)) == sorted(map(id, w)), (delta, window)
+
+            split = {i for i in range(len(out)) if rng.random() < 0.3}
+            pieces = []
+            for i, s in enumerate(out):
+                if i in split:
+                    others = (s.value, delta.identity())
+                    first = rng.choice([g for g in delta.elements() if g not in others])
+                    pieces += [Syllable(s.vertex, first),
+                               Syllable(s.vertex, delta.compose(delta.invert(first), s.value))]
+                else:
+                    pieces.append(s)
+            again = canonical_form(graph, delta, pieces).syllables
+            assert again == out, (delta, window)
+            assert {i for i, s in enumerate(again) if s is not out[i]} == split, (delta, window)
+
+
 def test_insertion_goes_before_a_larger_key_behind_the_blocker():
     # ("c", 3) commutes with ("c", 4) and ("c", 2) but not with ("c", 9)
     line = line_graph()
