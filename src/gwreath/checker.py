@@ -120,7 +120,7 @@ def _orbit_evidence_translation(graph: TranslationGraph, c: str, bound: int) -> 
 
 def _orbit_evidence_finite(graph: FiniteModeGraph):
     subgroups = graph._subgroups
-    for v in sorted(set(subgroups[0][2].values())):
+    for v in sorted(set(graph._orbit_map.values())):
         neighbours = graph.neighbours(v)
         # the trivial subgroup comes last and always succeeds: there are no loops
         index = next(i for i, _, orbits in subgroups
@@ -322,7 +322,7 @@ def _pair_evidence_finite(graph: FiniteModeGraph):
                          if orbits[v] != (ow := orbits[w])
                          and not any(orbits[u] == ow for u in neighbours[v]))
             iv, iw = position[v], position[w]
-            for p in graph._image:
+            for p in subgroups[0][1]:  # the image
                 a, b = p[iv], p[iw]
                 found[(a, b) if a < b else (b, a)] = index
         yield PairEvidence._holds((v, w), index)

@@ -832,8 +832,7 @@ def render_certificate(instance: Instance, cert: RFCertificate) -> list[str]:
     if cert.kind == "modulus":
         head = f"SEPARATED with modulus {cert.modulus}"
     else:
-        index = "trivial" if not cert.subgroup_perms else len(cert.subgroup_perms)
-        head = f"SEPARATED with an image subgroup of order {index}"
+        head = f"SEPARATED with an image subgroup of order {len(cert.subgroup_perms)}"
     out = [head]
     out.append(f"  element: {word_text(cert.element.word)} @ {value_text(cert.element.gamma)}")
     out.append(f"  image word: {word_text(cert.word_image)}")

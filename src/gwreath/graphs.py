@@ -7,7 +7,9 @@ acting by translation.  Finite-mode graphs are finite simplicial graphs
 on which Z^n acts through a list of commuting automorphisms.  Both
 classes admit exact computation of adjacency, orbits, and quotient
 graphs by finite-index subgroups, which is what every construction in
-this package ultimately reduces to.
+this package ultimately reduces to.  A finite-mode orbit is a component
+of its generators' steps (``_orbits``); only the subgroup table lists
+the elements of the acting image.
 """
 
 from __future__ import annotations
@@ -327,9 +329,10 @@ class FiniteModeGraph(Record):
     of ``vertices[k]`` under the i-th generator.  Generators must
     pairwise commute (so the image of Z^n stays abelian) and map edges
     to edges; both properties are checked exhaustively at construction.
-    ``acting`` is Z^n.  Its image, as sorted permutation tuples, and the
-    table of the image's subgroups, from the lattices of Z^n that contain
-    the kernel of the action, are built on first use and kept.
+    ``acting`` is Z^n.  The image's orbits are derived from the
+    generators at construction; the table of the image's subgroups, from
+    the lattices of Z^n that contain the kernel of the action, is built
+    on first use and kept.
     """
 
     _fields = ("vertices", "edges", "generators")
@@ -375,18 +378,14 @@ class FiniteModeGraph(Record):
         _set(self, "_position", position)
         _set(self, "_places", tuple(_cycle_places([position[v] for v in g]) for g in generators))
         _set(self, "_neighbours", {v: frozenset(ns) for v, ns in neighbours.items()})
+        _set(self, "_orbit_map", _orbits(verts, generators))
         _set(self, "acting", FreeAbelian(len(generators)))
-
-    @cached_property
-    def _image(self) -> tuple[tuple[int, ...], ...]:
-        """The acting image as sorted permutation tuples, built on first use and kept."""
-        return _closure(self.vertices, self.generators)
 
     @cached_property
     def _subgroups(self) -> tuple[tuple[int, tuple[tuple[int, ...], ...], dict[int, int]], ...]:
         """The subgroup table: (index, permutation tuples, orbit map) for
         every subgroup of the acting image, in ``enumerate_subgroups``
-        order, built on first use and kept.
+        order, built on first use and kept; the index-1 entry is the image.
 
         The image is Z^n/K for K the lattice of gammas acting trivially,
         so its subgroups of index k are the images of the lattices
@@ -396,10 +395,11 @@ class FiniteModeGraph(Record):
         the order of generator i since that multiple of e_i lies in K.
         The basis images generate the image of L, of index [Z^n : L+K],
         which is k exactly when K <= L; so a closure is abandoned once it
-        grows past |image|/k elements.
+        grows past |image|/k elements.  L's orbits are its basis images'.
         """
-        order = len(self._image)
-        shared = {p: p for p in self._image}  # subgroups keep the image's tuples, not copies
+        image = _closure(self.vertices, self.generators)
+        order = len(image)
+        shared = {p: p for p in image}  # subgroups keep the image's tuples, not copies
         divisors = []
         for places in self._places:
             n = math.lcm(*(len(cycle) for cycle, _ in places))
@@ -408,7 +408,7 @@ class FiniteModeGraph(Record):
         for diag in itertools.product(*divisors):
             if order % math.prod(diag) == 0:
                 diagonals.setdefault(math.prod(diag), []).append(diag)
-        subgroups = [self._image]  # index 1: the identity basis closes to the image
+        table = [(1, image, self._orbit_map)]  # index 1: the identity basis closes to the image
         for k in sorted(diagonals)[1:]:
             found = []
             for diag in diagonals[k]:
@@ -420,9 +420,10 @@ class FiniteModeGraph(Record):
                 for basis in itertools.product(*rows):
                     sub = _closure(self.vertices, basis, order // k)
                     if sub is not None:
-                        found.append(tuple(map(shared.__getitem__, sub)))
-            subgroups += sorted(found)
-        return tuple((order // len(sub), sub, orbit_map(self, sub)) for sub in subgroups)
+                        found.append((tuple(map(shared.__getitem__, sub)), basis))
+            found.sort(key=lambda entry: entry[0])
+            table += [(k, sub, _orbits(self.vertices, basis)) for sub, basis in found]
+        return tuple(table)
 
     @property
     def rank(self) -> int:
@@ -482,6 +483,28 @@ def _cycle_places(step: list[int]) -> list[tuple[tuple[int, ...], int]]:
             for t, i in enumerate(cycle):
                 places[i] = (cycle, t)
     return places
+
+
+def _orbits(elements, perms) -> dict:
+    """Each of the sorted ``elements`` mapped to the least member of its
+    orbit under the group that ``perms`` (each the images of ``elements``,
+    in order) generate: the components of the generators' steps (Holt,
+    Eick and O'Brien, *Handbook of Computational Group Theory*, 4.1), by a
+    stack walk from each element not yet reached, with no element of the
+    group listed.  Inverses are powers of a finite group's generators."""
+    steps = [dict(zip(elements, p)) for p in perms]
+    out = {}
+    for least in elements:
+        if least not in out:
+            out[least] = least
+            stack = [least]
+            while stack:
+                e = stack.pop()
+                for step in steps:
+                    if (f := step[e]) not in out:
+                        out[f] = least
+                        stack.append(f)
+    return out
 
 
 def _closure(vertices, perms, limit=None) -> tuple[tuple[int, ...], ...] | None:
@@ -590,16 +613,18 @@ def quotient_graph(graph, subgroup) -> QuotientGraph:
     """Quotient by mZ (translation) or by a subgroup of the finite image.
 
     Translation mode takes a modulus m >= 1 and computes edges through
-    the residue sets of the difference families.  Finite mode takes the
-    subgroup as an iterable of gamma vectors (or permutation dicts),
-    closes it among the permutations and reads the quotient off its orbit
-    map (``_orbit_quotient``, which ``separate`` also calls on a
-    restricted graph with an orbit map from the ambient subgroup table).
+    the residue sets of the difference families.  Finite mode takes
+    gamma vectors generating the subgroup and reads the quotient off their
+    permutations' orbits (``_orbit_quotient``, which ``separate`` also
+    calls on a restricted graph with an ambient subgroup's orbit map).
     """
     if isinstance(graph, TranslationGraph):
         return _translation_quotient(graph, subgroup)
     if isinstance(graph, FiniteModeGraph):
-        return _orbit_quotient(graph, orbit_map(graph, normalize_subgroup(graph, subgroup)))
+        gammas = tuple(subgroup)
+        if not all(map(graph.acting.contains, gammas)):
+            raise GraphError(f"subgroup generators must be gammas of rank {graph.rank}: {gammas!r}")
+        return _orbit_quotient(graph, _orbits(graph.vertices, map(graph.perm_of, gammas)))
     raise GraphError(f"cannot quotient {type(graph).__name__}")
 
 
@@ -623,39 +648,6 @@ def _translation_quotient(graph: TranslationGraph, m: int) -> QuotientGraph:
             loops.update(left)
     vertices = [v for c in graph.labels for v in rows[c]]
     return QuotientGraph("translation", vertices, edges, loops, modulus=m, labels=graph.labels)
-
-
-def normalize_subgroup(graph: FiniteModeGraph, subgroup) -> tuple[tuple[int, ...], ...]:
-    """The subgroup of the acting image generated by ``subgroup``.
-
-    Generators are gamma vectors or permutation dicts; the result lists
-    the permutation tuples of the subgroup, sorted.
-    """
-    perms = []
-    for g in subgroup:
-        if isinstance(g, dict):
-            p = tuple(map(g.get, graph.vertices))
-            if len(g) != len(p) or p not in graph._image:
-                raise GraphError("subgroup generator lies outside the acting image")
-        else:
-            p = graph.perm_of(tuple(g))
-        perms.append(p)
-    return _closure(graph.vertices, perms)
-
-
-def orbit_map(graph: FiniteModeGraph, perms) -> dict[int, int]:
-    """Each vertex mapped to the least vertex of its orbit.
-
-    ``perms`` is a subgroup of the acting image as permutation tuples,
-    as ``enumerate_subgroups`` lists them.
-    """
-    out: dict[int, int] = {}
-    for v in graph.vertices:
-        if v not in out:
-            k = graph._position[v]
-            orbit = {p[k] for p in perms}
-            out.update(dict.fromkeys(orbit, min(orbit)))
-    return out
 
 
 def _orbit_quotient(graph: FiniteModeGraph, omap: dict[int, int]) -> QuotientGraph:
@@ -709,17 +701,10 @@ def orbit_counts(graph) -> tuple[int, int | None]:
                 edge_orbits += len(offsets)
         return vertex_orbits, edge_orbits
     if isinstance(graph, FiniteModeGraph):
-        perms = graph._image
-        vertex_orbits = len(set(orbit_map(graph, perms).values()))
-        seen_e = set()
-        edge_orbits = 0
-        for u, w in sorted(graph.edges):
-            if (u, w) not in seen_e:
-                edge_orbits += 1
-                iu, iw = graph._position[u], graph._position[w]
-                for p in perms:
-                    seen_e.add((min(p[iu], p[iw]), max(p[iu], p[iw])))
-        return vertex_orbits, edge_orbits
+        edges = sorted(graph.edges)
+        steps = [dict(zip(graph.vertices, g)) for g in graph.generators]
+        moved = [[(min(s[u], s[w]), max(s[u], s[w])) for u, w in edges] for s in steps]
+        return len(set(graph._orbit_map.values())), len(set(_orbits(edges, moved).values()))
     raise GraphError(f"cannot count orbits of {type(graph).__name__}")
 
 

@@ -73,11 +73,12 @@ def lef_certificate(graph: TranslationGraph, gamma_set, vertex_set) -> LEFCertif
 
     The first modulus keeping A, E, and every realized offset translate
     of E pairwise distinct is returned; that rule alone makes the
-    quotient a certificate (see ``_certificate_at``).  T injects modulo
-    every m > max T - min T, so the scan stops by the span of T plus one.
+    quotient a certificate (see ``_certificate_at``).  No m < |T| keeps
+    T apart and every m > max T - min T does, so the scan runs from |T|
+    (or 1) to at most the span of T plus one.
     """
     prepared = _prepare(graph, gamma_set, vertex_set)
-    for m in itertools.count(1):
+    for m in itertools.count(max(1, len(prepared[-1]))):  # prepared[-1] is T
         if (cert := _certificate_at(prepared, m)) is not None:
             return cert
 

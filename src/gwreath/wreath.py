@@ -34,7 +34,6 @@ from .graphs import (
     TranslationGraph,
     Vertex,
     _orbit_quotient,
-    orbit_map,
     quotient_graph,
     residues_of,
 )
@@ -389,7 +388,7 @@ def _restrict(instance: Instance, x: WreathElement) -> tuple[Instance, WreathEle
         }
         return Instance(delta, TranslationGraph(labels_used, fams)), x
     if isinstance(graph, FiniteModeGraph):
-        orbits = orbit_map(graph, graph._image)
+        orbits = graph._orbit_map
         reps = {orbits[v] for v in used}
         keep = {v for v in graph.vertices if orbits[v] in reps}
         if len(keep) == len(graph.vertices):

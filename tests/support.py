@@ -649,10 +649,7 @@ def reference_first_candidate(instance: Instance, x: WreathElement, candidates):
         else:
             if any(x.gamma) and tuple(graph.act(x.gamma, v) for v in graph.vertices) in candidate:
                 continue
-            elements = [dict(zip(graph.vertices, p)) for p in candidate]
-            quotient = quotient_graph(
-                sub.graph, [{v: p[v] for v in sub.graph.vertices} for p in elements]
-            )
+            quotient = _candidate_quotient(graph, sub.graph, candidate)
         images = [quotient.project(v) for v in support]
         if len(set(images)) != len(images):
             continue
@@ -665,6 +662,22 @@ def reference_first_candidate(instance: Instance, x: WreathElement, candidates):
             continue
         return index
     return None
+
+
+def _candidate_quotient(graph: FiniteModeGraph, sub: FiniteModeGraph, perms) -> QuotientGraph:
+    """The quotient of ``sub``, a union of orbits of ``graph``, by the
+    subgroup listed as ``perms``: each vertex goes to its least image
+    over the listed permutations, and each edge to its orbits' pair."""
+    position = {v: k for k, v in enumerate(graph.vertices)}
+    orbit = {v: min(p[position[v]] for p in perms) for v in sub.vertices}
+    edges, loops = set(), set()
+    for u, w in sub.edges:
+        ou, ow = sorted((orbit[u], orbit[w]))
+        if ou == ow:
+            loops.add(ou)
+        else:
+            edges.add((ou, ow))
+    return QuotientGraph("finite", sorted(set(orbit.values())), edges, loops, orbit_map=orbit)
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +701,78 @@ def reference_gw_invert(instance: Instance, x: WreathElement) -> WreathElement:
     return WreathElement(
         act_word(graph, delta, ginv, gp_invert(graph, delta, x.word)), ginv
     )
+
+
+# ---------------------------------------------------------------------------
+# the classical cases as oracles
+
+
+def complete_graph_rf(instance: Instance) -> bool:
+    """Residual finiteness over a complete graph, where the product is the
+    permutational wreath product of the coefficients A by the acting group
+    B.  By Gruenberg (*Residual properties of infinite soluble groups*,
+    Proc. LMS 1957) A wr B is residually finite iff A and B are and A is
+    abelian or B is finite.  Every coefficient group here is finite or
+    free abelian.  A translation graph's B is the integers, acting freely;
+    a finite-mode B acts through a finite image, and the kernel of that
+    action leaves a residually finite direct product of finite index."""
+    graph = instance.graph
+    if isinstance(graph, FiniteModeGraph):
+        n = len(graph.vertices)
+        if len(graph.edges) != n * (n - 1) // 2:
+            raise ValueError("the complete-graph oracle needs a complete graph")
+        return True
+    (c,) = graph.labels
+    if brute_offsets(graph.families_for(c, c), 40) != frozenset(range(-40, 41)) - {0}:
+        raise ValueError("the complete-graph oracle needs a complete graph")
+    return instance.delta.is_abelian()
+
+
+def edgeless_graph_rf(instance: Instance) -> bool:
+    """Residual finiteness over an edgeless graph, where the product is a
+    free product of copies of the coefficients extended by the action.
+    Free products of residually finite groups are residually finite
+    (Gruenberg, 1957), and with no edges no neighbourhood or vertex pair
+    can fail the paper's conditions: every such instance is."""
+    graph = instance.graph
+    if graph.edges if isinstance(graph, FiniteModeGraph) else any(graph.families.values()):
+        raise ValueError("the edgeless-graph oracle needs an edgeless graph")
+    return True
+
+
+def random_complete_translation_graph(rng) -> TranslationGraph:
+    """One label whose families hold every nonzero offset: one arithmetic
+    family start + B*k per class of Z/B, the offsets below the starts
+    that no class reaches yet as a finite family, and finite and
+    factorial extras, which add no offset."""
+    step = rng.randint(1, 5)
+    starts = [r + step * rng.randint(0 if r else 1, 3) for r in range(step)]
+    families = [ArithmeticOffsets(start, step) for start in starts]
+    below = {d for d in range(1, max(starts))
+             if not any(d >= start and (d - start) % step == 0 for start in starts)}
+    extras = below | {rng.randint(1, 12) for _ in range(rng.randint(0, 2))}
+    if extras:
+        families.append(FiniteOffsets(frozenset(extras)))
+    families += [FactorialOffsets(rng.randint(0, 3)) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(families)
+    return TranslationGraph(("c",), {("c", "c"): tuple(families)})
+
+
+def random_permutation_graph(rng, complete: bool) -> FiniteModeGraph:
+    """1-6 vertices, complete or edgeless, with up to three generators,
+    each a power of one random permutation: they commute, and every
+    permutation is an automorphism of both graphs."""
+    n = rng.randint(1, 6)
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    generators = []
+    for _ in range(rng.randint(0, 3)):
+        power = list(range(n))
+        for _ in range(rng.randint(0, 5)):
+            power = [sigma[v] for v in power]
+        generators.append(tuple(power))
+    edges = frozenset(itertools.combinations(range(n), 2)) if complete else frozenset()
+    return FiniteModeGraph(tuple(range(n)), edges, tuple(generators))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from gwreath import (
     FactorialOffsets,
     FiniteModeGraph,
     FiniteOffsets,
+    FreeAbelian,
     GraphError,
     Instance,
     Symmetric,
@@ -34,14 +35,19 @@ from gwreath.graphs import enumerate_subgroups, residues_of
 from tests.support import (
     brute_nonadjacent,
     brute_residues,
+    complete_graph_rf,
     complete_z_graph,
     cycle_graph,
     edgeless_graph,
+    edgeless_graph_rf,
     factorial_graph,
     k5_cyclic,
+    klein_table,
     line_graph,
     path3_graph,
     prime_cycles_graph,
+    random_complete_translation_graph,
+    random_permutation_graph,
     random_wreath,
     reference_cond3_pair,
     reference_pair_evidence_finite,
@@ -265,28 +271,27 @@ def test_classify_computes_the_subgroup_list_once(monkeypatch):
 
 def test_classify_computes_each_orbit_map_once(monkeypatch):
     # conditions 2 and 3 read one subgroup table: one orbit map for each
-    # of the 30 subgroups of the 6x6 torus's image, which a later
-    # separation and its verification read too, computing only the
-    # image's orbit map that restricts the element, once each
+    # of the 30 subgroups of the 6x6 torus's image, the index-1 one being
+    # the image's, derived with the graph; a later separation and its
+    # verification read them too, and compute none of their own
     calls = Counter()
-    orbit_map = graphs.orbit_map
-    for module in (graphs, wreath):
+    orbits = graphs._orbits
 
-        def counted(*args, name=module.__name__):
-            calls[name] += 1
-            return orbit_map(*args)
+    def counted(*args):
+        calls["_orbits"] += 1
+        return orbits(*args)
 
-        monkeypatch.setattr(module, "orbit_map", counted)
+    monkeypatch.setattr(graphs, "_orbits", counted)
     graph = torus_graph(6)
     assert len(enumerate_subgroups(graph)) == 30
     inst = Instance(S3, graph)
     assert classify(inst).status == RESIDUALLY_FINITE
-    assert calls == Counter({"gwreath.graphs": 30})
+    assert calls == Counter({"_orbits": 30})
     x = WreathElement(word(S3, [(0, (1, 0, 2)), (7, (0, 2, 1))]), (1, 2))
     cert = separate(inst, x)
     assert cert.kind == "image-subgroup"
     assert verify_certificate(inst, cert)
-    assert calls == Counter({"gwreath.graphs": 30, "gwreath.wreath": 2})
+    assert calls == Counter({"_orbits": 30})
 
 
 def test_finite_mode_evidence_matches_direct_orbit_checks():
@@ -444,6 +449,37 @@ def test_classify_wreath_agrees_with_classify():
         Instance(C2, k5_cyclic()),
     ):
         assert classify_wreath(inst).status == classify(inst).status
+
+
+CLASSICAL_COEFFICIENTS = (C2, Cyclic(5), S3, klein_table(), FreeAbelian(2))
+
+
+def _oracle_status(rf: bool) -> str:
+    return RESIDUALLY_FINITE if rf else NOT_RESIDUALLY_FINITE
+
+
+def test_classify_agrees_with_the_complete_graph_oracle():
+    # Gruenberg's wreath-product theorem, in both modes, with every
+    # coefficient kind; the specialized classifier agrees too
+    rng = random.Random(157)
+    for _ in range(200):
+        for graph in (random_complete_translation_graph(rng), random_permutation_graph(rng, True)):
+            for delta in CLASSICAL_COEFFICIENTS:
+                inst = Instance(delta, graph)
+                expected = _oracle_status(complete_graph_rf(inst))
+                assert classify(inst).status == expected, inst
+                assert classify_wreath(inst).status == expected, inst
+
+
+def test_classify_agrees_with_the_edgeless_graph_oracle():
+    # free products: residually finite in both modes, whatever the coefficients
+    rng = random.Random(163)
+    for _ in range(100):
+        labels = ("a", "b", "c")[: rng.randint(1, 3)]
+        for graph in (TranslationGraph(labels), random_permutation_graph(rng, False)):
+            for delta in CLASSICAL_COEFFICIENTS:
+                inst = Instance(delta, graph)
+                assert classify(inst).status == _oracle_status(edgeless_graph_rf(inst)), inst
 
 
 def test_classify_wreath_requires_complete_graph():

@@ -16,16 +16,17 @@ from gwreath import (
     quotient_graph,
     residues_of,
 )
+from gwreath import graphs
 from gwreath.graphs import (
     contains_offset,
     covers_all_nonzero,
     enumerate_subgroups,
-    normalize_subgroup,
 )
 
 from tests.support import (
     brute_factorial_residues,
     brute_quotient,
+    close_permutations,
     complete_z_graph,
     hits_mismatches,
     cycle_graph,
@@ -409,13 +410,14 @@ def test_finite_quotient_full_subgroup_collapses():
     assert q.project(3) == 0
 
 
-def test_finite_quotient_rejects_outside_generators():
+def test_finite_quotient_rejects_bad_generators():
+    # a generator is a gamma vector of the graph's rank, with integer
+    # coordinates; a permutation dict is not one, even with rank keys
     k5 = k5_cyclic()
-    with pytest.raises(GraphError):
-        quotient_graph(k5, [{0: 1, 1: 0, 2: 2, 3: 3, 4: 4}])  # a swap is not in the image
     rotation = dict(zip(k5.vertices, k5.generators[0]))
-    with pytest.raises(GraphError):  # a rotation with a key that is not a vertex
-        quotient_graph(k5, [{**rotation, 9: 9}])
+    for bad in [(1, 0)], [()], [(1.5,)], [("1",)], [[1]], [1], [{0: 1}], [rotation]:
+        with pytest.raises(GraphError):
+            quotient_graph(k5, bad)
 
 
 def test_enumerate_subgroups_of_c6():
@@ -468,7 +470,7 @@ def test_subgroup_table_entries_match_their_permutations():
     # each entry's index times its order is the image's order, and its
     # orbit map names each vertex's orbit, read off the permutations
     for graph in _image_reference_graphs():
-        image = len(graph._image)
+        image = len(graph._subgroups[0][1])
         for index, perms, orbits in graph._subgroups:
             assert index * len(perms) == image, graph
             orbit = {v: {p[k] for p in perms} for k, v in enumerate(graph.vertices)}
@@ -492,7 +494,7 @@ def test_perm_of_on_an_image_far_larger_than_the_vertex_set():
     for k in (-3, -1, 0, 1, 2, 30029, 30031, 10**9 + 7):
         expected = reference_perm_of(graph, (k,))
         assert graph.perm_of((k,)) == tuple(expected[v] for v in graph.vertices), k
-    assert "_image" not in vars(graph)
+    assert "_subgroups" not in vars(graph)
 
 
 def test_perm_of_checks_the_rank():
@@ -502,18 +504,63 @@ def test_perm_of_checks_the_rank():
 
 def test_subgroups_share_the_image_tuples():
     graph = prime_cycles_graph((2, 3, 5, 7, 11))
-    image = {id(p) for p in graph._image}
+    image = {id(p) for p in graph._subgroups[0][1]}
     assert len(image) == 2310
     assert all(id(p) in image for sub in enumerate_subgroups(graph) for p in sub)
 
 
 def test_subgroup_lists_are_closed_and_normalized():
     graph = torus_graph(4)
-    for perms in enumerate_subgroups(graph):
-        generators = [dict(zip(graph.vertices, p)) for p in perms]
-        assert normalize_subgroup(graph, generators) == perms
-        q = quotient_graph(graph, generators)
-        assert len(q.vertices) * len(perms) == len(graph.vertices)  # free action
+    position = graph._position
+    for _, perms, orbits in graph._subgroups:
+        assert list(perms) == sorted(set(perms))
+        members = set(perms)
+        assert all(tuple(p[position[v]] for v in q) in members for p in perms for q in perms)
+        assert len(set(orbits.values())) * len(perms) == len(graph.vertices)  # free action
+
+
+def _closed_orbit_map(graph, maps):
+    """Each vertex to the least of its images over the closed element
+    list of the group that the vertex dicts ``maps`` generate."""
+    elements = close_permutations(maps, graph.vertices)
+    return {v: min(p[v] for p in elements) for v in graph.vertices}
+
+
+def test_orbits_match_closed_element_lists():
+    # the image's orbit map, each table entry's, the quotient by a random
+    # gamma set and both orbit counts, against the closed element lists
+    rng = random.Random(151)
+    for graph in _image_reference_graphs():
+        generators = [dict(zip(graph.vertices, g)) for g in graph.generators]
+        assert graph._orbit_map == _closed_orbit_map(graph, generators), graph
+        for _, perms, orbits in graph._subgroups:
+            maps = [dict(zip(graph.vertices, p)) for p in perms]
+            assert orbits == _closed_orbit_map(graph, maps), graph
+        for _ in range(4):
+            gammas = [tuple(rng.randint(-7, 7) for _ in range(graph.rank))
+                      for _ in range(rng.randint(0, 3))]
+            omap = _closed_orbit_map(graph, [reference_perm_of(graph, g) for g in gammas])
+            q = quotient_graph(graph, gammas)
+            assert q.orbit_map == omap, (graph, gammas)
+            assert q.vertices == tuple(sorted(set(omap.values())))
+            assert q.edges == {tuple(sorted((omap[u], omap[w]))) for u, w in graph.edges
+                               if omap[u] != omap[w]}
+            assert q.loops == {omap[u] for u, w in graph.edges if omap[u] == omap[w]}
+        image = close_permutations(generators, graph.vertices)
+        vertex_orbits = {frozenset(p[v] for p in image) for v in graph.vertices}
+        edge_orbits = {frozenset(frozenset((p[u], p[w])) for p in image) for u, w in graph.edges}
+        assert orbit_counts(graph) == (len(vertex_orbits), len(edge_orbits))
+
+
+def test_finite_mode_orbits_come_from_one_routine():
+    # no orbit map over element lists, no closure of a generating set,
+    # and no image apart from the subgroup table's index-1 entry
+    assert not hasattr(graphs, "orbit_map")
+    assert not hasattr(graphs, "normalize_subgroup")
+    assert not hasattr(FiniteModeGraph, "_image")
+    graph = torus_graph(3)
+    assert graph._subgroups[0][0] == 1
+    assert graph._subgroups[0][2] is graph._orbit_map
 
 
 # ---------------------------------------------------------------------------

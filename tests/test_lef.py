@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -126,6 +127,29 @@ def test_least_modulus_past_the_old_default_bound():
     cert = lef_certificate(graph, range(71), cv(0, 1, 2))
     assert cert.truncation.modulus == 71
     assert verify_lef(cert, graph, range(71), cv(0, 1, 2))
+
+
+def test_the_scan_starts_at_the_size_of_t(monkeypatch):
+    # no modulus below |T| keeps the |T| values of T apart, so T = 0..3999
+    # takes one modulus where a scan from 1 would try 4000
+    moduli = []
+    certificate_at = lef._certificate_at
+    monkeypatch.setattr(lef, "_certificate_at",
+                        lambda prepared, m: moduli.append(m) or certificate_at(prepared, m))
+    cert = lef_certificate(factorial_graph(0), range(4000), cv(0, 1, 2))
+    assert moduli == [4000]
+    assert cert.truncation.modulus == 4000
+
+
+def test_least_modulus_equals_a_scan_from_one():
+    rng = random.Random(137)
+    for _ in range(300):
+        graph = random_translation_graph(rng)
+        gammas = {rng.randint(-9, 9) for _ in range(rng.randint(0, 5))}
+        vertices = {(rng.choice(graph.labels), rng.randint(-9, 9)) for _ in range(rng.randint(0, 5))}
+        prepared = lef._prepare(graph, gammas, vertices)
+        least = next(m for m in itertools.count(1) if lef._certificate_at(prepared, m) is not None)
+        assert lef_certificate(graph, gammas, vertices).truncation.modulus == least
 
 
 def test_two_orbit_model():

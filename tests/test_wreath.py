@@ -31,6 +31,7 @@ from gwreath import (
     gp_compose,
     gw_compose,
     gw_invert,
+    orbit_counts,
     quotient_graph,
     restrict_orbits,
     retract,
@@ -158,6 +159,23 @@ def test_word_operations_build_no_image_table_on_a_large_image(monkeypatch):
     assert gw_compose(inst, x, y) == reference_gw_compose(inst, x, y)
     assert act_word(graph, S3, (-1,), act_word(graph, S3, (1,), y.word)) == inst.normalize(y).word
     assert not calls
+
+
+def test_orbit_counts_restriction_and_quotients_close_no_group(monkeypatch):
+    # orbits come from the generators' steps: on an image of order 30030
+    # none of these lists an element or builds the subgroup table
+    graph = prime_cycles_graph()
+    calls = _count_closures(monkeypatch)
+    assert orbit_counts(graph) == (6, 6)
+    x = WreathElement(word(S3, [(0, (1, 0, 2)), (2, (1, 2, 0))]), (1,))
+    sub, _ = restrict_orbits(Instance(S3, graph), x)
+    assert sub.graph.vertices == (0, 1, 2, 3, 4)
+    q = quotient_graph(graph, [(2,)])  # fixes the 2-cycle, rotates every odd one
+    assert q.vertices == (0, 1, 2, 5, 10, 17, 28)
+    assert q.edges == {(0, 1)}
+    assert q.loops == {2, 5, 10, 17, 28}
+    assert not calls
+    assert "_subgroups" not in vars(graph)
 
 
 def test_finite_mode_gamma_is_checked_at_the_boundary():
