@@ -20,13 +20,12 @@ _EXPORTS = {
     "first_nontrivial noncommuting_pair",
     "graphs": "ArithmeticOffsets FactorialOffsets FiniteModeGraph FiniteOffsets QuotientGraph "
     "TranslationGraph is_complete orbit_counts quotient_graph residues_of",
-    "words": "EMPTY_WORD Syllable Word canonical_form gp_compose gp_invert push_forward "
-    "retract support word",
+    "words": "EMPTY_WORD Syllable Word canonical_form gp_invert push_forward retract word",
     "wreath": "Instance NonRFWitness Obstruction RFCertificate WreathElement act_word "
     "certificate_map gw_compose gw_invert restrict_orbits separate verify_certificate "
     "verify_witness witness",
     "checker": "Verdict check_cond2 check_cond3 check_finitely_presented classify "
-    "classify_wreath separation_bound",
+    "classify_wreath",
     "lef": "LEFCertificate lef_certificate truncate_graph verify_lef",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

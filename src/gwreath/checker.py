@@ -34,7 +34,6 @@ from .wreath import (
     Instance,
     NonRFWitness,
     Obstruction,
-    WreathElement,
     certify_offset_always,
     certify_zero_always,
     witness,
@@ -71,7 +70,7 @@ class Cond2Result(Record):
     failing: OrbitEvidence | None = None
 
 
-def check_cond2(instance: Instance, bound: int = 64) -> Cond2Result:
+def check_cond2(instance: Instance) -> Cond2Result:
     """Check the orbit/neighbourhood condition.
 
     The abelian branch (separating neighbouring vertices inside one
@@ -81,13 +80,13 @@ def check_cond2(instance: Instance, bound: int = 64) -> Cond2Result:
     decision is made regardless, because its moduli are reusable
     evidence downstream.  A translation orbit fails exactly when 0 is a
     lemma offset (``_rule_modulus``, claim 2); otherwise its modulus is
-    the least up to ``bound`` that misses 0, or m(0) past the bound.
+    the least that misses 0, found among 1..m(0) since m(0) misses it.
     """
     graph, delta = instance.graph, instance.delta
     abelian = delta.is_abelian()
     if isinstance(graph, TranslationGraph):
         abelian_rule = "m(t) = |t| + 1 separates neighbours at offset t"
-        evidence = tuple(_orbit_evidence_translation(graph, c, bound) for c in graph.labels)
+        evidence = tuple(_orbit_evidence_translation(graph, c) for c in graph.labels)
     elif isinstance(graph, FiniteModeGraph):
         abelian_rule = "the trivial image subgroup separates any two vertices"
         evidence = tuple(_orbit_evidence_finite(graph))
@@ -104,17 +103,14 @@ def check_cond2(instance: Instance, bound: int = 64) -> Cond2Result:
     )
 
 
-def _orbit_evidence_translation(graph: TranslationGraph, c: str, bound: int) -> OrbitEvidence:
+def _orbit_evidence_translation(graph: TranslationGraph, c: str) -> OrbitEvidence:
     families = graph.families_for(c, c)
     obstruction = certify_zero_always(families, (c, c))
     if obstruction is not None:
         return OrbitEvidence(orbit=c, status="fails", obstruction=obstruction)
-    # missing 0 persists under multiples, which ``separation_bound`` relies on
-    for m in range(1, bound + 1):
-        if not any(f.hits(0, m) for f in families):
-            break
-    else:
-        m = _rule_modulus(0, *_datum_and_steps(families))
+    # no lemma fired, so m(0) misses 0 (claim 2) and ends the search
+    m = next(m for m in range(1, _rule_modulus(0, *_datum_and_steps(families)) + 1)
+             if not any(f.hits(0, m) for f in families))
     return OrbitEvidence(orbit=c, status="holds", modulus=m)
 
 
@@ -209,7 +205,7 @@ def _pair_evidence_translation(graph: TranslationGraph, c1: str, c2: str) -> Pai
         return PairEvidence(pair, "holds-vacuous",
                             "every nonzero offset is an edge, so no pair needs separating")
     if all(f.is_finite() for f in families):
-        dmax = max((f.max_offset() for f in families), default=0)
+        dmax = max((f.datum() for f in families), default=0)
         return PairEvidence(pair, "holds-rule", f"m(t) = |t| + {dmax} + 1")
     # the lemma offsets 0 <= t <= W in increasing order, merged lazily from a heap of each
     # run's next offset and step: the classes ±start mod step, and ±shift stepping past W
@@ -348,10 +344,9 @@ def classify(instance: Instance, bound: int = 64, t_max: int | None = None) -> V
 
     A negative from either condition wins immediately and is packaged
     as an explicit witness element; a positive needs both.  ``bound``
-    only limits the search for the least condition-2 modulus, and
-    ``t_max`` is only recorded: neither changes the status.
+    and ``t_max`` are only recorded: neither changes any answer.
     """
-    cond2 = check_cond2(instance, bound)
+    cond2 = check_cond2(instance)
     if not cond2.holds:
         return Verdict(
             status=NOT_RESIDUALLY_FINITE,
@@ -481,42 +476,3 @@ def check_finitely_presented(instance: Instance) -> FPReport:
         vertex_orbits=vertex_orbits,
         edge_orbits=edge_orbits,
     )
-
-
-# ---------------------------------------------------------------------------
-# rule-derived search bounds
-
-
-def separation_bound(instance: Instance, verdict: Verdict, x: WreathElement) -> int:
-    """A modulus within which ``separate`` must succeed, read off the
-    verdict's rules.
-
-    Only meaningful for residually finite translation instances.  The
-    bound is the lcm of the per-constraint moduli, each of which persists
-    under multiples; an infinite family's is m(t), by ``_rule_modulus``.
-    """
-    graph = instance.graph
-    if not isinstance(graph, TranslationGraph):
-        raise GraphError("rule bounds are only derived for translation instances")
-    if verdict.status != RESIDUALLY_FINITE:
-        raise GraphError("rule bounds require a residually finite verdict")
-    x = instance.normalize(x)
-    constraints = [1]
-    if x.gamma != 0:
-        constraints.append(abs(x.gamma) + 1)
-    vertices = sorted(x.word.vertices(), key=graph.vertex_key)
-    if not instance.delta.is_abelian() and verdict.cond2 is not None:
-        moduli = {e.orbit: e.modulus for e in verdict.cond2.per_orbit}
-        constraints.extend(moduli[c] for c in {v[0] for v in vertices})
-    for v, w in itertools.combinations(vertices, 2):
-        (c1, p), (c2, q) = v, w
-        t = q - p
-        families = graph.families_for(c1, c2)
-        if graph.adjacent(v, w):
-            if c1 == c2:
-                constraints.append(abs(t) + 1)
-            continue
-        datum, steps = _datum_and_steps(families)
-        finite = all(f.is_finite() for f in families)
-        constraints.append(abs(t) + datum + 1 if finite else _rule_modulus(t, datum, steps))
-    return math.lcm(*constraints)

@@ -55,11 +55,8 @@ class FiniteOffsets(Record):
     def is_finite(self) -> bool:
         return True
 
-    def max_offset(self) -> int:
-        return max((abs(d) for d in self.offsets), default=0)
-
     def datum(self) -> int:
-        return self.max_offset()
+        return max((abs(d) for d in self.offsets), default=0)
 
 
 class FactorialOffsets(Record):
@@ -133,12 +130,12 @@ class ArithmeticOffsets(Record):
 
     # Modulo m, start + step*k runs through the class of start modulo gcd(step, m).
     def residues(self, m: int) -> frozenset[int]:
-        g, s = _gcd(self.step, m), self.start
+        g, s = math.gcd(self.step, m), self.start
         return frozenset(range(s % g, m, g)).union(range(-s % g, m, g))
 
     def hits(self, t: int, m: int) -> bool:
         """Whether ``t % m`` lies in ``residues(m)``."""
-        g = _gcd(self.step, m)
+        g = math.gcd(self.step, m)
         return (t - self.start) % g == 0 or (t + self.start) % g == 0
 
     def is_finite(self) -> bool:
@@ -175,21 +172,13 @@ def covers_all_nonzero(families: Sequence[DifferenceFamily]) -> bool:
     arith = [f for f in families if isinstance(f, ArithmeticOffsets)]
     if not arith:
         return False
-    big = 1
-    for f in arith:
-        big = big * f.step // _gcd(big, f.step)
+    big = math.lcm(*(f.step for f in arith))
     if any(
         not any((r - f.start) % f.step == 0 for f in arith) for r in range(big)
     ):
         return False
     window = max(f.start for f in arith) + big
     return all(contains_offset(families, n) for n in range(1, window + 1))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +293,6 @@ class TranslationGraph(Record):
 
     def has_loop(self, v: Vertex) -> bool:
         return False
-
-    def max_finite_offset(self) -> int:
-        out = 0
-        for fams in self.families.values():
-            for f in fams:
-                if f.is_finite():
-                    out = max(out, f.max_offset())
-        return out
 
     def all_finite(self) -> bool:
         return all(f.is_finite() for fams in self.families.values() for f in fams)

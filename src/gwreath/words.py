@@ -200,21 +200,11 @@ def _canonical(graph, delta: GroupSpec, sylls: list[Syllable]) -> Word:
     return Word(tuple(reduced))
 
 
-def gp_compose(graph, delta: GroupSpec, w1: Word, w2: Word) -> Word:
-    return canonical_form(graph, delta, tuple(w1) + tuple(w2))
-
-
 def gp_invert(graph, delta: GroupSpec, w: Word) -> Word:
     sylls = _validate(graph, delta, w)  # once, before ``_invert`` can wrap a bad value
     invert = delta._invert
     inverses = [Syllable(s.vertex, invert(s.value)) for s in reversed(sylls)]
     return _canonical(graph, delta, inverses)
-
-
-def support(graph, delta: GroupSpec, w: Word) -> frozenset[Vertex]:
-    """Vertices of the canonical form: a valid (not necessarily minimal)
-    support of the element."""
-    return canonical_form(graph, delta, w).vertices()
 
 
 def retract(graph, delta: GroupSpec, w: Word, keep: Iterable[Vertex]) -> Word:

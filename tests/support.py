@@ -32,13 +32,19 @@ from gwreath import (
     WordError,
     WreathElement,
     act_word,
-    gp_compose,
+    canonical_form,
     gp_invert,
     quotient_graph,
     residues_of,
     restrict_orbits,
 )
-from gwreath.checker import PairEvidence
+from gwreath.checker import (
+    RESIDUALLY_FINITE,
+    PairEvidence,
+    Verdict,
+    _datum_and_steps,
+    _rule_modulus,
+)
 from gwreath.graphs import enumerate_subgroups
 
 
@@ -338,9 +344,15 @@ def is_lex_normal(graph, w) -> bool:
 # the quotient oracle
 
 
+def max_finite_offset(graph: TranslationGraph) -> int:
+    """The largest |d| over the graph's finite families, 0 if none."""
+    return max((f.datum() for fams in graph.families.values() for f in fams if f.is_finite()),
+               default=0)
+
+
 def brute_quotient(graph: TranslationGraph, m: int, window: int | None = None):
     """Quotient edges and loops by scanning lifts in a window."""
-    dmax = max(graph.max_finite_offset(), 1)
+    dmax = max(max_finite_offset(graph), 1)
     width = window if window is not None else 3 * m * dmax
     ids = [(c, r) for c in graph.labels for r in range(m)]
     edges, loops = set(), set()
@@ -690,7 +702,7 @@ def reference_gw_compose(instance: Instance, x: WreathElement, y: WreathElement)
     graph, delta = instance.graph, instance.delta
     gamma = graph.acting.compose(x.gamma, y.gamma)  # checks both before acting
     twisted = act_word(graph, delta, x.gamma, y.word)
-    return WreathElement(gp_compose(graph, delta, x.word, twisted), gamma)
+    return WreathElement(canonical_form(graph, delta, tuple(x.word) + tuple(twisted)), gamma)
 
 
 def reference_gw_invert(instance: Instance, x: WreathElement) -> WreathElement:
@@ -701,6 +713,45 @@ def reference_gw_invert(instance: Instance, x: WreathElement) -> WreathElement:
     return WreathElement(
         act_word(graph, delta, ginv, gp_invert(graph, delta, x.word)), ginv
     )
+
+
+# ---------------------------------------------------------------------------
+# rule-derived search bounds
+
+
+def separation_bound(instance: Instance, verdict: Verdict, x: WreathElement) -> int:
+    """A modulus within which ``separate`` must succeed, read off the
+    verdict's rules.
+
+    Only meaningful for residually finite translation instances.  The
+    bound is the lcm of the per-constraint moduli, each of which persists
+    under multiples; an infinite family's is m(t), by ``_rule_modulus``.
+    """
+    graph = instance.graph
+    if not isinstance(graph, TranslationGraph):
+        raise GraphError("rule bounds are only derived for translation instances")
+    if verdict.status != RESIDUALLY_FINITE:
+        raise GraphError("rule bounds require a residually finite verdict")
+    x = instance.normalize(x)
+    constraints = [1]
+    if x.gamma != 0:
+        constraints.append(abs(x.gamma) + 1)
+    vertices = sorted(x.word.vertices(), key=graph.vertex_key)
+    if not instance.delta.is_abelian() and verdict.cond2 is not None:
+        moduli = {e.orbit: e.modulus for e in verdict.cond2.per_orbit}
+        constraints.extend(moduli[c] for c in {v[0] for v in vertices})
+    for v, w in itertools.combinations(vertices, 2):
+        (c1, p), (c2, q) = v, w
+        t = q - p
+        families = graph.families_for(c1, c2)
+        if graph.adjacent(v, w):
+            if c1 == c2:
+                constraints.append(abs(t) + 1)
+            continue
+        datum, steps = _datum_and_steps(families)
+        finite = all(f.is_finite() for f in families)
+        constraints.append(abs(t) + datum + 1 if finite else _rule_modulus(t, datum, steps))
+    return math.lcm(*constraints)
 
 
 # ---------------------------------------------------------------------------

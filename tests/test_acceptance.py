@@ -17,7 +17,6 @@ from gwreath import (
     check_finitely_presented,
     classify,
     classify_wreath,
-    gp_compose,
     gp_invert,
     gw_compose,
     gw_invert,
@@ -25,7 +24,6 @@ from gwreath import (
     quotient_graph,
     retract,
     separate,
-    separation_bound,
     verify_certificate,
     verify_lef,
     word,
@@ -42,11 +40,13 @@ from tests.support import (
     factorial_graph,
     k5_cyclic,
     line_graph,
+    max_finite_offset,
     obstruction_spot_check,
     path3_graph,
     random_nontrivial,
     random_word,
     random_wreath,
+    separation_bound,
 )
 
 C2 = Cyclic(2)
@@ -180,10 +180,14 @@ def test_criterion_8_algebra_suites():
             w1 = random_word(graph, delta, rng, max_len=3, window=3)
             w2 = random_word(graph, delta, rng, max_len=3, window=3)
             w3 = random_word(graph, delta, rng, max_len=3, window=3)
-            assert gp_compose(graph, delta, gp_compose(graph, delta, w1, w2), w3) == \
-                gp_compose(graph, delta, w1, gp_compose(graph, delta, w2, w3))
-            assert gp_compose(graph, delta, w1, EMPTY_WORD) == canonical_form(graph, delta, w1)
-            assert gp_compose(graph, delta, w1, gp_invert(graph, delta, w1)) == EMPTY_WORD
+            w12 = canonical_form(graph, delta, tuple(w1) + tuple(w2))
+            w23 = canonical_form(graph, delta, tuple(w2) + tuple(w3))
+            assert canonical_form(graph, delta, tuple(w12) + tuple(w3)) == \
+                canonical_form(graph, delta, tuple(w1) + tuple(w23))
+            assert canonical_form(graph, delta, tuple(w1) + tuple(EMPTY_WORD)) == \
+                canonical_form(graph, delta, w1)
+            inverse = gp_invert(graph, delta, w1)
+            assert canonical_form(graph, delta, tuple(w1) + tuple(inverse)) == EMPTY_WORD
         for _ in range(1000):
             x = random_wreath(inst, rng, max_len=2, window=3)
             y = random_wreath(inst, rng, max_len=2, window=3)
@@ -200,8 +204,9 @@ def test_criterion_8_algebra_suites():
         w2 = random_word(graph, delta, rng, max_len=3, window=3)
         assert act_word(graph, delta, g1 + g2, w1) == \
             act_word(graph, delta, g1, act_word(graph, delta, g2, w1))
-        assert act_word(graph, delta, g1, gp_compose(graph, delta, w1, w2)) == \
-            gp_compose(graph, delta, act_word(graph, delta, g1, w1), act_word(graph, delta, g1, w2))
+        moved = tuple(act_word(graph, delta, g1, w1)) + tuple(act_word(graph, delta, g1, w2))
+        assert act_word(graph, delta, g1, canonical_form(graph, delta, tuple(w1) + tuple(w2))) == \
+            canonical_form(graph, delta, moved)
 
     # retraction after inclusion is the identity on the subgraph's words
     keep = {("c", 0), ("c", 1), ("c", 3)}
@@ -251,7 +256,7 @@ def test_criterion_10_lef_certificates():
         positions = {0, diameter} | {rng.randint(0, diameter) for _ in range(2)}
         e_set = [("c", p) for p in positions]
         produced += 1
-        rule = max(a_set) + line.max_finite_offset() + diameter + 1
+        rule = max(a_set) + max_finite_offset(line) + diameter + 1
         cert = lef_certificate(line, a_set, e_set)
         assert cert.truncation.modulus <= rule
         assert verify_lef(cert, line, a_set, e_set)

@@ -1,9 +1,12 @@
+import inspect
+import itertools
 import pathlib
 import random
 from collections import Counter
 
 import pytest
 
+import gwreath
 from gwreath import (
     ArithmeticOffsets,
     Cyclic,
@@ -23,7 +26,6 @@ from gwreath import (
     classify_wreath,
     quotient_graph,
     separate,
-    separation_bound,
     verify_certificate,
     witness,
     word,
@@ -52,6 +54,7 @@ from tests.support import (
     reference_cond3_pair,
     reference_pair_evidence_finite,
     rule_modulus,
+    separation_bound,
     torus_graph,
     two_orbit_graph,
 )
@@ -103,6 +106,63 @@ def test_cond2_finite_mode_always_holds():
     result = check_cond2(Instance(S3, k5_cyclic()))
     assert result.holds is True
     assert result.per_orbit[0].subgroup_index == 5  # the trivial subgroup
+
+
+def _random_orbit_families(rng) -> tuple:
+    """One or two families on a single label: finite offset sets,
+    factorial shifts 0-60, arithmetic start and step up to 100, and
+    arithmetic families with a prime step above 64.  A second family
+    takes an arithmetic step of at most 6: two large steps put the least
+    modulus near their product, in the thousands, where enumerating the
+    residues of every smaller modulus takes seconds."""
+    def family(max_step):
+        kind = rng.choice(("finite", "factorial", "arithmetic", "prime-step"))
+        if kind == "finite":
+            return FiniteOffsets(frozenset(rng.sample(range(1, 40), rng.randint(1, 4))))
+        if kind == "factorial":
+            return FactorialOffsets(rng.randint(0, 60))
+        if kind == "prime-step" and max_step > 64:
+            return ArithmeticOffsets(rng.randint(1, 100), rng.choice((67, 71, 73, 79, 83, 89, 97)))
+        return ArithmeticOffsets(rng.randint(1, 100), rng.randint(1, max_step))
+
+    return (family(100),) + ((family(6),) if rng.random() < 0.5 else ())
+
+
+def test_cond2_modulus_is_the_brute_force_least_modulus():
+    # a holding orbit reports the least m with 0 missing from the
+    # enumerated residues, a failing one has 0 among them for every m
+    # tried, and neither depends on the bound ``classify`` records
+    rng = random.Random(23)
+    seen = Counter()
+    for _ in range(200):
+        families = _random_orbit_families(rng)
+        inst = Instance(rng.choice((S3, C2)), TranslationGraph(("c",), {("c", "c"): families}))
+        cond2 = check_cond2(inst)
+        (e,) = cond2.per_orbit
+        if e.status == "holds":
+            least = next(m for m in itertools.count(1) if 0 not in brute_residues(families, m))
+            assert e.modulus == least, families
+            seen["holds", least > 64] += 1
+        else:
+            assert all(0 in brute_residues(families, m) for m in range(1, 41)), families
+            seen["fails"] += 1
+        assert {classify(inst, bound=bound).cond2 for bound in (1, 2, 64)} == {cond2}
+    assert seen["fails"] >= 5 and seen["holds", False] >= 5 and seen["holds", True] >= 5, seen
+
+
+def test_cond2_takes_no_bound():
+    assert "bound" not in inspect.signature(check_cond2).parameters
+    with pytest.raises(TypeError):
+        check_cond2(Instance(S3, line_graph()), bound=64)
+
+
+def test_removed_public_names_are_gone():
+    for name in ("separation_bound", "gp_compose", "support"):
+        with pytest.raises(AttributeError):
+            getattr(gwreath, name)
+        assert name not in gwreath.__all__
+    assert not hasattr(FiniteOffsets, "max_offset")
+    assert not hasattr(TranslationGraph, "max_finite_offset")
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +462,29 @@ def test_classify_factorial_abelian_is_residually_finite():
     assert verdict.bound == 64
 
 
-def test_cond2_modulus_past_the_bound_is_the_rule_modulus():
-    # within the bound the least modulus that misses 0, past it m(0)
+def test_cond2_modulus_is_the_least_at_every_bound():
+    # 1, 2 and 3 hit 0 and 4 misses it; the bound is only recorded
     inst = Instance(S3, factorial_graph(1))
-    assert check_cond2(inst, bound=4).per_orbit[0].modulus == 4
-    assert check_cond2(inst, bound=3).per_orbit[0].modulus == 6
-    assert 0 not in brute_residues(factorial_graph(1).families_for("c", "c"), 6)
+    families = factorial_graph(1).families_for("c", "c")
+    assert [0 in brute_residues(families, m) for m in (1, 2, 3, 4)] == [True, True, True, False]
+    assert check_cond2(inst).per_orbit[0].modulus == 4
+    for bound in (1, 2, 3, 4, 64):
+        verdict = classify(inst, bound=bound)
+        assert verdict.cond2.per_orbit[0].modulus == 4
+        assert verdict.bound == bound
+
+
+def test_cond2_modulus_past_the_old_scan():
+    # a prime step p not dividing start needs p | m, since gcd(p, m) must
+    # not divide start; so the least moduli are p and, for two primes,
+    # their product, far below m(0) = lcm(L, M!)
+    cases = [((ArithmeticOffsets(1, 97),), 97),
+             ((ArithmeticOffsets(26, 83), ArithmeticOffsets(28, 73)), 83 * 73)]
+    for families, least in cases:
+        graph = TranslationGraph(("c",), {("c", "c"): families})
+        (e,) = check_cond2(Instance(S3, graph)).per_orbit
+        assert (e.status, e.modulus) == ("holds", least)
+        assert least < checker._rule_modulus(0, *checker._datum_and_steps(families))
 
 
 def test_classify_certified_verdicts_are_bound_monotone():

@@ -54,6 +54,19 @@ def test_check_arithmetic_two_four_is_residually_finite(capsys):
     assert code == 0 and out.startswith("RESIDUALLY FINITE")
 
 
+def test_check_bound_is_only_recorded(capsys):
+    # the least condition-2 modulus is 4 at every bound, and the bound is echoed
+    path = INSTANCES / "arithmetic-2-4-s3.instance"
+    outputs = {}
+    for bound in ("1", "3", "64"):
+        code, out, _ = invoke(capsys, "check", path, "--format", "structured", "--bound", bound)
+        assert code == 0
+        assert "condition-2.orbit c holds modulus 4" in out.splitlines()
+        assert f"bound {bound}" in out.splitlines()
+        outputs[bound] = [line for line in out.splitlines() if not line.startswith("bound ")]
+    assert outputs["1"] == outputs["3"] == outputs["64"]
+
+
 def test_check_structured_and_deterministic(capsys):
     code, first, _ = invoke(
         capsys, "check", INSTANCES / "ex13.instance", "--format", "structured"

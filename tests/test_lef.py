@@ -20,6 +20,7 @@ from tests.support import (
     k5_cyclic,
     lef_satisfies,
     line_graph,
+    max_finite_offset,
     offsets_graph,
     random_translation_graph,
     replace,
@@ -311,7 +312,7 @@ def test_random_models_within_documented_rule(graph):
     # max(A) + max offset + diameter(E) + 1, for A nonnegative and E
     # normalized to start at 0 (the form the rule is documented in)
     rng = random.Random(97)
-    dmax = graph.max_finite_offset()
+    dmax = max_finite_offset(graph)
     produced = 0
     while produced < 50:
         gammas = sorted({rng.randint(0, 6) for _ in range(rng.randint(1, 4))})

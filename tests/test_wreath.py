@@ -28,7 +28,6 @@ from gwreath import (
     act_word,
     canonical_form,
     certificate_map,
-    gp_compose,
     gw_compose,
     gw_invert,
     orbit_counts,
@@ -113,9 +112,10 @@ def test_act_word_by_automorphisms():
         g = rng.randint(-6, 6)
         w1 = random_word(inst.graph, S3, rng, max_len=3)
         w2 = random_word(inst.graph, S3, rng, max_len=3)
-        lhs = act_word(inst.graph, S3, g, gp_compose(inst.graph, S3, w1, w2))
-        rhs = gp_compose(
-            inst.graph, S3, act_word(inst.graph, S3, g, w1), act_word(inst.graph, S3, g, w2)
+        lhs = act_word(inst.graph, S3, g, canonical_form(inst.graph, S3, tuple(w1) + tuple(w2)))
+        rhs = canonical_form(
+            inst.graph, S3,
+            tuple(act_word(inst.graph, S3, g, w1)) + tuple(act_word(inst.graph, S3, g, w2)),
         )
         assert lhs == rhs
 
@@ -1040,7 +1040,6 @@ def test_separate_looks_up_support_adjacency_once(monkeypatch):
 def _foreign_vertex_cases():
     """(name, call, exception) for every public function that hands a
     caller's vertices or values to ``adjacent`` or the action."""
-    from gwreath.checker import classify, separation_bound
     from gwreath.lef import lef_certificate, truncate_graph, verify_lef
 
     line, torus = line_graph(), torus_graph(3)
@@ -1083,14 +1082,7 @@ def _foreign_vertex_cases():
                  lambda y=y, graph=graph, x=x: act_word(graph, S3, x.gamma, y.word),
                  error or GraphError),
             ]
-    line_verdict = classify(on_line)
     cases += [
-        ("separation_bound/vertex",
-         lambda: separation_bound(on_line, line_verdict, with_syllable(good, ("c", 0.5), (1, 0, 2))),
-         WordError),
-        ("separation_bound/value",
-         lambda: separation_bound(on_line, line_verdict, with_syllable(good, ("c", 0), (0, 0, 1))),
-         GroupError),
         ("witness/vertex",
          lambda: witness(Instance(S3, factorial_graph(2)), "T3.2", [("c", 0), ("c", 0.5)]),
          GraphError),
