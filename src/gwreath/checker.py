@@ -80,7 +80,11 @@ def check_cond2(instance: Instance) -> Cond2Result:
     decision is made regardless, because its moduli are reusable
     evidence downstream.  A translation orbit fails exactly when 0 is a
     lemma offset (``_rule_modulus``, claim 2); otherwise its modulus is
-    the least that misses 0, found among 1..m(0) since m(0) misses it.
+    the least that misses 0, found among the moduli at which every
+    arithmetic family misses it (``_candidate_moduli``), up to m(0),
+    which misses it.  A candidate costs one ``hits`` per family: a
+    factorial walk stops once gcd(n!, m) rules a hit out, but at a prime
+    candidate p it takes up to p steps.
     """
     graph, delta = instance.graph, instance.delta
     abelian = delta.is_abelian()
@@ -109,9 +113,100 @@ def _orbit_evidence_translation(graph: TranslationGraph, c: str) -> OrbitEvidenc
     if obstruction is not None:
         return OrbitEvidence(orbit=c, status="fails", obstruction=obstruction)
     # no lemma fired, so m(0) misses 0 (claim 2) and ends the search
-    m = next(m for m in range(1, _rule_modulus(0, *_datum_and_steps(families)) + 1)
+    limit = _rule_modulus(0, *_datum_and_steps(families))
+    m = next(m for m in _candidate_moduli(families, limit)
              if not any(f.hits(0, m) for f in families))
     return OrbitEvidence(orbit=c, status="holds", modulus=m)
+
+
+def _candidate_moduli(families, limit: int):
+    """The moduli 1..``limit``, in increasing order, at which every
+    arithmetic family misses 0.
+
+    start + step*k hits 0 modulo m iff gcd(step, m) divides start, so it
+    misses 0 iff q^(v_q(start) + 1) divides m for some prime q with
+    v_q(step) > v_q(start): a prime of step / gcd(start, step).  The
+    candidates are the multiples of the lcms of one such prime power per
+    family, merged from a heap: the search costs the factoring of the
+    steps, not a walk through every modulus below its answer.
+    """
+    bases = {1}
+    for f in families:
+        if isinstance(f, ArithmeticOffsets):
+            powers = []
+            for q in _prime_factors(f.step // math.gcd(f.start, f.step)):
+                power, start = q, f.start
+                while start % q == 0:
+                    power, start = power * q, start // q
+                powers.append(power)
+            bases = {math.lcm(b, power) for b in bases for power in powers}
+    heap, last = [(b, b) for b in bases], 0
+    heapq.heapify(heap)
+    while heap and heap[0][0] <= limit:
+        m, base = heap[0]
+        if m != last:  # a modulus that is a multiple of two bases comes twice
+            yield m
+            last = m
+        heapq.heapreplace(heap, (m + base, base))
+
+
+def _prime_factors(n: int) -> set[int]:
+    """The primes dividing n >= 1: the primes up to 41 by trial
+    division, the rest by splitting with Pollard's rho until every part
+    passes ``_is_prime``."""
+    primes = set()
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            primes.add(q)
+            while n % q == 0:
+                n //= q
+    parts = [n] if n > 1 else []
+    while parts:
+        n = parts.pop()
+        if _is_prime(n):
+            primes.add(n)
+        else:
+            d = _rho_divisor(n)
+            parts += [d, n // d]
+    return primes
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2..41, for n > 41 with no factor up to
+    41: exact for n < 3.3 * 10**24 (Sorenson and Webster), and a strong
+    probable-prime test above."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the composite n, by Pollard's rho with
+    Floyd's cycle finding on x -> x^2 + c, trying c = 1, 2, ..."""
+    for c in itertools.count(1):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
+        if d != n:
+            return d
 
 
 def _orbit_evidence_finite(graph: FiniteModeGraph):

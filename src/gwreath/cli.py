@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, bound_help, arguments) in _SUBCOMMANDS.items():
+    for name, (_, help_text, bound, arguments) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("instance", help="instance file")
         p.add_argument(
@@ -56,8 +56,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="output format (default: text)",
         )
         p.add_argument("--output", help="write output to this path instead of stdout")
-        if bound_help:
-            p.add_argument("--bound", type=int, default=64, help=f"{bound_help} (default: 64)")
+        if bound:
+            p.add_argument(
+                "--bound", type=int, default=64,
+                help="separate's largest modulus / subgroup search bound; check only "
+                     "records it (default: 64)",
+            )
         for flag, options in arguments:
             p.add_argument(flag, **options)
     return parser
@@ -227,32 +231,31 @@ def _cmd_lef(args) -> int:
 
 _ELEMENT = ("--element", {"required": True})
 
-# command -> (handler, help, help of --bound or None, its own arguments), in help order
+# command -> (handler, help, takes --bound, its own arguments), in help order
 _SUBCOMMANDS = {
-    "normalize": (_cmd_normalize, "canonical form of a named element", None, [_ELEMENT]),
-    "mul": (_cmd_mul, "product of two named elements", None,
+    "normalize": (_cmd_normalize, "canonical form of a named element", False, [_ELEMENT]),
+    "mul": (_cmd_mul, "product of two named elements", False,
             [("--left", {"required": True}), ("--right", {"required": True})]),
-    "invert": (_cmd_invert, "inverse of a named element", None, [_ELEMENT]),
-    "check": (_cmd_check, "classify the instance", "recorded in the verdict; changes no answer", [
+    "invert": (_cmd_invert, "inverse of a named element", False, [_ELEMENT]),
+    "check": (_cmd_check, "classify the instance", True, [
         ("--wreath", {"action": "store_true",
                       "help": "use the specialized complete-graph classifier"}),
     ]),
-    "check-fp": (_cmd_check_fp, "finite presentation report", None, []),
-    "separate": (_cmd_separate, "separation certificate for an element",
-                 "largest modulus / subgroup search bound", [_ELEMENT]),
-    "witness": (_cmd_witness, "non-separability witness", None, [
+    "check-fp": (_cmd_check_fp, "finite presentation report", False, []),
+    "separate": (_cmd_separate, "separation certificate for an element", True, [_ELEMENT]),
+    "witness": (_cmd_witness, "non-separability witness", False, [
         ("--kind", {"required": True, "choices": wreath.WITNESS_KINDS}),
         ("--vertices", {"required": True,
                         "help": "one vertex (T3.1) or two (T3.2 / T3.3), space separated"}),
         ("--elements", {"default": None,
                         "help": "coefficient elements (default: chosen automatically)"}),
     ]),
-    "quotient": (_cmd_quotient, "quotient graph by a subgroup", None, [
+    "quotient": (_cmd_quotient, "quotient graph by a subgroup", False, [
         ("--modulus", {"type": int, "default": None, "help": "translation subgroup mZ"}),
         ("--subgroup", {"default": None, "help": (
             "finite-mode generators, e.g. '1,0;0,2' (semicolon separated vectors)")}),
     ]),
-    "lef": (_cmd_lef, "finite partial model of the action", None, [
+    "lef": (_cmd_lef, "finite partial model of the action", False, [
         ("--gamma-set", {"required": True, "help": "acting elements, e.g. '0,1'"}),
         ("--vertex-set", {"required": True, "help": "vertices, e.g. 'c:0 c:1 c:2'"}),
     ]),

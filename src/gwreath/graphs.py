@@ -94,14 +94,19 @@ class FactorialOffsets(Record):
         return frozenset(out)
 
     def hits(self, t: int, m: int) -> bool:
-        """Whether ``t % m`` lies in ``residues(m)``: the same walk, stopped at a hit."""
+        """Whether ``t % m`` lies in ``residues(m)``: the same walk, stopped
+        at a hit, or once gcd(n!, m) divides neither t - s nor t + s.  A
+        hit n! = t - s or -(t + s) modulo m needs gcd(n!, m) to equal
+        gcd(t - s, m) or gcd(t + s, m), and gcd(n!, m) only gains
+        factors as n grows; at n!'s first multiple of m it is m."""
         s = self.shift
         if (t - s) % m == 0 or (t + s) % m == 0:
             return True
         f = 1
         for n in range(1, m):
             f = f * n % m
-            if f == 0:
+            g = math.gcd(f, m)
+            if (t - s) % g and (t + s) % g:
                 return False
             if (t - s - f) % m == 0 or (t + s + f) % m == 0:
                 return True

@@ -42,8 +42,6 @@ from gwreath.checker import (
     RESIDUALLY_FINITE,
     PairEvidence,
     Verdict,
-    _datum_and_steps,
-    _rule_modulus,
 )
 from gwreath.graphs import enumerate_subgroups
 
@@ -450,10 +448,15 @@ def rule_modulus(rule: str, t: int) -> int:
     lcm, datum = map(int, re.fullmatch(
         r"m\(t\) = lcm\((\d+), M!\) for the least M >= 2 with "
         r"\(M - 1\)\*\(M - 1\)! > \|t\| \+ (\d+)", rule).groups())
+    return lcm_rule_modulus(lcm, datum, t)
+
+
+def lcm_rule_modulus(steps: int, datum: int, t: int) -> int:
+    """m(t) = lcm(L, M!), M the least >= 2 with (M - 1)*(M - 1)! > |t| + D."""
     M = 2
     while (M - 1) * math.factorial(M - 1) <= abs(t) + datum:
         M += 1
-    return math.lcm(lcm, math.factorial(M))
+    return math.lcm(steps, math.factorial(M))
 
 
 def brute_nonadjacent(graph: TranslationGraph, c1: str, c2: str, limit: int = 60) -> list[int]:
@@ -721,12 +724,19 @@ def reference_gw_invert(instance: Instance, x: WreathElement) -> WreathElement:
 
 def separation_bound(instance: Instance, verdict: Verdict, x: WreathElement) -> int:
     """A modulus within which ``separate`` must succeed, read off the
-    verdict's rules.
+    rules of the checker's proofs, restated here: of the verdict only
+    its status is read.
 
     Only meaningful for residually finite translation instances.  The
     bound is the lcm of the per-constraint moduli, each of which persists
-    under multiples; an infinite family's is m(t), by ``_rule_modulus``.
+    under multiples; an orbit's is m(0), which misses 0 when condition 2
+    holds, and an infinite family's is m(t) (``lcm_rule_modulus``).
     """
+
+    def rule(families, t):
+        steps = math.lcm(1, *(f.step for f in families if isinstance(f, ArithmeticOffsets)))
+        return lcm_rule_modulus(steps, max((f.datum() for f in families), default=0), t)
+
     graph = instance.graph
     if not isinstance(graph, TranslationGraph):
         raise GraphError("rule bounds are only derived for translation instances")
@@ -737,9 +747,8 @@ def separation_bound(instance: Instance, verdict: Verdict, x: WreathElement) -> 
     if x.gamma != 0:
         constraints.append(abs(x.gamma) + 1)
     vertices = sorted(x.word.vertices(), key=graph.vertex_key)
-    if not instance.delta.is_abelian() and verdict.cond2 is not None:
-        moduli = {e.orbit: e.modulus for e in verdict.cond2.per_orbit}
-        constraints.extend(moduli[c] for c in {v[0] for v in vertices})
+    if not instance.delta.is_abelian():
+        constraints.extend(rule(graph.families_for(c, c), 0) for c in {v[0] for v in vertices})
     for v, w in itertools.combinations(vertices, 2):
         (c1, p), (c2, q) = v, w
         t = q - p
@@ -748,10 +757,12 @@ def separation_bound(instance: Instance, verdict: Verdict, x: WreathElement) -> 
             if c1 == c2:
                 constraints.append(abs(t) + 1)
             continue
-        datum, steps = _datum_and_steps(families)
-        finite = all(f.is_finite() for f in families)
-        constraints.append(abs(t) + datum + 1 if finite else _rule_modulus(t, datum, steps))
+        if all(f.is_finite() for f in families):
+            constraints.append(abs(t) + max((f.datum() for f in families), default=0) + 1)
+        else:
+            constraints.append(rule(families, t))
     return math.lcm(*constraints)
+
 
 
 # ---------------------------------------------------------------------------

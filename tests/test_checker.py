@@ -2,6 +2,7 @@ import inspect
 import itertools
 import pathlib
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -474,17 +475,72 @@ def test_cond2_modulus_is_the_least_at_every_bound():
         assert verdict.bound == bound
 
 
-def test_cond2_modulus_past_the_old_scan():
-    # a prime step p not dividing start needs p | m, since gcd(p, m) must
-    # not divide start; so the least moduli are p and, for two primes,
-    # their product, far below m(0) = lcm(L, M!)
-    cases = [((ArithmeticOffsets(1, 97),), 97),
-             ((ArithmeticOffsets(26, 83), ArithmeticOffsets(28, 73)), 83 * 73)]
-    for families, least in cases:
-        graph = TranslationGraph(("c",), {("c", "c"): families})
-        (e,) = check_cond2(Instance(S3, graph)).per_orbit
-        assert (e.status, e.modulus) == ("holds", least)
-        assert least < checker._rule_modulus(0, *checker._datum_and_steps(families))
+P = 1000003  # prime
+
+
+@pytest.mark.parametrize("families, tried", [
+    ((ArithmeticOffsets(1, 97),), [97]),
+    ((ArithmeticOffsets(26, 83), ArithmeticOffsets(28, 73)), [83 * 73]),
+    ((ArithmeticOffsets(1, P),), [P]),
+    ((ArithmeticOffsets(1, 1000000007),), [1000000007]),
+    ((ArithmeticOffsets(1, 2**61 - 1),), [2**61 - 1]),
+    ((ArithmeticOffsets(1, P), ArithmeticOffsets(1, 999983)), [P * 999983]),
+    ((ArithmeticOffsets(1, 1000000007 * 998244353),), [998244353]),
+    ((ArithmeticOffsets(9, 3**7 * P),), [27]),
+    # 1 + (P - 1)! = 0 mod P (Wilson), so P is hit; modulo 2P,
+    # 1 + 1! = 2 and 1 + n! is odd for n >= 2, so 2P misses
+    ((FactorialOffsets(1), ArithmeticOffsets(1, P)), [P, 2 * P]),
+    ((ArithmeticOffsets(1, P), FactorialOffsets(1)), [P, 2 * P]),
+], ids=["prime-97", "two-small-primes", "prime", "prime-1000000007", "mersenne-61",
+        "two-primes", "semiprime", "power", "factorial-first", "factorial-last"])
+def test_cond2_search_tries_only_the_moduli_its_steps_allow(monkeypatch, families, tried):
+    # a prime q of step / gcd(start, step) misses 0 at the multiples of
+    # q^(v_q(start) + 1) only, so the search never walks up to its answer
+    seen, candidates = [], checker._candidate_moduli
+
+    def recording(families, limit):
+        for m in candidates(families, limit):
+            seen.append(m)
+            yield m
+
+    monkeypatch.setattr(checker, "_candidate_moduli", recording)
+    graph = TranslationGraph(("c",), {("c", "c"): families})
+    start = time.perf_counter()
+    (e,) = check_cond2(Instance(S3, graph)).per_orbit
+    assert time.perf_counter() - start < 10
+    assert (e.status, e.modulus, seen) == ("holds", tried[-1], tried)
+
+
+def test_candidate_moduli_are_those_every_arithmetic_family_misses():
+    # against enumeration: start + k*step for k < m runs through every
+    # residue the family has modulo m
+    rng = random.Random(29)
+    for _ in range(40):
+        families = [ArithmeticOffsets(rng.randint(1, 200), rng.randint(2, 200))
+                    for _ in range(rng.randint(1, 3))]
+        families = [f for f in families if f.start % f.step] or [ArithmeticOffsets(1, 2)]
+        misses = [m for m in range(1, 301)
+                  if not any((f.start + k * f.step) % m == 0 for f in families for k in range(m))]
+        assert list(checker._candidate_moduli(families + [FactorialOffsets(1)], 300)) == misses
+
+
+def test_prime_factors():
+    def trial(n):
+        primes, q = set(), 2
+        while q * q <= n:
+            while n % q == 0:
+                primes.add(q)
+                n //= q
+            q += 1
+        return primes | ({n} if n > 1 else set())
+
+    assert all(checker._prime_factors(n) == trial(n) for n in range(1, 5001))
+    assert checker._prime_factors(2**61 - 1) == {2**61 - 1}
+    assert checker._prime_factors(2**89 - 1) == {2**89 - 1}
+    assert checker._prime_factors(3**40 * (2**31 - 1)**2) == {3, 2**31 - 1}
+    # strong pseudoprimes to the bases 2..23 and 2..37
+    assert checker._prime_factors(3825123056546413051) == {149491, 747451, 34233211}
+    assert checker._prime_factors(318665857834031151167461) == {399165290221, 798330580441}
 
 
 def test_classify_certified_verdicts_are_bound_monotone():

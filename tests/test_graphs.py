@@ -122,6 +122,8 @@ HITS_FAMILIES = [
     FactorialOffsets(0),
     FactorialOffsets(1),
     FactorialOffsets(5),
+    FactorialOffsets(24),
+    FactorialOffsets(36),
     ArithmeticOffsets(1, 3),
     ArithmeticOffsets(2, 2),
     ArithmeticOffsets(4, 6),
