@@ -37,7 +37,7 @@ from .wreath import (
     RFCertificate,
     WreathElement,
 )
-from .words import EMPTY_WORD, Syllable, Word
+from .words import EMPTY_WORD, Syllable, Word, _record
 
 if TYPE_CHECKING:  # lef loads only where a LEF document is parsed
     from .lef import LEFCertificate
@@ -121,7 +121,7 @@ def parse_word(graph, delta: GroupSpec, text: str, line: int | None = None) -> W
         if delta.is_identity(value):
             raise ParseError(f"identity syllable {token!r}", line=line)
         syllables.append(Syllable(vertex, value))
-    return Word(tuple(syllables))
+    return _record(Word(tuple(syllables)), graph, delta)  # each vertex and value tested above
 
 
 def family_text(family: DifferenceFamily) -> str:

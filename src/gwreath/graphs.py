@@ -173,8 +173,19 @@ def covers_all_nonzero(families: Sequence[DifferenceFamily]) -> bool:
     Decidable because only arithmetic families can cover all large
     offsets: their residue classes must cover Z/B for B the lcm of the
     steps, after which a finite window check handles small offsets.
+    A family inside another (g.step divides f.step and f.start - g.start,
+    f.start >= g.start) adds no offset, so it is dropped before B is
+    taken; the union, and so the argument, stays the same.
     """
     arith = [f for f in families if isinstance(f, ArithmeticOffsets)]
+    arith = [
+        f for f in arith
+        if not any(
+            g != f and f.step % g.step == 0 and f.start >= g.start
+            and (f.start - g.start) % g.step == 0
+            for g in arith
+        )
+    ]
     if not arith:
         return False
     big = math.lcm(*(f.step for f in arith))

@@ -20,11 +20,18 @@ the length of its commuting runs in lookups, not the O(n^2) of a
 pairwise scan.  A lookup the memo misses is a table probe in the graph
 (a set of offsets per label pair, or a neighbour set).  Equal group
 elements always produce equal canonical words, so equality and
-triviality testing reduce to comparison against this form.  A group
-operation makes one canonical pass, which checks every syllable on
-entry with one vertex test and one membership test (``contains``) of
-its value; ``check`` runs only to raise, and ``adjacent`` checks
-nothing.
+triviality testing reduce to comparison against this form.
+
+A word is checked where it is built.  ``word`` checks each value
+against the coefficient group, ``formats.parse_word`` each vertex
+against the graph and each value against the group, and the canonical
+pass builds its result from checked syllables; each records on the
+``Word`` the group and graph objects it checked against.  A group
+operation tests a syllable's vertex (``has_vertex``) and value
+(``contains``) once on entry, and skips a test when the word's record
+names the very graph or group object the operation is given.  A word
+built directly, copied or unpickled carries no record and is tested in
+full.  ``check`` runs only to raise, and ``adjacent`` checks nothing.
 """
 
 from __future__ import annotations
@@ -47,7 +54,11 @@ class Syllable(Record):
 
 
 class Word(Record):
-    __slots__ = _fields = ("syllables",)
+    # ``_graph`` and ``_delta``: the objects the syllables were checked against,
+    # set only by ``_record``.  Not fields, so ==, hash, repr, copy and pickle
+    # ignore them.
+    __slots__ = ("syllables", "_graph", "_delta")
+    _fields = ("syllables",)
 
     def __init__(self, syllables: tuple[Syllable, ...] = ()):
         _set(self, "syllables", syllables)
@@ -69,27 +80,44 @@ class Word(Record):
 EMPTY_WORD = Word()
 
 
+def _record(w: Word, graph, delta: GroupSpec) -> Word:
+    """``w``, recording the graph (None: none) and coefficient group its
+    syllables were checked against."""
+    _set(w, "_graph", graph)
+    _set(w, "_delta", delta)
+    return w
+
+
 def word(delta: GroupSpec, pairs: Iterable[tuple[Vertex, Element]]) -> Word:
-    """Build a word, rejecting identity-valued syllables."""
+    """Build a word, rejecting identity-valued syllables; it records
+    ``delta``, against which every value was checked."""
     out = []
     for vertex, value in pairs:
         delta.check(value)
         if delta.is_identity(value):
             raise WordError(f"identity syllable at vertex {vertex!r}")
         out.append(Syllable(vertex, value))
-    return Word(tuple(out))
+    return _record(Word(tuple(out)), None, delta)
 
 
 def _validate(graph, delta: GroupSpec, w: Word | Iterable[Syllable]) -> list[Syllable]:
-    """The syllables of ``w``, each vertex and then value tested once;
-    ``check`` runs only to raise."""
+    """The syllables of ``w``, each vertex and then value tested once.
+
+    The vertex test is skipped when ``w`` records this ``graph`` object,
+    the value test when it records this ``delta`` object: identity, not
+    equality, so an equal but distinct spec tests again.  ``check`` runs
+    only to raise.
+    """
     sylls = list(w)
-    has_vertex, contains = graph.has_vertex, delta.contains
-    for s in sylls:
-        if not has_vertex(s.vertex):
-            raise WordError(f"syllable vertex {s.vertex!r} does not belong to the graph")
-        if not contains(s.value):
-            delta.check(s.value)
+    test_vertex = getattr(w, "_graph", None) is not graph
+    test_value = getattr(w, "_delta", None) is not delta
+    if test_vertex or test_value:
+        has_vertex, contains = graph.has_vertex, delta.contains
+        for s in sylls:
+            if test_vertex and not has_vertex(s.vertex):
+                raise WordError(f"syllable vertex {s.vertex!r} does not belong to the graph")
+            if test_value and not contains(s.value):
+                delta.check(s.value)
     return sylls
 
 
@@ -111,13 +139,20 @@ def canonical_form(graph, delta: GroupSpec, w: Word | Iterable[Syllable]) -> Wor
     length times the length of the commuting runs.  Each distinct vertex
     of the call gets a small int id and its key once, and adjacency is
     memoised per call over pairs of ids, so ``graph.adjacent`` is asked
-    about each unordered pair at most once.
+    about each unordered pair at most once.  ``_validate`` tests the
+    syllables first, except where ``w``'s record covers them.
     """
     return _canonical(graph, delta, _validate(graph, delta, w))
 
 
 def _canonical(graph, delta: GroupSpec, sylls: list[Syllable]) -> Word:
     """``canonical_form`` of syllables already known to be valid.
+
+    Every caller passes syllables tested against ``graph`` and ``delta``,
+    or built from tested ones by inverting values, moving vertices along
+    the action (which keeps a vertex a vertex) or mapping them to tested
+    images.  The word returned records ``graph`` and ``delta`` on that
+    contract alone.
 
     ``reduced`` stays reduced (no two same-vertex syllables with only
     commuting syllables between them) and in lexicographic normal form
@@ -197,7 +232,7 @@ def _canonical(graph, delta: GroupSpec, sylls: list[Syllable]) -> Word:
             del reduced[k], rid[k]
         else:
             reduced[k] = Syllable(v, merged)
-    return Word(tuple(reduced))
+    return _record(Word(tuple(reduced)), graph, delta)
 
 
 def gp_invert(graph, delta: GroupSpec, w: Word) -> Word:

@@ -108,7 +108,10 @@ def act_word(graph, delta: GroupSpec, gamma: Gamma, w: Word) -> Word:
 
 
 def _check_vertices(graph, w: Word) -> None:
-    """Test each syllable's vertex once; ``check_vertex`` runs only to raise."""
+    """Test each syllable's vertex once, unless ``w`` records this
+    ``graph`` object; ``check_vertex`` runs only to raise."""
+    if getattr(w, "_graph", None) is graph:
+        return
     has_vertex = graph.has_vertex
     for s in w:
         if not has_vertex(s.vertex):
@@ -116,7 +119,10 @@ def _check_vertices(graph, w: Word) -> None:
 
 
 def _check_values(delta: GroupSpec, w: Word) -> None:
-    """Test each syllable's value once; ``check`` runs only to raise."""
+    """Test each syllable's value once, unless ``w`` records this
+    ``delta`` object; ``check`` runs only to raise."""
+    if getattr(w, "_delta", None) is delta:
+        return
     contains = delta.contains
     for s in w:
         if not contains(s.value):

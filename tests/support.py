@@ -43,7 +43,7 @@ from gwreath.checker import (
     PairEvidence,
     Verdict,
 )
-from gwreath.graphs import enumerate_subgroups
+from gwreath.graphs import contains_offset, enumerate_subgroups
 
 
 def replace(record, **changes):
@@ -398,6 +398,26 @@ def reference_translation_quotient(graph: TranslationGraph, m: int) -> QuotientG
 
 
 # ---------------------------------------------------------------------------
+# the covering oracle
+
+
+def reference_covers_all_nonzero(families) -> bool:
+    """``graphs.covers_all_nonzero`` as first written: the residue classes
+    of every arithmetic family must cover Z/B for B the lcm of all their
+    steps, and a window of max start + B offsets is checked one by one."""
+    arith = [f for f in families if isinstance(f, ArithmeticOffsets)]
+    if not arith:
+        return False
+    big = math.lcm(*(f.step for f in arith))
+    if any(
+        not any((r - f.start) % f.step == 0 for f in arith) for r in range(big)
+    ):
+        return False
+    window = max(f.start for f in arith) + big
+    return all(contains_offset(families, n) for n in range(1, window + 1))
+
+
+# ---------------------------------------------------------------------------
 # the condition-3 oracle
 
 
@@ -419,24 +439,24 @@ def brute_offsets(families, limit: int) -> frozenset[int]:
     return frozenset(out)
 
 
-_BRUTE_RESIDUES: dict = {}
-
-
-def brute_residues(families, m: int) -> frozenset[int]:
+def brute_residues(families, m: int, memo: dict | None = None) -> frozenset[int]:
     """The residues modulo m of every offset of ``families``, enumerated:
-    ``brute_factorial_residues`` and {±(start + k*step) mod m : k < m}."""
+    ``brute_factorial_residues`` and {±(start + k*step) mod m : k < m}.
+
+    ``memo`` keeps each family's set by (family, m) for as long as the
+    caller keeps it; by default it lasts one call.
+    """
+    memo = {} if memo is None else memo
     out = set()
     for f in families:
-        key = (f, m)
-        if key not in _BRUTE_RESIDUES:
+        if (f, m) not in memo:
             if isinstance(f, FiniteOffsets):
-                res = {d % m for d in f.offsets}
+                memo[f, m] = {d % m for d in f.offsets}
             elif isinstance(f, ArithmeticOffsets):
-                res = {s * (f.start + k * f.step) % m for k in range(m) for s in (1, -1)}
+                memo[f, m] = {s * (f.start + k * f.step) % m for k in range(m) for s in (1, -1)}
             else:
-                res = brute_factorial_residues(f.shift, m)
-            _BRUTE_RESIDUES[key] = frozenset(res)
-        out |= _BRUTE_RESIDUES[key]
+                memo[f, m] = brute_factorial_residues(f.shift, m)
+        out |= memo[f, m]
     return frozenset(out)
 
 
@@ -468,19 +488,19 @@ def brute_nonadjacent(graph: TranslationGraph, c1: str, c2: str, limit: int = 60
 
 
 def reference_cond3_pair(graph: TranslationGraph, c1: str, c2: str,
-                         limit: int = 60, moduli: int = 200) -> int | None:
+                         limit: int = 60, moduli: int = 200, memo: dict | None = None) -> int | None:
     """Condition 3 for one label pair by brute force: the first offset of
     ``brute_nonadjacent`` hit modulo every m <= ``moduli`` (t mod m in
     the enumerated residue set, or 0 mod m within one label), or None.
     Uses neither the families' own residue or membership tests nor the
-    lemmas."""
+    lemmas.  ``memo`` is handed to ``brute_residues``."""
     families = graph.families_for(c1, c2)
     zero = {0} if c1 == c2 else set()
     residues = {}  # by modulus, 0 included within one label
 
     def hit(t, m):
         if m not in residues:
-            residues[m] = brute_residues(families, m) | zero
+            residues[m] = brute_residues(families, m, memo) | zero
         return t % m in residues[m]
 
     return next((t for t in brute_nonadjacent(graph, c1, c2, limit)
@@ -538,7 +558,7 @@ def brute_factorial_residues(shift: int, m: int, extra: int = 5) -> frozenset[in
     out = set()
     f = 1
     for n in range(1, m + extra + 1):
-        f *= n
+        f = f * n % m  # n! mod m
         out.add((shift + f) % m)
         out.add((-(shift + f)) % m)
     return frozenset(out)

@@ -232,13 +232,14 @@ def test_cond3_matches_the_brute_force_reference():
     # non-adjacent offset, both by enumerated residue sets for |t| <= 60
     rng = random.Random(113)
     seen = Counter()
+    memo = {}  # residue sets by (family, m), for this test only
     for _ in range(600):
         graph = _random_translation_graph(rng)
         inst = Instance(rng.choice((S3, C2)), graph)
         result = check_cond3(inst, rng.choice((None, 0, 3, 10, 40)))
         for e in result.per_pair:
             if e.status == "fails":
-                assert reference_cond3_pair(graph, *e.pair) == e.obstruction.offset, (graph, e.pair)
+                assert reference_cond3_pair(graph, *e.pair, memo=memo) == e.obstruction.offset, (graph, e.pair)
                 seen["fails"] += 1
                 continue
             families = graph.families_for(*e.pair)
@@ -250,7 +251,7 @@ def test_cond3_matches_the_brute_force_reference():
             for t in offsets:
                 m = rule_modulus(e.rule, t)
                 if m not in residues:
-                    residues[m] = brute_residues(families, m) | zero
+                    residues[m] = brute_residues(families, m, memo) | zero
                 assert t % m not in residues[m], (graph, e.pair, t, m)
             seen[e.status, all(f.is_finite() for f in families)] += 1
         verdict = classify(inst)

@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -37,6 +39,7 @@ from tests.support import (
     prime_cycles_graph,
     random_translation_graph,
     random_vertex,
+    reference_covers_all_nonzero,
     reference_enumerate_subgroups,
     reference_perm_of,
     reference_translation_quotient,
@@ -591,6 +594,32 @@ def test_covers_all_nonzero():
     assert covers_all_nonzero([ArithmeticOffsets(2, 1), FiniteOffsets(frozenset({1}))])
     assert not covers_all_nonzero([FactorialOffsets(0)])
     assert not covers_all_nonzero([FiniteOffsets(frozenset({1, 2}))])
+
+
+def test_covers_all_nonzero_agrees_with_the_first_written_scan():
+    rng = random.Random(59)
+    seen = Counter()
+    for _ in range(3000):
+        families = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.25:
+                families.append(FiniteOffsets(frozenset(rng.sample(range(1, 13), rng.randint(1, 4)))))
+            else:
+                families.append(ArithmeticOffsets(rng.randint(1, 12), rng.randint(1, 12)))
+        covers = covers_all_nonzero(families)
+        assert covers == reference_covers_all_nonzero(families), families
+        seen[covers] += 1
+    assert seen[True] >= 20 and seen[False] >= 20, seen
+
+
+def test_covers_all_nonzero_drops_a_family_inside_another():
+    # arithmetic 1 1 holds every nonzero offset, so the lcm is 1, not 1000003
+    families = [ArithmeticOffsets(1, 1000003), ArithmeticOffsets(1, 1), ArithmeticOffsets(1, 1000003)]
+    start = time.perf_counter()
+    assert covers_all_nonzero(families)
+    assert not covers_all_nonzero([ArithmeticOffsets(2, 2), ArithmeticOffsets(4, 1000002)])
+    assert covers_all_nonzero([ArithmeticOffsets(1, 1)] * 2)  # equal families: one stays
+    assert time.perf_counter() - start < 0.1
 
 
 def test_is_complete():

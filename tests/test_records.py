@@ -30,6 +30,7 @@ from gwreath import (
     Verdict,
     Word,
     WreathElement,
+    canonical_form,
     quotient_graph,
 )
 from gwreath.checker import (
@@ -282,10 +283,28 @@ def test_copy_keeps_derived_state(how):
 @pytest.mark.parametrize("name", ["Syllable", "Word", "WreathElement"])
 def test_per_syllable_records_have_no_dictionary(name):
     record = CASES[name][0]()
-    assert type(record).__slots__ == record._fields
+    # a Word's two further slots hold its check record, which is not state
+    extra = ("_graph", "_delta") if name == "Word" else ()
+    assert type(record).__slots__ == record._fields + extra
     assert not hasattr(record, "__dict__")
     with pytest.raises(AttributeError):
         setattr(record, "extra", None)
+
+
+def test_word_check_record_is_not_state():
+    graph, delta = line(), Cyclic(2)
+    sylls = (Syllable(("c", 0), 1), Syllable(("c", 2), 1))
+    raw, recorded = Word(sylls), canonical_form(graph, delta, sylls)
+    assert recorded._graph is graph and recorded._delta is delta
+    assert raw == recorded and hash(raw) == hash(recorded) and repr(raw) == repr(recorded)
+    assert pickle.dumps(raw) == pickle.dumps(recorded)
+    for twin in (copy.copy(recorded), copy.deepcopy(recorded), pickle.loads(pickle.dumps(recorded))):
+        assert twin == recorded
+        assert not hasattr(twin, "_graph") and not hasattr(twin, "_delta")
+    with pytest.raises(TypeError):  # no constructor argument sets it
+        Word(sylls, graph)
+    with pytest.raises(AttributeError):
+        setattr(raw, "_graph", graph)
 
 
 def test_syllable_bytes_retained():

@@ -359,8 +359,11 @@ def test_gp_invert_checks_each_coefficient_once(monkeypatch):
     w = canonical_form(graph, C5, [Syllable(("c", 2 * i), 1 + i % 4) for i in range(n)])
     assert len(w) == n
     calls = _count_calls(monkeypatch, Cyclic, "contains")
-    inverse = gp_invert(graph, C5, w)
+    inverse = gp_invert(graph, C5, Word(tuple(w)))  # unrecorded: each value tested once
     assert calls["contains"] == n
+    calls.clear()
+    assert gp_invert(graph, C5, w) == inverse  # recorded against C5: not tested again
+    assert calls["contains"] == 0
     assert canonical_form(graph, C5, tuple(w) + tuple(inverse)) == EMPTY_WORD
 
 

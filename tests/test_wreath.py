@@ -1,5 +1,6 @@
 import copy
 import pathlib
+import pickle
 import random
 import tracemalloc
 from collections import Counter
@@ -961,17 +962,97 @@ def test_group_operations_check_each_syllable_once(monkeypatch, graph_name):
         counts["contains"] += self is inst.delta  # not the acting group's gamma checks
         return contains(self, a)
 
+    # the same elements unrecorded, recorded against S3 only (as ``word``
+    # builds them) and recorded against the graph and S3 (as canonical words are)
+    forms = (
+        ((x, y), ("has_vertex", "contains")),
+        ((_built_by_word(x), _built_by_word(y)), ("has_vertex",)),
+        ((inst.normalize(x), inst.normalize(y)), ()),
+    )
     monkeypatch.setattr(cls, "has_vertex", counted_has_vertex)
     monkeypatch.setattr(Symmetric, "contains", counted_contains)
-    for operation, n in (
-        (lambda: gw_compose(inst, x, y), len(x.word) + len(y.word)),
-        (lambda: gw_invert(inst, x), len(x.word)),
-        (lambda: act_word(inst.graph, S3, y.gamma, x.word), len(x.word)),
-        (lambda: retract(inst.graph, S3, x.word, {s.vertex for s in list(x.word)[::2]}), len(x.word)),
-    ):
-        counts.clear()
-        operation()
-        assert counts == Counter({"has_vertex": n, "contains": n})
+    for (x, y), tested in forms:
+        for operation, n in (
+            (lambda: gw_compose(inst, x, y), len(x.word) + len(y.word)),
+            (lambda: gw_invert(inst, x), len(x.word)),
+            (lambda: act_word(inst.graph, S3, y.gamma, x.word), len(x.word)),
+            (lambda: retract(inst.graph, S3, x.word, {s.vertex for s in list(x.word)[::2]}), len(x.word)),
+        ):
+            counts.clear()
+            operation()
+            assert counts == Counter({test: n for test in tested})
+
+
+def _built_by_word(x):
+    return WreathElement(word(S3, [(s.vertex, s.value) for s in x.word]), x.gamma)
+
+
+def _outcome(operation, w):
+    """What ``operation(w)`` returns, or the class and message it raises."""
+    try:
+        return operation(w)
+    except (GraphError, GroupError, WordError) as exc:
+        return type(exc), str(exc)
+
+
+def _forms_of_a_bad_word(inst, sylls, bad, twin):
+    """A word whose record, if any, does not cover its one bad syllable
+    for ``inst``: unrecorded, a copy or unpickled copy of a word recorded
+    against ``inst``, or recorded against an equal but distinct graph
+    ``twin`` (bad vertex) or group (bad value)."""
+    recorded = words._record(Word(sylls), inst.graph, inst.delta)
+    if bad == "vertex":
+        equal = words._record(Word(sylls), twin, inst.delta)
+    else:
+        equal = words._record(Word(sylls), inst.graph, Symmetric(3))
+    return {
+        "raw": Word(sylls),
+        "copy": copy.copy(recorded),
+        "deepcopy": copy.deepcopy(recorded),
+        "pickle": pickle.loads(pickle.dumps(recorded)),
+        "equal-spec": equal,
+    }
+
+
+@pytest.mark.parametrize("graph_name", sorted(ONE_PASS_GRAPHS))
+def test_operations_on_unrecorded_words_raise_as_a_full_check(graph_name):
+    # A reference that tests everything: the same operation on an
+    # unrecorded word with the same syllables.
+    inst = Instance(S3, ONE_PASS_GRAPHS[graph_name]())
+    graph, rng = inst.graph, random.Random(f"record:{graph_name}")
+    twin = ONE_PASS_GRAPHS[graph_name]()
+    assert twin == graph and twin is not graph
+    operations = {
+        "canonical_form": lambda w: canonical_form(graph, S3, w),
+        "gp_invert": lambda w: words.gp_invert(graph, S3, w),
+        "retract": lambda w: retract(graph, S3, w, {s.vertex for s in list(w)[::2]}),
+        "push_forward": lambda w: words.push_forward(graph, S3, w, lambda v: v, graph),
+        "gw_compose-left": lambda w: gw_compose(inst, WreathElement(w, gamma), other),
+        "gw_compose-right": lambda w: gw_compose(inst, other, WreathElement(w, gamma)),
+        "gw_invert": lambda w: gw_invert(inst, WreathElement(w, gamma)),
+        "act_word": lambda w: act_word(graph, S3, gamma, w),
+        "normalize": lambda w: inst.normalize(WreathElement(w, gamma)),
+    }
+    for trial in range(12):
+        sample = _sample_element(inst, rng, rng.randint(1, 12), 6)
+        other = inst.normalize(_sample_element(inst, rng, rng.randint(0, 8), 6))
+        gamma = sample.gamma
+        sylls = list(sample.word)
+        bad = ("vertex", "value")[trial % 2]
+        i = rng.randrange(len(sylls))
+        s = sylls[i]
+        sylls[i] = Syllable(("zz", 0), s.value) if bad == "vertex" else Syllable(s.vertex, (0, 0, 1))
+        sylls = tuple(sylls)
+        for name, operation in operations.items():
+            expected = _outcome(operation, Word(sylls))
+            vertex_error = GraphError if name in ("gw_compose-right", "act_word") else WordError
+            assert expected[0] is (GroupError if bad == "value" else vertex_error), (name, expected)
+            for form, w in _forms_of_a_bad_word(inst, sylls, bad, twin).items():
+                assert _outcome(operation, w) == expected, (name, form)
+        # a word that passed its checks gives what the unrecorded one does
+        for w in (inst.normalize(sample).word, _built_by_word(sample).word):
+            for name, operation in operations.items():
+                assert _outcome(operation, w) == _outcome(operation, Word(tuple(w))), name
 
 
 def test_exhausted_separate_builds_no_residue_set(monkeypatch):
