@@ -394,14 +394,16 @@ def _pair_evidence_finite(graph: FiniteModeGraph):
 
     The index is found by a scan of the subgroups for the first pair of
     each orbit of pairs under the acting image, and recorded for every
-    image pair (gv, gw).  It is the same there: the image is abelian, so
-    g maps the H-orbit Hw onto H(gw), and g is an automorphism, so it
-    maps {v} and N(v) onto {gv} and N(gv); Hw avoids the one exactly
-    when H(gw) avoids the other.
+    pair of that orbit, walked from it along the generators' steps as
+    ``graphs._orbits`` walks vertices.  It is the same there: the image
+    is abelian, so g maps the H-orbit Hw onto H(gw), and g is an
+    automorphism, so it maps {v} and N(v) onto {gv} and N(gv); Hw avoids
+    the one exactly when H(gw) avoids the other.  No element of the
+    image is listed.
     """
-    neighbours, position = graph._neighbours, graph._position
-    subgroups = graph._subgroups
-    # each unordered pair keyed once, lower position (vertices are sorted: lower id) first
+    neighbours, subgroups = graph._neighbours, graph._subgroups
+    steps = [dict(zip(graph.vertices, g)) for g in graph.generators]
+    # each unordered pair keyed once, lower id first
     found: dict[tuple[int, int], int] = {}
     for v, w in itertools.combinations(graph.vertices, 2):
         if w in neighbours[v]:
@@ -409,13 +411,18 @@ def _pair_evidence_finite(graph: FiniteModeGraph):
         index = found.get((v, w))
         if index is None:
             # the trivial subgroup comes last and always succeeds: v and w are not adjacent
-            index = next(i for i, _, orbits in subgroups
-                         if orbits[v] != (ow := orbits[w])
-                         and not any(orbits[u] == ow for u in neighbours[v]))
-            iv, iw = position[v], position[w]
-            for p in subgroups[0][1]:  # the image
-                a, b = p[iv], p[iw]
-                found[(a, b) if a < b else (b, a)] = index
+            index = found[v, w] = next(i for i, _, orbits in subgroups
+                                       if orbits[v] != (ow := orbits[w])
+                                       and not any(orbits[u] == ow for u in neighbours[v]))
+            stack = [(v, w)]
+            while stack:
+                a, b = stack.pop()
+                for step in steps:
+                    c, d = step[a], step[b]
+                    pair = (c, d) if c < d else (d, c)
+                    if pair not in found:
+                        found[pair] = index
+                        stack.append(pair)
         yield PairEvidence._holds((v, w), index)
 
 

@@ -171,21 +171,31 @@ def covers_all_nonzero(families: Sequence[DifferenceFamily]) -> bool:
     """Whether the union of the families contains every nonzero offset.
 
     Decidable because only arithmetic families can cover all large
-    offsets: their residue classes must cover Z/B for B the lcm of the
-    steps, after which a finite window check handles small offsets.
-    A family inside another (g.step divides f.step and f.start - g.start,
-    f.start >= g.start) adds no offset, so it is dropped before B is
-    taken; the union, and so the argument, stays the same.
+    offsets: their classes (start mod step) must cover Z/B for B the lcm
+    of the steps, after which a finite window check handles small
+    offsets.  Two rules drop a family f before B is taken, and neither
+    changes whether the classes cover.  If f lies inside another family
+    g (g.step divides f.step and f.start - g.start, which is >= 0), f
+    adds no offset.  If f.step does not divide the lcm L of the other
+    steps, f adds no cover: a prime power p^e divides f.step and not L,
+    so L divides B/p, and a residue x the others miss they miss at
+    x + k*B/p for k < p.  Those are distinct modulo p^e, and f's one
+    class holds at most one.  Dropping shrinks the other lcms and keeps
+    the family each dropped one lies inside, so the rules repeat until
+    they drop nothing.  The kept families then hold every offset above
+    their largest start, so the window is taken over them.
     """
     arith = [f for f in families if isinstance(f, ArithmeticOffsets)]
-    arith = [
-        f for f in arith
-        if not any(
-            g != f and f.step % g.step == 0 and f.start >= g.start
-            and (f.start - g.start) % g.step == 0
-            for g in arith
-        )
-    ]
+    while True:
+        kept = [
+            f for i, f in enumerate(arith)
+            if math.lcm(*(g.step for g in arith[:i] + arith[i + 1:])) % f.step == 0
+            and not any(g != f and f.step % g.step == 0 and f.start >= g.start
+                        and (f.start - g.start) % g.step == 0 for g in arith)
+        ]
+        if len(kept) == len(arith):
+            break
+        arith = kept
     if not arith:
         return False
     big = math.lcm(*(f.step for f in arith))
@@ -562,7 +572,10 @@ class QuotientGraph:
         return self.orbit_map[v]
 
     def has_vertex(self, v) -> bool:
-        return v in self._vertex_set
+        try:
+            return v in self._vertex_set
+        except TypeError:  # an unhashable id is no orbit
+            return False
 
     def check_vertex(self, v) -> None:
         if not self.has_vertex(v):
@@ -593,7 +606,9 @@ class QuotientGraph:
 
     def act(self, gamma_residue: int, u):
         self.check_vertex(u)
-        return self.action(gamma_residue)(u)
+        move = self.action(gamma_residue)  # GraphError on a finite-mode quotient
+        self.acting.check(gamma_residue)
+        return move(u)
 
     def content(self) -> tuple:
         """Everything equality compares; the orbit map compares as a dict."""

@@ -26,12 +26,12 @@ A word is checked where it is built.  ``word`` checks each value
 against the coefficient group, ``formats.parse_word`` each vertex
 against the graph and each value against the group, and the canonical
 pass builds its result from checked syllables; each records on the
-``Word`` the group and graph objects it checked against.  A group
-operation tests a syllable's vertex (``has_vertex``) and value
-(``contains``) once on entry, and skips a test when the word's record
-names the very graph or group object the operation is given.  A word
-built directly, copied or unpickled carries no record and is tested in
-full.  ``check`` runs only to raise, and ``adjacent`` checks nothing.
+``Word`` the group and graph objects it checked against.  Every group
+operation, here and in ``wreath``, tests each word operand on entry with
+``_validate``, the one reader of that record, which skips a test the
+record covers; a word built directly, copied or unpickled has none.  A
+bad vertex raises ``WordError`` and a bad value ``GroupError``, from
+every operation and operand.  ``adjacent`` checks nothing.
 """
 
 from __future__ import annotations
@@ -148,11 +148,12 @@ def canonical_form(graph, delta: GroupSpec, w: Word | Iterable[Syllable]) -> Wor
 def _canonical(graph, delta: GroupSpec, sylls: list[Syllable]) -> Word:
     """``canonical_form`` of syllables already known to be valid.
 
-    Every caller passes syllables tested against ``graph`` and ``delta``,
-    or built from tested ones by inverting values, moving vertices along
-    the action (which keeps a vertex a vertex) or mapping them to tested
-    images.  The word returned records ``graph`` and ``delta`` on that
-    contract alone.
+    Its callers (``canonical_form``, ``gp_invert``, ``retract``,
+    ``_push_normal``; ``wreath``'s ``act_word``, ``gw_compose``,
+    ``gw_invert``) pass syllables ``_validate`` tested against ``graph``
+    and ``delta``, or built from those by inverting values, mapping them
+    to tested images or moving them along the action, which keeps a
+    vertex a vertex.  The word returned records both on that contract.
 
     ``reduced`` stays reduced (no two same-vertex syllables with only
     commuting syllables between them) and in lexicographic normal form

@@ -101,32 +101,9 @@ def act_word(graph, delta: GroupSpec, gamma: Gamma, w: Word) -> Word:
     """Move every syllable along the action (one vertex map per call) and
     recanonicalize, checking each syllable once."""
     move = graph.action(gamma)
-    _check_vertices(graph, w)
     graph.acting.check(gamma)  # as ``gw_compose`` does, so moved vertices stay vertices
-    _check_values(delta, w)
-    return _canonical(graph, delta, [Syllable(move(s.vertex), s.value) for s in w])
-
-
-def _check_vertices(graph, w: Word) -> None:
-    """Test each syllable's vertex once, unless ``w`` records this
-    ``graph`` object; ``check_vertex`` runs only to raise."""
-    if getattr(w, "_graph", None) is graph:
-        return
-    has_vertex = graph.has_vertex
-    for s in w:
-        if not has_vertex(s.vertex):
-            graph.check_vertex(s.vertex)
-
-
-def _check_values(delta: GroupSpec, w: Word) -> None:
-    """Test each syllable's value once, unless ``w`` records this
-    ``delta`` object; ``check`` runs only to raise."""
-    if getattr(w, "_delta", None) is delta:
-        return
-    contains = delta.contains
-    for s in w:
-        if not contains(s.value):
-            delta.check(s.value)
+    moved = [Syllable(move(s.vertex), s.value) for s in _validate(graph, delta, w)]
+    return _canonical(graph, delta, moved)
 
 
 def gw_compose(instance: Instance, x: WreathElement, y: WreathElement) -> WreathElement:
@@ -134,10 +111,8 @@ def gw_compose(instance: Instance, x: WreathElement, y: WreathElement) -> Wreath
     graph, delta = instance.graph, instance.delta
     gamma = graph.acting.compose(x.gamma, y.gamma)  # checks both before acting
     move = graph.action(x.gamma)
-    _check_vertices(graph, y.word)
-    left = _validate(graph, delta, x.word)
-    _check_values(delta, y.word)
-    moved = [Syllable(move(s.vertex), s.value) for s in y.word]  # vertices stay vertices
+    left, right = _validate(graph, delta, x.word), _validate(graph, delta, y.word)
+    moved = [Syllable(move(s.vertex), s.value) for s in right]  # vertices stay vertices
     return WreathElement(_canonical(graph, delta, left + moved), gamma)
 
 

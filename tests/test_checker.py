@@ -400,6 +400,7 @@ SPREAD_GRAPHS = (
         ("k5", k5_cyclic),
         ("path3", path3_graph),  # rank 0, not vertex-transitive
         ("prime-cycles-2-3-5", lambda: prime_cycles_graph((2, 3, 5))),
+        ("prime-cycles-2-3-5-7", lambda: prime_cycles_graph((2, 3, 5, 7))),
         ("rank-0", lambda: FiniteModeGraph(tuple(range(5)), frozenset({(0, 1), (2, 3)}), ())),
     ]
 )
@@ -412,6 +413,23 @@ def test_cond3_orbit_spread_matches_the_per_pair_scan(build):
     graph = build()
     per_pair = check_cond3(Instance(S3, graph)).per_pair
     assert per_pair == tuple(reference_pair_evidence_finite(graph))
+
+
+def test_cond3_lists_no_element_of_the_image():
+    # each orbit of pairs is walked along the generator, so the image's
+    # 210 permutations are never read
+    class Unlisted(tuple):
+        def __iter__(self, *args):
+            raise AssertionError("condition 3 read the image's elements")
+
+        __getitem__ = __len__ = __iter__
+
+    graph = prime_cycles_graph((2, 3, 5, 7))
+    expected = tuple(reference_pair_evidence_finite(graph))
+    (index, perms, orbits), *rest = graph._subgroups
+    assert index == 1 and len(perms) == 210
+    vars(graph)["_subgroups"] = ((index, Unlisted(), orbits), *rest)
+    assert check_cond3(Instance(S3, graph)).per_pair == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from collections import Counter
@@ -7,12 +8,17 @@ import pytest
 
 from gwreath import (
     ArithmeticOffsets,
+    Cyclic,
     FactorialOffsets,
     FiniteModeGraph,
     FiniteOffsets,
     GraphError,
     GroupError,
+    Syllable,
     TranslationGraph,
+    Word,
+    WordError,
+    canonical_form,
     is_complete,
     orbit_counts,
     quotient_graph,
@@ -382,6 +388,22 @@ def test_quotient_act_checks_its_vertex():
             q.act(0, foreign)
 
 
+def test_quotient_rejects_unhashable_vertices_and_foreign_residues():
+    # as on the other graph kinds: a list is no vertex, and a residue is
+    # checked against the acting group, as ``act_word`` checks it
+    q = quotient_graph(line_graph(), 6)
+    for graph in (q, line_graph(), torus_graph(3)):
+        assert not graph.has_vertex(["c", 1])
+    with pytest.raises(WordError, match="does not belong to the graph"):
+        canonical_form(q, Cyclic(2), Word((Syllable(["c", 1], 1),)))
+    with pytest.raises(GraphError, match="is not an orbit"):
+        q.act(0, ["c", 1])
+    for residue in (1.5, -1, 6, "1"):
+        with pytest.raises(GroupError):
+            q.act(residue, ("c", 0))
+    assert q.act(5, ("c", 3)) == ("c", 2)
+
+
 def test_quotient_modulus_one_has_one_vertex_per_orbit():
     for graph in (line_graph(), two_orbit_graph(), factorial_graph(1)):
         q = quotient_graph(graph, 1)
@@ -610,6 +632,17 @@ def test_covers_all_nonzero_agrees_with_the_first_written_scan():
         assert covers == reference_covers_all_nonzero(families), families
         seen[covers] += 1
     assert seen[True] >= 20 and seen[False] >= 20, seen
+    # steps drawn so that a family's step often does not divide the lcm of the others
+    seen = Counter()
+    for _ in range(3000):
+        families = [ArithmeticOffsets(rng.randint(1, 6), rng.choice((1, 2, 3, 4, 5, 6, 8, 9, 10, 12)))
+                    for _ in range(rng.randint(1, 5))]
+        steps = [f.step for f in families]
+        drops = any(math.lcm(*steps[:i], *steps[i + 1:]) % s for i, s in enumerate(steps))
+        covers = covers_all_nonzero(families)
+        assert covers == reference_covers_all_nonzero(families), families
+        seen[covers, drops] += 1
+    assert min(seen.values()) >= 20 and len(seen) == 4, seen
 
 
 def test_covers_all_nonzero_drops_a_family_inside_another():
@@ -619,6 +652,19 @@ def test_covers_all_nonzero_drops_a_family_inside_another():
     assert covers_all_nonzero(families)
     assert not covers_all_nonzero([ArithmeticOffsets(2, 2), ArithmeticOffsets(4, 1000002)])
     assert covers_all_nonzero([ArithmeticOffsets(1, 1)] * 2)  # equal families: one stays
+    assert time.perf_counter() - start < 0.1
+
+
+def test_covers_all_nonzero_drops_a_family_whose_step_does_not_divide_the_others_lcm():
+    # the classes 1 and 2 mod 2 cover; a prime step beside them adds no
+    # cover, so the lcm is 2, not 2 * 10000019
+    start = time.perf_counter()
+    for step in (1000003, 10000019):
+        assert covers_all_nonzero([ArithmeticOffsets(1, 2), ArithmeticOffsets(2, 2),
+                                   ArithmeticOffsets(1, step)])
+        assert not covers_all_nonzero([ArithmeticOffsets(2, 2), ArithmeticOffsets(1, step)])
+        assert not covers_all_nonzero([ArithmeticOffsets(4, 2), ArithmeticOffsets(1, 2),
+                                       ArithmeticOffsets(3, step)])  # 2 is missed
     assert time.perf_counter() - start < 0.1
 
 

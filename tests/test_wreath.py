@@ -202,9 +202,9 @@ def test_act_word_validates_gamma_and_vertices():
         act_word(graph, S3, (1,), w)
     with pytest.raises(GroupError):
         act_word(graph, S3, (1.0, 0), w)
-    with pytest.raises(GraphError):
+    with pytest.raises(WordError):
         act_word(graph, S3, (1, 0), Word((Syllable(99, (1, 0, 2)),)))
-    with pytest.raises(GraphError):
+    with pytest.raises(WordError):
         act_word(line_graph(), C2, 1, Word((Syllable(("x", 0), 1),)))
     with pytest.raises(GroupError):  # it would move ("c", 0) to ("c", 1.0), not a vertex
         act_word(line_graph(), C2, 1.0, Word((Syllable(("c", 0), 1),)))
@@ -1045,14 +1045,61 @@ def test_operations_on_unrecorded_words_raise_as_a_full_check(graph_name):
         sylls = tuple(sylls)
         for name, operation in operations.items():
             expected = _outcome(operation, Word(sylls))
-            vertex_error = GraphError if name in ("gw_compose-right", "act_word") else WordError
-            assert expected[0] is (GroupError if bad == "value" else vertex_error), (name, expected)
+            assert expected[0] is (GroupError if bad == "value" else WordError), (name, expected)
             for form, w in _forms_of_a_bad_word(inst, sylls, bad, twin).items():
                 assert _outcome(operation, w) == expected, (name, form)
         # a word that passed its checks gives what the unrecorded one does
         for w in (inst.normalize(sample).word, _built_by_word(sample).word):
             for name, operation in operations.items():
                 assert _outcome(operation, w) == _outcome(operation, Word(tuple(w))), name
+
+
+def _with_bad_syllable(rng, sample, bad):
+    """``sample``'s word with one syllable made a foreign vertex (a
+    tuple, or an unhashable list) or a value outside S3."""
+    sylls = list(sample.word)
+    i = rng.randrange(len(sylls))
+    vertex, value = sylls[i].vertex, sylls[i].value
+    if bad == "value":
+        value = (0, 0, 1)
+    else:
+        vertex = ("zz", i) if bad == "vertex" else ["zz", i]
+    sylls[i] = Syllable(vertex, value)
+    return Word(tuple(sylls))
+
+
+@pytest.mark.parametrize("graph_name", sorted(ONE_PASS_GRAPHS))
+def test_every_operation_and_operand_raises_one_error_for_a_bad_syllable(graph_name):
+    inst = Instance(S3, ONE_PASS_GRAPHS[graph_name]())
+    graph, rng = inst.graph, random.Random(f"one-error:{graph_name}")
+    operations = {
+        "canonical_form": lambda w: canonical_form(graph, S3, w),
+        "gp_invert": lambda w: words.gp_invert(graph, S3, w),
+        "retract": lambda w: retract(graph, S3, w, ()),
+        "push_forward": lambda w: words.push_forward(graph, S3, w, lambda v: v, graph),
+        "gw_compose-left": lambda w: gw_compose(inst, WreathElement(w, gamma), other),
+        "gw_compose-right": lambda w: gw_compose(inst, other, WreathElement(w, gamma)),
+        "gw_invert": lambda w: gw_invert(inst, WreathElement(w, gamma)),
+        "act_word": lambda w: act_word(graph, S3, gamma, w),
+        "normalize": lambda w: inst.normalize(WreathElement(w, gamma)),
+    }
+    for trial in range(9):
+        sample = _sample_element(inst, rng, rng.randint(1, 10), 6)
+        other = inst.normalize(_sample_element(inst, rng, rng.randint(0, 8), 6))
+        gamma, bad = sample.gamma, ("vertex", "unhashable", "value")[trial % 3]
+        w = _with_bad_syllable(rng, sample, bad)
+        outcomes = {name: _outcome(operation, w) for name, operation in operations.items()}
+        error, message = outcomes["canonical_form"]
+        assert error is (GroupError if bad == "value" else WordError), outcomes
+        if bad != "value":
+            assert message.endswith("does not belong to the graph"), message
+        assert set(outcomes.values()) == {(error, message)}, outcomes
+        # two bad operands: the error names the left one
+        y = _sample_element(inst, rng, rng.randint(1, 8), 6)
+        y_bad = ("value", "vertex", "unhashable")[trial % 3]
+        bad_y = WreathElement(_with_bad_syllable(rng, y, y_bad), y.gamma)
+        both = _outcome(lambda w: gw_compose(inst, WreathElement(w, gamma), bad_y), w)
+        assert both == outcomes["gw_compose-left"]
 
 
 def test_exhausted_separate_builds_no_residue_set(monkeypatch):
@@ -1156,12 +1203,12 @@ def _foreign_vertex_cases():
                 (f"gw_compose-left/{label}/{what}",
                  lambda y=y, inst=inst, x=x: gw_compose(inst, y, x), error or WordError),
                 (f"gw_compose-right/{label}/{what}",
-                 lambda y=y, inst=inst, x=x: gw_compose(inst, x, y), error or GraphError),
+                 lambda y=y, inst=inst, x=x: gw_compose(inst, x, y), error or WordError),
                 (f"gw_invert/{label}/{what}",
                  lambda y=y, inst=inst: gw_invert(inst, y), error or WordError),
                 (f"act_word/{label}/{what}",
                  lambda y=y, graph=graph, x=x: act_word(graph, S3, x.gamma, y.word),
-                 error or GraphError),
+                 error or WordError),
             ]
     cases += [
         ("witness/vertex",
@@ -1210,9 +1257,9 @@ def test_quotient_operations_reject_a_foreign_right_operand():
     inst = Instance(C2, _quotient_line(6))
     foreign = WreathElement(Word((Syllable(("c", 7), 1),)), 0)
     one = WreathElement(Word((Syllable(("c", 1), 1),)), 2)
-    with pytest.raises(GraphError):
+    with pytest.raises(WordError):
         gw_compose(inst, one, foreign)
-    with pytest.raises(GraphError):
+    with pytest.raises(WordError):
         act_word(inst.graph, C2, 0, foreign.word)
     with pytest.raises(WordError):
         gw_compose(inst, foreign, one)
