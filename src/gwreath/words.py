@@ -11,27 +11,21 @@ syllables it commutes with.  It merges or cancels the syllable against
 the first same-vertex syllable it meets; otherwise it inserts it where
 the lexicographic normal form by ``vertex_key`` puts it.  The word kept
 is reduced and in that normal form after every syllable, so the pass
-ends on the canonical form.
-
-Each syllable costs one adjacency lookup per commuting syllable it is
-pushed past, plus one ``list.insert``, and adjacency is memoised per
-call over interned vertex ids, so a word of n syllables needs n times
-the length of its commuting runs in lookups, not the O(n^2) of a
-pairwise scan.  A lookup the memo misses is a table probe in the graph
-(a set of offsets per label pair, or a neighbour set).  Equal group
+ends on the canonical form (its cost: ``canonical_form``).  Equal group
 elements always produce equal canonical words, so equality and
 triviality testing reduce to comparison against this form.
 
-A word is checked where it is built.  ``word`` checks each value
+A word is tested once per graph and group.  ``word`` checks each value
 against the coefficient group, ``formats.parse_word`` each vertex
 against the graph and each value against the group, and the canonical
 pass builds its result from checked syllables; each records on the
 ``Word`` the group and graph objects it checked against.  Every group
 operation, here and in ``wreath``, tests each word operand on entry with
-``_validate``, the one reader of that record, which skips a test the
-record covers; a word built directly, copied or unpickled has none.  A
-bad vertex raises ``WordError`` and a bad value ``GroupError``, from
-every operation and operand.  ``adjacent`` checks nothing.
+``_validate``, which skips a test the record covers and records what
+a nonempty ``Word`` passed; a word built directly, copied or unpickled
+has none.  A bad vertex raises ``WordError`` and a bad value
+``GroupError``, from every operation and operand.  ``adjacent`` checks
+nothing.
 """
 
 from __future__ import annotations
@@ -106,7 +100,9 @@ def _validate(graph, delta: GroupSpec, w: Word | Iterable[Syllable]) -> list[Syl
     The vertex test is skipped when ``w`` records this ``graph`` object,
     the value test when it records this ``delta`` object: identity, not
     equality, so an equal but distinct spec tests again.  ``check`` runs
-    only to raise.
+    only to raise.  A nonempty ``Word`` that passes records ``graph`` and
+    ``delta``; each slot only ever holds an object the syllables passed
+    against, so threads that race to write it leave it sound.
     """
     sylls = list(w)
     test_vertex = getattr(w, "_graph", None) is not graph
@@ -118,6 +114,8 @@ def _validate(graph, delta: GroupSpec, w: Word | Iterable[Syllable]) -> list[Syl
                 raise WordError(f"syllable vertex {s.vertex!r} does not belong to the graph")
             if test_value and not contains(s.value):
                 delta.check(s.value)
+        if sylls and isinstance(w, Word):
+            _record(w, graph, delta)
     return sylls
 
 
@@ -135,12 +133,13 @@ def canonical_form(graph, delta: GroupSpec, w: Word | Iterable[Syllable]) -> Wor
     lexicographic normal form.
 
     Each syllable costs one adjacency lookup per commuting syllable it
-    passes, plus one ``list.insert``, so the work is linear in the
-    length times the length of the commuting runs.  Each distinct vertex
-    of the call gets a small int id and its key once, and adjacency is
-    memoised per call over pairs of ids, so ``graph.adjacent`` is asked
-    about each unordered pair at most once.  ``_validate`` tests the
-    syllables first, except where ``w``'s record covers them.
+    passes, plus a ``list.insert`` unless it is appended, so the work is
+    linear in the length times the length of the commuting runs.  Each
+    distinct vertex of the call gets a small int id and its key once,
+    and adjacency is memoised per call over pairs of ids, so
+    ``graph.adjacent`` is asked about each unordered pair at most once.
+    ``_validate`` tests the syllables first, except where ``w``'s record
+    covers them, and records them on a nonempty ``Word`` that passes.
     """
     return _canonical(graph, delta, _validate(graph, delta, w))
 
@@ -163,9 +162,11 @@ def _canonical(graph, delta: GroupSpec, sylls: list[Syllable]) -> Word:
     key(a) < key(b) where a commutes with b and with every letter of u.
     The reduced words of one element form one commutation class (Green's
     normal form theorem), whose form is unique, so the word left at the
-    end is the canonical one.  The back-scan walks back over the
-    syllables the new syllable s commutes with, to its blocker: the last
-    syllable it does not commute with.
+    end is the canonical one.  The new syllable s looks at the last
+    syllable first: one at s's vertex is its blocker, and after one s
+    does not commute with, s is appended (insertion with no c).  Only
+    otherwise does the back-scan walk back over the syllables s commutes
+    with, to its blocker: the last syllable it does not commute with.
 
     * Insertion (no blocker, or one at another vertex): s goes before
       the first syllable c after the blocker whose key exceeds its own,
@@ -184,19 +185,18 @@ def _canonical(graph, delta: GroupSpec, sylls: list[Syllable]) -> Word:
     * Merge (as cancellation, with another product): t keeps its
       vertex, so its key and what it commutes with.
 
-    A vertex's id is its index in ``verts`` and ``keys``; ``adj`` holds
-    the adjacency of ids i and j under both ``i * n + j`` and
-    ``j * n + i`` (every id is below ``n``), and no id is adjacent to
-    itself.  The reduced word keeps the caller's syllables: only a merge
-    builds a new one.
+    A vertex's id is its index in ``keys``, and a same-vertex blocker is
+    found by id; ``adj`` holds the adjacency of distinct ids i and j
+    under ``i * n + j`` and ``j * n + i`` (every id is below ``n``).  The
+    reduced word keeps the caller's syllables: only a merge builds one.
     """
     identity, compose = delta.identity(), delta._compose
     adjacent, vertex_key = graph.adjacent, graph.vertex_key
     n = len(sylls) + 1
     ids: dict[Vertex, int] = {}
-    verts: list[Vertex] = []
     keys: list = []
     adj: dict[int, bool] = {}
+    id_of, adj_of = ids.get, adj.get
     reduced: list[Syllable] = []
     rid: list[int] = []  # the vertex id of each reduced syllable
 
@@ -204,29 +204,44 @@ def _canonical(graph, delta: GroupSpec, sylls: list[Syllable]) -> Word:
         if s.value == identity:
             continue
         v = s.vertex
-        j = ids.get(v)
+        j = id_of(v)
         if j is None:
-            j = ids[v] = len(verts)
-            verts.append(v)
+            j = ids[v] = len(keys)
             keys.append(vertex_key(v))
-            adj[j * n + j] = False
-        kj = keys[j]
         k = len(rid) - 1
-        place = k + 1
-        while k >= 0:
+        if k >= 0 and rid[k] != j:
             i = rid[k]
             key = i * n + j
-            a = adj.get(key)
+            a = adj_of(key)
             if a is None:
-                a = adj[key] = adj[j * n + i] = adjacent(verts[i], v)
+                a = adj[key] = adj[j * n + i] = adjacent(reduced[k].vertex, v)
             if not a:
-                break
-            if keys[i] > kj:
-                place = k
+                reduced.append(s)
+                rid.append(j)
+                continue
+            kj = keys[j]
+            place = k if keys[i] > kj else k + 1
             k -= 1
-        if k < 0 or rid[k] != j:
-            reduced.insert(place, s)
-            rid.insert(place, j)
+            while k >= 0:
+                i = rid[k]
+                if i == j:
+                    break
+                key = i * n + j
+                a = adj_of(key)
+                if a is None:
+                    a = adj[key] = adj[j * n + i] = adjacent(reduced[k].vertex, v)
+                if not a:
+                    break
+                if keys[i] > kj:
+                    place = k
+                k -= 1
+            if k < 0 or rid[k] != j:
+                reduced.insert(place, s)
+                rid.insert(place, j)
+                continue
+        elif k < 0:
+            reduced.append(s)
+            rid.append(j)
             continue
         merged = compose(reduced[k].value, s.value)
         if merged == identity:

@@ -281,6 +281,32 @@ def test_canonical_keeps_the_callers_syllables(name):
             assert {i for i, s in enumerate(again) if s is not out[i]} == split, (delta, window)
 
 
+@pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS))
+def test_each_kernel_branch_matches_the_reference(name):
+    # The pass looks at the last reduced syllable first: one at the same
+    # vertex merges or cancels, one that does not commute is appended, and
+    # only otherwise does the back-scan run.  Directly built words keep
+    # their identity syllables, which the pass drops between branches; one-
+    # and two-vertex windows give long same-vertex tails, and a second
+    # vertex adjacent to the first makes the back-scan run too.
+    graph = REFERENCE_GRAPHS[name]()
+    rng = random.Random(f"branches:{name}")
+    wide = _windows(graph)["wide"]
+    for delta in (C2, S3, C5, klein_table()):
+        values = list(delta.elements())
+        assert delta.identity() in values
+        v = rng.choice(wide)
+        near = [u for u in wide if u != v and graph.adjacent(u, v)]
+        far = [u for u in wide if u != v and not graph.adjacent(u, v)]
+        pools = [[v]] + [[v, rng.choice(side)] for side in (near, far) if side] + [wide]
+        for pool in pools:
+            for n in (rng.randint(1, 12), rng.randint(40, 200)):
+                w = Word(tuple(Syllable(rng.choice(pool), rng.choice(values)) for _ in range(n)))
+                out = canonical_form(graph, delta, w)
+                assert out == reference_canonical_form(graph, delta, w), (delta, pool, n)
+                assert is_reduced(graph, delta, out) and is_lex_normal(graph, out), (delta, pool, n)
+
+
 def test_insertion_goes_before_a_larger_key_behind_the_blocker():
     # ("c", 3) commutes with ("c", 4) and ("c", 2) but not with ("c", 9)
     line = line_graph()

@@ -950,7 +950,7 @@ def test_separate_and_verify_canonicalise_their_element_once(monkeypatch):
 def test_group_operations_check_each_syllable_once(monkeypatch, graph_name):
     inst = Instance(S3, ONE_PASS_GRAPHS[graph_name]())
     rng = random.Random(97)
-    x, y = _sample_element(inst, rng, 40, 6), _sample_element(inst, rng, 30, 6)
+    x0, y0 = _sample_element(inst, rng, 40, 6), _sample_element(inst, rng, 30, 6)
     cls, counts = type(inst.graph), Counter()
     has_vertex, contains = cls.has_vertex, Symmetric.contains
 
@@ -962,25 +962,31 @@ def test_group_operations_check_each_syllable_once(monkeypatch, graph_name):
         counts["contains"] += self is inst.delta  # not the acting group's gamma checks
         return contains(self, a)
 
-    # the same elements unrecorded, recorded against S3 only (as ``word``
-    # builds them) and recorded against the graph and S3 (as canonical words are)
+    # fresh copies of the same elements: unrecorded, recorded against S3
+    # only (as ``word`` builds them) and recorded against the graph and S3
+    # (as canonical words are)
     forms = (
-        ((x, y), ("has_vertex", "contains")),
-        ((_built_by_word(x), _built_by_word(y)), ("has_vertex",)),
-        ((inst.normalize(x), inst.normalize(y)), ()),
+        (lambda z: WreathElement(Word(tuple(z.word)), z.gamma), ("has_vertex", "contains")),
+        (_built_by_word, ("has_vertex",)),
+        (inst.normalize, ()),
+    )
+    operations = (
+        (lambda x, y: gw_compose(inst, x, y), len(x0.word) + len(y0.word)),
+        (lambda x, y: gw_invert(inst, x), len(x0.word)),
+        (lambda x, y: act_word(inst.graph, S3, y.gamma, x.word), len(x0.word)),
+        (lambda x, y: retract(inst.graph, S3, x.word, {s.vertex for s in list(x.word)[::2]}), len(x0.word)),
     )
     monkeypatch.setattr(cls, "has_vertex", counted_has_vertex)
     monkeypatch.setattr(Symmetric, "contains", counted_contains)
-    for (x, y), tested in forms:
-        for operation, n in (
-            (lambda: gw_compose(inst, x, y), len(x.word) + len(y.word)),
-            (lambda: gw_invert(inst, x), len(x.word)),
-            (lambda: act_word(inst.graph, S3, y.gamma, x.word), len(x.word)),
-            (lambda: retract(inst.graph, S3, x.word, {s.vertex for s in list(x.word)[::2]}), len(x.word)),
-        ):
-            counts.clear()
-            operation()
-            assert counts == Counter({test: n for test in tested})
+    for fresh, tested in forms:
+        for operation, n in operations:
+            x, y = fresh(x0), fresh(y0)
+            # the first call tests each syllable once and records what
+            # passed; the same call again tests nothing
+            for expected in ({test: n for test in tested}, {}):
+                counts.clear()
+                operation(x, y)
+                assert counts == Counter(expected)
 
 
 def _built_by_word(x):
@@ -1052,6 +1058,103 @@ def test_operations_on_unrecorded_words_raise_as_a_full_check(graph_name):
         for w in (inst.normalize(sample).word, _built_by_word(sample).word):
             for name, operation in operations.items():
                 assert _outcome(operation, w) == _outcome(operation, Word(tuple(w))), name
+
+
+def _record_of(w):
+    return getattr(w, "_graph", None), getattr(w, "_delta", None)
+
+
+@pytest.mark.parametrize("graph_name", sorted(ONE_PASS_GRAPHS))
+def test_a_bad_word_records_nothing_and_raises_on_every_call(graph_name):
+    inst = Instance(S3, ONE_PASS_GRAPHS[graph_name]())
+    graph, rng = inst.graph, random.Random(f"bad-record:{graph_name}")
+    twin = ONE_PASS_GRAPHS[graph_name]()
+    operations = {
+        "canonical_form": lambda w: canonical_form(graph, S3, w),
+        "gp_invert": lambda w: words.gp_invert(graph, S3, w),
+        "gw_compose-left": lambda w: gw_compose(inst, WreathElement(w, gamma), other),
+        "gw_compose-right": lambda w: gw_compose(inst, other, WreathElement(w, gamma)),
+        "act_word": lambda w: act_word(graph, S3, gamma, w),
+        "normalize": lambda w: inst.normalize(WreathElement(w, gamma)),
+    }
+    for trial in range(6):
+        sample = _sample_element(inst, rng, rng.randint(1, 12), 6)
+        other = inst.normalize(_sample_element(inst, rng, rng.randint(1, 8), 6))
+        gamma, bad = sample.gamma, ("vertex", "value")[trial % 2]
+        sylls = list(sample.word)
+        i = rng.randrange(len(sylls))
+        s = sylls[i]
+        sylls[i] = Syllable(("zz", 0), s.value) if bad == "vertex" else Syllable(s.vertex, (0, 0, 1))
+        sylls = tuple(sylls)
+        for form, w in _forms_of_a_bad_word(inst, sylls, bad, twin).items():
+            before = _record_of(w)
+            for name, operation in operations.items():
+                expected = _outcome(operation, Word(sylls))
+                for _ in range(3):
+                    assert _outcome(operation, w) == expected, (form, name)
+                    assert _record_of(w) == before, (form, name)
+
+
+@pytest.mark.parametrize("graph_name", sorted(ONE_PASS_GRAPHS))
+def test_a_record_covers_only_the_objects_it_names(monkeypatch, graph_name):
+    graph, twin, S3_twin = ONE_PASS_GRAPHS[graph_name](), ONE_PASS_GRAPHS[graph_name](), Symmetric(3)
+    assert twin == graph and twin is not graph and S3_twin == S3 and S3_twin is not S3
+    x = _sample_element(Instance(S3, graph), random.Random(101), 30, 6)
+    w, n = x.word, len(x.word)
+    expected = canonical_form(graph, S3, Word(tuple(w)))
+    cls, counts = type(graph), Counter()
+    has_vertex, contains = cls.has_vertex, Symmetric.contains
+
+    def counted_has_vertex(self, v):
+        counts["has_vertex"] += 1
+        return has_vertex(self, v)
+
+    def counted_contains(self, a):
+        counts["contains"] += 1
+        return contains(self, a)
+
+    monkeypatch.setattr(cls, "has_vertex", counted_has_vertex)
+    monkeypatch.setattr(Symmetric, "contains", counted_contains)
+    # (graph, group, vertex tests, value tests) in order on one word
+    steps = (
+        (graph, S3, n, n), (graph, S3, 0, 0),
+        (twin, S3, n, 0), (twin, S3, 0, 0), (graph, S3, n, 0),
+        (graph, S3_twin, 0, n), (graph, S3_twin, 0, 0), (graph, S3, 0, n),
+        (twin, S3_twin, n, n), (graph, S3, n, n), (graph, S3, 0, 0),
+    )
+    for g, d, vertex_tests, value_tests in steps:
+        counts.clear()
+        assert canonical_form(g, d, w) == expected
+        assert +counts == +Counter(has_vertex=vertex_tests, contains=value_tests), (g, d)
+        recorded_graph, recorded_delta = _record_of(w)
+        assert recorded_graph is g and recorded_delta is d, (g, d)
+
+
+def test_empty_words_and_syllable_lists_get_no_record(monkeypatch):
+    inst = Instance(S3, line_graph())
+    graph = inst.graph
+    for w in (EMPTY_WORD, Word()):
+        for operation in (
+            lambda: canonical_form(graph, S3, w),
+            lambda: words.gp_invert(graph, S3, w),
+            lambda: gw_compose(inst, WreathElement(w, 1), WreathElement(w, 2)),
+            lambda: act_word(graph, S3, 3, w),
+        ):
+            operation()
+            assert not hasattr(w, "_graph") and not hasattr(w, "_delta")
+    sylls = list(_sample_element(inst, random.Random(103), 20, 6).word)
+    counts, has_vertex = Counter(), type(graph).has_vertex
+
+    def counted_has_vertex(self, v):
+        counts["has_vertex"] += 1
+        return has_vertex(self, v)
+
+    monkeypatch.setattr(type(graph), "has_vertex", counted_has_vertex)
+    for form in (sylls, tuple(sylls)):
+        for _ in range(2):  # nothing to record on, so every call tests again
+            counts.clear()
+            canonical_form(graph, S3, form)
+            assert counts == Counter(has_vertex=len(sylls))
 
 
 def _with_bad_syllable(rng, sample, bad):
