@@ -481,46 +481,24 @@ def _cond3_witness(instance: Instance, cond3: Cond3Result) -> NonRFWitness:
 
 
 def classify_wreath(instance: Instance) -> Verdict:
-    """Specialized classification for complete graphs.
-
-    Vertex stabilisers decide everything here: they have finite index
-    exactly when the action factors through a finite image, so a
-    finite-mode complete graph is always separable, while a translation
-    one (free action on an infinite orbit) is separable precisely for
-    abelian coefficients.  Agrees with ``classify`` on every complete
-    instance.
+    """``classify``'s verdict on a complete graph, with a note naming its
+    classical case: the permutational wreath product is residually finite
+    exactly when the action factors through a finite group or the
+    coefficients are abelian (Gruenberg, 1957).
     """
-    graph, delta = instance.graph, instance.delta
-    if not is_complete(graph):
+    if not is_complete(instance.graph):
         raise GraphError("the specialized classifier requires a complete graph")
-    if isinstance(graph, FiniteModeGraph):
-        return Verdict(
-            status=RESIDUALLY_FINITE,
-            note=(
-                "complete graph with all vertex stabilisers of finite index "
-                "(the action factors through a finite group)"
-            ),
-        )
-    if delta.is_abelian():
-        return Verdict(
-            status=RESIDUALLY_FINITE,
-            note=(
-                "complete graph with abelian coefficients: any two positions "
-                "separate modulo a large enough modulus, and no non-adjacent "
-                "pairs exist"
-            ),
-        )
-    c = graph.labels[0]
-    wit = witness(instance, "T3.1", [(c, 0)])
-    return Verdict(
-        status=NOT_RESIDUALLY_FINITE,
-        witness=wit,
-        failing_condition="condition-2",
-        note=(
-            "complete graph, non-abelian coefficients, infinite orbit with "
-            "trivial stabilisers"
-        ),
-    )
+    verdict = classify(instance)
+    if isinstance(instance.graph, FiniteModeGraph):
+        note = ("complete graph with all vertex stabilisers of finite index "
+                "(the action factors through a finite group)")
+    elif verdict.status == RESIDUALLY_FINITE:
+        note = ("complete graph with abelian coefficients: any two positions separate "
+                "modulo a large enough modulus, and no non-adjacent pairs exist")
+    else:
+        note = "complete graph, non-abelian coefficients, infinite orbit with trivial stabilisers"
+    return Verdict(verdict.status, witness=verdict.witness,
+                   failing_condition=verdict.failing_condition, note=note)
 
 
 # ---------------------------------------------------------------------------

@@ -239,7 +239,7 @@ _SUBCOMMANDS = {
     "invert": (_cmd_invert, "inverse of a named element", False, [_ELEMENT]),
     "check": (_cmd_check, "classify the instance", True, [
         ("--wreath", {"action": "store_true",
-                      "help": "use the specialized complete-graph classifier"}),
+                      "help": "classify a complete graph and name its classical case"}),
     ]),
     "check-fp": (_cmd_check_fp, "finite presentation report", False, []),
     "separate": (_cmd_separate, "separation certificate for an element", True, [_ELEMENT]),

@@ -215,13 +215,14 @@ def _parse_delta(entries) -> GroupSpec:
             rank, line = _single(entries, "rank", section="delta")
             return FreeAbelian(int(rank))
         if kind == "table":
-            size, line = _single(entries, "size", section="delta")
+            size, size_line = _single(entries, "size", section="delta")
             identity, _ = _single(entries, "identity", section="delta")
-            rows = [(v, n) for k, v, n in entries if k == "row"]
-            table = tuple(
-                tuple(int(x) for x in value.split()) for value, _ in rows
-            )
-            return FiniteTable(int(size), table, int(identity))
+            table = []
+            for key, value, line in entries:  # a bad row names its own line
+                if key == "row":
+                    table.append(tuple(int(x) for x in value.split()))
+            line = size_line  # a bad size or identity, or a table that is no group
+            return FiniteTable(int(size), tuple(table), int(identity))
     except ParseError:
         raise
     except ValueError as exc:

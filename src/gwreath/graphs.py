@@ -304,11 +304,11 @@ class TranslationGraph(Record):
 
     def action(self, gamma: int):
         """The vertex map of ``gamma``, on vertices checked by the caller."""
+        self.acting.check(gamma)
         return lambda v: (v[0], v[1] + gamma)
 
     def act(self, gamma: int, v: Vertex) -> Vertex:
         self.check_vertex(v)
-        self.acting.check(gamma)
         return self.action(gamma)(v)
 
     def vertex_key(self, v: Vertex):
@@ -455,8 +455,6 @@ class FiniteModeGraph(Record):
         """The automorphism through which a Z^n element acts, as the
         images of ``vertices``, in order: each generator's power moves
         every position along its cycle, so the image is not needed."""
-        if len(gamma) != self.rank:
-            raise GraphError(f"gamma must have {self.rank} coordinates, got {gamma!r}")
         self.acting.check(gamma)
         image = range(len(self.vertices))  # positions
         for places, k in zip(self._places, gamma):
@@ -601,14 +599,13 @@ class QuotientGraph:
         """Residue translation on a translation quotient."""
         if self.kind != "translation":
             raise GraphError("acting on a finite-mode quotient requires a coset")
+        self.acting.check(gamma_residue)
         m = self.modulus
         return lambda u: (u[0], (u[1] + gamma_residue) % m)
 
     def act(self, gamma_residue: int, u):
         self.check_vertex(u)
-        move = self.action(gamma_residue)  # GraphError on a finite-mode quotient
-        self.acting.check(gamma_residue)
-        return move(u)
+        return self.action(gamma_residue)(u)
 
     def content(self) -> tuple:
         """Everything equality compares; the orbit map compares as a dict."""

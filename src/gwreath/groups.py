@@ -139,9 +139,6 @@ class GroupSpec(Record):
     def is_abelian(self) -> bool:
         raise NotImplementedError
 
-    def is_finite(self) -> bool:
-        return True
-
     def order(self) -> int | None:
         """Number of elements, or None when infinite."""
         raise NotImplementedError
@@ -333,9 +330,6 @@ class Integers(GroupSpec):
     def is_abelian(self) -> bool:
         return True
 
-    def is_finite(self) -> bool:
-        return False
-
     def order(self) -> None:
         return None
 
@@ -368,9 +362,6 @@ class FreeAbelian(GroupSpec):
 
     def is_abelian(self) -> bool:
         return True
-
-    def is_finite(self) -> bool:
-        return self.rank == 0
 
     def order(self) -> int | None:
         return 1 if self.rank == 0 else None

@@ -99,10 +99,10 @@ def _prepare(graph, gamma_set, vertex_set):
     a modulus must keep distinct."""
     if not isinstance(graph, TranslationGraph):
         raise GraphError("finite partial models are built for translation graphs only")
-    gammas = sorted(set(gamma_set))
-    for g in gammas:
-        if not isinstance(g, int):
-            raise GraphError(f"acting elements must be integers, got {g!r}")
+    gammas = list(gamma_set)
+    for g in gammas:  # before sorting, which a gamma of another type would break
+        graph.acting.check(g)
+    gammas = sorted(set(gammas))
     truncated, kept = truncate_graph(graph, vertex_set)
     vertices = sorted(set(vertex_set), key=graph.vertex_key)
     offsets = {abs(o) for offs in kept.values() for o in offs}

@@ -73,23 +73,16 @@ class Instance(Record):
         if graph.acting is None:
             raise GraphError("a finite-mode quotient has no acting group; only cosets act on it")
 
-    def gamma_identity(self) -> Gamma:
-        return self.graph.acting.identity()
-
-    def check_gamma(self, g: Gamma) -> None:
-        if not self.graph.acting.contains(g):
-            raise GraphError(f"{g!r} is not an element of the acting group {self.graph.acting!r}")
-
     def gamma_is_identity(self, a: Gamma) -> bool:
-        return a == self.gamma_identity()
+        return a == self.graph.acting.identity()
 
     # -- element helpers
 
     def identity_element(self) -> WreathElement:
-        return WreathElement(EMPTY_WORD, self.gamma_identity())
+        return WreathElement(EMPTY_WORD, self.graph.acting.identity())
 
     def normalize(self, x: WreathElement) -> WreathElement:
-        self.check_gamma(x.gamma)
+        self.graph.acting.check(x.gamma)
         return WreathElement(canonical_form(self.graph, self.delta, x.word), x.gamma)
 
     def is_identity_element(self, x: WreathElement) -> bool:
@@ -100,8 +93,7 @@ class Instance(Record):
 def act_word(graph, delta: GroupSpec, gamma: Gamma, w: Word) -> Word:
     """Move every syllable along the action (one vertex map per call) and
     recanonicalize, checking each syllable once."""
-    move = graph.action(gamma)
-    graph.acting.check(gamma)  # as ``gw_compose`` does, so moved vertices stay vertices
+    move = graph.action(gamma)  # checks gamma, so moved vertices stay vertices
     moved = [Syllable(move(s.vertex), s.value) for s in _validate(graph, delta, w)]
     return _canonical(graph, delta, moved)
 
@@ -279,7 +271,7 @@ def witness(instance: Instance, kind: str, vertices, elements=None) -> NonRFWitn
             )
         value = commutator(delta, g, h)
         element = WreathElement(
-            canonical_form(graph, delta, [Syllable(v, value)]), instance.gamma_identity()
+            canonical_form(graph, delta, [Syllable(v, value)]), graph.acting.identity()
         )
         result = NonRFWitness(kind, (v,), (g, h), element, obstruction)
     else:  # T3.2
@@ -315,7 +307,7 @@ def witness(instance: Instance, kind: str, vertices, elements=None) -> NonRFWitn
                 delta,
                 [Syllable(v, g), Syllable(w, g), Syllable(v, ginv), Syllable(w, ginv)],
             ),
-            instance.gamma_identity(),
+            graph.acting.identity(),
         )
         result = NonRFWitness(kind, (v, w), (g,), element, obstruction)
 

@@ -121,7 +121,7 @@ def test_criterion_4_complete_graph_desk_instances():
     finish = _timed(1.0)
     assert classify(Instance(S3, k5_cyclic())).status == RESIDUALLY_FINITE
     finish()
-    # the specialized path agrees everywhere
+    # the complete-graph view reports the same verdicts
     assert classify_wreath(Instance(C2, complete_z_graph())).status == RESIDUALLY_FINITE
     assert classify_wreath(Instance(S3, complete_z_graph())).status == NOT_RESIDUALLY_FINITE
     assert classify_wreath(Instance(S3, k5_cyclic())).status == RESIDUALLY_FINITE

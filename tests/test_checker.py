@@ -28,6 +28,7 @@ from gwreath import (
     quotient_graph,
     separate,
     verify_certificate,
+    verify_witness,
     witness,
     word,
 )
@@ -581,7 +582,7 @@ def test_classify_certified_verdicts_are_bound_monotone():
 
 
 # ---------------------------------------------------------------------------
-# the specialized complete-graph path
+# the complete-graph view over classify
 
 
 def test_classify_wreath_rows():
@@ -592,18 +593,30 @@ def test_classify_wreath_rows():
     assert classify_wreath(Instance(S3, k5_cyclic())).status == RESIDUALLY_FINITE
 
 
-def test_classify_wreath_agrees_with_classify():
-    for inst in (
-        Instance(C2, complete_z_graph()),
-        Instance(C3, complete_z_graph()),
-        Instance(S3, complete_z_graph()),
-        Instance(S3, k5_cyclic()),
-        Instance(C2, k5_cyclic()),
-    ):
-        assert classify_wreath(inst).status == classify(inst).status
-
-
 CLASSICAL_COEFFICIENTS = (C2, Cyclic(5), S3, klein_table(), FreeAbelian(2))
+
+
+def test_classify_wreath_agrees_with_classify():
+    # status, witness and failing condition, each against Gruenberg's criterion
+    rng = random.Random(27)
+    fixed = [complete_z_graph(), k5_cyclic()]
+    graphs = fixed + [g for _ in range(20) for g in (random_complete_translation_graph(rng),
+                                                     random_permutation_graph(rng, True))]
+    for graph in graphs:
+        for delta in (C3,) + CLASSICAL_COEFFICIENTS:
+            inst = Instance(delta, graph)
+            verdict, full = classify_wreath(inst), classify(inst)
+            assert (verdict.status, verdict.witness, verdict.failing_condition) == (
+                full.status, full.witness, full.failing_condition), inst
+            if complete_graph_rf(inst):
+                assert verdict.status == RESIDUALLY_FINITE, inst
+                assert verdict.witness is None and verdict.failing_condition is None, inst
+            else:
+                assert verdict.status == NOT_RESIDUALLY_FINITE, inst
+                assert verdict.failing_condition == "condition-2", inst
+                assert verdict.witness.theorem == "T3.1", inst
+                assert verdict.witness.vertices == ((graph.labels[0], 0),), inst
+                assert verify_witness(inst, verdict.witness), inst
 
 
 def _oracle_status(rf: bool) -> str:
@@ -612,7 +625,7 @@ def _oracle_status(rf: bool) -> str:
 
 def test_classify_agrees_with_the_complete_graph_oracle():
     # Gruenberg's wreath-product theorem, in both modes, with every
-    # coefficient kind; the specialized classifier agrees too
+    # coefficient kind; classify_wreath reports the same verdicts
     rng = random.Random(157)
     for _ in range(200):
         for graph in (random_complete_translation_graph(rng), random_permutation_graph(rng, True)):

@@ -109,6 +109,57 @@ def test_normalize(capsys):
     assert "word: c:0=1 c:2=1" in out
 
 
+def test_structured_element_fp_and_witness_documents(capsys):
+    ex11, ex12 = INSTANCES / "ex11.instance", INSTANCES / "ex12.instance"
+    code, out, _ = invoke(capsys, "normalize", ex11, "--element", "w1", "--format", "structured")
+    assert code == 0
+    assert out.splitlines() == ["gwreath v1 wreath-element", "word c:0=1 c:2=1", "gamma 0"]
+    code, out, _ = invoke(capsys, "check-fp", ex11, "--format", "structured")
+    assert code == 0
+    assert out.splitlines()[:4] == [
+        "gwreath v1 fp-report", "finitely-presented true", "vertex-orbits 1", "edge-orbits 1",
+    ]
+    code, out, _ = invoke(
+        capsys, "witness", ex12, "--kind", "T3.1", "--vertices", "c:0", "--format", "structured"
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:3] == ["gwreath v1 witness", "kind T3.1", "vertex c:0"]
+    assert "obstruction.lemma factorial-zero" in lines
+
+
+# Coefficient kinds no shipped instance uses: Z^2, and the Klein group as a table.
+COEFFICIENT_KINDS = {
+    "free-abelian": ("kind = free-abelian\nrank = 2", "c:0=1,0 c:2=0,-3 c:1=2,2 @ 1",
+                     "word c:0=1,0 c:1=2,2 c:2=0,-3", "word c:0=-2,-2 c:1=0,3 c:-1=-1,0"),
+    "table": (
+        "kind = table\nsize = 4\nidentity = 0\n"
+        "row = 0 1 2 3\nrow = 1 0 3 2\nrow = 2 3 0 1\nrow = 3 2 1 0",
+        "c:0=1 c:2=2 c:1=3 c:0=2 @ -1",
+        "word c:0=1 c:1=3 c:2=2 c:0=2", "word c:1=2 c:2=3 c:3=2 c:1=1",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", COEFFICIENT_KINDS)
+def test_instances_with_free_abelian_and_table_coefficients(capsys, tmp_path, kind):
+    delta, element, normal, inverse = COEFFICIENT_KINDS[kind]
+    path = tmp_path / f"{kind}.instance"
+    path.write_text(
+        f"[delta]\n{delta}\n\n[gamma]\nkind = z\n\n[graph]\nmode = translation\n"
+        f"orbits = c\nfamily = c c finite 1\n\n[elements]\nw = {element}\n"
+    )
+    structured = ("--format", "structured")
+    code, out, _ = invoke(capsys, "check", path, *structured)
+    assert code == 0 and "status residually-finite" in out.splitlines()
+    code, out, _ = invoke(capsys, "separate", path, "--element", "w", *structured)
+    assert code == 0 and "check.image-nontrivial pass" in out.splitlines()
+    code, out, _ = invoke(capsys, "normalize", path, "--element", "w", *structured)
+    assert code == 0 and normal in out.splitlines()
+    code, out, _ = invoke(capsys, "invert", path, "--element", "w", *structured)
+    assert code == 0 and inverse in out.splitlines()
+
+
 def test_normalize_unknown_element(capsys):
     code, _, err = invoke(
         capsys, "normalize", INSTANCES / "ex11.instance", "--element", "nope"
@@ -293,31 +344,37 @@ def test_parse_error_names_line(capsys, tmp_path):
     assert "line 4" in err
 
 
-# (name, gamma kind, [graph] body, the line the error names); the [graph]
-# header is line 7, so its first field is line 8
+CYCLIC = "kind = cyclic\norder = 2"
+TABLE_BAD_ROW = "kind = table\nsize = 2\nidentity = 0\nrow = 0 1\nrow = 1 x"  # row on line 6
+
+# (name, [delta] body, gamma kind, [graph] body, the line the error names);
+# under the two-line cyclic [delta] body the [graph] header is line 7, so
+# its first field is line 8
 GRAPH_ERRORS = [
-    ("repeated-labels", "z", "mode = translation\norbits = c c\nfamily = c c finite 1", 9),
-    ("loop", "z^1", "mode = finite\nvertices = 0 1 2\nedge = 0 1\nedge = 1 1", 11),
-    ("unknown-vertex", "z^1", "mode = finite\nvertices = 0 1 2\nedge = 1 5\nedge = 0 1", 10),
-    ("repeated-vertex", "z^1", "mode = finite\nvertices = 0 1 1\nedge = 0 1", 9),
-    ("not-a-permutation", "z^1", "mode = finite\nvertices = 0 1 2\ngenerator = 1 1 0", 10),
+    ("repeated-labels", CYCLIC, "z", "mode = translation\norbits = c c\nfamily = c c finite 1", 9),
+    ("table-row", TABLE_BAD_ROW, "z", "mode = translation\norbits = c\nfamily = c c finite 1", 6),
+    ("loop", CYCLIC, "z^1", "mode = finite\nvertices = 0 1 2\nedge = 0 1\nedge = 1 1", 11),
+    ("unknown-vertex", CYCLIC, "z^1", "mode = finite\nvertices = 0 1 2\nedge = 1 5\nedge = 0 1", 10),
+    ("repeated-vertex", CYCLIC, "z^1", "mode = finite\nvertices = 0 1 1\nedge = 0 1", 9),
+    ("not-a-permutation", CYCLIC, "z^1", "mode = finite\nvertices = 0 1 2\ngenerator = 1 1 0", 10),
     (
-        "edges-not-preserved", "z^2",
+        "edges-not-preserved", CYCLIC, "z^2",
         "mode = finite\nvertices = 0 1 2\nedge = 0 1\ngenerator = 0 1 2\ngenerator = 1 2 0", 12,
     ),
     (
-        "not-commuting", "z^2",
+        "not-commuting", CYCLIC, "z^2",
         "mode = finite\nvertices = 0 1 2\ngenerator = 1 0 2\ngenerator = 0 2 1", 11,
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "gamma, body, line", [case[1:] for case in GRAPH_ERRORS], ids=[c[0] for c in GRAPH_ERRORS]
+    "delta, gamma, body, line", [case[1:] for case in GRAPH_ERRORS],
+    ids=[c[0] for c in GRAPH_ERRORS],
 )
-def test_graph_errors_name_their_line(capsys, tmp_path, gamma, body, line):
+def test_graph_errors_name_their_line(capsys, tmp_path, delta, gamma, body, line):
     bad = tmp_path / "bad.instance"
-    bad.write_text(f"[delta]\nkind = cyclic\norder = 2\n\n[gamma]\nkind = {gamma}\n[graph]\n{body}\n")
+    bad.write_text(f"[delta]\n{delta}\n\n[gamma]\nkind = {gamma}\n[graph]\n{body}\n")
     code, out, err = invoke(capsys, "check", bad)
     assert code == 1 and not out
     assert err.startswith("error: ") and err.rstrip().endswith(f"(line {line})"), err

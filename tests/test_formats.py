@@ -8,6 +8,7 @@ from gwreath import (
     ParseError,
     Symmetric,
     WreathElement,
+    check_finitely_presented,
     classify,
     lef_certificate,
     separate,
@@ -22,6 +23,7 @@ from gwreath import formats
 from gwreath.graphs import FiniteOffsets, TranslationGraph, quotient_graph
 
 from tests.support import (
+    complete_z_graph,
     cycle_graph,
     factorial_graph,
     k5_cyclic,
@@ -509,3 +511,43 @@ def test_render_verdict_headlines():
     assert "T3.1" in headline
     abelian = Instance(Cyclic(2), factorial_graph(0))
     assert formats.render_verdict(abelian, classify(abelian))[0] == "RESIDUALLY FINITE"
+
+
+def test_verdict_lines_suffix_each_orbit_by_its_evidence():
+    finite = Instance(Symmetric(3), cycle_graph(6))
+    assert "condition-2.orbit 0 holds subgroup-index 2" in formats.verdict_lines(finite, classify(finite))
+    failing = Instance(Symmetric(3), complete_z_graph())
+    lines = formats.verdict_lines(failing, classify(failing))
+    assert "condition-2.orbit c fails lemma arithmetic-zero" in lines
+
+
+def test_render_verdict_lists_finite_orbits_and_every_pair():
+    finite = Instance(Symmetric(3), cycle_graph(6))
+    lines = formats.render_verdict(finite, classify(finite))
+    assert "    orbit 0: clears its neighbourhood at subgroup index 2" in lines
+    # a finite-mode pair holds at a subgroup index, with no rule to name
+    assert "    pair (0, 2): holds" in lines and "    pair (3, 5): holds" in lines
+    failing = Instance(Cyclic(2), factorial_graph(1))
+    verdict = classify(failing)
+    statement = verdict.cond3.failing.obstruction.statement
+    assert f"    pair (c, c): fails at offset 1 ({statement})" in formats.render_verdict(failing, verdict)
+
+
+def test_render_certificate_of_an_image_subgroup():
+    inst = Instance(Symmetric(3), torus_graph(3))
+    for gamma, coset in (((0, 0), "trivial"), ((1, 0), "2,0,1,5,3,4,8,6,7")):
+        cert = separate(inst, WreathElement(word(Symmetric(3), [(0, (1, 0, 2))]), gamma))
+        lines = formats.render_certificate(inst, cert)
+        assert lines[0] == "SEPARATED with an image subgroup of order 3"
+        assert lines[1] == f"  element: 0=1,0,2 @ {formats.value_text(gamma)}"
+        assert lines[3] == f"  image gamma coset: {coset}"
+
+
+def test_fp_and_wreath_element_lines():
+    inst, elements = formats.parse_instance_text(EX11)
+    assert formats.fp_lines(check_finitely_presented(inst))[:4] == [
+        "gwreath v1 fp-report", "finitely-presented true", "vertex-orbits 1", "edge-orbits 1",
+    ]
+    assert formats.wreath_element_lines(inst, elements["w1"]) == [
+        "gwreath v1 wreath-element", "word c:0=1 c:2=1", "gamma 0",
+    ]

@@ -7,6 +7,7 @@ import pytest
 from gwreath import (
     Cyclic,
     GraphError,
+    GroupError,
     ParseError,
     QuotientGraph,
     lef_certificate,
@@ -76,6 +77,12 @@ def test_truncate_preserves_adjacency_inside_the_set():
 def test_truncate_rejects_finite_mode():
     with pytest.raises(GraphError):
         truncate_graph(k5_cyclic(), [0, 1])
+
+
+def test_lef_checks_each_acting_element_through_the_acting_group():
+    for gamma_set in ([1.5], [(1,)], [(1.5,)], [0, "1"], [0, [1]], iter([0, (1,)])):
+        with pytest.raises(GroupError, match="is not an element of"):
+            lef_certificate(line_graph(), gamma_set, [(C, 0)])
 
 
 # ---------------------------------------------------------------------------

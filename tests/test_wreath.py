@@ -181,9 +181,9 @@ def test_orbit_counts_restriction_and_quotients_close_no_group(monkeypatch):
 
 def test_finite_mode_gamma_is_checked_at_the_boundary():
     inst = Instance(S3, torus_graph(3))
-    with pytest.raises(GraphError):
-        inst.check_gamma((1.5, 0))
     x = WreathElement(word(S3, [(0, (1, 0, 2))]), (1.5, 0))
+    with pytest.raises(GroupError):
+        inst.normalize(x)
     with pytest.raises(GroupError):
         gw_compose(inst, x, x)
     with pytest.raises(GroupError):
@@ -198,7 +198,7 @@ def test_finite_mode_quotient_carries_no_acting_group():
 def test_act_word_validates_gamma_and_vertices():
     graph = torus_graph(3)
     w = Word((Syllable(0, (1, 0, 2)),))
-    with pytest.raises(GraphError):
+    with pytest.raises(GroupError):
         act_word(graph, S3, (1,), w)
     with pytest.raises(GroupError):
         act_word(graph, S3, (1.0, 0), w)
@@ -208,6 +208,51 @@ def test_act_word_validates_gamma_and_vertices():
         act_word(line_graph(), C2, 1, Word((Syllable(("x", 0), 1),)))
     with pytest.raises(GroupError):  # it would move ("c", 0) to ("c", 1.0), not a vertex
         act_word(line_graph(), C2, 1.0, Word((Syllable(("c", 0), 1),)))
+
+
+# (graph, a vertex, a gamma of its acting group, gammas outside it)
+BAD_GAMMAS = {
+    "line": (line_graph(), ("c", 0), 1, [1.5, (1, 0), (1.5,)]),
+    "torus": (torus_graph(3), 0, (1, 0), [1.5, 1, (1,), (1, 0, 0), (1.5, 0)]),
+    "quotient": (quotient_graph(line_graph(), 4), ("c", 0), 1, [1.5, (1, 0), (1.5,)]),
+}
+
+# Each entry point, called with the instance, an element with a bad gamma and a vertex.
+GAMMA_ENTRY_POINTS = {
+    "normalize": lambda inst, x, v: inst.normalize(x),
+    "is_identity_element": lambda inst, x, v: inst.is_identity_element(x),
+    "separate": lambda inst, x, v: separate(inst, x),
+    "gw_compose-left": lambda inst, x, v: gw_compose(inst, x, inst.identity_element()),
+    "gw_compose-right": lambda inst, x, v: gw_compose(inst, inst.identity_element(), x),
+    "gw_invert": lambda inst, x, v: gw_invert(inst, x),
+    "act_word": lambda inst, x, v: act_word(inst.graph, inst.delta, x.gamma, x.word),
+    "act": lambda inst, x, v: inst.graph.act(x.gamma, v),
+    "action": lambda inst, x, v: inst.graph.action(x.gamma),
+    "perm_of": lambda inst, x, v: inst.graph.perm_of(x.gamma),
+}
+
+
+@pytest.mark.parametrize("graph_name, entry", [
+    (name, entry) for name, (graph, *_) in BAD_GAMMAS.items() for entry in GAMMA_ENTRY_POINTS
+    if entry != "perm_of" or isinstance(graph, FiniteModeGraph)  # only it has permutations
+])
+def test_a_bad_gamma_is_a_group_error_at_every_entry_point(graph_name, entry):
+    graph, v, _, gammas = BAD_GAMMAS[graph_name]
+    inst = Instance(S3, graph)
+    for gamma in gammas:
+        x = WreathElement(word(S3, [(v, (1, 0, 2))]), gamma)
+        with pytest.raises(GroupError, match="is not an element of"):
+            GAMMA_ENTRY_POINTS[entry](inst, x, v)
+
+
+@pytest.mark.parametrize("graph_name", ["line", "torus"])
+def test_a_certificate_with_a_bad_gamma_does_not_verify(graph_name):
+    graph, v, gamma, gammas = BAD_GAMMAS[graph_name]
+    inst = Instance(S3, graph)
+    cert = separate(inst, WreathElement(word(S3, [(v, (1, 0, 2))]), gamma))
+    assert verify_certificate(inst, cert)
+    for bad in gammas:
+        assert not verify_certificate(inst, replace(cert, element=WreathElement(cert.element.word, bad)))
 
 
 # ---------------------------------------------------------------------------
