@@ -24,6 +24,7 @@ from .graphs import (
 )
 from .groups import (
     Cyclic,
+    Element,
     FiniteTable,
     FreeAbelian,
     GroupSpec,
@@ -108,18 +109,24 @@ def word_text(w: Word) -> str:
 
 
 def parse_word(graph, delta: GroupSpec, text: str, line: int | None = None) -> Word:
+    """The word ``text`` spells; each distinct value text is parsed and
+    checked once, where it first occurs, so the first bad token raises."""
     text = text.strip()
     if text == "-" or not text:
         return EMPTY_WORD
+    values: dict[str, Element] = {}  # value text -> the nontrivial element it reads as
     syllables = []
     for token in text.split():
         head, eq, tail = token.rpartition("=")
         if not eq:
             raise ParseError(f"bad syllable {token!r} (expected vertex=value)", line=line)
         vertex = parse_vertex(graph, head, line=line)
-        value = parse_value(delta, tail, line=line)
-        if delta.is_identity(value):
-            raise ParseError(f"identity syllable {token!r}", line=line)
+        value = values.get(tail)
+        if value is None:
+            value = parse_value(delta, tail, line=line)
+            if delta.is_identity(value):
+                raise ParseError(f"identity syllable {token!r}", line=line)
+            values[tail] = value
         syllables.append(Syllable(vertex, value))
     return _record(Word(tuple(syllables)), graph, delta)  # each vertex and value tested above
 

@@ -2,9 +2,11 @@
 
 Group elements are plain immutable values: residues for cyclic groups,
 image tuples for permutations, indices for table groups, ints for the
-integers and integer tuples for free-abelian groups.  Every operation
-is a pure function of (spec, value), so shared specs are safe to reuse
-across threads and tests.
+integers and integer tuples for free-abelian groups.  Each int, alone
+or as a tuple entry, has type ``int`` exactly, as the parser reads it:
+``True`` equals 1 but is no element, since it would print as ``True``.
+Every operation is a pure function of (spec, value), so shared specs
+are safe to reuse across threads and tests.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ class Record:
     ``name: type = default`` in its class body, and the generic
     ``__init__`` binds arguments to them as that signature would.  A
     class that validates or derives state names ``_fields`` itself and
-    sets each field once in its own ``__init__`` through ``_set``.
+    sets each field once in its own ``__init__`` through ``_set`` (the
+    slotted word records, built per syllable, through their slots'
+    descriptors).
     Records of the same class are equal when their field values are, a
     record of another class is never equal, a record hashes as the tuple
     of its values and prints as ``Name(field=value, ...)``.  Assigning or
@@ -175,7 +179,7 @@ class Cyclic(GroupSpec):
         return (-a) % self.n
 
     def contains(self, a) -> bool:
-        return isinstance(a, int) and 0 <= a < self.n
+        return type(a) is int and 0 <= a < self.n
 
     def is_abelian(self) -> bool:
         return True
@@ -201,7 +205,9 @@ class Symmetric(GroupSpec):
         if degree < 1:
             raise GroupError(f"symmetric degree must be >= 1, got {degree}")
         _set(self, "degree", degree)
-        _set(self, "_points", list(range(degree)))  # not a field: what ``contains`` sorts to
+        # Not fields: what ``contains`` sorts an element to, and the types of its entries.
+        _set(self, "_points", list(range(degree)))
+        _set(self, "_types", [int] * degree)
 
     def identity(self) -> tuple[int, ...]:
         return tuple(range(self.degree))
@@ -216,14 +222,11 @@ class Symmetric(GroupSpec):
         return tuple(out)
 
     def contains(self, a) -> bool:
-        if not (isinstance(a, tuple) and len(a) == self.degree):
-            return False
-        # A sum of ints is an int: an entry such as 1.0, which sorts and
-        # compares like 1 but cannot index a tuple, makes it a float.
-        try:
-            return type(sum(a)) is int and sorted(a) == self._points
-        except TypeError:  # entries that neither add nor sort among ints
-            return False
+        # Entries of type int only: 1.0 (which cannot index a tuple) and
+        # True sort and compare like 1, and the parser reads neither.
+        return (
+            isinstance(a, tuple) and list(map(type, a)) == self._types and sorted(a) == self._points
+        )
 
     def is_abelian(self) -> bool:
         return self.degree <= 2
@@ -263,7 +266,7 @@ class FiniteTable(GroupSpec):
             raise GroupError(f"identity index {self.identity_index} out of range")
         for row in self.table:
             for entry in row:
-                if not isinstance(entry, int) or not 0 <= entry < n:
+                if type(entry) is not int or not 0 <= entry < n:
                     raise GroupError(f"table entry {entry!r} out of range (not closed)")
         e = self.identity_index
         for i in range(n):
@@ -300,7 +303,7 @@ class FiniteTable(GroupSpec):
         raise GroupError(f"no inverse for {a}")  # unreachable after validation
 
     def contains(self, a) -> bool:
-        return isinstance(a, int) and 0 <= a < self.size
+        return type(a) is int and 0 <= a < self.size
 
     def is_abelian(self) -> bool:
         return self._abelian
@@ -325,7 +328,7 @@ class Integers(GroupSpec):
         return -a
 
     def contains(self, a) -> bool:
-        return isinstance(a, int)
+        return type(a) is int
 
     def is_abelian(self) -> bool:
         return True
@@ -357,7 +360,7 @@ class FreeAbelian(GroupSpec):
         return (
             isinstance(a, tuple)
             and len(a) == self.rank
-            and all(isinstance(x, int) for x in a)
+            and all(type(x) is int for x in a)
         )
 
     def is_abelian(self) -> bool:

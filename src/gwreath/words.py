@@ -33,18 +33,23 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping
 
 from .errors import LoopObstruction, WordError
-from .groups import Element, GroupSpec, Record, _set
+from .groups import Element, GroupSpec, Record
 from .graphs import Vertex
 
 
-# Syllable, Word and wreath.WreathElement, which word arithmetic builds per syllable, keep an
-# explicit constructor (under half the generic one's time) and slots (no instance dictionary).
+# Syllable, Word and wreath.WreathElement, which word arithmetic builds per syllable, keep slots
+# (no instance dictionary) and an explicit constructor that writes each slot through the slot's
+# own descriptor, bound once below: a quarter less time than ``_set`` by name, and under a third
+# of the generic constructor's.
 class Syllable(Record):
     __slots__ = _fields = ("vertex", "value")
 
     def __init__(self, vertex: Vertex, value: Element):
-        _set(self, "vertex", vertex)
-        _set(self, "value", value)
+        _set_vertex(self, vertex)
+        _set_value(self, value)
+
+
+_set_vertex, _set_value = Syllable.vertex.__set__, Syllable.value.__set__
 
 
 class Word(Record):
@@ -55,7 +60,7 @@ class Word(Record):
     _fields = ("syllables",)
 
     def __init__(self, syllables: tuple[Syllable, ...] = ()):
-        _set(self, "syllables", syllables)
+        _set_syllables(self, syllables)
 
     def __len__(self) -> int:
         return len(self.syllables)
@@ -71,14 +76,17 @@ class Word(Record):
         return frozenset(s.vertex for s in self.syllables)
 
 
+_set_syllables, _set_graph, _set_delta = (
+    Word.syllables.__set__, Word._graph.__set__, Word._delta.__set__
+)
 EMPTY_WORD = Word()
 
 
 def _record(w: Word, graph, delta: GroupSpec) -> Word:
     """``w``, recording the graph (None: none) and coefficient group its
     syllables were checked against."""
-    _set(w, "_graph", graph)
-    _set(w, "_delta", delta)
+    _set_graph(w, graph)
+    _set_delta(w, delta)
     return w
 
 
@@ -251,11 +259,17 @@ def _canonical(graph, delta: GroupSpec, sylls: list[Syllable]) -> Word:
     return _record(Word(tuple(reduced)), graph, delta)
 
 
+def _inverses(delta: GroupSpec, sylls: list[Syllable]) -> dict[Element, Element]:
+    """Each distinct value of ``sylls``, already checked, to its inverse:
+    a word holds few distinct values, so each is inverted once."""
+    invert = delta._invert
+    return {a: invert(a) for a in {s.value for s in sylls}}
+
+
 def gp_invert(graph, delta: GroupSpec, w: Word) -> Word:
     sylls = _validate(graph, delta, w)  # once, before ``_invert`` can wrap a bad value
-    invert = delta._invert
-    inverses = [Syllable(s.vertex, invert(s.value)) for s in reversed(sylls)]
-    return _canonical(graph, delta, inverses)
+    inverse = _inverses(delta, sylls)
+    return _canonical(graph, delta, [Syllable(s.vertex, inverse[s.value]) for s in reversed(sylls)])
 
 
 def retract(graph, delta: GroupSpec, w: Word, keep: Iterable[Vertex]) -> Word:

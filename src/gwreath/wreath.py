@@ -42,6 +42,7 @@ from .words import (
     Syllable,
     Word,
     _canonical,
+    _inverses,
     _push_normal,
     _validate,
     canonical_form,
@@ -49,12 +50,15 @@ from .words import (
 
 
 class WreathElement(Record):
-    # Slotted, with an explicit constructor, for the reasons given at words.Syllable.
+    # Slotted, with an explicit constructor writing through the slot descriptors, as words.Syllable.
     __slots__ = _fields = ("word", "gamma")
 
     def __init__(self, word: Word, gamma: Gamma):
-        _set(self, "word", word)
-        _set(self, "gamma", gamma)
+        _set_word(self, word)
+        _set_gamma(self, gamma)
+
+
+_set_word, _set_gamma = WreathElement.word.__set__, WreathElement.gamma.__set__
 
 
 class Instance(Record):
@@ -101,8 +105,9 @@ def act_word(graph, delta: GroupSpec, gamma: Gamma, w: Word) -> Word:
 def gw_compose(instance: Instance, x: WreathElement, y: WreathElement) -> WreathElement:
     """(w1, g1)(w2, g2) = (w1 g1(w2), g1 g2), in one canonical pass."""
     graph, delta = instance.graph, instance.delta
-    gamma = graph.acting.compose(x.gamma, y.gamma)  # checks both before acting
-    move = graph.action(x.gamma)
+    move = graph.action(x.gamma)  # checks x's gamma; then y's, each once and before the words
+    graph.acting.check(y.gamma)
+    gamma = graph.acting._compose(x.gamma, y.gamma)
     left, right = _validate(graph, delta, x.word), _validate(graph, delta, y.word)
     moved = [Syllable(move(s.vertex), s.value) for s in right]  # vertices stay vertices
     return WreathElement(_canonical(graph, delta, left + moved), gamma)
@@ -111,10 +116,10 @@ def gw_compose(instance: Instance, x: WreathElement, y: WreathElement) -> Wreath
 def gw_invert(instance: Instance, x: WreathElement) -> WreathElement:
     """(w, g)^-1 = (g^-1(w^-1), g^-1), in one canonical pass."""
     graph, delta = instance.graph, instance.delta
-    ginv = graph.acting.invert(x.gamma)
+    ginv = graph.acting.invert(x.gamma)  # checks x's gamma; ``action`` checks its inverse
     sylls = _validate(graph, delta, x.word)  # before ``_invert`` can wrap a bad value
-    move, invert = graph.action(ginv), delta._invert
-    inverses = [Syllable(move(s.vertex), invert(s.value)) for s in reversed(sylls)]
+    move, inverse = graph.action(ginv), _inverses(delta, sylls)
+    inverses = [Syllable(move(s.vertex), inverse[s.value]) for s in reversed(sylls)]
     return WreathElement(_canonical(graph, delta, inverses), ginv)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections import deque
+from collections import Counter, deque
 
 from gwreath import (
     ArithmeticOffsets,
@@ -90,6 +90,15 @@ def two_orbit_graph() -> TranslationGraph:
     )
 
 
+def ladder_graph() -> TranslationGraph:
+    """Orbits a and b: a ~ a at offset 1, b ~ b at 3, a ~ b at 1 and 2."""
+    return TranslationGraph(("a", "b"), {
+        ("a", "a"): (FiniteOffsets(frozenset({1})),),
+        ("a", "b"): (FiniteOffsets(frozenset({1, 2})),),
+        ("b", "b"): (FiniteOffsets(frozenset({3})),),
+    })
+
+
 def k5_cyclic() -> FiniteModeGraph:
     edges = frozenset((i, j) for i in range(5) for j in range(i + 1, 5))
     return FiniteModeGraph(tuple(range(5)), edges, ((1, 2, 3, 4, 0),))
@@ -149,6 +158,24 @@ def klein_table() -> FiniteTable:
 
 # ---------------------------------------------------------------------------
 # random sampling
+
+
+def counting_spec(spec):
+    """A spec that acts as ``spec`` and a Counter of its ``_invert`` and
+    ``contains`` calls, keyed by (method name, argument)."""
+    calls = Counter()
+    base = type(spec)
+
+    class Counting(base):
+        def _invert(self, a):
+            calls["_invert", a] += 1
+            return base._invert(self, a)
+
+        def contains(self, a):
+            calls["contains", a] += 1
+            return base.contains(self, a)
+
+    return Counting(*spec._values(spec)), calls
 
 
 def random_element(spec, rng):

@@ -4,7 +4,10 @@ import pytest
 
 from gwreath import (
     Cyclic,
+    FreeAbelian,
+    GroupError,
     Instance,
+    Integers,
     ParseError,
     Symmetric,
     WreathElement,
@@ -27,6 +30,7 @@ from tests.support import (
     cycle_graph,
     factorial_graph,
     k5_cyclic,
+    klein_table,
     line_graph,
     torus_graph,
     two_orbit_graph,
@@ -142,6 +146,58 @@ def test_value_and_gamma_round_trip():
     assert formats.parse_value(s3, formats.value_text((2, 0, 1))) == (2, 0, 1)
     inst = Instance(Cyclic(2), line_graph())
     assert formats.parse_gamma(inst, formats.value_text(-4)) == -4
+
+
+def test_every_accepted_value_emits_text_that_parses_back():
+    candidates = [True, False, 0, 1, 2, -3, (), (True, 0), (0, False), (1, -2),
+                  (True, 0, 2), (0, True, 2), (1, 0, 2), (2, 0, 1)]
+    specs = [Cyclic(3), Symmetric(2), Symmetric(3), klein_table(), Integers(),
+             FreeAbelian(0), FreeAbelian(2)]
+    for spec in specs:
+        for value in candidates:
+            if spec.contains(value):
+                # repr, since True == 1: the value must come back as it went out
+                assert repr(formats.parse_value(spec, formats.value_text(value))) == repr(value)
+            else:
+                with pytest.raises(ParseError):
+                    formats.parse_value(spec, formats.value_text(value))
+
+
+def test_no_certificate_holds_a_bool():
+    inst, _ = formats.parse_instance_text(EX11)
+    with pytest.raises(GroupError):
+        word(inst.delta, [(("c", 0), True)])
+    w = word(inst.delta, [(("c", 0), 1)])
+    with pytest.raises(GroupError):
+        separate(inst, WreathElement(w, True))
+    cert = separate(inst, WreathElement(w, 0))
+    lines = formats.certificate_lines(inst, cert)
+    assert lines[1:3] == ["element.word c:0=1", "element.gamma 0"]
+    kind, record = formats.parse_structured("\n".join(lines))
+    rebuilt = formats.certificate_from_record(inst, record)
+    assert formats.certificate_lines(inst, rebuilt) == lines
+    assert verify_certificate(inst, rebuilt)
+
+
+def test_parse_word_errors_name_the_first_bad_token():
+    # each distinct value text is parsed once, where it first occurs, so a
+    # repeated text raises at its first bad occurrence, after the tokens before it
+    graph = line_graph()
+    cases = {
+        "c:0=1,0,2 c:1=1,0,2 c:2=x c:3=x": "cannot parse group element 'x'",
+        "c:0=1,0,2 c:1=1,1,2 c:2=1,1,2": "'1,1,2' is not an element of Symmetric(degree=3)",
+        "c:0=1,0,2 c:1=0,1,2 c:2=0,1,2": "identity syllable 'c:1=0,1,2'",
+        "c:0=1,0,2 c:1=1,0,2 d:2=1,0,2": "vertex 'd:2' does not belong to the graph",
+        "c:0=1,0,2 c:x=1,0,2": "bad vertex 'c:x'",
+        "c:0=1,0,2 c:1=1,0,2 c:2": "bad syllable 'c:2' (expected vertex=value)",
+        "c:0=x d:1=1,0,2": "cannot parse group element 'x'",
+        "d:0=x c:1=1,0,2": "vertex 'd:0' does not belong to the graph",
+    }
+    for text, message in cases.items():
+        with pytest.raises(ParseError) as info:
+            formats.parse_word(graph, Symmetric(3), text, line=7)
+        assert message in str(info.value), text
+        assert info.value.line == 7
 
 
 def test_structured_header_parses():

@@ -40,6 +40,7 @@ from tests.support import (
     cycle_graph,
     factorial_graph,
     k5_cyclic,
+    ladder_graph,
     line_graph,
     offsets_graph,
     prime_cycles_graph,
@@ -358,17 +359,9 @@ def test_quotient_matches_brute_force(graph):
         assert q.loops == frozenset(loops), f"modulus {m}"
 
 
-def _ladder_graph() -> TranslationGraph:
-    return TranslationGraph(("a", "b"), {
-        ("a", "a"): (FiniteOffsets(frozenset({1})),),
-        ("a", "b"): (FiniteOffsets(frozenset({1, 2})),),
-        ("b", "b"): (FiniteOffsets(frozenset({3})),),
-    })
-
-
 @pytest.mark.parametrize(
     "graph",
-    [line_graph(), _ladder_graph(), two_orbit_graph(), factorial_graph(0), factorial_graph(1),
+    [line_graph(), ladder_graph(), two_orbit_graph(), factorial_graph(0), factorial_graph(1),
      factorial_graph(5), complete_z_graph(),
      TranslationGraph(("a", "b"), {("a", "a"): (ArithmeticOffsets(2, 2),),
                                    ("a", "b"): (ArithmeticOffsets(1, 3), FactorialOffsets(2))})],

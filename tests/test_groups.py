@@ -146,6 +146,38 @@ def test_symmetric_elements_have_int_entries():
     assert s3.contains((1, 0, 2))
 
 
+@pytest.mark.parametrize(
+    "spec, bools",
+    [
+        (Cyclic(2), (True, False)),
+        (klein_table(), (True, False)),
+        (Integers(), (True, False)),
+        (Symmetric(3), ((True, 0, 2), (1, False, 2), (0, True, 2))),
+        (FreeAbelian(2), ((True, 0), (0, False))),
+    ],
+    ids=repr,
+)
+def test_bools_are_no_elements(spec, bools):
+    # True and False equal 1 and 0, but the parser reads only ints, and
+    # a document would print them as True and False
+    for bad in bools:
+        twin = tuple(map(int, bad)) if isinstance(bad, tuple) else int(bad)
+        assert spec.contains(twin)
+        assert not spec.contains(bad)
+        with pytest.raises(GroupError):
+            spec.check(bad)
+        with pytest.raises(GroupError):
+            spec.compose(bad, spec.identity())
+        with pytest.raises(GroupError):
+            spec.invert(bad)
+
+
+def test_finite_table_rejects_bool_entries():
+    assert FiniteTable(2, ((0, 1), (1, 0))).order() == 2
+    with pytest.raises(GroupError, match="not closed"):
+        FiniteTable(2, ((0, True), (True, 0)))
+
+
 class _CountedRows(tuple):
     """Table rows that count how often one is read by index."""
 

@@ -18,9 +18,11 @@ from gwreath import (
     Word,
     WordError,
     WreathElement,
+    act_word,
     canonical_form,
     gp_invert,
     gw_compose,
+    gw_invert,
     push_forward,
     quotient_graph,
     retract,
@@ -59,6 +61,42 @@ def syl(v, g=1):
 def test_word_constructor_rejects_identity_syllables():
     with pytest.raises(WordError):
         word(C2, [(0, 0)])
+
+
+def test_bool_values_are_rejected_by_word_and_normalize():
+    with pytest.raises(GroupError):
+        word(C2, [(("c", 0), True)])
+    with pytest.raises(GroupError):
+        word(S3, [(("c", 0), (True, 0, 2))])
+    inst = Instance(S3, line_graph())
+    for value in ((True, 0, 2), (0, True, 2)):
+        raw = WreathElement(Word((Syllable(("c", 0), (1, 0, 2)), Syllable(("c", 1), value))), 0)
+        with pytest.raises(GroupError):
+            inst.normalize(raw)
+        with pytest.raises(GroupError):
+            canonical_form(inst.graph, S3, raw.word)
+
+
+@pytest.mark.parametrize(
+    "graph, bad", [(line_graph(), True), (torus_graph(3), (True, 0)), (torus_graph(3), (1, False))],
+    ids=["line-True", "torus-(True,0)", "torus-(1,False)"],
+)
+def test_bool_gammas_are_rejected(graph, bad):
+    inst = Instance(C2, graph)
+    v = sorted(graph.vertices)[0] if isinstance(graph, FiniteModeGraph) else ("c", 0)
+    w = word(C2, [(v, 1)])
+    good = WreathElement(w, inst.graph.acting.identity())
+    x = WreathElement(w, bad)
+    for operation in (
+        lambda: inst.normalize(x),
+        lambda: inst.is_identity_element(x),
+        lambda: gw_compose(inst, x, good),
+        lambda: gw_compose(inst, good, x),
+        lambda: gw_invert(inst, x),
+        lambda: act_word(inst.graph, C2, bad, w),
+    ):
+        with pytest.raises(GroupError, match="is not an element of"):
+            operation()
 
 
 def test_canonical_empty():

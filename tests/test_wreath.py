@@ -46,15 +46,18 @@ from gwreath.graphs import enumerate_subgroups
 
 from tests.support import (
     complete_z_graph,
+    counting_spec,
     cycle_graph,
     factorial_graph,
     k5_cyclic,
+    ladder_graph,
     line_graph,
     obstruction_spot_check,
     prime_cycles_graph,
     random_word,
     random_nontrivial,
     random_wreath,
+    reference_canonical_form,
     reference_first_candidate,
     reference_gw_compose,
     reference_gw_invert,
@@ -1036,6 +1039,82 @@ def test_group_operations_check_each_syllable_once(monkeypatch, graph_name):
 
 def _built_by_word(x):
     return WreathElement(word(S3, [(s.vertex, s.value) for s in x.word]), x.gamma)
+
+
+COST_GRAPHS = {"line": line_graph, "ladder": ladder_graph, "torus8": lambda: torus_graph(8)}
+
+
+@pytest.mark.parametrize("graph_name", sorted(COST_GRAPHS))
+@pytest.mark.parametrize("delta", [C2, S3], ids=["C2", "S3"])
+def test_inversion_inverts_each_distinct_value_once(graph_name, delta):
+    graph = COST_GRAPHS[graph_name]()
+    counting, calls = counting_spec(delta)
+    inst = Instance(counting, graph)
+    rng = random.Random(f"inverses:{graph_name}:{delta!r}")
+    for n in (0, 1, 5, 64, 512):
+        for window in (3, 12):
+            x = _sample_element(inst, rng, n, window)
+            ginv = graph.acting.invert(x.gamma)
+            moved = _inverse_per_syllable(graph, delta, x.word, graph.action(ginv))
+            for operation, expected in (
+                (lambda: gw_invert(inst, x), WreathElement(moved, ginv)),
+                (lambda: words.gp_invert(graph, counting, x.word),
+                 _inverse_per_syllable(graph, delta, x.word, lambda v: v)),
+            ):
+                calls.clear()
+                assert operation() == expected
+                inverted = {a: count for (name, a), count in calls.items() if name == "_invert"}
+                assert inverted == dict.fromkeys({s.value for s in x.word}, 1)
+
+
+def _inverse_per_syllable(graph, delta, w, move):
+    """The inverse of ``w`` moved by ``move``: one ``invert`` per
+    syllable, then the direct quadratic canonical form."""
+    inverses = [Syllable(move(s.vertex), delta.invert(s.value)) for s in reversed(w.syllables)]
+    return reference_canonical_form(graph, delta, inverses)
+
+
+@pytest.mark.parametrize("graph_name", sorted(COST_GRAPHS))
+@pytest.mark.parametrize("delta", [C2, S3], ids=["C2", "S3"])
+def test_parse_word_checks_each_distinct_value_text_once(graph_name, delta):
+    graph = COST_GRAPHS[graph_name]()
+    counting, calls = counting_spec(delta)
+    rng = random.Random(f"parse:{graph_name}:{delta!r}")
+    for n in (0, 1, 5, 64, 512):
+        for window in (3, 12):
+            w = _sample_element(Instance(delta, graph), rng, n, window).word
+            calls.clear()
+            parsed = formats.parse_word(graph, counting, formats.word_text(w))
+            assert parsed == w
+            assert canonical_form(graph, delta, parsed) == reference_canonical_form(graph, delta, w)
+            assert calls == Counter({("contains", s.value): 1 for s in w})
+
+
+@pytest.mark.parametrize("graph_name", sorted(COST_GRAPHS))
+def test_gw_compose_checks_each_gamma_once(monkeypatch, graph_name):
+    inst = Instance(S3, COST_GRAPHS[graph_name]())
+    acting = inst.graph.acting
+    rng = random.Random(101)
+    x, y = _sample_element(inst, rng, 20, 6), _sample_element(inst, rng, 20, 6)
+    ginv = acting.invert(x.gamma)
+    checked, check = [], type(acting).check
+
+    def counted_check(self, a):
+        if self is acting:
+            checked.append(a)
+        return check(self, a)
+
+    monkeypatch.setattr(type(acting), "check", counted_check)
+    gw_compose(inst, x, y)
+    assert checked == [x.gamma, y.gamma]
+    checked.clear()
+    gw_invert(inst, x)  # x's gamma, then the inverse the vertex map is built from
+    assert checked == [x.gamma, ginv]
+    # a bad gamma raises the acting group's error, x's before y's
+    for left, right, culprit in (("x", y.gamma, "x"), (x.gamma, None, None), ("x", None, "x")):
+        with pytest.raises(GroupError) as info:
+            gw_compose(inst, WreathElement(x.word, left), WreathElement(y.word, right))
+        assert str(info.value) == f"{culprit!r} is not an element of {acting!r}"
 
 
 def _outcome(operation, w):
