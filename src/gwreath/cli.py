@@ -59,8 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
         if bound:
             p.add_argument(
                 "--bound", type=int, default=64,
-                help="separate's largest modulus / subgroup search bound; check only "
-                     "records it (default: 64)",
+                help="separate's largest modulus on a translation instance; a finite-mode "
+                     "separate tries every subgroup of the image and reports their count "
+                     "as the bound; check only records it (default: 64)",
             )
         for flag, options in arguments:
             p.add_argument(flag, **options)

@@ -29,9 +29,9 @@ class LoopObstruction(RuntimeError):
     homomorphism.
     """
 
-    def __init__(self, vertex, message: str | None = None):
+    def __init__(self, vertex):
         self.vertex = vertex
-        super().__init__(message or f"loop at image vertex {vertex!r} with non-abelian coefficients")
+        super().__init__(f"loop at image vertex {vertex!r} with non-abelian coefficients")
 
 
 class IdentityElement(ValueError):
@@ -39,11 +39,16 @@ class IdentityElement(ValueError):
 
 
 class SearchExhausted(RuntimeError):
-    """No subgroup within the search bound satisfied every check."""
+    """No subgroup within the search bound satisfied every check.
 
-    def __init__(self, bound: int, message: str | None = None):
+    A translation search tries the moduli 1..``bound`` it was given; a
+    finite-mode search ignores that bound, tries every subgroup of the
+    acting image, and reports their count as ``bound``.
+    """
+
+    def __init__(self, bound: int):
         self.bound = bound
-        super().__init__(message or f"search exhausted at bound {bound}")
+        super().__init__(f"search exhausted at bound {bound}")
 
 
 class WitnessError(ValueError):

@@ -1,11 +1,13 @@
 """Instance file parsing and the structured v1 output format.
 
 Instance files are sectioned key/value text (sections ``delta``,
-``gamma``, ``graph``, ``elements``); unknown sections or fields are
-rejected with the offending line number.  Structured output is a
-versioned, line-delimited document: the first line names the document
-kind, every following line is ``key value`` with a stable key order, so
-identical inputs always produce byte-identical output.
+``gamma``, ``graph``, ``elements``).  Structured output is a versioned,
+line-delimited document: the first line names the document kind, every
+following line is ``key value`` with a stable key order, so identical
+inputs always produce byte-identical output.  Both are read by one
+rule: each reader takes the lines it parses, and a line no reader took
+(an unknown section, field or key, or one of another group kind, graph
+mode or document kind) is a ParseError.
 """
 
 from __future__ import annotations
@@ -170,7 +172,8 @@ _SECTION_FIELDS = {
 
 
 def _split_sections(text: str):
-    sections: dict[str, list[tuple[str, str, int]]] = {}
+    """Each section's fields: every key's (value, line) pairs in order."""
+    sections: dict[str, dict[str, list[tuple[str, int]]]] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -182,7 +185,7 @@ def _split_sections(text: str):
                 raise ParseError(f"unknown section [{name}]", line=lineno)
             if name in sections:
                 raise ParseError(f"duplicate section [{name}]", line=lineno)
-            sections[name] = []
+            sections[name] = {}
             current = name
             continue
         if current is None:
@@ -194,19 +197,25 @@ def _split_sections(text: str):
         allowed = _SECTION_FIELDS[current]
         if allowed is not None and key not in allowed:
             raise ParseError(f"unknown field in [{current}]", line=lineno, field=key)
-        sections[current].append((key, value, lineno))
+        sections[current].setdefault(key, []).append((value, lineno))
     return sections
 
 
-def _single(entries, key, *, required=True, section=""):
-    hits = [(v, n) for k, v, n in entries if k == key]
+def _single(entries, key, *, section):
+    """The (value, line) of ``key``, taken out of ``entries``."""
+    hits = entries.pop(key, None)
     if not hits:
-        if required:
-            raise ParseError(f"missing field {key!r} in [{section}]")
-        return None, None
+        raise ParseError(f"missing field {key!r} in [{section}]")
     if len(hits) > 1:
         raise ParseError(f"field {key!r} repeated in [{section}]", line=hits[1][1])
     return hits[0]
+
+
+def _no_field_left(entries, section: str, owner: str) -> None:
+    """A ParseError at the first field of ``section`` its reader did not
+    take: one that belongs to another ``owner``."""
+    for key, hits in entries.items():
+        raise ParseError(f"field of another {owner} in [{section}]", line=hits[0][1], field=key)
 
 
 def _parse_delta(entries) -> GroupSpec:
@@ -225,9 +234,8 @@ def _parse_delta(entries) -> GroupSpec:
             size, size_line = _single(entries, "size", section="delta")
             identity, _ = _single(entries, "identity", section="delta")
             table = []
-            for key, value, line in entries:  # a bad row names its own line
-                if key == "row":
-                    table.append(tuple(int(x) for x in value.split()))
+            for value, line in entries.pop("row", []):  # a bad row names its own line
+                table.append(tuple(int(x) for x in value.split()))
             line = size_line  # a bad size or identity, or a table that is no group
             return FiniteTable(int(size), tuple(table), int(identity))
     except ParseError:
@@ -245,9 +253,7 @@ def _parse_graph(entries):
         if len(set(labels)) != len(labels):
             raise ParseError("orbit labels must be distinct", line=line)
         families: dict[tuple[str, str], list[DifferenceFamily]] = {}
-        for key, value, lineno in entries:
-            if key != "family":
-                continue
+        for value, lineno in entries.pop("family", []):
             tokens = value.split()
             if len(tokens) < 3:
                 raise ParseError(
@@ -269,21 +275,20 @@ def _parse_graph(entries):
         edges = set()
         generators = []
         lines = {}  # a GraphError's culprit -> the first line giving it
-        for key, value, lineno in entries:
-            if key == "edge":
-                try:
-                    u, w = (int(x) for x in value.split())
-                except ValueError:
-                    raise ParseError("edge needs two vertex ids", line=lineno) from None
-                edges.add((u, w))
-                lines.setdefault(("edge", (u, w)), lineno)
-            elif key == "generator":
-                try:
-                    g = tuple(int(x) for x in value.split())
-                except ValueError:
-                    raise ParseError("generator must list vertex images", line=lineno) from None
-                generators.append(g)
-                lines.setdefault(("generator", g), lineno)
+        for value, lineno in entries.pop("edge", []):
+            try:
+                u, w = (int(x) for x in value.split())
+            except ValueError:
+                raise ParseError("edge needs two vertex ids", line=lineno) from None
+            edges.add((u, w))
+            lines.setdefault(("edge", (u, w)), lineno)
+        for value, lineno in entries.pop("generator", []):
+            try:
+                g = tuple(int(x) for x in value.split())
+            except ValueError:
+                raise ParseError("generator must list vertex images", line=lineno) from None
+            generators.append(g)
+            lines.setdefault(("generator", g), lineno)
         try:
             return FiniteModeGraph(vertices, frozenset(edges), tuple(generators))
         except GraphError as exc:  # repeated vertex ids have no culprit
@@ -297,16 +302,19 @@ def parse_instance_text(text: str) -> tuple[Instance, dict[str, WreathElement]]:
         if required not in sections:
             raise ParseError(f"missing section [{required}]")
     delta = _parse_delta(sections["delta"])
+    _no_field_left(sections["delta"], "delta", "group kind")
     graph = _parse_graph(sections["graph"])
+    _no_field_left(sections["graph"], "graph", "graph mode")
     gamma_kind, line = _single(sections["gamma"], "kind", section="gamma")
     expected = "z" if isinstance(graph, TranslationGraph) else f"z^{graph.rank}"
     if gamma_kind != expected:
         raise ParseError(f"this graph requires gamma kind {expected!r}", line=line)
     instance = Instance(delta, graph)
     elements: dict[str, WreathElement] = {}
-    for name, value, lineno in sections.get("elements", []):
-        if name in elements:
-            raise ParseError(f"duplicate element name {name!r}", line=lineno)
+    for name, hits in sections.get("elements", {}).items():
+        if len(hits) > 1:
+            raise ParseError(f"duplicate element name {name!r}", line=hits[1][1])
+        (value, lineno), = hits
         body, at, gamma_part = value.rpartition("@")
         if not at:
             raise ParseError("element needs 'SYLLABLES @ GAMMA'", line=lineno, field=name)
@@ -373,15 +381,21 @@ def parse_structured(text: str) -> tuple[str, dict[str, list[str]]]:
     return head[2], document
 
 
-def _one(record, key, *, required=True) -> str | None:
-    values = record.get(key, [])
+def _one(record, key) -> str:
+    """The single value of ``key``, taken out of ``record``."""
+    values = record.pop(key, None)
     if not values:
-        if required:
-            raise ParseError(f"missing key {key!r}")
-        return None
+        raise ParseError(f"missing key {key!r}")
     if len(values) > 1:
         raise ParseError(f"key {key!r} repeated")
     return values[0]
+
+
+def _no_key_left(record) -> None:
+    """A ParseError naming the first key its reader did not take out of
+    ``record``: no line is silently dropped."""
+    for key in record:
+        raise ParseError(f"unexpected key {key!r}")
 
 
 def _int(text: str, key: str) -> int:
@@ -418,30 +432,6 @@ def _parse_check(text: str) -> bool | None:
     if text in ("pass", "fail"):
         return text == "pass"
     raise ParseError(f"bad check value {text!r}")
-
-
-# The keys each document kind emits; a parser rejects any other.
-_CERTIFICATE_KEYS = {"element.word", "element.gamma", "subgroup.kind", "restricted", "image.word",
-                     *(f"check.{k}" for k in ("gamma-injective", "induced-isomorphism",
-                                              "loops-clear", "image-nontrivial"))}
-_SUBGROUP_KEYS = {"modulus": {"subgroup.modulus", "image.gamma"},
-                  "image-subgroup": {"subgroup.perm", "image.gamma-coset"}}
-_WITNESS_KEYS = {"kind", "vertex", "delta-element", "element.word", "element.gamma",
-                 *(f"obstruction.{k}" for k in ("lemma", "pair", "family", "offset", "statement"))}
-
-
-def _check_keys(record, keys) -> None:
-    """A ParseError naming the first key of ``record`` outside ``keys``:
-    no line is silently dropped."""
-    for key in record:
-        if key not in keys:
-            raise ParseError(f"unexpected key {key!r}")
-
-
-def _quotient_keys(q: QuotientGraph, prefix: str) -> set[str]:
-    """The keys ``quotient_lines`` emits for a quotient of ``q``'s kind."""
-    own = ("modulus", "labels") if q.kind == "translation" else ("orbit",)
-    return {f"{prefix}.{key}" for key in ("kind", "vertex", "edge", "loop", "lift", *own)}
 
 
 def quotient_lines(q: QuotientGraph, prefix: str = "quotient") -> list[str]:
@@ -487,23 +477,24 @@ def parse_quotient(record, prefix: str = "quotient") -> QuotientGraph:
     """The quotient of ``quotient_lines``.  Each listed vertex token is
     read once, and edges and loops look their tokens up; a token no
     vertex line lists is read on its own.  A vertex, edge, loop or orbit
-    member given twice is a ParseError."""
+    member given twice is a ParseError.  The keys read are taken out of
+    ``record``, for the document's reader to reject any left."""
     kind = _one(record, f"{prefix}.kind")
-    listed = record.get(f"{prefix}.vertex", [])
-    if record.get(f"{prefix}.lift", []) != [f"{t} {t}" for t in listed]:
+    listed = record.pop(f"{prefix}.vertex", [])
+    if record.pop(f"{prefix}.lift", []) != [f"{t} {t}" for t in listed]:
         raise ParseError(f"{prefix}.lift lines must map each {prefix}.vertex to itself, in order")
     ids = _Tokens(zip(listed, map(_vertex_token, listed)))
     vertices = list(ids.values())
     if len(set(vertices)) != len(listed):
         raise ParseError(f"repeated {prefix}.vertex entry")
-    entries = record.get(f"{prefix}.edge", [])
+    entries = record.pop(f"{prefix}.edge", [])
     edges = set()
     for entry in entries:
         left, _, right = entry.partition("|")
         edges.add((ids[left], ids[right]))
     if len(edges) != len(entries):
         raise ParseError(f"repeated {prefix}.edge entry")
-    entries = record.get(f"{prefix}.loop", [])
+    entries = record.pop(f"{prefix}.loop", [])
     loops = set(map(ids.__getitem__, entries))
     if len(loops) != len(entries):
         raise ParseError(f"repeated {prefix}.loop entry")
@@ -516,7 +507,7 @@ def parse_quotient(record, prefix: str = "quotient") -> QuotientGraph:
         return QuotientGraph("translation", vertices, edges, loops, modulus=modulus, labels=labels)
     if kind == "finite":
         orbit_map = {}
-        for entry in record.get(f"{prefix}.orbit", []):
+        for entry in record.pop(f"{prefix}.orbit", []):
             ids = _ints(entry.split(), f"{prefix}.orbit")
             if not ids:
                 raise ParseError(f"empty {prefix}.orbit line")
@@ -560,6 +551,7 @@ def certificate_lines(instance: Instance, cert: RFCertificate) -> list[str]:
 
 def certificate_from_record(instance: Instance, record) -> RFCertificate:
     _expect_kind(record, "separation-certificate")
+    record = dict(record)  # each key read is taken out of this copy
     graph, delta = instance.graph, instance.delta
     w = parse_word(graph, delta, _one(record, "element.word"))
     gamma = parse_gamma(instance, _one(record, "element.gamma"))
@@ -575,7 +567,7 @@ def certificate_from_record(instance: Instance, record) -> RFCertificate:
         subgroup_perms = tuple(
             sorted(
                 tuple(_ints(entry.split(","), "subgroup.perm"))
-                for entry in record.get("subgroup.perm", [])
+                for entry in record.pop("subgroup.perm", [])
             )
         )
         coset = _one(record, "image.gamma-coset")
@@ -584,7 +576,6 @@ def certificate_from_record(instance: Instance, record) -> RFCertificate:
         )
     else:
         raise ParseError(f"unknown subgroup kind {kind!r}")
-    _check_keys(record, _CERTIFICATE_KEYS | _SUBGROUP_KEYS[kind] | _quotient_keys(quotient, "quotient"))
     restricted_text = _one(record, "restricted")
     if restricted_text == "-":
         restricted: tuple = ()
@@ -599,6 +590,7 @@ def certificate_from_record(instance: Instance, record) -> RFCertificate:
         loops_clear=_parse_check(_one(record, "check.loops-clear")),
         image_nontrivial=_parse_check(_one(record, "check.image-nontrivial")),
     )
+    _no_key_left(record)
     return RFCertificate(
         element=element,
         kind=kind,
@@ -634,11 +626,11 @@ def witness_lines(instance: Instance, wit: NonRFWitness) -> list[str]:
 
 def witness_from_record(instance: Instance, record) -> NonRFWitness:
     _expect_kind(record, "witness")
+    record = dict(record)  # each key read is taken out of this copy
     graph, delta = instance.graph, instance.delta
-    _check_keys(record, _WITNESS_KEYS)
     kind = _one(record, "kind")
-    vertices = tuple(parse_vertex(graph, t) for t in record.get("vertex", []))
-    elements = tuple(parse_value(delta, t) for t in record.get("delta-element", []))
+    vertices = tuple(parse_vertex(graph, t) for t in record.pop("vertex", []))
+    elements = tuple(parse_value(delta, t) for t in record.pop("delta-element", []))
     w = parse_word(graph, delta, _one(record, "element.word"))
     gamma = parse_gamma(instance, _one(record, "element.gamma"))
     c1, c2 = _split(_one(record, "obstruction.pair"), "obstruction.pair", 2)
@@ -651,6 +643,7 @@ def witness_from_record(instance: Instance, record) -> NonRFWitness:
         offset=None if offset_text == "-" else _int(offset_text, "obstruction.offset"),
         statement=_one(record, "obstruction.statement"),
     )
+    _no_key_left(record)
     return NonRFWitness(
         theorem=kind,
         vertices=vertices,
@@ -679,6 +672,7 @@ def lef_from_record(graph: TranslationGraph, record) -> LEFCertificate:
     from .lef import LEFCertificate, Truncation
 
     _expect_kind(record, "lef-certificate")
+    record = dict(record)  # each key read is taken out of this copy
     group, order = _split(_one(record, "q"), "q", 2)
     if group != "cyclic":
         raise ParseError(f"unsupported finite model group {group!r}")
@@ -687,16 +681,15 @@ def lef_from_record(graph: TranslationGraph, record) -> LEFCertificate:
         raise ParseError(f"q needs a positive order, got {n}")
     q_spec = Cyclic(n)
     y = parse_quotient(record, prefix="y")
-    _check_keys(record, {"q", "modulus", "truncation.offsets", "phi", "psi"} | _quotient_keys(y, "y"))
     phi = {}
-    for entry in record.get("phi", []):
+    for entry in record.pop("phi", []):
         a, image = _split(entry, "phi", 2)
         a = _int(a, "phi")
         if a in phi:
             raise ParseError(f"repeated phi entry: {a}")
         phi[a] = _int(image, "phi")
     psi = {}
-    for entry in record.get("psi", []):
+    for entry in record.pop("psi", []):
         source, image = _split(entry, "psi", 2)
         v = parse_vertex(graph, source)
         if v in psi:
@@ -704,7 +697,7 @@ def lef_from_record(graph: TranslationGraph, record) -> LEFCertificate:
         psi[v] = _vertex_token(image)
     modulus = _int(_one(record, "modulus"), "modulus")
     kept = {}
-    for entry in record.get("truncation.offsets", []):
+    for entry in record.pop("truncation.offsets", []):
         tokens = entry.split()
         if len(tokens) < 2:
             raise ParseError(f"truncation.offsets needs a label pair, got {entry!r}")
@@ -716,6 +709,7 @@ def lef_from_record(graph: TranslationGraph, record) -> LEFCertificate:
         kept[c1, c2] = frozenset(_ints(offsets, "truncation.offsets"))
         if 0 in kept[c1, c2]:
             raise ParseError("bad truncation: offset 0 would create a loop")
+    _no_key_left(record)
     truncation = Truncation(kept_offsets=kept, modulus=modulus)
     return LEFCertificate(q_spec=q_spec, y=y, phi=phi, psi=psi, truncation=truncation)
 

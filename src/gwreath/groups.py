@@ -12,6 +12,7 @@ are safe to reuse across threads and tests.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from typing import Iterator
 
@@ -232,10 +233,7 @@ class Symmetric(GroupSpec):
         return self.degree <= 2
 
     def order(self) -> int:
-        out = 1
-        for k in range(2, self.degree + 1):
-            out *= k
-        return out
+        return math.factorial(self.degree)
 
     def elements(self):
         return itertools.permutations(range(self.degree))
@@ -272,11 +270,12 @@ class FiniteTable(GroupSpec):
         for i in range(n):
             if self.table[e][i] != i or self.table[i][e] != i:
                 raise GroupError(f"index {e} is not a two-sided identity")
+        inverses = []
         for i in range(n):
-            if not any(
-                self.table[i][j] == e and self.table[j][i] == e for j in range(n)
-            ):
+            j = next((j for j in range(n) if self.table[i][j] == e == self.table[j][i]), None)
+            if j is None:
                 raise GroupError(f"element {i} has no inverse")
+            inverses.append(j)
         for i in range(n):
             for j in range(n):
                 for k in range(n):
@@ -284,10 +283,11 @@ class FiniteTable(GroupSpec):
                         raise GroupError(
                             f"table is not associative at ({i}, {j}, {k})"
                         )
-        # Not a field: equality and hashing still see only the table.
+        # Not fields: equality and hashing still see only the table.
         _set(self, "_abelian", all(
             self.table[i][j] == self.table[j][i] for i in range(n) for j in range(i)
         ))
+        _set(self, "_inverses", tuple(inverses))
 
     def identity(self) -> int:
         return self.identity_index
@@ -296,11 +296,7 @@ class FiniteTable(GroupSpec):
         return self.table[a][b]
 
     def _invert(self, a):
-        e = self.identity_index
-        for b in range(self.size):
-            if self.table[a][b] == e:
-                return b
-        raise GroupError(f"no inverse for {a}")  # unreachable after validation
+        return self._inverses[a]
 
     def contains(self, a) -> bool:
         return type(a) is int and 0 <= a < self.size

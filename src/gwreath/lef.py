@@ -55,13 +55,9 @@ def truncate_graph(
     realized: dict[tuple[str, str], set[int]] = {}
     for v, w in itertools.combinations(vertices, 2):
         if graph.adjacent(v, w):
+            # v precedes w by vertex_key: its label never follows w's, and x < y on one label
             (c1, x), (c2, y) = v, w
-            i, j = graph.label_index(c1), graph.label_index(c2)
-            if i <= j:
-                key, offset = (c1, c2), y - x
-            else:
-                key, offset = (c2, c1), x - y
-            realized.setdefault(key, set()).add(abs(offset) if c1 == c2 else offset)
+            realized.setdefault((c1, c2), set()).add(y - x)
     kept = {key: frozenset(offs) for key, offs in realized.items()}
     families = {key: (FiniteOffsets(frozenset(offs)),) for key, offs in kept.items()}
     truncated = TranslationGraph(graph.labels, families)

@@ -236,6 +236,17 @@ def test_witness_command(capsys):
     assert out.startswith("WITNESS T3.1")
 
 
+def test_witness_takes_coefficient_elements(capsys):
+    witness = ("witness", INSTANCES / "ex12.instance", "--kind", "T3.1", "--vertices", "c:0")
+    code, out, _ = invoke(capsys, *witness, "--elements", "1,0,2 0,2,1", "--format", "structured")
+    assert code == 0
+    assert out.splitlines()[3:5] == ["delta-element 1,0,2", "delta-element 0,2,1"]
+    code, out, _ = invoke(capsys, *witness, "--elements", "1,0,2 1,0,2")
+    assert (code, out) == (2, "NO WITNESS: (1, 0, 2) and (1, 0, 2) commute\n")
+    code, out, err = invoke(capsys, *witness, "--elements", "1,1,2 0,2,1")
+    assert (code, out) == (1, "") and err.startswith("error: '1,1,2' is not an element")
+
+
 def test_witness_not_certifiable_exits_two(capsys):
     code, out, _ = invoke(
         capsys,
@@ -284,6 +295,23 @@ def test_quotient_requires_modulus_for_translation(capsys):
     assert "--modulus" in err
 
 
+def test_quotient_requires_subgroup_for_finite_mode(capsys):
+    code, out, err = invoke(capsys, "quotient", INSTANCES / "finite5-s3.instance")
+    assert (code, out) == (1, "")
+    assert err == "error: finite-mode instances need --subgroup\n"
+
+
+def test_quotient_text_indents_the_structured_lines(capsys):
+    argv = ("quotient", INSTANCES / "ex11.instance", "--modulus", "3")
+    code, structured, _ = invoke(capsys, *argv, "--format", "structured")
+    assert code == 0
+    code, out, _ = invoke(capsys, *argv, "--format", "text")
+    assert code == 0
+    assert out.splitlines() == ["QUOTIENT with 3 vertices"] + [
+        "  " + line for line in structured.splitlines()[1:]
+    ]
+
+
 def test_lef_command(capsys):
     code, out, _ = invoke(
         capsys,
@@ -296,6 +324,13 @@ def test_lef_command(capsys):
     )
     assert code == 0
     assert out.startswith("LEF MODEL with group of order 5")
+
+
+def test_lef_rejects_a_finite_mode_instance(capsys):
+    code, out, err = invoke(capsys, "lef", INSTANCES / "finite5-s3.instance",
+                            "--gamma-set", "0,1", "--vertex-set", "0 1")
+    assert (code, out) == (1, "")
+    assert err == "error: finite partial models are built for translation instances\n"
 
 
 def test_lef_takes_no_bound_and_always_decides(capsys):
@@ -342,6 +377,22 @@ def test_parse_error_names_line(capsys, tmp_path):
     code, _, err = invoke(capsys, "check", bad)
     assert code == 1
     assert "line 4" in err
+
+
+def test_field_of_another_group_kind_exits_one_from_the_command_line(tmp_path):
+    # degree belongs to kind = symmetric: one located error line, no traceback
+    bad = tmp_path / "misplaced.instance"
+    bad.write_text(
+        "[delta]\nkind = cyclic\norder = 2\ndegree = 3\n[gamma]\nkind = z\n"
+        "[graph]\nmode = translation\norbits = c\nfamily = c c finite 1\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-m", "gwreath.cli", "check", str(bad)],
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(gwreath.__file__).parent.parent)},
+        capture_output=True, text=True,
+    )
+    assert (child.returncode, child.stdout) == (1, "")
+    assert child.stderr == "error: field of another group kind in [delta] (line 4, field 'degree')\n"
 
 
 CYCLIC = "kind = cyclic\norder = 2"

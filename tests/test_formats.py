@@ -3,7 +3,10 @@ import pathlib
 import pytest
 
 from gwreath import (
+    ArithmeticOffsets,
     Cyclic,
+    EMPTY_WORD,
+    FactorialOffsets,
     FreeAbelian,
     GroupError,
     Instance,
@@ -13,6 +16,7 @@ from gwreath import (
     WreathElement,
     check_finitely_presented,
     classify,
+    classify_wreath,
     lef_certificate,
     separate,
     verify_certificate,
@@ -131,6 +135,62 @@ def test_parse_rejects_duplicate_element():
     bad = EX11 + "w1 = c:0=1 @ 0\n"
     with pytest.raises(ParseError):
         formats.parse_instance_text(bad)
+
+
+# (instance file, its section, a field of another group kind or graph mode)
+MISPLACED_FIELDS = [
+    ("finite5-s3", "delta", "order = 2"),  # kind = symmetric
+    ("ex11", "delta", "degree = 3"),  # kind = cyclic
+    ("ex11", "delta", "rank = 2"),
+    ("ex11", "delta", "size = 2"),
+    ("ex11", "delta", "identity = 0"),
+    ("ex11", "delta", "row = 0 1"),
+    ("ex11", "graph", "vertices = 0 1"),  # mode = translation
+    ("ex11", "graph", "edge = 0 1"),
+    ("ex11", "graph", "generator = 1 0"),
+    ("finite5-s3", "graph", "orbits = c"),  # mode = finite
+    ("finite5-s3", "graph", "family = c c finite 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, section, field", MISPLACED_FIELDS, ids=[f"{c[0]}-{c[2].split(' =')[0]}" for c in MISPLACED_FIELDS]
+)
+def test_fields_of_another_group_kind_or_graph_mode_are_located(name, section, field):
+    # a field the section's kind or mode does not read is no longer dropped
+    lines = (INSTANCES / f"{name}.instance").read_text().splitlines()
+    at = lines.index(f"[{section}]") + 2  # just after the kind or mode line
+    formats.parse_instance_text("\n".join(lines))
+    with pytest.raises(ParseError, match=rf"field of another .* in \[{section}\]") as info:
+        formats.parse_instance_text("\n".join(lines[:at] + [field] + lines[at:]))
+    assert (info.value.line, info.value.field) == (at + 1, field.split(" = ")[0])
+
+
+# (instance file, a line of it, its replacement, the error, the line it names)
+INSTANCE_ERRORS = [
+    ("ex11", "[elements]", "[gamma]", "duplicate section [gamma]", 14),
+    ("ex11", "orbits = c", "orbits c", "expected 'key = value'", 11),
+    ("ex11", "order = 2", "order = 2\norder = 3", "field 'order' repeated in [delta]", 5),
+    ("ex11", "kind = cyclic", "kind = dihedral", "unknown coefficient group kind 'dihedral'", 3),
+    ("ex11", "mode = translation", "mode = hyperbolic", "unknown graph mode 'hyperbolic'", 10),
+    ("ex11", "family = c c finite 1", "family = c c", "family needs 'LABEL LABEL KIND ...'", 12),
+    ("ex11", "family = c c finite 1", "family = c d finite 1", "unknown orbit label in family", 12),
+    ("ex11", "w2 = c:0=1 @ 1", "w2 = c:0=1", "element needs 'SYLLABLES @ GAMMA'", 16),
+    ("finite5-s3", "vertices = 0 1 2 3 4", "vertices = 0 1 x", "vertices must be integers", 11),
+    ("finite5-s3", "edge = 0 2", "edge = 0", "edge needs two vertex ids", 13),
+    ("finite5-s3", "generator = 1 2 3 4 0", "generator = 1 x 3 4 0", "generator must list vertex images", 22),
+]
+
+
+@pytest.mark.parametrize(
+    "name, old, new, message, line", INSTANCE_ERRORS, ids=[c[3].split(" '")[0] for c in INSTANCE_ERRORS]
+)
+def test_instance_errors_name_their_line(name, old, new, message, line):
+    text = (INSTANCES / f"{name}.instance").read_text()
+    assert text.count(f"\n{old}\n") == 1
+    with pytest.raises(ParseError) as info:
+        formats.parse_instance_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
+    assert message in str(info.value) and info.value.line == line
 
 
 def test_word_text_round_trip():
@@ -293,6 +353,25 @@ def test_certificate_round_trip_finite_mode():
     assert rebuilt.subgroup_perms == cert.subgroup_perms
     assert rebuilt.quotient == cert.quotient
     assert verify_certificate(inst, rebuilt)
+
+
+def test_gamma_only_certificates_round_trip():
+    # an element with no syllables restricts to no orbit: 'restricted -'
+    for name, gamma in (("ex11", 5), ("finite5-s3", (1,))):
+        inst, _ = formats.load_instance(INSTANCES / f"{name}.instance")
+        lines = formats.certificate_lines(inst, separate(inst, WreathElement(EMPTY_WORD, gamma)))
+        assert "restricted -" in lines and "element.word -" in lines
+        rebuilt = formats.certificate_from_record(inst, formats.parse_structured("\n".join(lines))[1])
+        assert formats.certificate_lines(inst, rebuilt) == lines
+        assert verify_certificate(inst, rebuilt)
+
+
+def test_family_text_round_trips_every_family_kind():
+    for family, text in ((FiniteOffsets(frozenset({3, -1})), "finite 1 3"),
+                         (FactorialOffsets(2), "factorial 2"),
+                         (ArithmeticOffsets(1, 4), "arithmetic 1 4")):
+        assert formats.family_text(family) == text
+        assert formats.parse_family(text.split()) == family
 
 
 def test_certificate_tampered_record_fails_verification():
@@ -472,6 +551,17 @@ def test_keys_outside_the_document_kind_are_parse_errors():
                 from_record(context, record)
 
 
+def test_readers_leave_their_record_as_parsed():
+    # a reader takes keys out of its own copy: read twice, one record
+    # gives equal objects and keeps every key it was parsed with
+    for lines, context, from_record in _emitted_documents():
+        record = formats.parse_structured("\n".join(lines))[1]
+        parsed = {key: list(values) for key, values in record.items()}
+        first = from_record(context, record)
+        assert from_record(context, record) == first
+        assert list(record) == list(parsed) and record == parsed
+
+
 def test_repeated_quotient_and_model_entries_are_parse_errors():
     repeatable = ("quotient.edge", "quotient.loop", "quotient.orbit", "y.edge", "phi", "psi")
     seen = set()
@@ -597,6 +687,16 @@ def test_render_certificate_of_an_image_subgroup():
         assert lines[0] == "SEPARATED with an image subgroup of order 3"
         assert lines[1] == f"  element: 0=1,0,2 @ {formats.value_text(gamma)}"
         assert lines[3] == f"  image gamma coset: {coset}"
+
+
+def test_verdict_lines_carry_the_note_of_classify_wreath():
+    for graph in (complete_z_graph(), k5_cyclic()):
+        inst = Instance(Symmetric(3), graph)
+        verdict = classify_wreath(inst)
+        lines = formats.verdict_lines(inst, verdict)
+        assert lines[3] == f"note {verdict.note}" and verdict.note.startswith("complete graph")
+        assert f"  note: {verdict.note}" in formats.render_verdict(inst, verdict)
+    assert not any(line.startswith("note ") for line in formats.verdict_lines(inst, classify(inst)))
 
 
 def test_fp_and_wreath_element_lines():

@@ -408,6 +408,26 @@ def test_witness_t32_needs_a_lemma():
         witness(inst, "T3.2", [("c", 0), ("c", 5)])
 
 
+@pytest.mark.parametrize(
+    "delta, shift, kind, vertices, elements, message",
+    [
+        (S3, None, "T3.1", [("c", 0)], None, "no built-in lemma shows the orbit"),
+        (C2, 0, "T3.2", [("c", 0)], None, "takes exactly two vertices"),
+        (Cyclic(1), 0, "T3.2", [("c", 0), ("c", 3)], None, "coefficient group is trivial"),
+        (S3, 0, "T3.1", [("c", 0)], [(1, 0, 2)], "takes two coefficient elements"),
+        (C2, 0, "T3.2", [("c", 0), ("c", 3)], [1, 1], "takes one coefficient element"),
+        (C2, 0, "T3.2", [("c", 0), ("c", 3)], [0], "must be nontrivial"),
+    ],
+    ids=["T3.1-no-lemma", "T3.2-one-vertex", "trivial-delta", "T3.1-one-element",
+         "T3.2-two-elements", "identity-element"],
+)
+def test_witness_refusals(delta, shift, kind, vertices, elements, message):
+    # shift None: the line graph, whose offsets miss 0 modulo 2
+    inst = line_instance(delta) if shift is None else fact_instance(shift, delta)
+    with pytest.raises(WitnessError, match=message):
+        witness(inst, kind, vertices, elements)
+
+
 def test_witness_t33_never_certifiable():
     inst = line_instance()
     with pytest.raises(WitnessError):
