@@ -191,20 +191,22 @@ def _cmd_witness(args) -> int:
 def _cmd_quotient(args) -> int:
     instance, _ = _load(args)
     if isinstance(instance.graph, TranslationGraph):
+        if args.subgroup is not None:
+            raise ParseError("translation instances take --modulus, not --subgroup")
         if args.modulus is None:
             raise ParseError("translation instances need --modulus")
         q = quotient_graph(instance.graph, args.modulus)
     else:
+        if args.modulus is not None:
+            raise ParseError("finite-mode instances take --subgroup, not --modulus")
         if args.subgroup is None:
             raise ParseError("finite-mode instances need --subgroup")
-        gens = []
-        for chunk in args.subgroup.split(";"):
-            chunk = chunk.strip()
-            if chunk:
-                gens.append(tuple(_integer(x, "--subgroup") for x in chunk.split(",")))
+        gens = [tuple(_integer(x, "--subgroup") for x in chunk.split(","))
+                for chunk in map(str.strip, args.subgroup.split(";")) if chunk]
         q = quotient_graph(instance.graph, gens)
     if args.format == "structured":
-        _emit(["gwreath v1 quotient-graph"] + formats.quotient_lines(q), args)
+        header = f"gwreath {formats.FORMAT_VERSION} quotient-graph"
+        _emit([header] + formats.quotient_lines(q), args)
     else:
         lines = [f"QUOTIENT with {len(q.vertices)} vertices"]
         lines += ["  " + line for line in formats.quotient_lines(q)]

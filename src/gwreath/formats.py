@@ -519,6 +519,15 @@ def parse_quotient(record, prefix: str = "quotient") -> QuotientGraph:
     raise ParseError(f"unknown quotient kind {kind!r}")
 
 
+def quotient_from_record(record) -> QuotientGraph:
+    """The quotient of a ``quotient-graph`` document (``gwreath quotient``)."""
+    _expect_kind(record, "quotient-graph")
+    record = dict(record)  # each key read is taken out of this copy
+    quotient = parse_quotient(record)
+    _no_key_left(record)
+    return quotient
+
+
 def certificate_lines(instance: Instance, cert: RFCertificate) -> list[str]:
     out = [_header("separation-certificate")]
     out.append(f"element.word {word_text(cert.element.word)}")

@@ -218,11 +218,15 @@ class TranslationGraph(Record):
     label index first) to the difference families generating edges
     between the two orbits: (c, x) ~ (c', y) iff y - x lies in some
     family of the pair.  Negation closure of the families makes this
-    orientation-independent.  Construction derives, per ordered label
-    pair, the union of its finite offsets and the tuple of its infinite
-    families, so ``adjacent`` is a set probe that asks the infinite
-    families only for pairs that have any; ``has_vertex`` and
-    ``vertex_key`` look labels up in a dict.
+    orientation-independent.  Construction derives, per label pair, the
+    union of its finite offsets and its infinite families, so ``adjacent``
+    is a set probe that asks the infinite families only for pairs that
+    have any.  Such a pair keeps its answers by offset, d and -d at once:
+    adjacency there depends on the offset alone, and families are
+    negation-closed.  The memo holds a bool per offset probed, at most
+    twice the span of the widest word seen; it is no field, so equality
+    and repr ignore it, while copies and pickles carry it.  ``has_vertex``
+    and ``vertex_key`` look labels up in a dict.
     """
 
     acting = Integers()  # not a field: translation by the integers
@@ -247,18 +251,16 @@ class TranslationGraph(Record):
                 raise GraphError(f"duplicate family entry for pair {key!r}")
             normalized[key] = tuple(fams)
         _set(self, "families", normalized)
-        # Each ordered label pair to its families, for lookups without _pair_key,
-        # and to the union of its finite offsets beside its infinite families.
-        _set(self, "_pair_families", {
-            (c1, c2): normalized.get(self._pair_key(c1, c2), ()) for c1 in labels for c2 in labels
-        })
-        _set(self, "_pair_tables", {
-            pair: (
-                frozenset().union(*(f.offsets for f in fams if f.is_finite())),
-                tuple(f for f in fams if not f.is_finite()),
+        # Each ordered label pair, both orders sharing one entry, to its families,
+        # the union of its finite offsets, its infinite families and their memo.
+        tables = dict.fromkeys(itertools.product(labels, repeat=2), ((), frozenset(), (), None))
+        for (c1, c2), fams in normalized.items():
+            infinite = tuple(f for f in fams if not f.is_finite())
+            tables[c1, c2] = tables[c2, c1] = (
+                fams, frozenset().union(*(f.offsets for f in fams if f.is_finite())),
+                infinite, {} if infinite else None,
             )
-            for pair, fams in self._pair_families.items()
-        })
+        _set(self, "_pair_tables", tables)
 
     def label_index(self, c: str) -> int:
         try:
@@ -284,23 +286,25 @@ class TranslationGraph(Record):
 
     def families_for(self, c1: str, c2: str) -> tuple[DifferenceFamily, ...]:
         try:
-            return self._pair_families[c1, c2]
+            return self._pair_tables[c1, c2][0]
         except KeyError:
             return self.families.get(self._pair_key(c1, c2), ())  # GraphError: unknown label
 
     def adjacent(self, v: Vertex, w: Vertex) -> bool:
         """Both must be vertices of this graph, checked by the caller.
 
-        A probe of the pair's finite offsets, then of its infinite
-        families if it has any.  No family holds offset 0, so no vertex
-        is adjacent to itself.
+        A probe of the pair's finite offsets or, if it has infinite
+        families, of its kept answer, which a miss asks of both.  No
+        family holds offset 0, so no vertex is adjacent to itself.
         """
         (c1, x), (c2, y) = v, w
-        offsets, infinite = self._pair_tables[c1, c2]
+        _, offsets, infinite, seen = self._pair_tables[c1, c2]
         d = y - x
-        if d in offsets:
-            return True
-        return bool(infinite) and contains_offset(infinite, d)
+        if seen is None:
+            return d in offsets
+        if (a := seen.get(d)) is None:
+            a = seen[d] = seen[-d] = d in offsets or contains_offset(infinite, d)
+        return a
 
     def action(self, gamma: int):
         """The vertex map of ``gamma``, on vertices checked by the caller."""

@@ -11,9 +11,9 @@ syllables it commutes with.  It merges or cancels the syllable against
 the first same-vertex syllable it meets; otherwise it inserts it where
 the lexicographic normal form by ``vertex_key`` puts it.  The word kept
 is reduced and in that normal form after every syllable, so the pass
-ends on the canonical form (its cost: ``canonical_form``).  Equal group
-elements always produce equal canonical words, so equality and
-triviality testing reduce to comparison against this form.
+ends on the canonical form; it keeps no adjacency memo (its cost:
+``canonical_form``).  Equal elements give equal canonical words, so
+equality and triviality tests compare forms.
 
 A word is tested once per graph and group.  ``word`` checks each value
 against the coefficient group, ``formats.parse_word`` each vertex
@@ -140,12 +140,11 @@ def canonical_form(graph, delta: GroupSpec, w: Word | Iterable[Syllable]) -> Wor
     ``_canonical`` proves that the word stays reduced and in
     lexicographic normal form.
 
-    Each syllable costs one adjacency lookup per commuting syllable it
-    passes, plus a ``list.insert`` unless it is appended, so the work is
-    linear in the length times the length of the commuting runs.  Each
-    distinct vertex of the call gets a small int id and its key once,
-    and adjacency is memoised per call over pairs of ids, so
-    ``graph.adjacent`` is asked about each unordered pair at most once.
+    Each syllable costs one ``graph.adjacent`` call per commuting
+    syllable it passes, plus a ``list.insert`` unless it is appended, so
+    the work is linear in the length times the length of the commuting
+    runs.  No pair is memoised per call, since pairs seldom recur, and a
+    vertex's key is taken when a back-scan first compares it.
     ``_validate`` tests the syllables first, except where ``w``'s record
     covers them, and records them on a nonempty ``Word`` that passes.
     """
@@ -193,67 +192,52 @@ def _canonical(graph, delta: GroupSpec, sylls: list[Syllable]) -> Word:
     * Merge (as cancellation, with another product): t keeps its
       vertex, so its key and what it commutes with.
 
-    A vertex's id is its index in ``keys``, and a same-vertex blocker is
-    found by id; ``adj`` holds the adjacency of distinct ids i and j
-    under ``i * n + j`` and ``j * n + i`` (every id is below ``n``).  The
-    reduced word keeps the caller's syllables: only a merge builds one.
+    A same-vertex blocker is found by comparing vertices, kept in ``rv``
+    beside ``reduced``.  The reduced word keeps the caller's syllables:
+    only a merge builds one.
     """
     identity, compose = delta.identity(), delta._compose
     adjacent, vertex_key = graph.adjacent, graph.vertex_key
-    n = len(sylls) + 1
-    ids: dict[Vertex, int] = {}
-    keys: list = []
-    adj: dict[int, bool] = {}
-    id_of, adj_of = ids.get, adj.get
+    keys: dict = {}  # each vertex a back-scan has compared, to its key
+    key_of = keys.get
     reduced: list[Syllable] = []
-    rid: list[int] = []  # the vertex id of each reduced syllable
+    rv: list[Vertex] = []  # the vertex of each reduced syllable
 
     for s in sylls:
         if s.value == identity:
             continue
         v = s.vertex
-        j = id_of(v)
-        if j is None:
-            j = ids[v] = len(keys)
-            keys.append(vertex_key(v))
-        k = len(rid) - 1
-        if k >= 0 and rid[k] != j:
-            i = rid[k]
-            key = i * n + j
-            a = adj_of(key)
-            if a is None:
-                a = adj[key] = adj[j * n + i] = adjacent(reduced[k].vertex, v)
-            if not a:
+        k = len(rv) - 1
+        if k < 0 or (u := rv[k]) != v:
+            if k < 0 or not adjacent(u, v):
                 reduced.append(s)
-                rid.append(j)
+                rv.append(v)
                 continue
-            kj = keys[j]
-            place = k if keys[i] > kj else k + 1
+            kv = key_of(v)
+            if kv is None:
+                kv = keys[v] = vertex_key(v)
+            ku = key_of(u)
+            if ku is None:
+                ku = keys[u] = vertex_key(u)
+            place = k if ku > kv else k + 1
             k -= 1
             while k >= 0:
-                i = rid[k]
-                if i == j:
+                u = rv[k]
+                if u == v or not adjacent(u, v):
                     break
-                key = i * n + j
-                a = adj_of(key)
-                if a is None:
-                    a = adj[key] = adj[j * n + i] = adjacent(reduced[k].vertex, v)
-                if not a:
-                    break
-                if keys[i] > kj:
+                ku = key_of(u)
+                if ku is None:
+                    ku = keys[u] = vertex_key(u)
+                if ku > kv:
                     place = k
                 k -= 1
-            if k < 0 or rid[k] != j:
+            if k < 0 or rv[k] != v:
                 reduced.insert(place, s)
-                rid.insert(place, j)
+                rv.insert(place, v)
                 continue
-        elif k < 0:
-            reduced.append(s)
-            rid.append(j)
-            continue
         merged = compose(reduced[k].value, s.value)
         if merged == identity:
-            del reduced[k], rid[k]
+            del reduced[k], rv[k]
         else:
             reduced[k] = Syllable(v, merged)
     return _record(Word(tuple(reduced)), graph, delta)

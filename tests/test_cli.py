@@ -301,6 +301,40 @@ def test_quotient_requires_subgroup_for_finite_mode(capsys):
     assert err == "error: finite-mode instances need --subgroup\n"
 
 
+@pytest.mark.parametrize(
+    "name, options, message",
+    [
+        ("ex11", ("--modulus", "2", "--subgroup", "5"),
+         "translation instances take --modulus, not --subgroup"),
+        ("finite5-s3", ("--subgroup", "1", "--modulus", "7"),
+         "finite-mode instances take --subgroup, not --modulus"),
+    ],
+    ids=["translation", "finite-mode"],
+)
+def test_quotient_rejects_the_other_modes_option(capsys, name, options, message):
+    # the option another graph mode takes is an input error, not ignored
+    code, out, err = invoke(capsys, "quotient", INSTANCES / f"{name}.instance", *options)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "name, options",
+    [("ex11", ("--modulus", "3")), ("finite5-s3", ("--subgroup", "1"))],
+    ids=["translation", "finite-mode"],
+)
+def test_quotient_documents_round_trip(capsys, name, options):
+    # emit -> parse -> emit gives the same bytes in both graph modes
+    from gwreath import formats
+
+    code, out, _ = invoke(
+        capsys, "quotient", INSTANCES / f"{name}.instance", *options, "--format", "structured"
+    )
+    assert code == 0
+    q = formats.quotient_from_record(formats.parse_structured(out)[1])
+    assert "\n".join(["gwreath v1 quotient-graph", *formats.quotient_lines(q)]) + "\n" == out
+
+
 def test_quotient_text_indents_the_structured_lines(capsys):
     argv = ("quotient", INSTANCES / "ex11.instance", "--modulus", "3")
     code, structured, _ = invoke(capsys, *argv, "--format", "structured")

@@ -330,6 +330,20 @@ def test_quotient_edge_endpoints_no_vertex_line_lists():
             formats.parse_quotient(_quotient_document(lines + [f"quotient.edge {u}|x"]))
 
 
+def test_quotient_documents_are_read_under_the_readers_rule():
+    # the header must name a quotient-graph document, and every key must
+    # be a quotient key
+    for q in _looped_quotients():
+        lines = ["gwreath v1 quotient-graph", *formats.quotient_lines(q)]
+        assert formats.quotient_from_record(formats.parse_structured("\n".join(lines))[1]) == q
+        record = formats.parse_structured("\n".join(lines + ["quotient.note x"]))[1]
+        with pytest.raises(ParseError, match="unexpected key 'quotient.note'"):
+            formats.quotient_from_record(record)
+    record = formats.parse_structured("gwreath v1 witness\nbogus x")[1]
+    with pytest.raises(ParseError, match="expected a quotient-graph document"):
+        formats.quotient_from_record(record)
+
+
 def test_certificate_round_trip_translation():
     inst, elements = formats.parse_instance_text(EX11)
     cert = separate(inst, elements["w1"])

@@ -280,6 +280,35 @@ def test_copy_keeps_derived_state(how):
     assert duplicate._pair_tables == graph._pair_tables
 
 
+def test_translation_graph_offset_memo_is_not_state():
+    # ``adjacent`` remembers its infinite families' answers on the graph;
+    # they are the families' own, and a graph that has answered equals,
+    # hashes, prints, copies and pickles as a fresh one, and its copies
+    # answer as it does
+    def build():
+        return TranslationGraph(("a", "b"), {
+            ("a", "b"): (ArithmeticOffsets(2, 3),),
+            ("b", "b"): (FiniteOffsets(frozenset({1})), FactorialOffsets(1)),
+        })
+
+    fresh, filled = build(), build()
+    pairs = [((c1, 0), (c2, d)) for c1 in "ab" for c2 in "ab" for d in range(-40, 41)]
+    answers = [fresh.adjacent(*pair) for pair in pairs]
+    assert answers == [
+        any(f.contains(w[1] - v[1]) for f in fresh.families_for(v[0], w[0])) for v, w in pairs
+    ]
+    assert [filled.adjacent(*pair) for pair in pairs] == answers and any(answers)
+    assert filled._pair_tables != build()._pair_tables  # the memo is filled
+    assert filled == fresh and repr(filled) == repr(fresh) == repr(build())
+    for graph in (fresh, filled):
+        with pytest.raises(TypeError):  # ``families`` is a dict
+            hash(graph)
+    for how, copier in COPIERS.items():
+        duplicate = copier(filled)
+        assert duplicate == build() and repr(duplicate) == repr(fresh), how
+        assert [duplicate.adjacent(*pair) for pair in pairs] == answers, how
+
+
 @pytest.mark.parametrize("name", ["Syllable", "Word", "WreathElement"])
 def test_per_syllable_records_have_no_dictionary(name):
     record = CASES[name][0]()

@@ -7,6 +7,7 @@ from gwreath import (
     ArithmeticOffsets,
     Cyclic,
     EMPTY_WORD,
+    FactorialOffsets,
     FiniteModeGraph,
     FiniteOffsets,
     GroupError,
@@ -250,19 +251,25 @@ def test_canonical_matches_reference_on_long_words(name):
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS))
-def test_canonical_asks_each_adjacency_once(monkeypatch, name):
-    # a memo filled for one order only asks some pair twice, and colliding
-    # keys read another pair's answer, which the reference catches
+def test_canonical_keys_only_the_vertices_a_back_scan_compares(monkeypatch, name):
+    # no vertex is asked about itself; a vertex's key is taken at most once
+    # per call, and only for a vertex of a pair that was found to commute
     graph = REFERENCE_GRAPHS[name]()
     rng = random.Random(f"memo:{name}")
-    cls, asked = type(graph), []
-    adjacent = cls.adjacent
+    cls, asked, keyed = type(graph), [], []
+    adjacent, vertex_key = cls.adjacent, cls.vertex_key
 
     def recorded(self, *pair):
-        asked.append(pair)
-        return adjacent(self, *pair)
+        a = adjacent(self, *pair)
+        asked.append((pair, a))
+        return a
+
+    def recorded_key(self, v):
+        keyed.append(v)
+        return vertex_key(self, v)
 
     monkeypatch.setattr(cls, "adjacent", recorded)
+    monkeypatch.setattr(cls, "vertex_key", recorded_key)
     for delta in (C2, S3):
         for window, pool in _windows(graph).items():
             w = [
@@ -270,12 +277,47 @@ def test_canonical_asks_each_adjacency_once(monkeypatch, name):
                 for _ in range(300)
             ]
             asked.clear()
+            keyed.clear()
             out = canonical_form(graph, delta, w)
             assert asked, (delta, window)
-            assert all(u != v for u, v in asked), (delta, window)
-            pairs = Counter(frozenset(pair) for pair in asked)
-            assert max(pairs.values()) == 1, (delta, window)
+            assert all(u != v for (u, v), _ in asked), (delta, window)
+            assert max(Counter(keyed).values(), default=1) == 1, (delta, window)
+            commuting = {v for pair, a in asked if a for v in pair}
+            assert set(keyed) <= commuting, (delta, window)
             assert out == reference_canonical_form(graph, delta, w), (delta, window)
+
+
+INFINITE_FAMILY_GRAPHS = {
+    "arithmetic-1-1": complete_z_graph,
+    "arithmetic-2-1": REFERENCE_GRAPHS["near-complete"],
+    "factorial-1": lambda: factorial_graph(1),
+    "mixed": _mixed_graph,
+}
+
+
+@pytest.mark.parametrize("name", sorted(INFINITE_FAMILY_GRAPHS))
+def test_infinite_family_probes_once_per_offset(monkeypatch, name):
+    # the graph remembers each infinite family's answer per label pair and
+    # offset, across calls, words and windows: families are negation-closed,
+    # so d and -d share one answer, as do the two orders of a label pair
+    graph = INFINITE_FAMILY_GRAPHS[name]()
+    rng = random.Random(f"offsets:{name}")
+    probes = Counter()
+    for cls in (ArithmeticOffsets, FactorialOffsets):
+        contains = cls.contains
+
+        def recorded(self, d, contains=contains):
+            probes[id(self), abs(d)] += 1
+            return contains(self, d)
+
+        monkeypatch.setattr(cls, "contains", recorded)
+    for delta in (C2, S3):
+        for window, pool in _windows(graph).items():
+            for n in (40, 300):
+                w = [Syllable(rng.choice(pool), random_nontrivial(delta, rng)) for _ in range(n)]
+                out = canonical_form(graph, delta, w)
+                assert probes and max(probes.values()) == 1, (delta, window, n)
+                assert out == reference_canonical_form(graph, delta, w), (delta, window, n)
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS))
