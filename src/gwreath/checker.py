@@ -14,7 +14,6 @@ residue lemma and packaged as an explicit witness element.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 
@@ -25,9 +24,11 @@ from .graphs import (
     FactorialOffsets,
     FiniteModeGraph,
     TranslationGraph,
+    _progressions,
     contains_offset,
     covers_all_nonzero,
     is_complete,
+    least_modulus,
     orbit_counts,
 )
 from .wreath import (
@@ -80,11 +81,12 @@ def check_cond2(instance: Instance) -> Cond2Result:
     decision is made regardless, because its moduli are reusable
     evidence downstream.  A translation orbit fails exactly when 0 is a
     lemma offset (``_rule_modulus``, claim 2); otherwise its modulus is
-    the least that misses 0, found among the moduli at which every
-    arithmetic family misses it (``_candidate_moduli``), up to m(0),
-    which misses it.  A candidate costs one ``hits`` per family: a
-    factorial walk stops once gcd(n!, m) rules a hit out, but at a prime
-    candidate p it takes up to p steps.
+    the least at which its own families miss 0, asked of
+    ``graphs.least_modulus`` up to m(0), which misses it.  That search
+    tries only the moduli at which every arithmetic family misses 0, and
+    a candidate costs one ``hits`` per family: a factorial walk stops
+    once gcd(n!, m) rules a hit out, but at a prime candidate p it takes
+    up to p steps.
     """
     graph, delta = instance.graph, instance.delta
     abelian = delta.is_abelian()
@@ -113,100 +115,8 @@ def _orbit_evidence_translation(graph: TranslationGraph, c: str) -> OrbitEvidenc
     if obstruction is not None:
         return OrbitEvidence(orbit=c, status="fails", obstruction=obstruction)
     # no lemma fired, so m(0) misses 0 (claim 2) and ends the search
-    limit = _rule_modulus(0, *_datum_and_steps(families))
-    m = next(m for m in _candidate_moduli(families, limit)
-             if not any(f.hits(0, m) for f in families))
+    m = least_modulus([], [(families, {0})], _rule_modulus(0, *_datum_and_steps(families)))
     return OrbitEvidence(orbit=c, status="holds", modulus=m)
-
-
-def _candidate_moduli(families, limit: int):
-    """The moduli 1..``limit``, in increasing order, at which every
-    arithmetic family misses 0.
-
-    start + step*k hits 0 modulo m iff gcd(step, m) divides start, so it
-    misses 0 iff q^(v_q(start) + 1) divides m for some prime q with
-    v_q(step) > v_q(start): a prime of step / gcd(start, step).  The
-    candidates are the multiples of the lcms of one such prime power per
-    family, merged from a heap: the search costs the factoring of the
-    steps, not a walk through every modulus below its answer.
-    """
-    bases = {1}
-    for f in families:
-        if isinstance(f, ArithmeticOffsets):
-            powers = []
-            for q in _prime_factors(f.step // math.gcd(f.start, f.step)):
-                power, start = q, f.start
-                while start % q == 0:
-                    power, start = power * q, start // q
-                powers.append(power)
-            bases = {math.lcm(b, power) for b in bases for power in powers}
-    heap, last = [(b, b) for b in bases], 0
-    heapq.heapify(heap)
-    while heap and heap[0][0] <= limit:
-        m, base = heap[0]
-        if m != last:  # a modulus that is a multiple of two bases comes twice
-            yield m
-            last = m
-        heapq.heapreplace(heap, (m + base, base))
-
-
-def _prime_factors(n: int) -> set[int]:
-    """The primes dividing n >= 1: the primes up to 41 by trial
-    division, the rest by splitting with Pollard's rho until every part
-    passes ``_is_prime``."""
-    primes = set()
-    for q in _SMALL_PRIMES:
-        if n % q == 0:
-            primes.add(q)
-            while n % q == 0:
-                n //= q
-    parts = [n] if n > 1 else []
-    while parts:
-        n = parts.pop()
-        if _is_prime(n):
-            primes.add(n)
-        else:
-            d = _rho_divisor(n)
-            parts += [d, n // d]
-    return primes
-
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases 2..41, for n > 41 with no factor up to
-    41: exact for n < 3.3 * 10**24 (Sorenson and Webster), and a strong
-    probable-prime test above."""
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for a in _SMALL_PRIMES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _rho_divisor(n: int) -> int:
-    """A proper divisor of the composite n, by Pollard's rho with
-    Floyd's cycle finding on x -> x^2 + c, trying c = 1, 2, ..."""
-    for c in itertools.count(1):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(x - y, n)
-        if d != n:
-            return d
 
 
 def _orbit_evidence_finite(graph: FiniteModeGraph):
@@ -302,8 +212,8 @@ def _pair_evidence_translation(graph: TranslationGraph, c1: str, c2: str) -> Pai
     if all(f.is_finite() for f in families):
         dmax = max((f.datum() for f in families), default=0)
         return PairEvidence(pair, "holds-rule", f"m(t) = |t| + {dmax} + 1")
-    # the lemma offsets 0 <= t <= W in increasing order, merged lazily from a heap of each
-    # run's next offset and step: the classes ±start mod step, and ±shift stepping past W
+    # the lemma offsets 0 <= t <= W in increasing order, merged from the runs of each
+    # class ±start mod step, and of each ±shift stepping past W
     shifts, runs = [], []
     for f in families:
         if isinstance(f, FactorialOffsets):
@@ -313,12 +223,9 @@ def _pair_evidence_translation(graph: TranslationGraph, c1: str, c2: str) -> Pai
     datum, steps = _datum_and_steps(families)
     window = _offset_window(shifts, datum, steps)
     runs += [(s, window + 1) for s in shifts]
-    heapq.heapify(runs)
-    while runs and runs[0][0] <= window:
-        t, step = runs[0]
+    for t in _progressions(runs, window):
         if not ((c1 == c2 and t == 0) or contains_offset(families, t)):
             return PairEvidence(pair, "fails", obstruction=certify_offset_always(families, pair, t))
-        heapq.heapreplace(runs, (t + step, step))
     return PairEvidence(pair, "holds-rule", f"m(t) = lcm({steps}, M!) for the least M >= 2 "
                                             f"with (M - 1)*(M - 1)! > |t| + {datum}")
 

@@ -41,9 +41,9 @@ class IdentityElement(ValueError):
 class SearchExhausted(RuntimeError):
     """No subgroup within the search bound satisfied every check.
 
-    A translation search tries the moduli 1..``bound`` it was given; a
-    finite-mode search ignores that bound, tries every subgroup of the
-    acting image, and reports their count as ``bound``.
+    A translation search found no modulus up to the ``bound`` it was
+    given; a finite-mode search ignores that bound, tries every subgroup
+    of the acting image, and reports their count as ``bound``.
     """
 
     def __init__(self, bound: int):

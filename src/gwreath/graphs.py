@@ -14,6 +14,7 @@ the elements of the acting image.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from functools import cached_property
@@ -208,6 +209,126 @@ def covers_all_nonzero(families: Sequence[DifferenceFamily]) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# least moduli
+
+
+def least_modulus(apart, misses, limit: int) -> int | None:
+    """The least m <= ``limit`` that ``admits``, or None.
+
+    No m below the size of the largest set in ``apart`` injects it.  An
+    arithmetic family misses t modulo m iff g = gcd(step, m) divides
+    neither t - start nor t + start, and g fails to divide a iff
+    q^(v_q(a) + 1) divides m for some prime q of step / gcd(a, step).
+    So the candidates are the multiples of the lcms of one such prime
+    power per family, offset and sign, merged by ``_progressions``: the
+    search costs the factoring of the steps, not a walk through every
+    modulus below its answer.  A family with no such prime hits t modulo
+    every m, and leaves no candidate.
+    """
+    bases = {1}
+    for families, offsets in misses:
+        for f in families:
+            if isinstance(f, ArithmeticOffsets):
+                for a in {abs(t + sign * f.start) for t in offsets for sign in (1, -1)}:
+                    powers = [next(q**k for k in itertools.count(1) if a % q**k)
+                              for q in _prime_factors(f.step // math.gcd(a, f.step))]
+                    bases = {math.lcm(b, power) for b in bases for power in powers}
+    lo = max([1, *map(len, apart)])
+    moduli = _progressions([(-(-lo // b) * b, b) for b in bases], limit)
+    return next((m for m in moduli if admits(m, apart, misses)), None)
+
+
+def admits(m: int, apart, misses) -> bool:
+    """Whether modulo ``m`` each set of integers in ``apart`` injects and,
+    for each (families, offsets) in ``misses``, no family hits an offset.
+    A single offset asks each family's ``hits``; several share one
+    residue set, since a factorial family's ``hits`` walks n! mod m on
+    every call.  The misses go first, in order, so a loop check that
+    fails at every modulus costs a ``hits`` per family and nothing more."""
+    for families, offsets in misses:
+        if len(offsets) == 1:
+            (t,) = offsets
+            if any(f.hits(t, m) for f in families):
+                return False
+        elif not residues_of(families, m).isdisjoint(t % m for t in offsets):
+            return False
+    return all(len({value % m for value in values}) == len(values) for values in apart)
+
+
+def _progressions(runs, limit: int):
+    """The distinct values <= ``limit`` of the arithmetic progressions
+    (first, step) in ``runs``, in increasing order, merged lazily from a
+    heap of each run's next value."""
+    heap, last = list(runs), None
+    heapq.heapify(heap)
+    while heap and heap[0][0] <= limit:
+        value, step = heap[0]
+        if value != last:  # a value on two runs comes twice
+            yield value
+            last = value
+        heapq.heapreplace(heap, (value + step, step))
+
+
+def _prime_factors(n: int) -> set[int]:
+    """The primes dividing n >= 1: the primes up to 41 by trial
+    division, the rest by splitting with Pollard's rho until every part
+    passes ``_is_prime``."""
+    primes = set()
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            primes.add(q)
+            while n % q == 0:
+                n //= q
+    parts = [n] if n > 1 else []
+    while parts:
+        n = parts.pop()
+        if _is_prime(n):
+            primes.add(n)
+        else:
+            d = _rho_divisor(n)
+            parts += [d, n // d]
+    return primes
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2..41, for n > 41 with no factor up to
+    41: exact for n < 3.3 * 10**24 (Sorenson and Webster), and a strong
+    probable-prime test above."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the composite n, by Pollard's rho with
+    Floyd's cycle finding on x -> x^2 + c, trying c = 1, 2, ..."""
+    for c in itertools.count(1):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
+        if d != n:
+            return d
+
+
+# ---------------------------------------------------------------------------
 # translation graphs
 
 
@@ -225,7 +346,8 @@ class TranslationGraph(Record):
     adjacency there depends on the offset alone, and families are
     negation-closed.  The memo holds a bool per offset probed, at most
     twice the span of the widest word seen; it is no field, so equality
-    and repr ignore it, while copies and pickles carry it.  ``has_vertex``
+    and repr ignore it, and a copy or pickle rebuilds the graph from its
+    fields (``__reduce__``), so its memo starts empty.  ``has_vertex``
     and ``vertex_key`` look labels up in a dict.
     """
 
@@ -261,6 +383,9 @@ class TranslationGraph(Record):
                 infinite, {} if infinite else None,
             )
         _set(self, "_pair_tables", tables)
+
+    def __reduce__(self):
+        return TranslationGraph, (self.labels, self.families)
 
     def label_index(self, c: str) -> int:
         try:

@@ -19,6 +19,8 @@ from .graphs import (
     QuotientGraph,
     TranslationGraph,
     Vertex,
+    admits,
+    least_modulus,
     quotient_graph,
 )
 from .groups import Cyclic, GroupSpec, Record
@@ -67,16 +69,18 @@ def truncate_graph(
 def lef_certificate(graph: TranslationGraph, gamma_set, vertex_set) -> LEFCertificate:
     """The finite partial model at the least good modulus.
 
-    The first modulus keeping A, E, and every realized offset translate
+    The least modulus keeping A, E, and every realized offset translate
     of E pairwise distinct is returned; that rule alone makes the
-    quotient a certificate (see ``_certificate_at``).  No m < |T| keeps
-    T apart and every m > max T - min T does, so the scan runs from |T|
-    (or 1) to at most the span of T plus one.
+    quotient a certificate (see ``_certificate_at``).  It is asked of
+    ``graphs.least_modulus`` with T as the one set kept apart: no
+    m < |T| keeps T apart and every m > max T - min T does, so it tries
+    |T| (or 1) to at most the span of T plus one.  The quotient has
+    |labels| * m vertices.
     """
     prepared = _prepare(graph, gamma_set, vertex_set)
-    for m in itertools.count(max(1, len(prepared[-1]))):  # prepared[-1] is T
-        if (cert := _certificate_at(prepared, m)) is not None:
-            return cert
+    targets = prepared[-1]  # T
+    limit = max(targets, default=0) - min(targets, default=0) + 1
+    return _certificate_at(prepared, least_modulus([targets], [], limit))
 
 
 def verify_lef(cert: LEFCertificate, graph, gamma_set, vertex_set) -> bool:
@@ -123,7 +127,7 @@ def _certificate_at(prepared, m: int) -> LEFCertificate | None:
       equivariance because psi(c, p + a) = (c, (p + a) mod m).
     """
     gammas, vertices, truncated, kept, targets = prepared
-    if len({value % m for value in targets}) != len(targets):
+    if not admits(m, [targets], []):
         return None
     quotient = quotient_graph(truncated, m)
     return LEFCertificate(

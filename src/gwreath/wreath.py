@@ -34,8 +34,9 @@ from .graphs import (
     TranslationGraph,
     Vertex,
     _orbit_quotient,
+    admits,
+    least_modulus,
     quotient_graph,
-    residues_of,
 )
 from .words import (
     EMPTY_WORD,
@@ -421,23 +422,27 @@ class RFCertificate(Record):
 def separate(instance: Instance, x: WreathElement, bound: int = 64) -> RFCertificate:
     """Find the smallest admissible subgroup separating ``x``.
 
-    Translation instances are searched by ascending modulus up to
-    ``bound``; finite-mode instances by ascending subgroup index inside
-    the acting image.  A candidate is accepted when the quotient is
-    injective on {identity, gamma}, restricts to an isomorphism on the
-    induced subgraph spanned by the support, and (for non-abelian
-    coefficients) leaves no loops on the surviving orbits.  These checks
-    read only the support's images, so the quotient graph is built once,
-    for the accepted candidate.
+    A candidate is accepted when the quotient is injective on
+    {identity, gamma}, restricts to an isomorphism on the induced
+    subgraph spanned by the support, and (for non-abelian coefficients)
+    leaves no loops on the surviving orbits.  These checks read only the
+    support's images, so the quotient graph is built once, for the
+    accepted candidate.  Finite-mode instances try the subgroups of the
+    acting image by ascending index.  Translation instances ask
+    ``graphs.least_modulus`` for the least modulus up to ``bound``, with
+    the checks as its data (``_translation_constraints``): it tries only
+    moduli at least the size of each set kept apart, and beside an
+    arithmetic family only the multiples of a prime power of its step.
+    The quotient then has |labels| * m vertices, so a large ``bound``
+    can reach a modulus whose quotient does not fit in memory.
     """
     sub_instance, x, support = _restricted_support(instance, x)
 
     if isinstance(instance.graph, TranslationGraph):
-        for m in range(1, bound + 1):
-            cert = _try_translation(instance, sub_instance, x, support, m)
-            if cert is not None:
-                return cert
-        raise SearchExhausted(bound)
+        m = least_modulus(*_translation_constraints(instance, sub_instance, x, support), bound)
+        if m is None:
+            raise SearchExhausted(bound)
+        return _modulus_certificate(instance, sub_instance, x, m)
 
     if isinstance(instance.graph, FiniteModeGraph):
         table = instance.graph._subgroups
@@ -462,16 +467,6 @@ def _restricted_support(instance: Instance, x: WreathElement):
     vertices = sorted(x.word.vertices(), key=graph.vertex_key)
     pairs = [(v, w, graph.adjacent(v, w)) for v, w in itertools.combinations(vertices, 2)]
     return sub_instance, x, (vertices, pairs)
-
-
-def _induced_isomorphism(vertices, pairs, project, image_adjacent) -> bool:
-    """No merged support vertices, no created or destroyed adjacencies:
-    once the images are distinct, every support pair (v, w, adjacent) in
-    ``pairs`` must have ``image_adjacent(v, w)`` equal to ``adjacent``."""
-    images = [project(v) for v in vertices]
-    if len(set(images)) != len(images):
-        return False
-    return all(adjacent == image_adjacent(v, w) for v, w, adjacent in pairs)
 
 
 def _certificate(instance, sub_instance, x, quotient, gamma_image, *, kind, modulus,
@@ -507,37 +502,32 @@ def _certificate(instance, sub_instance, x, quotient, gamma_image, *, kind, modu
     )
 
 
-def _try_translation(instance, sub_instance, x, support, m):
-    """The certificate for modulus ``m``, or None when a check fails.
+def _translation_constraints(instance, sub_instance, x, support):
+    """The checks of a modulus m, as ``least_modulus``'s (apart, misses).
 
-    Every check reads residues of the support and of its label pairs
-    only; the quotient graph is built once all of them pass.
+    {0, gamma} injects, so gamma survives; so does each label's set of
+    support positions, so the support keeps distinct images.  An
+    adjacent support pair stays adjacent, its offset being in a family;
+    a non-adjacent one stays apart iff its label pair's families miss
+    its offset.  With non-abelian coefficients each orbit's own families
+    miss 0, or two lifts of one quotient vertex are adjacent: a loop.
+    Loops stay single-offset entries, which need no residue set, while a
+    label pair's offsets share one.
     """
-    if x.gamma != 0 and x.gamma % m == 0:
-        return None
     graph = sub_instance.graph
-    residues = {}
+    vertices, pairs = support
+    offsets = {}
+    for (c1, p), (c2, q), adjacent in pairs:
+        if not adjacent:
+            offsets.setdefault((c1, c2), set()).add(q - p)
+    loops = [] if instance.delta.is_abelian() else [((c, c), {0}) for c in graph.labels]
+    apart = [{0, x.gamma}, *({p for c, p in vertices if c == label} for label in graph.labels)]
+    return apart, [(graph.families_for(*pair), ts) for pair, ts in loops + [*offsets.items()]]
 
-    def residues_for(c1, c2):
-        if (c1, c2) not in residues:
-            residues[c1, c2] = residues_of(graph.families_for(c1, c2), m)
-        return residues[c1, c2]
 
-    # 0 among an orbit's own residues means two lifts of one quotient
-    # vertex are adjacent: a loop.  One offset per label, so no residue set.
-    if not instance.delta.is_abelian() and any(
-        f.hits(0, m) for c in graph.labels for f in graph.families_for(c, c)
-    ):
-        return None
-    # Support pairs share their label pair's set: per-pair ``hits`` would
-    # redo a factorial family's walk for every pair.
-    if not _induced_isomorphism(
-        *support,
-        lambda v: (v[0], v[1] % m),
-        lambda v, w: (w[1] - v[1]) % m in residues_for(v[0], w[0]),
-    ):
-        return None
-    quotient = quotient_graph(graph, m)
+def _modulus_certificate(instance, sub_instance, x, m):
+    """The certificate for a modulus ``m`` that ``admits`` the checks."""
+    quotient = quotient_graph(sub_instance.graph, m)
     return _certificate(
         instance, sub_instance, x, quotient, x.gamma % m,
         kind="modulus", modulus=m, subgroup_perms=None,
@@ -559,11 +549,10 @@ def _try_finite(instance, sub_instance, x, support, entry, gamma_key):
         return None
     if not instance.delta.is_abelian() and any(orbits[u] == orbits[w] for u, w in sub.edges):
         return None
-    if not _induced_isomorphism(
-        *support,
-        orbits.__getitem__,
-        lambda v, w: any(orbits[u] == orbits[w] for u in sub.neighbours(v)),
-    ):
+    # no merged support vertices, no created or destroyed adjacencies
+    vertices, pairs = support
+    if len({orbits[v] for v in vertices}) != len(vertices) or any(
+            a != any(orbits[u] == orbits[w] for u in sub.neighbours(v)) for v, w, a in pairs):
         return None
     quotient = _orbit_quotient(sub, orbits)
     gpos = [graph._position[v] for v in gamma_key]
@@ -585,9 +574,10 @@ def verify_certificate(instance: Instance, cert: RFCertificate) -> bool:
         if cert.kind == "modulus" and isinstance(graph, TranslationGraph):
             m, labels = cert.modulus, len(sub_instance.graph.labels)
             # a rebuilt quotient has an orbit per label and residue: build none larger
-            if not isinstance(m, int) or m < 1 or len(cert.quotient.vertices) != labels * m:
+            if not (isinstance(m, int) and m >= 1 and len(cert.quotient.vertices) == labels * m
+                    and admits(m, *_translation_constraints(instance, sub_instance, x, support))):
                 return False
-            rebuilt = _try_translation(instance, sub_instance, x, support, m)
+            rebuilt = _modulus_certificate(instance, sub_instance, x, m)
         elif cert.kind == "image-subgroup" and isinstance(graph, FiniteModeGraph):
             # Only a listed subgroup, in its listed form, can rebuild equal.
             entry = next((e for e in graph._subgroups if e[1] == cert.subgroup_perms), None)

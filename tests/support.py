@@ -726,6 +726,39 @@ def reference_first_candidate(instance: Instance, x: WreathElement, candidates):
     return None
 
 
+def brute_separating_modulus(instance: Instance, x: WreathElement, bound: int,
+                             memo: dict | None = None) -> int | None:
+    """The least m <= ``bound`` whose quotient by mZ separates ``x`` on a
+    translation instance, or None, scanned from 1 by the definitions:
+    gamma survives, the support keeps distinct images, a support pair is
+    adjacent modulo m exactly when it is adjacent (its offset listed by
+    ``brute_offsets``, modulo m in ``brute_residues``), and with
+    non-abelian coefficients no support label has 0 among its own
+    residues.  Uses neither the families' residue tests nor the lemmas.
+    ``memo`` is handed to ``brute_residues``."""
+    graph = instance.graph
+    x = instance.normalize(x)
+    support = sorted(x.word.vertices(), key=graph.vertex_key)
+    labels = {c for c, _ in support}
+    pairs = []
+    for (c1, p), (c2, q) in itertools.combinations(support, 2):
+        families = graph.families_for(c1, c2)
+        pairs.append((families, q - p, q - p in brute_offsets(families, abs(q - p))))
+    for m in range(1, bound + 1):
+        if x.gamma % m == 0 and x.gamma != 0:
+            continue
+        if len({(c, p % m) for c, p in support}) != len(support):
+            continue
+        if not instance.delta.is_abelian() and any(
+            0 in brute_residues(graph.families_for(c, c), m, memo) for c in labels
+        ):
+            continue
+        if all((t % m in brute_residues(families, m, memo)) == adjacent
+               for families, t, adjacent in pairs):
+            return m
+    return None
+
+
 def _candidate_quotient(graph: FiniteModeGraph, sub: FiniteModeGraph, perms) -> QuotientGraph:
     """The quotient of ``sub``, a union of orbits of ``graph``, by the
     subgroup listed as ``perms``: each vertex goes to its least image

@@ -276,6 +276,50 @@ def test_cond3_window_counts_factorial_offsets():
     assert reference_cond3_pair(graph, "c", "c") == 11
 
 
+def _pair_failing_at_the_window(rng, memo):
+    """A one-pair translation graph whose first non-adjacent lemma offset,
+    by the brute-force reference, is W itself, with W; or None.  Each
+    first offset found below W joins a finite family, which moves W,
+    until one lands on W or past the reference's reach."""
+    labels = rng.choice((("c",), ("a", "b")))
+    pair = (labels[0], labels[-1])
+    infinite = (ArithmeticOffsets(rng.randint(1, 6), rng.randint(2, 8)),)
+    finite = set()
+    while True:
+        families = infinite + ((FiniteOffsets(frozenset(finite)),) if finite else ())
+        graph = TranslationGraph(labels, {pair: families})
+        t = reference_cond3_pair(graph, *pair, memo=memo)
+        window = checker._offset_window([], *checker._datum_and_steps(families))
+        if t == window:
+            return graph, window
+        if not t or t > window:
+            return None
+        finite.add(t)
+
+
+def test_cond3_fails_at_the_window_itself():
+    # the walk covers 0 <= t <= W with W included: here D = 10 and L = 6,
+    # so W = 16, and 16 = -2 mod 6 is the first non-adjacent lemma offset,
+    # as 2, 4, 8, 10 and 14 are edges
+    families = (FiniteOffsets(frozenset({10})), FiniteOffsets(frozenset({4})), ArithmeticOffsets(2, 6))
+    graph = TranslationGraph(("a", "b"), {("a", "b"): families})
+    assert checker._offset_window([], *checker._datum_and_steps(families)) == 16
+    verdict = classify(Instance(C2, graph))
+    assert verdict.status == NOT_RESIDUALLY_FINITE
+    failing = verdict.cond3.failing
+    assert (failing.obstruction.offset, failing.obstruction.lemma) == (16, "arithmetic-step")
+    assert reference_cond3_pair(graph, "a", "b") == 16
+    rng, memo, found = random.Random(19), {}, 0
+    for _ in range(60):
+        case = _pair_failing_at_the_window(rng, memo)
+        if case is not None:
+            graph, window = case
+            failing = check_cond3(Instance(C2, graph)).failing
+            assert failing is not None and failing.obstruction.offset == window, graph
+            found += 1
+    assert found >= 20
+
+
 def test_translation_verdicts_do_not_depend_on_the_search_knobs():
     # one of the two statuses, the same for every bound and t_max, and
     # a negative witness that verifies
@@ -516,14 +560,13 @@ P = 1000003  # prime
 def test_cond2_search_tries_only_the_moduli_its_steps_allow(monkeypatch, families, tried):
     # a prime q of step / gcd(start, step) misses 0 at the multiples of
     # q^(v_q(start) + 1) only, so the search never walks up to its answer
-    seen, candidates = [], checker._candidate_moduli
+    seen, admits = [], graphs.admits
 
-    def recording(families, limit):
-        for m in candidates(families, limit):
-            seen.append(m)
-            yield m
+    def recording(m, apart, misses):
+        seen.append(m)
+        return admits(m, apart, misses)
 
-    monkeypatch.setattr(checker, "_candidate_moduli", recording)
+    monkeypatch.setattr(graphs, "admits", recording)
     graph = TranslationGraph(("c",), {("c", "c"): families})
     start = time.perf_counter()
     (e,) = check_cond2(Instance(S3, graph)).per_orbit
@@ -531,7 +574,7 @@ def test_cond2_search_tries_only_the_moduli_its_steps_allow(monkeypatch, familie
     assert (e.status, e.modulus, seen) == ("holds", tried[-1], tried)
 
 
-def test_candidate_moduli_are_those_every_arithmetic_family_misses():
+def test_candidate_moduli_are_those_every_arithmetic_family_misses(monkeypatch):
     # against enumeration: start + k*step for k < m runs through every
     # residue the family has modulo m
     rng = random.Random(29)
@@ -541,7 +584,10 @@ def test_candidate_moduli_are_those_every_arithmetic_family_misses():
         families = [f for f in families if f.start % f.step] or [ArithmeticOffsets(1, 2)]
         misses = [m for m in range(1, 301)
                   if not any((f.start + k * f.step) % m == 0 for f in families for k in range(m))]
-        assert list(checker._candidate_moduli(families + [FactorialOffsets(1)], 300)) == misses
+        seen = []
+        monkeypatch.setattr(graphs, "admits", lambda m, apart, misses: seen.append(m))
+        assert graphs.least_modulus([], [(families + [FactorialOffsets(1)], {0})], 300) is None
+        assert seen == misses
 
 
 def test_prime_factors():
@@ -554,13 +600,13 @@ def test_prime_factors():
             q += 1
         return primes | ({n} if n > 1 else set())
 
-    assert all(checker._prime_factors(n) == trial(n) for n in range(1, 5001))
-    assert checker._prime_factors(2**61 - 1) == {2**61 - 1}
-    assert checker._prime_factors(2**89 - 1) == {2**89 - 1}
-    assert checker._prime_factors(3**40 * (2**31 - 1)**2) == {3, 2**31 - 1}
+    assert all(graphs._prime_factors(n) == trial(n) for n in range(1, 5001))
+    assert graphs._prime_factors(2**61 - 1) == {2**61 - 1}
+    assert graphs._prime_factors(2**89 - 1) == {2**89 - 1}
+    assert graphs._prime_factors(3**40 * (2**31 - 1)**2) == {3, 2**31 - 1}
     # strong pseudoprimes to the bases 2..23 and 2..37
-    assert checker._prime_factors(3825123056546413051) == {149491, 747451, 34233211}
-    assert checker._prime_factors(318665857834031151167461) == {399165290221, 798330580441}
+    assert graphs._prime_factors(3825123056546413051) == {149491, 747451, 34233211}
+    assert graphs._prime_factors(318665857834031151167461) == {399165290221, 798330580441}
 
 
 def test_classify_certified_verdicts_are_bound_monotone():

@@ -306,7 +306,26 @@ def test_translation_graph_offset_memo_is_not_state():
     for how, copier in COPIERS.items():
         duplicate = copier(filled)
         assert duplicate == build() and repr(duplicate) == repr(fresh), how
+        assert duplicate._pair_tables == build()._pair_tables, how  # rebuilt, the memo empty
         assert [duplicate.adjacent(*pair) for pair in pairs] == answers, how
+
+
+def test_translation_graph_copies_are_the_size_of_a_fresh_graph():
+    # one canonical pass over 2,048 positions fills the memo with an answer
+    # per offset probed; a copy or pickle rebuilds the graph from its fields
+    def build():
+        return TranslationGraph(("c",), {("c", "c"): (ArithmeticOffsets(1, 1),)})
+
+    graph, delta = build(), Symmetric(3)
+    values = [v for v in delta.elements() if not delta.is_identity(v)]
+    canonical_form(graph, delta, [Syllable(("c", p), values[p % 5]) for p in range(2048)])
+    assert len(graph._pair_tables["c", "c"][3]) > 2048
+    size = len(pickle.dumps(build()))
+    assert len(pickle.dumps(graph)) == size
+    for how, copier in COPIERS.items():
+        duplicate = copier(graph)
+        assert duplicate == build() and duplicate._pair_tables == build()._pair_tables, how
+        assert len(pickle.dumps(duplicate)) == size, how
 
 
 @pytest.mark.parametrize("name", ["Syllable", "Word", "WreathElement"])

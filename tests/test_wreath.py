@@ -45,6 +45,7 @@ from gwreath import formats, graphs, words, wreath
 from gwreath.graphs import enumerate_subgroups
 
 from tests.support import (
+    brute_separating_modulus,
     complete_z_graph,
     counting_spec,
     cycle_graph,
@@ -56,6 +57,7 @@ from tests.support import (
     prime_cycles_graph,
     random_word,
     random_nontrivial,
+    random_translation_graph,
     random_wreath,
     reference_canonical_form,
     reference_first_candidate,
@@ -792,6 +794,51 @@ def test_separate_picks_the_first_candidate_whose_quotient_passes():
                 assert verify_certificate(inst, cert)
 
 
+def test_translation_separate_matches_a_brute_force_scan():
+    # beside finite families, arithmetic and factorial ones: the modulus
+    # is the least of 1..bound that separates by the definitions, and the
+    # search is exhausted at bound exactly when none does
+    rng, memo, seen = random.Random(311), {}, Counter()
+    for _ in range(400):
+        inst = Instance(rng.choice((C2, S3)), random_translation_graph(rng))
+        x = random_wreath(inst, rng, max_len=4, window=6)
+        if inst.is_identity_element(x):
+            continue
+        bound = rng.choice((6, 24, 60))
+        expected = brute_separating_modulus(inst, x, bound, memo)
+        try:
+            cert = separate(inst, x, bound=bound)
+        except SearchExhausted as exhausted:
+            assert (expected, exhausted.bound) == (None, bound), (inst, x, bound)
+            seen["exhausted"] += 1
+            continue
+        assert cert.modulus == expected, (inst, x, bound)
+        assert verify_certificate(inst, cert)
+        if cert.modulus > 2:  # count the family kinds among the support's labels
+            labels = {c for c, _ in x.word.vertices()}
+            seen.update({type(f).__name__ for pair, fams in inst.graph.families.items()
+                         if set(pair) <= labels for f in fams})
+    assert min(seen[key] for key in ("exhausted", "ArithmeticOffsets", "FactorialOffsets")) >= 20, seen
+
+
+def test_separate_asks_only_the_multiples_of_a_prime_step(monkeypatch):
+    # offset 5 and, with S3, offset 0 miss arithmetic 1 10007 modulo m only
+    # when 10007 divides m; 10012 = 5 modulo 10007, so 20014 is the least
+    graph = TranslationGraph(("c",), {("c", "c"): (ArithmeticOffsets(1, 10007),
+                                                   FiniteOffsets(frozenset({10012})))})
+    inst = Instance(S3, graph)
+    x = WreathElement(word(S3, [(("c", 0), (1, 0, 2)), (("c", 5), (0, 2, 1))]), 0)
+    seen, admits = [], graphs.admits
+    monkeypatch.setattr(graphs, "admits",
+                        lambda m, apart, misses: seen.append(m) or admits(m, apart, misses))
+    with pytest.raises(SearchExhausted):
+        separate(inst, x, bound=10006)
+    assert seen == []
+    cert = separate(inst, x, bound=3 * 10007)
+    assert (cert.modulus, seen) == (20014, [10007, 20014])
+    assert verify_certificate(inst, cert)
+
+
 def test_certificate_map_is_homomorphism():
     rng = random.Random(79)
     inst = line_instance(C3)
@@ -1375,7 +1422,7 @@ def test_support_pairs_share_one_residue_set_per_modulus(monkeypatch):
     inst = fact_instance(1, C2)
     x = WreathElement(word(C2, [(("c", v), 1) for v in (0, 2, 9, 17, 40, 41)]), 0)
     built = Counter()
-    residues_of = wreath.residues_of
+    residues_of = graphs.residues_of
 
     def counted(families, m):
         built[m] += 1
@@ -1384,7 +1431,7 @@ def test_support_pairs_share_one_residue_set_per_modulus(monkeypatch):
     def walk(self, t, m):
         raise AssertionError("per-pair hits")
 
-    monkeypatch.setattr(wreath, "residues_of", counted)
+    monkeypatch.setattr(graphs, "residues_of", counted)
     monkeypatch.setattr(graphs.FactorialOffsets, "hits", walk)
     with pytest.raises(SearchExhausted):
         separate(inst, x, bound=64)
