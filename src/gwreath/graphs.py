@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -398,7 +399,8 @@ class TranslationGraph(Record):
         return (c1, c2) if self.label_index(c1) <= self.label_index(c2) else (c2, c1)
 
     def has_vertex(self, v: Vertex) -> bool:
-        if not (isinstance(v, tuple) and len(v) == 2 and isinstance(v[1], int)):
+        # type, not isinstance: True equals 1, but no reader parses it as a position
+        if not (isinstance(v, tuple) and len(v) == 2 and type(v[1]) is int):
             return False
         try:
             return v[0] in self._label_index
@@ -483,6 +485,9 @@ class FiniteModeGraph(Record):
         position = {v: i for i, v in enumerate(verts)}
         if len(position) != len(verts):
             raise GraphError("vertex ids must be distinct")
+        for v in verts:  # as ``has_vertex`` reads them: True equals 1, but is no id
+            if type(v) is not int:
+                raise GraphError(f"vertex id {v!r} is not an int")
         _set(self, "vertices", verts)
         pairs = set()
         neighbours: dict[int, set[int]] = {v: set() for v in verts}
@@ -512,7 +517,7 @@ class FiniteModeGraph(Record):
                 raise GraphError("generators must pairwise commute", ("generator", b))
         # Derived once; not fields, so equality and hashing are unchanged.
         _set(self, "_position", position)
-        _set(self, "_places", tuple(_cycle_places([position[v] for v in g]) for g in generators))
+        _set(self, "_cycles", tuple(_cycle_runs([position[v] for v in g]) for g in generators))
         _set(self, "_neighbours", {v: frozenset(ns) for v, ns in neighbours.items()})
         _set(self, "_orbit_map", _orbits(verts, generators))
         _set(self, "acting", FreeAbelian(len(generators)))
@@ -537,8 +542,8 @@ class FiniteModeGraph(Record):
         order = len(image)
         shared = {p: p for p in image}  # subgroups keep the image's tuples, not copies
         divisors = []
-        for places in self._places:
-            n = math.lcm(*(len(cycle) for cycle, _ in places))
+        for _, runs, _ in self._cycles:
+            n = math.lcm(*(length for _, _, length, _ in runs))
             divisors.append([d for d in range(1, n + 1) if n % d == 0])
         diagonals: dict[int, list[tuple[int, ...]]] = {}
         for diag in itertools.product(*divisors):
@@ -566,7 +571,7 @@ class FiniteModeGraph(Record):
         return len(self.generators)
 
     def has_vertex(self, v: Vertex) -> bool:
-        return isinstance(v, int) and v in self._position
+        return type(v) is int and v in self._position
 
     def check_vertex(self, v: Vertex) -> None:
         if not self.has_vertex(v):
@@ -582,13 +587,26 @@ class FiniteModeGraph(Record):
 
     def perm_of(self, gamma: tuple[int, ...]) -> tuple[int, ...]:
         """The automorphism through which a Z^n element acts, as the
-        images of ``vertices``, in order: each generator's power moves
-        every position along its cycle, so the image is not needed."""
+        images of ``vertices``, in order, read off the generators' cycles
+        with no image table.
+
+        Generator i's power k moves each of its cycles k places along,
+        which on ``_cycle_runs``' layout is one rotation, by slicing, of
+        the run that holds its cycles of one length; the tuple so far is
+        gathered into that layout and back by two ``operator.itemgetter``
+        calls.  The cost is those calls and a few slices per generator
+        and cycle length, with no Python step per vertex.
+        """
         self.acting.check(gamma)
-        image = range(len(self.vertices))  # positions
-        for places, k in zip(self._places, gamma):
-            image = [c[(t + k) % len(c)] for c, t in map(places.__getitem__, image)]
-        return tuple(map(self.vertices.__getitem__, image))
+        image = self.vertices
+        for (gather, runs, scatter), k in zip(self._cycles, gamma):
+            flat, rotated = gather(image), []
+            for start, end, length, count in runs:
+                cut = start + k % length * count
+                rotated += flat[cut:end]
+                rotated += flat[start:cut]
+            image = scatter(rotated)
+        return image
 
     def action(self, gamma: tuple[int, ...]):
         """The vertex map of ``gamma``, on vertices checked by the caller."""
@@ -605,18 +623,37 @@ class FiniteModeGraph(Record):
         return False
 
 
-def _cycle_places(step: list[int]) -> list[tuple[tuple[int, ...], int]]:
-    """For each position, its cycle under ``step`` (a position, then its
-    successive images) and its place in that cycle."""
-    places = [None] * len(step)
+def _cycle_runs(step: list[int]):
+    """The cycles of the permutation ``step`` of positions, as
+    ``perm_of`` rotates them: (gather, runs, scatter).
+
+    The cycles of one length L, c of them, each a position followed by
+    its successive images, fill one run (start, end, L, c) of L * c
+    places column by column: place start + t * c + q holds the t-th
+    position of the q-th cycle.  The k-th power of ``step`` moves every
+    such position to the (t + k)-th of its cycle, c * (k mod L) places
+    on, cyclically within the run.  ``gather`` reads a tuple indexed by
+    position into the runs' order and ``scatter`` reads that order back;
+    both are the identity when there are fewer than two positions, where
+    ``itemgetter`` would return a bare item or take no index.
+    """
+    cycles: dict[int, list[list[int]]] = {}  # length -> cycles
+    seen = set()
     for start in range(len(step)):
-        if places[start] is None:
+        if start not in seen:
             cycle = [start]
             while (i := step[cycle[-1]]) != start:
                 cycle.append(i)
-            for t, i in enumerate(cycle):
-                places[i] = (cycle, t)
-    return places
+            seen.update(cycle)
+            cycles.setdefault(len(cycle), []).append(cycle)
+    order, runs = [], []
+    for length, same in sorted(cycles.items()):
+        runs.append((len(order), len(order) + length * len(same), length, len(same)))
+        order += itertools.chain.from_iterable(zip(*same))  # column by column
+    if len(order) < 2:
+        return tuple, tuple(runs), tuple
+    back = sorted(range(len(order)), key=order.__getitem__)  # the place of each position
+    return operator.itemgetter(*order), tuple(runs), operator.itemgetter(*back)
 
 
 def _orbits(elements, perms) -> dict:
@@ -700,9 +737,12 @@ class QuotientGraph:
 
     def has_vertex(self, v) -> bool:
         try:
-            return v in self._vertex_set
+            if v not in self._vertex_set:
+                return False
         except TypeError:  # an unhashable id is no orbit
             return False
+        # type, not isinstance: True equals 1, but no reader parses it as an id
+        return type(v if self.kind == "finite" else v[1]) is int
 
     def check_vertex(self, v) -> None:
         if not self.has_vertex(v):

@@ -5,15 +5,15 @@ syllables (vertex, value).  Copies at adjacent vertices commute; no
 other relations hold beyond the group laws inside each copy.  Words are
 brought to a canonical form in one left-to-right pass, after the
 Hermiller-Meier normal form for graph products and the piling solution
-of the word problem of Crisp, Godelle and Wiest.  The pass drops
-identity syllables and pushes each syllable back past the trailing
-syllables it commutes with.  It merges or cancels the syllable against
-the first same-vertex syllable it meets; otherwise it inserts it where
-the lexicographic normal form by ``vertex_key`` puts it.  The word kept
-is reduced and in that normal form after every syllable, so the pass
-ends on the canonical form; it keeps no adjacency memo (its cost:
-``canonical_form``).  Equal elements give equal canonical words, so
-equality and triviality tests compare forms.
+of the word problem of Crisp, Godelle and Wiest.  The pass pushes each
+syllable back past the trailing syllables it commutes with.  It merges
+or cancels the syllable against the first same-vertex syllable it
+meets; otherwise it inserts it where the lexicographic normal form by
+``vertex_key`` puts it.  The word kept is reduced and in that normal
+form after every syllable, so the pass ends on the canonical form; it
+keeps no adjacency memo (its cost: ``canonical_form``).  Equal elements
+give equal canonical words, so equality and triviality tests compare
+forms.
 
 A word is tested once per graph and group.  ``word`` checks each value
 against the coefficient group, ``formats.parse_word`` each vertex
@@ -21,9 +21,12 @@ against the graph and each value against the group, and the canonical
 pass builds its result from checked syllables; each records on the
 ``Word`` the group and graph objects it checked against.  Every group
 operation, here and in ``wreath``, tests each word operand on entry with
-``_validate``, which skips a test the record covers and records what
-a nonempty ``Word`` passed; a word built directly, copied or unpickled
-has none.  A bad vertex raises ``WordError`` and a bad value
+``_validate``, which skips a test the record covers, drops identity
+syllables, and records what a nonempty ``Word`` passed whole; a word
+built directly, copied or unpickled has none.  None of these records a
+word that holds an identity syllable, so the syllables the canonical
+pass receives hold none, and it compares a value with the identity only
+after a merge.  A bad vertex raises ``WordError`` and a bad value
 ``GroupError``, from every operation and operand.  ``adjacent`` checks
 nothing.
 """
@@ -54,8 +57,8 @@ _set_vertex, _set_value = Syllable.vertex.__set__, Syllable.value.__set__
 
 class Word(Record):
     # ``_graph`` and ``_delta``: the objects the syllables were checked against,
-    # set only by ``_record``.  Not fields, so ==, hash, repr, copy and pickle
-    # ignore them.
+    # set only by ``_record``, and only on a word with no identity syllable.
+    # Not fields, so ==, hash, repr, copy and pickle ignore them.
     __slots__ = ("syllables", "_graph", "_delta")
     _fields = ("syllables",)
 
@@ -103,28 +106,36 @@ def word(delta: GroupSpec, pairs: Iterable[tuple[Vertex, Element]]) -> Word:
 
 
 def _validate(graph, delta: GroupSpec, w: Word | Iterable[Syllable]) -> list[Syllable]:
-    """The syllables of ``w``, each vertex and then value tested once.
+    """The syllables of ``w`` that are not the identity, each vertex and
+    then value tested once.
 
     The vertex test is skipped when ``w`` records this ``graph`` object,
     the value test when it records this ``delta`` object: identity, not
     equality, so an equal but distinct spec tests again.  ``check`` runs
-    only to raise.  A nonempty ``Word`` that passes records ``graph`` and
-    ``delta``; each slot only ever holds an object the syllables passed
-    against, so threads that race to write it leave it sound.
+    only to raise.  A word with a record holds no identity syllable, so
+    only the loop that tests drops them, at one comparison a syllable;
+    a fully recorded word costs a list copy.  A ``Word`` that passes
+    records ``graph`` and ``delta`` only when it is nonempty and lost
+    no syllable; each slot only ever holds an object the syllables
+    passed against, so threads that race to write it leave it sound.
     """
     sylls = list(w)
     test_vertex = getattr(w, "_graph", None) is not graph
     test_value = getattr(w, "_delta", None) is not delta
-    if test_vertex or test_value:
-        has_vertex, contains = graph.has_vertex, delta.contains
-        for s in sylls:
-            if test_vertex and not has_vertex(s.vertex):
-                raise WordError(f"syllable vertex {s.vertex!r} does not belong to the graph")
-            if test_value and not contains(s.value):
-                delta.check(s.value)
-        if sylls and isinstance(w, Word):
-            _record(w, graph, delta)
-    return sylls
+    if not (test_vertex or test_value):
+        return sylls
+    has_vertex, contains, identity = graph.has_vertex, delta.contains, delta.identity()
+    kept = []
+    for s in sylls:
+        if test_vertex and not has_vertex(s.vertex):
+            raise WordError(f"syllable vertex {s.vertex!r} does not belong to the graph")
+        if test_value and not contains(s.value):
+            delta.check(s.value)
+        if s.value != identity:
+            kept.append(s)
+    if kept and len(kept) == len(sylls) and isinstance(w, Word):
+        _record(w, graph, delta)
+    return kept
 
 
 def canonical_form(graph, delta: GroupSpec, w: Word | Iterable[Syllable]) -> Word:
@@ -146,7 +157,9 @@ def canonical_form(graph, delta: GroupSpec, w: Word | Iterable[Syllable]) -> Wor
     runs.  No pair is memoised per call, since pairs seldom recur, and a
     vertex's key is taken when a back-scan first compares it.
     ``_validate`` tests the syllables first, except where ``w``'s record
-    covers them, and records them on a nonempty ``Word`` that passes.
+    covers them, drops identity syllables (one comparison each, on the
+    syllables it tests), and records them on a nonempty ``Word`` that
+    passes with none dropped.
     """
     return _canonical(graph, delta, _validate(graph, delta, w))
 
@@ -156,10 +169,12 @@ def _canonical(graph, delta: GroupSpec, sylls: list[Syllable]) -> Word:
 
     Its callers (``canonical_form``, ``gp_invert``, ``retract``,
     ``_push_normal``; ``wreath``'s ``act_word``, ``gw_compose``,
-    ``gw_invert``) pass syllables ``_validate`` tested against ``graph``
+    ``gw_invert``) pass syllables ``_validate`` returned for ``graph``
     and ``delta``, or built from those by inverting values, mapping them
     to tested images or moving them along the action, which keeps a
-    vertex a vertex.  The word returned records both on that contract.
+    vertex a vertex.  So no syllable holds the identity, and the pass
+    tests none; only a merge can make one.  The word returned records
+    both on that contract.
 
     ``reduced`` stays reduced (no two same-vertex syllables with only
     commuting syllables between them) and in lexicographic normal form
@@ -204,8 +219,6 @@ def _canonical(graph, delta: GroupSpec, sylls: list[Syllable]) -> Word:
     rv: list[Vertex] = []  # the vertex of each reduced syllable
 
     for s in sylls:
-        if s.value == identity:
-            continue
         v = s.vertex
         k = len(rv) - 1
         if k < 0 or (u := rv[k]) != v:

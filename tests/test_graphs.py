@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 import time
 from collections import Counter
@@ -224,6 +226,28 @@ def test_has_vertex_rejects_malformed_vertices():
         assert line.has_vertex(v) is False, v
 
 
+def test_bools_are_no_vertices():
+    # True equals 1 and hashes like it, but no reader parses it back: a
+    # word at ("c", True) would print as c:True, so every graph kind
+    # rejects it, as group membership rejects bool values
+    line, torus = line_graph(), torus_graph(3)
+    quotients = (quotient_graph(line, 4), quotient_graph(torus, [(1, 0)]))
+    for graph, good, bad in (
+        (line, ("c", 1), ("c", True)),
+        (torus, 1, True),
+        (torus, 0, False),
+        (quotients[0], ("c", 1), ("c", True)),
+        (quotients[1], 0, False),
+    ):
+        assert graph.has_vertex(good) and not graph.has_vertex(bad), (graph, bad)
+        with pytest.raises(GraphError):
+            graph.check_vertex(bad)
+        with pytest.raises(WordError, match="does not belong to the graph"):
+            canonical_form(graph, Cyclic(2), [Syllable(bad, 1)])
+    with pytest.raises(GraphError, match="is not an int"):
+        FiniteModeGraph((True, 2), frozenset(), ())
+
+
 def test_act_examples():
     line = line_graph()
     assert line.act(3, ("c", 2)) == ("c", 5)
@@ -294,6 +318,7 @@ FINITE_MODE_ERRORS = [
     ("edges-not-preserved", (0, 1, 2), {(0, 1)}, ((0, 1, 2), (0, 2, 1)), ("generator", (0, 2, 1))),
     ("not-commuting", (0, 1, 2), set(), ((1, 0, 2), (0, 2, 1)), ("generator", (0, 2, 1))),
     ("repeated-vertex", (0, 1, 1), set(), (), None),
+    ("bool-vertex", (True, 2), set(), (), None),
 ]
 
 
@@ -313,6 +338,22 @@ def test_translation_graph_rejects_repeated_labels():
     with pytest.raises(GraphError, match="orbit labels must be distinct") as info:
         TranslationGraph(("c", "d", "c"))
     assert info.value.culprit is None
+
+
+def test_translation_graph_rejects_families_of_unknown_or_repeated_pairs():
+    fin = (FiniteOffsets(frozenset({1})),)
+    with pytest.raises(GraphError, match="unknown label in \\('a', 'z'\\)"):
+        TranslationGraph(("a", "b"), {("a", "z"): fin})
+    with pytest.raises(GraphError, match="duplicate family entry for pair \\('a', 'b'\\)"):
+        TranslationGraph(("a", "b"), {("a", "b"): fin, ("b", "a"): fin})
+
+
+def test_finite_mode_check_vertex():
+    torus = torus_graph(3)
+    torus.check_vertex(8)
+    for bad in (9, -1, True, (0,), "0"):
+        with pytest.raises(GraphError, match="is not a vertex of this graph"):
+            torus.check_vertex(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +437,30 @@ def test_quotient_rejects_unhashable_vertices_and_foreign_residues():
     assert q.act(5, ("c", 3)) == ("c", 2)
 
 
+def test_quotient_vertex_key_names_an_unknown_label():
+    q = quotient_graph(two_orbit_graph(), 3)
+    assert q.vertex_key(("b", 2)) == (1, 2)
+    with pytest.raises(GraphError, match="unknown orbit label 'z'"):
+        q.vertex_key(("z", 0))
+
+
+def test_finite_quotient_has_no_residue_action():
+    # only cosets act on a finite-mode quotient's orbits
+    q = quotient_graph(k5_cyclic(), [])
+    assert q.acting is None
+    for operation in (lambda: q.action(1), lambda: q.act(0, 0)):
+        with pytest.raises(GraphError, match="requires a coset"):
+            operation()
+
+
+def test_quotient_equality_is_only_against_quotients():
+    q = quotient_graph(line_graph(), 3)
+    assert q == quotient_graph(line_graph(), 3) and q != quotient_graph(line_graph(), 4)
+    assert q.__eq__(q.content()) is NotImplemented
+    for other in (q.content(), line_graph(), None, 3):
+        assert q != other and not q == other, other
+
+
 def test_quotient_modulus_one_has_one_vertex_per_orbit():
     for graph in (line_graph(), two_orbit_graph(), factorial_graph(1)):
         q = quotient_graph(graph, 1)
@@ -454,12 +519,40 @@ def _as_perm_tuples(graph, subgroups):
     return [tuple(sorted(tuple(p[v] for v in verts) for p in sub)) for sub in subgroups]
 
 
+def _degenerate_graphs():
+    """No vertex (ranks 0 and 1), one vertex (rank 2), rank 0 on three
+    vertices, and ids that are not positions under two generators with
+    fixed points and cycles of lengths 1 to 4: (0 1 2)(3 4) and
+    (3 4)(5 6 7 8), with 9 fixed by both."""
+    ids = tuple(10 * v + 3 for v in range(10))
+
+    def perm(*cycles):
+        image = list(range(10))
+        for cycle in cycles:
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                image[a] = b
+        return tuple(ids[i] for i in image)
+
+    edges = {(0, 1), (1, 2), (0, 2), (3, 4), (5, 6), (6, 7), (7, 8), (5, 8)}
+    mixed = FiniteModeGraph(
+        ids, frozenset((ids[u], ids[w]) for u, w in edges),
+        (perm((0, 1, 2), (3, 4)), perm((3, 4), (5, 6, 7, 8))),
+    )
+    return [
+        FiniteModeGraph((), frozenset(), ()),
+        FiniteModeGraph((), frozenset(), ((),)),
+        FiniteModeGraph((7,), frozenset(), ((7,), (7,))),
+        FiniteModeGraph((0, 1, 2), frozenset({(0, 1)}), ()),
+        mixed,
+    ]
+
+
 def _image_reference_graphs():
     """Cyclic, rank-2 and non-faithful actions (a rotation given twice),
     and two of rank 3: disjoint 2-, 3- and 4-cycles each rotated by its
     own generator (image order 24), and C6 under its rotation, the
     rotation's square and the identity (a trivial generator and a
-    kernel that is not diagonal)."""
+    kernel that is not diagonal); then ``_degenerate_graphs``."""
     rotation = tuple((i + 1) % 6 for i in range(6))
     kernel = FiniteModeGraph(tuple(range(6)), cycle_graph(6).edges, (rotation, rotation))
     square = tuple(rotation[v] for v in rotation)
@@ -474,7 +567,7 @@ def _image_reference_graphs():
     graphs = [cycle_graph(n) for n in range(1, 31)]
     graphs += [torus_graph(n) for n in range(2, 7)]
     own_cycles = FiniteModeGraph(cycles.vertices, cycles.edges, own)
-    return graphs + [k5_cyclic(), kernel, kernel3, own_cycles]
+    return graphs + [k5_cyclic(), kernel, kernel3, own_cycles] + _degenerate_graphs()
 
 
 def test_enumerate_subgroups_matches_reference():
@@ -505,6 +598,26 @@ def test_perm_of_matches_dict_composition():
         for gamma in gammas:
             expected = reference_perm_of(graph, gamma)
             assert graph.perm_of(gamma) == tuple(expected[v] for v in graph.vertices), gamma
+
+
+def test_finite_mode_graph_copies_act_the_same():
+    # the cycle runs are derived state; a copy, deep copy or pickle carries
+    # them, so none may hold a lambda, and each acts as the original does
+    copiers = [copy.copy, copy.deepcopy] + [
+        lambda graph, protocol=protocol: pickle.loads(pickle.dumps(graph, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for graph in [torus_graph(4), prime_cycles_graph((2, 3, 5))] + _degenerate_graphs():
+        gammas = list(itertools.product(range(-3, 4), repeat=graph.rank))
+        expected = [graph.perm_of(gamma) for gamma in gammas]
+        for copier in copiers:
+            duplicate = copier(graph)
+            assert duplicate == graph
+            assert [duplicate.perm_of(gamma) for gamma in gammas] == expected, graph
+            for gamma in gammas[:5]:
+                move, moved = graph.action(gamma), duplicate.action(gamma)
+                assert [moved(v) for v in graph.vertices] == [move(v) for v in graph.vertices]
+            assert enumerate_subgroups(duplicate) == enumerate_subgroups(graph)
 
 
 def test_perm_of_on_an_image_far_larger_than_the_vertex_set():

@@ -41,7 +41,9 @@ from tests.support import (
     klein_table,
     line_graph,
     path3_graph,
+    random_gamma,
     random_nontrivial,
+    random_vertex,
     random_word,
     reference_canonical_form,
     torus_graph,
@@ -656,3 +658,52 @@ def test_push_forward_is_homomorphism():
             + tuple(push_forward(line, C3, w2, q.project, q)),
         )
         assert image_of_product == product_of_images
+
+
+# (graph, coefficients, a subgroup whose quotient has no loop, to push into)
+BOUNDARY_CASES = {
+    "line-s3": (line_graph, S3, 5),
+    "two-orbit-c3": (two_orbit_graph, C3, 6),
+    "torus8-s3": (lambda: torus_graph(8), S3, [(4, 0), (0, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_CASES))
+def test_identity_syllables_leave_at_the_boundary(name):
+    # a Word or list built directly may hold identity syllables; every
+    # operation answers as on the same input without them, and such a Word
+    # gets no record, since a recorded word skips the loop that drops them
+    build, delta, sub = BOUNDARY_CASES[name]
+    graph = build()
+    inst, q = Instance(delta, graph), quotient_graph(graph, sub)
+    rng = random.Random(f"boundary:{name}")
+    ones = [Syllable(random_vertex(graph, rng, 4), delta.identity()) for _ in range(6)]
+    for _ in range(120):
+        clean = [tuple(random_word(graph, delta, rng, max_len=8, window=4)) for _ in range(2)]
+        dirty = []
+        for sylls in clean:
+            out = list(sylls)
+            for _ in range(rng.randint(1, 4)):
+                out.insert(rng.randint(0, len(out)), rng.choice(ones))
+            dirty.append(out)
+        g, h = random_gamma(inst, rng, 4), random_gamma(inst, rng, 4)
+        keep = {s.vertex for s in dirty[0] if rng.random() < 0.5}
+        operations = {
+            "canonical_form": lambda a, b: canonical_form(graph, delta, a),
+            "gw_compose": lambda a, b: gw_compose(inst, WreathElement(a, g), WreathElement(b, h)),
+            "gw_invert": lambda a, b: gw_invert(inst, WreathElement(a, g)),
+            "act_word": lambda a, b: act_word(graph, delta, h, a),
+            "gp_invert": lambda a, b: gp_invert(graph, delta, a),
+            "retract": lambda a, b: retract(graph, delta, a, keep),
+            "push_forward": lambda a, b: push_forward(graph, delta, a, q.project, q),
+        }
+        for operation, run in operations.items():
+            expected = run(Word(clean[0]), Word(clean[1]))
+            words = [Word(tuple(sylls)) for sylls in dirty]
+            assert run(*words) == expected, operation
+            assert run(*map(list, dirty)) == expected, operation
+            for w in words:
+                assert not hasattr(w, "_graph") and not hasattr(w, "_delta"), operation
+    only_ones = Word(tuple(ones))
+    assert canonical_form(graph, delta, only_ones) == EMPTY_WORD
+    assert not hasattr(only_ones, "_graph") and not hasattr(only_ones, "_delta")
