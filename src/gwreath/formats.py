@@ -105,9 +105,25 @@ def parse_gamma(instance: Instance, text: str, line: int | None = None):
 
 
 def word_text(w: Word) -> str:
+    """``vertex=value`` per syllable, or ``-`` for the empty word.
+
+    Each distinct value object is formatted once, keyed by ``id``: ``w``
+    holds every value it writes, so no id names two objects during the
+    call, and an equal but distinct object (``True`` beside ``1``) gets
+    its own text.  Each vertex is written inline, as ``vertex_text``
+    writes it.
+    """
     if w.is_empty:
         return "-"
-    return " ".join(f"{vertex_text(s.vertex)}={value_text(s.value)}" for s in w)
+    texts: dict[int, str] = {}  # id of each value object written so far -> its text
+    parts = []
+    for s in w:
+        value, v = s.value, s.vertex
+        text = texts.get(id(value))
+        if text is None:
+            text = texts[id(value)] = value_text(value)
+        parts.append(f"{v[0]}:{v[1]}={text}" if isinstance(v, tuple) else f"{v}={text}")
+    return " ".join(parts)
 
 
 def parse_word(graph, delta: GroupSpec, text: str, line: int | None = None) -> Word:
@@ -338,10 +354,27 @@ def _header(kind: str) -> str:
 
 
 class _Record(dict):
-    """Each key's values in order, and in ``kind`` the document kind the
-    header names, which the ``*_from_record`` readers check."""
+    """Each key's values in order; in ``kind`` the document kind the
+    header names, which the ``*_from_record`` readers check, and in
+    ``source`` the text it was parsed from, which only an error reads."""
 
-    __slots__ = ("kind",)
+    __slots__ = ("kind", "source")
+
+
+def _taken(record) -> _Record:
+    """A copy of ``record`` for its reader to take each key it reads out
+    of; it keeps the source text."""
+    copy = _Record(record)
+    copy.source = getattr(record, "source", "")  # a plain dict has none
+    return copy
+
+
+def _line(record, key: str, i: int = 0) -> int | None:
+    """The line of the ``i``-th value of ``key`` in the text ``record``
+    was parsed from, found when an error names it; None without a text."""
+    numbers = [n for n, line in enumerate(getattr(record, "source", "").splitlines(), start=1)
+               if line.partition(" ")[0] == key]
+    return numbers[i] if i < len(numbers) else None
 
 
 def _expect_kind(record, kind: str) -> None:
@@ -377,7 +410,7 @@ def parse_structured(text: str) -> tuple[str, dict[str, list[str]]]:
         else:
             raise ParseError("a second header" if key else "expected 'key value'", line=lineno)
     document = _Record(record)  # filled as a plain dict, whose item access is faster
-    document.kind = head[2]
+    document.kind, document.source = head[2], text
     return head[2], document
 
 
@@ -507,10 +540,10 @@ def parse_quotient(record, prefix: str = "quotient") -> QuotientGraph:
         return QuotientGraph("translation", vertices, edges, loops, modulus=modulus, labels=labels)
     if kind == "finite":
         orbit_map = {}
-        for entry in record.pop(f"{prefix}.orbit", []):
+        for i, entry in enumerate(record.pop(f"{prefix}.orbit", [])):
             ids = _ints(entry.split(), f"{prefix}.orbit")
             if not ids:
-                raise ParseError(f"empty {prefix}.orbit line")
+                raise ParseError(f"empty {prefix}.orbit line", line=_line(record, f"{prefix}.orbit", i))
             for member in ids[1:]:
                 if member in orbit_map:
                     raise ParseError(f"repeated {prefix}.orbit entry: vertex {member}")
@@ -522,7 +555,7 @@ def parse_quotient(record, prefix: str = "quotient") -> QuotientGraph:
 def quotient_from_record(record) -> QuotientGraph:
     """The quotient of a ``quotient-graph`` document (``gwreath quotient``)."""
     _expect_kind(record, "quotient-graph")
-    record = dict(record)  # each key read is taken out of this copy
+    record = _taken(record)
     quotient = parse_quotient(record)
     _no_key_left(record)
     return quotient
@@ -560,7 +593,7 @@ def certificate_lines(instance: Instance, cert: RFCertificate) -> list[str]:
 
 def certificate_from_record(instance: Instance, record) -> RFCertificate:
     _expect_kind(record, "separation-certificate")
-    record = dict(record)  # each key read is taken out of this copy
+    record = _taken(record)
     graph, delta = instance.graph, instance.delta
     w = parse_word(graph, delta, _one(record, "element.word"))
     gamma = parse_gamma(instance, _one(record, "element.gamma"))
@@ -635,7 +668,7 @@ def witness_lines(instance: Instance, wit: NonRFWitness) -> list[str]:
 
 def witness_from_record(instance: Instance, record) -> NonRFWitness:
     _expect_kind(record, "witness")
-    record = dict(record)  # each key read is taken out of this copy
+    record = _taken(record)
     graph, delta = instance.graph, instance.delta
     kind = _one(record, "kind")
     vertices = tuple(parse_vertex(graph, t) for t in record.pop("vertex", []))
@@ -643,7 +676,9 @@ def witness_from_record(instance: Instance, record) -> NonRFWitness:
     w = parse_word(graph, delta, _one(record, "element.word"))
     gamma = parse_gamma(instance, _one(record, "element.gamma"))
     c1, c2 = _split(_one(record, "obstruction.pair"), "obstruction.pair", 2)
-    family = parse_family(_one(record, "obstruction.family").split())
+    family = parse_family(
+        _one(record, "obstruction.family").split(), line=_line(record, "obstruction.family")
+    )
     offset_text = _one(record, "obstruction.offset")
     obstruction = Obstruction(
         lemma=_one(record, "obstruction.lemma"),
@@ -681,10 +716,10 @@ def lef_from_record(graph: TranslationGraph, record) -> LEFCertificate:
     from .lef import LEFCertificate, Truncation
 
     _expect_kind(record, "lef-certificate")
-    record = dict(record)  # each key read is taken out of this copy
+    record = _taken(record)
     group, order = _split(_one(record, "q"), "q", 2)
     if group != "cyclic":
-        raise ParseError(f"unsupported finite model group {group!r}")
+        raise ParseError(f"unsupported finite model group {group!r}", line=_line(record, "q"))
     n = _int(order, "q")
     if n < 1:
         raise ParseError(f"q needs a positive order, got {n}")

@@ -15,9 +15,11 @@ keeps no adjacency memo (its cost: ``canonical_form``).  Equal elements
 give equal canonical words, so equality and triviality tests compare
 forms.
 
-A word is tested once per graph and group.  ``word`` checks each value
-against the coefficient group, ``formats.parse_word`` each vertex
-against the graph and each value against the group, and the canonical
+A word is tested once per graph and group.  ``word`` checks each
+distinct value object against the coefficient group once, keyed by
+``id`` (exact, since the word being built holds every value that
+passed), ``formats.parse_word`` each vertex against the graph and each
+distinct value text against the group, and the canonical
 pass builds its result from checked syllables; each records on the
 ``Word`` the group and graph objects it checked against.  Every group
 operation, here and in ``wreath``, tests each word operand on entry with
@@ -95,12 +97,26 @@ def _record(w: Word, graph, delta: GroupSpec) -> Word:
 
 def word(delta: GroupSpec, pairs: Iterable[tuple[Vertex, Element]]) -> Word:
     """Build a word, rejecting identity-valued syllables; it records
-    ``delta``, against which every value was checked."""
+    ``delta``, against which every value was checked.
+
+    Each distinct value object is checked once, where it first occurs,
+    so the first bad pair raises as a per-pair check would.  The memo
+    keys by ``id``: every value that passed is held by a syllable of the
+    word being built, so its id names no other object during the call,
+    and an equal but distinct object (``True`` beside ``1``) is checked
+    on its own.  Group elements are immutable, so a checked one stays
+    an element.
+    """
+    contains, identity = delta.contains, delta.identity()
+    passed: set[int] = set()  # ids of the value objects checked so far
     out = []
     for vertex, value in pairs:
-        delta.check(value)
-        if delta.is_identity(value):
-            raise WordError(f"identity syllable at vertex {vertex!r}")
+        if id(value) not in passed:
+            if not contains(value):
+                delta.check(value)
+            if value == identity:
+                raise WordError(f"identity syllable at vertex {vertex!r}")
+            passed.add(id(value))
         out.append(Syllable(vertex, value))
     return _record(Word(tuple(out)), None, delta)
 

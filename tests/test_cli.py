@@ -465,6 +465,51 @@ def test_graph_errors_name_their_line(capsys, tmp_path, delta, gamma, body, line
     assert err.startswith("error: ") and err.rstrip().endswith(f"(line {line})"), err
 
 
+# (id, the command that writes the document, the key of the line to
+# replace, its replacement, the error the reader raises)
+BAD_DOCUMENTS = [
+    ("witness-family", ("witness", "ex12", "--kind", "T3.1", "--vertices", "c:0"),
+     "obstruction.family", "obstruction.family", "missing family kind"),
+    ("quotient-orbit", ("quotient", "finite5-s3", "--subgroup", "1"),
+     "quotient.orbit", "quotient.orbit", "empty quotient.orbit line"),
+    ("lef-group", ("lef", "ex12", "--gamma-set", "0,1", "--vertex-set", "c:0 c:1 c:2"),
+     "q", "q dihedral 5", "unsupported finite model group 'dihedral'"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, key, new, message", [case[1:] for case in BAD_DOCUMENTS],
+    ids=[case[0] for case in BAD_DOCUMENTS],
+)
+def test_document_errors_are_one_located_line(capsys, monkeypatch, tmp_path, command, key, new,
+                                              message):
+    # no command reads a document back, so its reader stands in as one:
+    # `run` reports the located ParseError as one error line and exits 1
+    from gwreath import cli, formats
+
+    name, instance, *options = command
+    inst, _ = formats.load_instance(str(INSTANCES / f"{instance}.instance"))
+    readers = {
+        "witness": lambda record: formats.witness_from_record(inst, record),
+        "quotient": formats.quotient_from_record,
+        "lef": lambda record: formats.lef_from_record(inst.graph, record),
+    }
+    code, out, _ = invoke(capsys, name, INSTANCES / f"{instance}.instance", *options,
+                          "--format", "structured")
+    assert code == 0
+    lines = out.splitlines()
+    at = [line.split(" ")[0] for line in lines].index(key)
+    doc = tmp_path / "bad.doc"
+    doc.write_text("\n".join(lines[:at] + [new] + lines[at + 1:]) + "\n")
+
+    def read(args):
+        readers[name](formats.parse_structured(pathlib.Path(args.instance).read_text())[1])
+        return cli.EXIT_OK
+
+    monkeypatch.setitem(cli._SUBCOMMANDS, "check", (read, "read a document", False, []))
+    assert invoke(capsys, "check", doc) == (1, "", f"error: {message} (line {at + 1})\n")
+
+
 def test_output_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "out.txt"
     code, out, _ = invoke(

@@ -1,4 +1,5 @@
 import pathlib
+import random
 
 import pytest
 
@@ -13,6 +14,8 @@ from gwreath import (
     Integers,
     ParseError,
     Symmetric,
+    Syllable,
+    Word,
     WreathElement,
     check_finitely_presented,
     classify,
@@ -36,6 +39,7 @@ from tests.support import (
     k5_cyclic,
     klein_table,
     line_graph,
+    random_word,
     torus_graph,
     two_orbit_graph,
 )
@@ -199,6 +203,42 @@ def test_word_text_round_trip():
     text = formats.word_text(w)
     assert formats.parse_word(inst.graph, inst.delta, text) == w
     assert formats.parse_word(inst.graph, inst.delta, "-").is_empty
+    rng = random.Random(33)
+    for graph, delta in [(line_graph(), Symmetric(3)), (two_orbit_graph(), Cyclic(3)),
+                         (torus_graph(4), Symmetric(3)), (k5_cyclic(), klein_table()),
+                         (line_graph(), FreeAbelian(2))]:
+        for _ in range(40):
+            w = random_word(graph, delta, rng, max_len=12)
+            back = formats.parse_word(graph, delta, formats.word_text(w))
+            assert back == w and repr(back) == repr(w)
+
+
+def _per_syllable_text(w):
+    """``word_text`` as one ``vertex_text`` and ``value_text`` call per syllable."""
+    if w.is_empty:
+        return "-"
+    return " ".join(f"{formats.vertex_text(s.vertex)}={formats.value_text(s.value)}" for s in w)
+
+
+def test_word_text_writes_each_syllable_as_its_own_value_and_vertex():
+    fresh = [tuple(list(p)) for p in [(1, 0, 2)] * 3]
+    words = [
+        EMPTY_WORD,
+        Word(tuple(Syllable(("c", i), g) for i, g in enumerate(fresh))),
+        # equal values of different types, each in both orders
+        Word((Syllable(("c", 0), 1), Syllable(("c", 1), True), Syllable(("c", 2), 1))),
+        Word((Syllable(("c", 0), True), Syllable(("c", 1), 1), Syllable(("c", 2), False),
+              Syllable(("c", 3), 0))),
+        Word((Syllable(("a", -2), (1, 0, 2)), Syllable(("a", 5), (True, 0, 2)),
+              Syllable(("b", 0), (1, 0, 2)), Syllable(("b", 1), (1, False, 2)))),
+        # finite-mode vertices are ints; a bool vertex is written as Python prints it
+        Word((Syllable(0, 1), Syllable(17, 2), Syllable(0, 1), Syllable(True, 1))),
+        Word((Syllable(3, (2, 0)), Syllable(4, ()), Syllable(5, (-1, 7)))),
+    ]
+    texts = [formats.word_text(w) for w in words]
+    assert texts == [_per_syllable_text(w) for w in words]
+    assert texts[:3] == ["-", "c:0=1,0,2 c:1=1,0,2 c:2=1,0,2", "c:0=1 c:1=True c:2=1"]
+    assert texts[5] == "0=1 17=2 0=1 True=1"
 
 
 def test_value_and_gamma_round_trip():
@@ -287,6 +327,39 @@ def test_structured_errors_name_source_lines():
     assert formats.parse_structured("\n\ngwreath v1 verdict\n\nstatus x\n") == (
         "verdict", {"status": ["x"]}
     )
+
+
+def test_document_value_errors_name_their_line():
+    inst, graph = Instance(Symmetric(3), factorial_graph(0)), factorial_graph(0)
+    witness_doc = formats.witness_lines(inst, witness(inst, "T3.1", [("c", 0)]))
+    lef_doc = formats.lef_lines(graph, lef_certificate(graph, [0, 1], [("c", 0), ("c", 1), ("c", 2)]))
+    quotient_doc = ["gwreath v1 quotient-graph", *formats.quotient_lines(quotient_graph(cycle_graph(6), [(2,)]))]
+    orbit = [i for i, line in enumerate(quotient_doc) if line.startswith("quotient.orbit ")][1]
+    read_witness = lambda record: formats.witness_from_record(inst, record)  # noqa: E731
+    read_lef = lambda record: formats.lef_from_record(graph, record)  # noqa: E731
+    # (document, its reader, the key or index of the line to replace,
+    # its replacement, the error)
+    cases = [
+        (witness_doc, read_witness, "obstruction.family", "obstruction.family", "missing family kind"),
+        (witness_doc, read_witness, "obstruction.family", "obstruction.family finite x",
+         "bad family arguments ['x']"),
+        (witness_doc, read_witness, "obstruction.family", "obstruction.family hex 1",
+         "unknown family kind 'hex'"),
+        (quotient_doc, formats.quotient_from_record, orbit, "quotient.orbit", "empty quotient.orbit line"),
+        (lef_doc, read_lef, "q", "q dihedral 5", "unsupported finite model group 'dihedral'"),
+    ]
+    for doc, read, at, new, message in cases:
+        if isinstance(at, str):
+            at = [line.split(" ")[0] for line in doc].index(at)
+        read(formats.parse_structured("\n".join(doc))[1])
+        # a blank line before the replaced one counts
+        text = "\n".join(doc[:at] + ["", new] + doc[at + 1:])
+        with pytest.raises(ParseError) as info:
+            read(formats.parse_structured(text)[1])
+        assert str(info.value) == f"{message} (line {at + 2})"
+        with pytest.raises(ParseError) as info:  # a plain dict names no line
+            read(dict(formats.parse_structured(text)[1]))
+        assert str(info.value) == message
 
 
 def _looped_quotients():

@@ -212,6 +212,44 @@ def test_finite_table_rejects_bad_tables():
         FiniteTable(3, ((0, 1, 2), (1, 2, 1), (2, 0, 0)), 0)
 
 
+# an order-5 loop: 0 is a two-sided identity and each element its own
+# inverse, but (1 * 1) * 2 = 2 while 1 * (1 * 2) = 4
+_LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Cyclic(0), "cyclic order must be >= 1, got 0"),
+        (lambda: Symmetric(0), "symmetric degree must be >= 1, got 0"),
+        (lambda: FreeAbelian(-1), "rank must be >= 0, got -1"),
+        (lambda: FiniteTable(0, ()), "table group must have at least one element"),
+        (lambda: FiniteTable(2, ((0, 1),)), "multiplication table must be 2x2"),
+        (lambda: FiniteTable(2, ((0, 1), (1, 0, 1))), "multiplication table must be 2x2"),
+        (lambda: FiniteTable(2, ((0, 1), (1, 0)), 2), "identity index 2 out of range"),
+        (lambda: FiniteTable(2, ((0, 1), (1, 0)), -1), "identity index -1 out of range"),
+        (lambda: FiniteTable(5, _LOOP5), "table is not associative at (1, 1, 2)"),
+    ],
+    ids=["cyclic-0", "symmetric-0", "free-abelian--1", "table-empty", "table-short",
+         "table-ragged", "table-identity-2", "table-identity--1", "table-loop"],
+)
+def test_constructors_name_what_is_wrong(make, message):
+    with pytest.raises(GroupError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_orders_and_element_lists():
+    trivial = FreeAbelian(0)
+    assert trivial.order() == 1
+    assert list(trivial.elements()) == [()]
+    assert FreeAbelian(2).order() is None
+    assert Integers().order() is None and Integers().is_abelian()
+    assert [Symmetric(d).order() for d in (1, 3, 5)] == [1, 6, 120]
+    with pytest.raises(GroupError, match="free abelian group of positive rank is infinite"):
+        FreeAbelian(2).elements()
+
+
 def test_finite_table_klein():
     k = klein_table()
     assert k.compose(1, 2) == 3
@@ -259,6 +297,8 @@ def test_first_nontrivial():
     assert first_nontrivial(Cyclic(2)) == 1
     assert first_nontrivial(FreeAbelian(2)) == (1, 0)
     assert first_nontrivial(Symmetric(3)) is not None
+    assert first_nontrivial(FreeAbelian(0)) is None
+    assert first_nontrivial(FiniteTable(1, ((0,),))) is None
 
 
 def test_commutator():

@@ -79,6 +79,11 @@ def test_truncate_rejects_finite_mode():
         truncate_graph(k5_cyclic(), [0, 1])
 
 
+def test_lef_certificate_rejects_finite_mode():
+    with pytest.raises(GraphError, match="finite partial models are built for translation graphs only"):
+        lef_certificate(k5_cyclic(), [(0,), (1,)], [0, 1])
+
+
 def test_lef_checks_each_acting_element_through_the_acting_group():
     for gamma_set in ([1.5], [(1,)], [(1.5,)], [0, "1"], [0, [1]], iter([0, (1,)])):
         with pytest.raises(GroupError, match="is not an element of"):

@@ -80,6 +80,66 @@ def test_bool_values_are_rejected_by_word_and_normalize():
             canonical_form(inst.graph, S3, raw.word)
 
 
+def _contains_args(monkeypatch, spec_class):
+    """Every argument ``spec_class.contains`` is called with, in order."""
+    args = []
+    contains = spec_class.contains
+
+    def recording(self, a):
+        args.append(a)
+        return contains(self, a)
+
+    monkeypatch.setattr(spec_class, "contains", recording)
+    return args
+
+
+def test_word_checks_each_value_object_once(monkeypatch):
+    rng = random.Random(33)
+    shared = [tuple(p) for p in S3.elements() if not S3.is_identity(p)]
+    args = _contains_args(monkeypatch, Symmetric)
+    pairs = [(("c", rng.randrange(50)), rng.choice(shared)) for _ in range(300)]
+    assert word(S3, pairs) == Word(tuple(Syllable(v, g) for v, g in pairs))
+    assert sorted(map(id, args)) == sorted(map(id, shared))
+    # equal but distinct objects are each checked, in the order they occur
+    args.clear()
+    fresh = [(v, tuple(list(g))) for v, g in pairs]
+    built = word(S3, fresh)
+    assert [id(a) for a in args] == [id(g) for _, g in fresh]
+    assert built == word(S3, pairs)
+
+
+@pytest.mark.parametrize(
+    "delta, good, bad",
+    [(C2, 1, True), (S3, (1, 0, 2), (True, 0, 2)), (S3, (0, 2, 1), (0, 2, True))],
+    ids=["1-then-True", "(1,0,2)-then-(True,0,2)", "(0,2,1)-then-(0,2,True)"],
+)
+def test_word_checks_a_bool_after_its_equal_int(delta, good, bad):
+    assert good == bad  # so a memo keyed by equality would pass it
+    pairs = [(("c", 0), good), (("c", 1), good), (("c", 2), bad), (("c", 3), good)]
+    with pytest.raises(GroupError) as info:
+        word(delta, pairs)
+    assert str(info.value) == f"{bad!r} is not an element of {delta!r}"
+
+
+def test_word_reports_the_first_failing_pair():
+    a, b, e = (1, 0, 2), (2, 0, 1), S3.identity()
+    with pytest.raises(WordError) as info:
+        word(S3, [(("c", 0), a), (("c", 1), a), (("c", 2), b), (("c", 3), a), (("c", 4), e)])
+    assert str(info.value) == "identity syllable at vertex ('c', 4)"
+    cases = [
+        ([a, a, e, (0, 1, 3), e], WordError, "identity syllable at vertex ('c', 2)"),
+        ([a, b, (0, 1, 3), e, (0, 1, 3)], GroupError, "(0, 1, 3) is not an element of Symmetric(degree=3)"),
+        ([b, (True, 0, 2), e], GroupError, "(True, 0, 2) is not an element of Symmetric(degree=3)"),
+    ]
+    for values, error, message in cases:
+        with pytest.raises(error) as info:
+            word(S3, [(("c", i), g) for i, g in enumerate(values)])
+        assert str(info.value) == message
+    # the identity object repeated: the first occurrence is named
+    with pytest.raises(WordError, match=r"vertex 7$"):
+        word(C3, [(5, 1), (6, 2), (7, 0), (8, 1), (9, 0)])
+
+
 @pytest.mark.parametrize(
     "graph, bad", [(line_graph(), True), (torus_graph(3), (True, 0)), (torus_graph(3), (1, False))],
     ids=["line-True", "torus-(True,0)", "torus-(1,False)"],

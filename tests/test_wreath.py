@@ -896,6 +896,8 @@ def test_separate_finite_mode_word():
     assert cert.kind == "image-subgroup"
     assert not cert.word_image.is_empty
     assert verify_certificate(inst, cert)
+    with pytest.raises(GraphError, match="certificate maps are only built for translation certificates"):
+        certificate_map(inst, cert)
 
 
 def test_separate_finite_mode_gamma():
